@@ -11,8 +11,8 @@ import json
 import os
 import sys
 
-from .bench import EXPERIMENTS, ExperimentSpec, emit_report, report_to_csv, \
-    report_to_json, run_experiment
+from .bench import EXPERIMENTS, ExperimentSpec, report_to_csv, report_to_json, \
+    run_experiment
 from .core import (
     CostModel,
     instance_from_dict,

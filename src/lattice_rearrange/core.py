@@ -125,12 +125,16 @@ class CostModel:
 DEFAULT_COST = CostModel()
 
 
+def _manhattan_leg(dr: int, dc: int) -> float:
+    return float(abs(dr) + abs(dc))
+
+
 def distance(dims: LatticeDims, a: int, b: int, model: CostModel = DEFAULT_COST) -> float:
     """Metric distance between two cells given as indices."""
     ra, ca = dims.rowcol(a)
     rb, cb = dims.rowcol(b)
     if model.metric == "manhattan":
-        return float(abs(ra - rb) + abs(ca - cb))
+        return _manhattan_leg(ra - rb, ca - cb)
     return math.hypot(ra - rb, ca - cb)
 
 
@@ -249,16 +253,20 @@ def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) ->
     the closing leg back to the rest cell.
     """
     dims = instance.dims
+    n, m1 = dims.n, dims.m1
+    # distance() inlined: each cell is decoded once, after its range check
+    leg = _manhattan_leg if model.metric == "manhattan" else math.hypot
     config: list[Optional[int]] = list(instance.start_config())
     held: Optional[int] = None
-    pos = instance.rest
+    rest_col, rest_row = col, row = divmod(instance.rest - 1, m1)
     travel = 0.0
     for idx, step in enumerate(plan.steps):
         cell = step.cell
-        if not 1 <= cell <= dims.n:
+        if not 1 <= cell <= n:
             raise IllegalStep(idx, f"cell {cell} outside lattice")
-        travel += distance(dims, pos, cell, model)
-        pos = cell
+        c, r = divmod(cell - 1, m1)
+        travel += leg(row - r, col - c)
+        col, row = c, r
         occupant = config[cell - 1]
         if step.action is Action.PICK:
             if held is not None:
@@ -280,7 +288,7 @@ def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) ->
             config[cell - 1], held = held, None
     if held is not None:
         raise HandNotEmptyAtEnd(f"item {held} still in hand after final step")
-    travel += distance(dims, pos, instance.rest, model)
+    travel += leg(row - rest_row, col - rest_col)
     picks = len(plan.steps)
     cost = PlanCost(picks, travel, picks * model.c_p + travel * model.c_t)
     return SimResult(tuple(config), cost)

@@ -9,11 +9,11 @@ that for byte-identical reruns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import MalformedPermutation, RearrangeError
 
@@ -181,12 +181,127 @@ def _edmonds(vertices, edges, root):
     return chosen
 
 
+def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Minimum-cost perfect matching of a finite square float matrix, with duals.
+
+    Shortest augmenting paths (Jonker and Volgenant, Computing 1987; Crouse,
+    IEEE TAES 2016): rows join the matching one at a time, each through a
+    Dijkstra search over the reduced costs cost[i, j] - u[i] - v[j], which
+    stay nonnegative and are zero on matched pairs.  Returns
+    (col_of_row, u, v).  Every optimal matching uses only pairs of zero
+    reduced cost under these duals.
+    """
+    s = len(cost)
+    inf = math.inf
+    v = cost.min(axis=0)
+    u = (cost - v).min(axis=1)
+    col_of_row = [-1] * s
+    row_of_col = [-1] * s
+    for start in range(s):
+        # dist holds the tentative distance of each column not yet reached.
+        # A reached column gets inf there and -inf in vmask, so no later row
+        # lowers it again.
+        dist = cost[start] - v
+        dist -= u[start]
+        vmask = v.copy()
+        tree = [start]          # rows, in the order the search enters them
+        offset = [-u[start]]    # each tree row's distance minus its u
+        reached = []            # matched columns, in the order reached
+        reached_at = []         # and their distances
+        while True:
+            j = int(dist.argmin())
+            d = float(dist[j])
+            i = row_of_col[j]
+            if i < 0:
+                break
+            reached.append(j)
+            reached_at.append(d)
+            dist[j] = inf
+            vmask[j] = -inf
+            tree.append(i)
+            offset.append(d - u[i])
+            step = cost[i] - vmask
+            step += offset[-1]
+            np.minimum(dist, step, out=dist)
+        # Walk back from the free column j.  Its predecessor is a tree row,
+        # entered before j was reached, whose edge attains j's distance.  The
+        # sum is recomputed with the same float operations, so == is exact.
+        rows = np.array(tree)
+        offsets = np.array(offset)
+        k, target = len(tree), d
+        while True:
+            t = int(((cost[rows[:k], j] - v[j]) + offsets[:k] == target).argmax())
+            i = tree[t]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if t == 0:
+                break
+            k, target = t, reached_at[t - 1]
+        if reached:
+            gap = d - np.array(reached_at)
+            u[rows[1:]] += gap
+            v[reached] -= gap
+        u[start] += d
+    return col_of_row, u, v
+
+
+# reduced cost up to which a pair counts as tight (zero)
+_TIGHT = 1e-9
+
+
+def _lex_smallest_tight(cost: np.ndarray, col_of_row: list[int], u: np.ndarray,
+                        v: np.ndarray) -> tuple[int, ...]:
+    """Lexicographically smallest perfect matching among the tight pairs,
+    starting from the perfect matching col_of_row inside them.
+
+    Rows are fixed in order.  Row i may take a smaller column j when the row
+    r holding j can pass its column down a chain that ends at i, where r -> r2
+    means r is tight with r2's column; the chain is then rotated.
+    """
+    s = len(cost)
+    tight = cost - u[:, None] - v <= _TIGHT
+    cols_of = [[] for _ in range(s)]
+    rows_of = [[] for _ in range(s)]
+    for i, j in zip(*(a.tolist() for a in np.nonzero(tight))):
+        cols_of[i].append(j)
+        rows_of[j].append(i)
+    col_of_row = list(col_of_row)
+    row_of_col = [0] * s
+    for i, j in enumerate(col_of_row):
+        row_of_col[j] = i
+    done = [False] * s
+    for i in range(s):
+        smaller = [j for j in cols_of[i] if j < col_of_row[i] and not done[row_of_col[j]]]
+        if smaller:
+            toward = {i: i}     # row -> the next row of its chain to i
+            queue = [i]
+            for r2 in queue:
+                for r in rows_of[col_of_row[r2]]:
+                    if not done[r] and r not in toward:
+                        toward[r] = r2
+                        queue.append(r)
+            for j in smaller:
+                r = row_of_col[j]
+                if r in toward:
+                    while r != i:
+                        r2 = toward[r]
+                        col_of_row[r] = col_of_row[r2]
+                        row_of_col[col_of_row[r]] = r
+                        r = r2
+                    col_of_row[i] = j
+                    row_of_col[j] = i
+                    break
+        done[i] = True
+    return tuple(col_of_row)
+
+
 def min_cost_assignment(cost: Sequence[Sequence[float]]) -> tuple[tuple[int, ...], float]:
     """Minimum-cost square assignment; among optima, the lexicographically
     smallest assignment vector (row i -> column assignment[i]).
 
-    scipy does the solving; the lexicographic refinement re-solves with a
-    prefix of rows pinned, taking the smallest feasible column each time.
+    One shortest-augmenting-path solve gives an optimum and its duals; every
+    optimum lies in the subgraph of zero reduced cost, and the lexicographic
+    refinement searches only there.
     """
     mat = np.asarray(cost, dtype=float)
     if mat.size == 0:
@@ -194,27 +309,8 @@ def min_cost_assignment(cost: Sequence[Sequence[float]]) -> tuple[tuple[int, ...
     s, s2 = mat.shape
     if s != s2:
         raise ValueError(f"cost matrix must be square, got {s}x{s2}")
-    rows, cols = linear_sum_assignment(mat)
-    best_total = float(mat[rows, cols].sum())
-    tol = 1e-9
-    free_cols = list(range(s))
-    assignment = []
-    fixed = 0.0
-    for i in range(s):
-        for j in free_cols:
-            rest_rows = list(range(i + 1, s))
-            rest_cols = [c for c in free_cols if c != j]
-            if rest_rows:
-                sub = mat[np.ix_(rest_rows, rest_cols)]
-                r, c = linear_sum_assignment(sub)
-                rest = float(sub[r, c].sum())
-            else:
-                rest = 0.0
-            if fixed + mat[i, j] + rest <= best_total + tol:
-                assignment.append(j)
-                fixed += float(mat[i, j])
-                free_cols.remove(j)
-                break
-        else:  # pragma: no cover - cannot happen for a square matrix
-            raise RearrangeError("assignment refinement failed")
-    return tuple(assignment), best_total
+    if not np.isfinite(mat).all():
+        raise ValueError("cost matrix entries must be finite")
+    col_of_row, u, v = linear_sum_assignment(mat)
+    assignment = _lex_smallest_tight(mat, col_of_row, u, v)
+    return assignment, float(mat[np.arange(s), assignment].sum())

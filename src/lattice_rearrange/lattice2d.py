@@ -297,7 +297,9 @@ def form_cycles_ptr(instance: TypedInstance) -> list[MoveCycle]:
     types: dict[int, int] = {}
     for t, srcs in sorted(sources.items()):
         dsts = goals[t]
-        cost = [[distance(dims, s, g) for g in dsts] for s in srcs]
+        # np.sqrt of the exact integer sum of squares rounds as math.hypot
+        # does in distance(), so ties, and the tie-break, are unchanged
+        cost = _pair_dists(_coords(dims, srcs), _coords(dims, dsts), "euclidean")
         chosen, _ = min_cost_assignment(cost)
         for s, j in zip(srcs, chosen):
             assign[s] = dsts[j]

@@ -1,9 +1,14 @@
 """CLI tests driven through main(argv): exit codes, JSON shapes, pipes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lattice_rearrange
 from lattice_rearrange.cli import main
 
 
@@ -227,3 +232,15 @@ class TestTopLevel:
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+
+@pytest.mark.parametrize("module", ["lattice_rearrange", "lattice_rearrange.cli"])
+def test_import_loads_no_scipy(module):
+    # every CLI process pays for what the package imports; the assignment
+    # solver is in-repo, so scipy must stay off that path
+    src = str(Path(lattice_rearrange.__file__).resolve().parents[1])
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +29,9 @@ from lattice_rearrange.core import (
     reversed_instance,
     simulate,
 )
+from lattice_rearrange.gen import gen_block_random, gen_uniform_permutation
+from lattice_rearrange.lattice2d import sweep_cycles_ltr
+from lattice_rearrange.lor import opt_plan_lor
 from conftest import leg_travel
 
 
@@ -95,6 +99,37 @@ def test_simulate_rejects_illegal_steps():
         simulate(inst, P((1, "p"), (2, "l")))  # place onto occupied cell
     with pytest.raises(HandNotEmptyAtEnd):
         simulate(inst, P((1, "p")))
+
+
+def test_simulate_travel_is_the_sum_of_distance_legs():
+    # simulate decodes cells itself; its travel must still be the float sum
+    # of distance() over the legs, in order, closing leg included
+    rng = random.Random(4)
+    for seed in range(4):
+        for inst, planner in ((gen_uniform_permutation(60, seed), opt_plan_lor),
+                              (gen_block_random(9, seed), sweep_cycles_ltr)):
+            inst = LabeledInstance(inst.dims, inst.pi, rng.randint(1, inst.dims.n))
+            plan = planner(inst)
+            walk = [inst.rest] + [step.cell for step in plan] + [inst.rest]
+            for metric in ("euclidean", "manhattan"):
+                model = CostModel(metric=metric)
+                legs = 0.0
+                for a, b in zip(walk, walk[1:]):
+                    legs += distance(inst.dims, a, b, model)
+                assert simulate(inst, plan, model).cost.travel == legs
+
+
+def test_simulate_out_of_range_cell_reports_its_step():
+    inst = gen_block_random(4, 3)
+    plan = sweep_cycles_ltr(inst)
+    for k in (0, len(plan) // 2, len(plan) - 1):
+        for bad in (0, inst.dims.n + 1):
+            steps = list(plan.steps)
+            steps[k] = PlanStep(bad, steps[k].action)
+            with pytest.raises(IllegalStep) as err:
+                simulate(inst, Plan(tuple(steps)))
+            assert err.value.step_index == k
+            assert str(err.value) == f"step {k}: cell {bad} outside lattice"
 
 
 def test_reverse_plan_swap_fixed_ends_flipped():

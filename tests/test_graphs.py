@@ -1,19 +1,24 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_rearrange.core import MalformedPermutation
+from lattice_rearrange.core import CostModel, MalformedPermutation, distance
+from lattice_rearrange.gen import gen_typed
 from lattice_rearrange.graphs import (
     CycleSet,
     Unreachable,
     WeightedGraph,
+    linear_sum_assignment,
     min_arborescence,
     min_cost_assignment,
     mst_undirected,
     permutation_cycles,
 )
+from lattice_rearrange.lattice2d import GoalPattern
 
 
 # --- permutation cycles -----------------------------------------------------
@@ -201,3 +206,83 @@ def test_assignment_empty_and_shape_checks():
     assert min_cost_assignment([]) == ((), 0.0)
     with pytest.raises(ValueError):
         min_cost_assignment([[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        min_cost_assignment([[0.0, math.inf], [math.nan, 0.0]])
+
+
+def resolve_reference(cost):
+    """The former min_cost_assignment, kept as the reference: solve with
+    scipy, then pin rows in order, each to the smallest column whose pinned
+    prefix still completes to an optimum (one re-solve per candidate)."""
+    from scipy.optimize import linear_sum_assignment as scipy_lsa
+    mat = np.asarray(cost, dtype=float)
+    s = len(mat)
+    rows, cols = scipy_lsa(mat)
+    best_total = float(mat[rows, cols].sum())
+    free_cols = list(range(s))
+    assignment = []
+    fixed = 0.0
+    for i in range(s):
+        for j in free_cols:
+            rest_rows = list(range(i + 1, s))
+            rest_cols = [c for c in free_cols if c != j]
+            rest = 0.0
+            if rest_rows:
+                sub = mat[np.ix_(rest_rows, rest_cols)]
+                r, c = scipy_lsa(sub)
+                rest = float(sub[r, c].sum())
+            if fixed + mat[i, j] + rest <= best_total + 1e-9:
+                assignment.append(j)
+                fixed += float(mat[i, j])
+                free_cols.remove(j)
+                break
+    return tuple(assignment), best_total
+
+
+def typed_cost_matrices(metric):
+    """Per-type matrices built as form_cycles_ptr builds them: misplaced
+    sources of a type against the goal cells that want it."""
+    model = CostModel(metric=metric)
+    for dims, k, pattern in [((12, 12), 4, "blocks"), ((20, 4), 4, "columns"),
+                             ((16, 16), 16, "blocks"), ((16, 16), 16, "columns")]:
+        for seed in (1, 2):
+            inst = gen_typed(dims, k, (dims[0] * dims[1] // k,) * k,
+                             GoalPattern(pattern), seed)
+            cells = list(enumerate(zip(inst.start_types, inst.goal_types), start=1))
+            for t in range(1, k + 1):
+                srcs = [c for c, (have, want) in cells if have == t != want]
+                dsts = [c for c, (have, want) in cells if want == t != have]
+                yield [[distance(inst.dims, a, b, model) for b in dsts] for a in srcs]
+
+
+def check_against_reference(cost):
+    vec, total = min_cost_assignment(cost)
+    ref_vec, ref_total = resolve_reference(cost)
+    assert vec == ref_vec
+    # the duals certify the optimum: reduced costs are nonnegative and zero
+    # on the matched pairs
+    mat = np.asarray(cost, dtype=float)
+    cols, u, v = linear_sum_assignment(mat)
+    reduced = mat - u[:, None] - v
+    assert reduced.min() >= -1e-9
+    assert np.abs(reduced[np.arange(len(mat)), cols]).max() <= 1e-9
+    return total, ref_total
+
+
+def test_assignment_matches_resolve_reference_on_ties():
+    pytest.importorskip("scipy")
+    rng = random.Random(11)
+    for _ in range(300):
+        s = rng.randint(1, 9)
+        cost = [[float(rng.randint(0, 4)) for _ in range(s)] for _ in range(s)]
+        total, ref_total = check_against_reference(cost)
+        assert total == ref_total  # integer sums are exact
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_assignment_matches_resolve_reference_on_typed_grids(metric):
+    pytest.importorskip("scipy")
+    for cost in typed_cost_matrices(metric):
+        total, ref_total = check_against_reference(cost)
+        # equal optima may pair different distances, summed in another order
+        assert total == pytest.approx(ref_total, rel=0, abs=1e-9)

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lattice_rearrange.core import (
@@ -22,6 +23,7 @@ from lattice_rearrange.graphs import permutation_cycles
 from lattice_rearrange.lattice2d import (
     GoalPattern,
     _merge_cycles_ptr_logged,
+    _pair_dists,
     cycle_distance_statistic,
     cycle_edge_length,
     cycle_merge_cost,
@@ -254,6 +256,14 @@ def test_form_cycles_ptr_matching_is_minimal():
             brute = min(sum(hand_dist(inst.dims, s, gg[p[i]]) for i, s in enumerate(ss))
                         for p in itertools.permutations(range(len(gg))))
             assert by_type[t] == pytest.approx(brute)
+
+
+def test_vectorised_cost_matrix_rounds_like_distance():
+    # form_cycles_ptr builds its cost matrix with np.sqrt; the assignment's
+    # tie-break, and so the plan bytes, need the same floats as math.hypot
+    offsets = np.array([[r, c] for r in range(400) for c in range(400)], dtype=float)
+    got = _pair_dists(offsets, np.zeros((1, 2)), "euclidean")[:, 0]
+    assert got.tolist() == [math.hypot(r, c) for r, c in offsets.tolist()]
 
 
 # --- typed phase 2 ----------------------------------------------------------
