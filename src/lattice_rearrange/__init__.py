@@ -2,7 +2,7 @@
 
 Submodules:
     core       domain types, simulator, plan/instance JSON
-    graphs     cycles, spanning structures, assignment
+    graphs     cycles, arborescence, assignment
     lor        labeled 1D planners (exact)
     por        typed 1D planners (exact) and the best-first greedy
     lattice2d  labeled/typed 2D planners (asymptotically optimal heuristics)
@@ -109,7 +109,9 @@ __all__ = [
     "SplitMix64", "TooLarge", "TypeMismatch", "TypeRange", "TypedInstance",
     "cli_main", "cycle_distance", "cycle_distance_statistic",
     "cycle_edge_length", "derive_seed", "distance", "emit_report",
-    "form_cycles", "form_cycles_ptr", "greedy_2d", "greedy_plan",
+    "form_cycles", "form_cycles_ptr", "gen_block_random", "gen_column_random",
+    "gen_tsp_clusters", "gen_typed", "gen_uniform_permutation", "gen_x_random",
+    "greedy_2d", "greedy_plan",
     "greedy_por", "group_cycles", "instance_from_dict", "instance_to_dict",
     "is_solved", "merge_cycles", "merge_cycles_mst", "merge_cycles_ptr",
     "opt_plan_lor", "opt_plan_por", "oracle_min_picks", "oracle_optimal",
@@ -117,7 +119,7 @@ __all__ = [
     "plan_ptr", "plan_to_dict", "report_from_json", "report_to_csv",
     "report_to_json", "reverse_plan", "reversed_instance", "run_experiment",
     "simulate", "sweep_cycles_lor", "sweep_cycles_ltr", "sweep_cycles_ptr",
-    "switch_cycles_ltr",
+    "switch_cycles_ltr", "type_ranges",
 ]
 
 __version__ = "0.1.0"

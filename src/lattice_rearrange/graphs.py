@@ -1,10 +1,9 @@
-"""Combinatorial substrate: permutation cycles, spanning structures, matching.
+"""Combinatorial substrate: permutation cycles, arborescence, matching.
 
-Everything here is deterministic, ties included: Kruskal breaks ties toward
-the lexicographically smallest vertex pair, the arborescence toward the
-smallest edge id (position in the input edge list), and the assignment
-toward the lexicographically smallest assignment vector.  Callers rely on
-that for byte-identical reruns.
+Everything here is deterministic, ties included: the arborescence breaks
+ties toward the smallest edge id (position in the input edge list), and the
+assignment toward the lexicographically smallest assignment vector.
+Callers rely on that for byte-identical reruns.
 """
 
 from __future__ import annotations
@@ -75,110 +74,138 @@ class WeightedGraph:
     edges: tuple[Edge, ...]
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def mst_undirected(g: WeightedGraph) -> list[Edge]:
-    """Kruskal minimum spanning forest.  Edges sorted by (weight, vertex
-    pair); the returned list keeps that order."""
-    ordered = sorted(((w, min(u, v), max(u, v)) for u, v, w in g.edges))
-    uf = _UnionFind(g.vertices)
-    forest: list[Edge] = []
-    for w, u, v in ordered:
-        if uf.union(u, v):
-            forest.append((u, v, w))
-    return forest
-
-
 def min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:
     """Minimum spanning arborescence rooted at `root` (Chu-Liu/Edmonds).
 
     Returns the chosen edges in input order.  Raises Unreachable if some
     vertex has no path from the root.
+
+    Iterative contraction (Tarjan, Networks 1977; Camerini, Fratta and
+    Maffioli, Networks 1979) on a dense matrix whose cell (u, v) holds the
+    least (weight, edge id) from u to v.  Each vertex keeps its cheapest
+    incoming edge, ties toward the smallest id; the first cycle among those
+    edges, scanning vertices in order, contracts into a supernode that is
+    scanned last, and edges entering it are charged `w - best[v].w`.  A
+    contraction changes only the supernode's row and column, so only its
+    best edge is recomputed.  Each contraction is recorded, and the records
+    are expanded in reverse once no cycle is left.
     """
-    edges = [(u, v, float(w), eid) for eid, (u, v, w) in enumerate(g.edges)]
-    by_id = {eid: (u, v, w) for u, v, w, eid in edges}
-    chosen = _edmonds(list(g.vertices), edges, root)
-    result = [by_id[eid] for eid in sorted(chosen)]
-    return [(u, v, w) for u, v, w in result]
+    edges = [(u, v, float(w)) for u, v, w in g.edges]
+    labels = list(g.vertices)
+    nv = len(labels)
+    slot = {v: i for i, v in enumerate(labels)}
+    r = slot[root]
+    no_edge = len(edges)   # id of "no edge", above every real id
+    W = np.full((nv, nv), math.inf)
+    E = np.full((nv, nv), no_edge, dtype=np.int64)
+    if edges:
+        us = np.array([slot[u] for u, _, _ in edges])
+        vs = np.array([slot[v] for _, v, _ in edges])
+        ws = np.array([w for _, _, w in edges])
+        # self-loops and edges into the root never count
+        ids = np.flatnonzero((us != vs) & (vs != r))
+        key = us[ids] * nv + vs[ids]
+        order = np.lexsort((ids, ws[ids], key))
+        ids = ids[order[np.unique(key[order], return_index=True)[1]]]
+        W[us[ids], vs[ids]] = ws[ids]
+        E[us[ids], vs[ids]] = ids
 
+    # vertex ids: the originals are their matrix slots, supernode i is nv + i
+    col_w = W.min(axis=0)
+    col_e = np.where(W == col_w, E, no_edge)
+    best_w = col_w.tolist()
+    best_e = col_e.min(axis=0).tolist()
+    parent = col_e.argmin(axis=0).tolist()
+    for v in range(nv):
+        if v != r and best_e[v] == no_edge:
+            raise Unreachable(f"vertex {labels[v]} has no incoming path from root {root}")
+    slot_of = list(range(nv))       # vertex id -> its matrix slot
+    vid_at = list(range(nv))        # matrix slot -> the vertex id holding it
+    rep = list(range(nv))           # vertex id -> the supernode that absorbed it
 
-def _edmonds(vertices, edges, root):
-    # best incoming edge per non-root vertex, ties toward the smallest id
-    best = {}
-    for u, v, w, eid in edges:
-        if v == root or u == v:
-            continue
-        cur = best.get(v)
-        if cur is None or (w, eid) < (cur[2], cur[3]):
-            best[v] = (u, v, w, eid)
-    for v in vertices:
-        if v != root and v not in best:
-            raise Unreachable(f"vertex {v} has no incoming path from root {root}")
+    def find(x: int) -> int:
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
 
-    # look for a cycle among the best edges
-    cycle = None
-    color = {v: 0 for v in vertices}
-    for start in vertices:
-        if color[start] != 0 or start == root:
-            continue
-        path = []
-        v = start
-        while v != root and color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = best[v][0]
-        if v != root and color[v] == 1 and v in path:
-            cycle = path[path.index(v):]
+    # 2: reaches the root along best edges; 1: on the path being walked
+    color = [0] * nv
+    color[r] = 2
+    records = []
+    start = 0
+    while True:
+        # scan vertex ids in order (a supernode comes after every vertex
+        # it absorbed) for the first cycle of best edges
+        cycle = None
+        while start < len(rep):
+            if rep[start] != start or color[start]:
+                start += 1
+                continue
+            path = []
+            v = start
+            while not color[v]:
+                color[v] = 1
+                path.append(v)
+                v = find(parent[v])
+            closed = color[v] == 1
+            for p in path:
+                color[p] = 0 if closed else 2
+            if closed:
+                cycle = path[path.index(v):]
+                break
+            start += 1
+        if cycle is None:
             break
-        for p in path:
-            color[p] = 2
-        if v != root:
-            color[v] = 2
-    if cycle is None:
-        return {best[v][3] for v in vertices if v != root}
 
-    # contract the cycle into a fresh supernode and recurse
-    cyc = set(cycle)
-    super_v = max(vertices) + 1
-    contracted = []
-    for u, v, w, eid in edges:
-        if v in cyc and u not in cyc:
-            contracted.append((u, super_v, w - best[v][2], eid))
-        elif u in cyc and v not in cyc:
-            contracted.append((super_v, v, w, eid))
-        elif u not in cyc and v not in cyc:
-            contracted.append((u, v, w, eid))
-    new_vertices = [v for v in vertices if v not in cyc] + [super_v]
-    sub = _edmonds(new_vertices, contracted, root)
+        # contract the cycle into supernode `sup` in the slot of its first
+        # member.  The vertices before `start` still reach the root, so the
+        # next scan resumes at `start`.
+        cyc = [slot_of[v] for v in cycle]
+        into, into_e = W[:, cyc] - [best_w[v] for v in cycle], E[:, cyc]
+        into[cyc], into_e[cyc] = math.inf, no_edge
+        in_w = into.min(axis=1)
+        in_pick = np.where(into == in_w[:, None], into_e, no_edge)
+        member = in_pick.argmin(axis=1)
+        in_e = in_pick[np.arange(nv), member]
+        out, out_e = W[cyc], E[cyc]
+        out[:, cyc], out_e[:, cyc] = math.inf, no_edge
+        out_w = out.min(axis=0)
+        out_e = np.where(out == out_w, out_e, no_edge).min(axis=0)
+        # which member each edge entering the supernode reaches
+        entered = np.flatnonzero(in_e != no_edge)
+        enter = dict(zip(in_e[entered].tolist(), (cycle[j] for j in member[entered].tolist())))
+        records.append((cycle, [best_e[v] for v in cycle], enter))
 
-    # the edge entering the supernode decides where the cycle is broken
-    head_of = {eid: v for u, v, w, eid in edges}
-    entering = None
-    for eid in sub:
-        if head_of[eid] in cyc:
-            entering = head_of[eid]
-            break
-    chosen = set(sub)
-    for v in cycle:
-        if v != entering:
-            chosen.add(best[v][3])
-    return chosen
+        W[cyc] = math.inf
+        W[:, cyc] = math.inf
+        E[cyc] = no_edge
+        E[:, cyc] = no_edge
+        s, sup = cyc[0], len(rep)
+        W[:, s], E[:, s], W[s], E[s] = in_w, in_e, out_w, out_e
+        for v in cycle:
+            rep[v] = sup
+        rep.append(sup)
+        color.append(0)
+        slot_of.append(s)
+        vid_at[s] = sup
+        t = int(np.where(in_w == in_w.min(), in_e, no_edge).argmin())
+        best_w.append(float(in_w[t]))
+        best_e.append(int(in_e[t]))
+        parent.append(vid_at[t])
+        if best_e[sup] == no_edge:
+            # supernodes are labelled past the largest vertex, in order
+            label = max(labels) + len(records)
+            raise Unreachable(f"vertex {label} has no incoming path from root {root}")
+
+    # expand: the edge entering a supernode decides where its cycle breaks
+    in_edge = {v: best_e[v] for v in range(len(rep)) if rep[v] == v and v != r}
+    for sup, (cycle, bests, enter) in zip(reversed(range(nv, len(rep))), reversed(records)):
+        e = in_edge.pop(sup)
+        entering = enter[e]
+        for v, b in zip(cycle, bests):
+            in_edge[v] = e if v == entering else b
+    return [edges[e] for e in sorted(in_edge.values())]
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:

@@ -51,8 +51,7 @@ from .por import MoveCycle, _cycles_from_assignment, _swap_destinations, greedy_
 
 _INF = math.inf
 
-# cap on the number of matrix entries materialized at once while scanning
-# cell-pair distances between two cycles
+# cap on the number of matrix entries in one slab of cell-pair distances
 _SLAB_ENTRIES = 4_000_000
 
 
@@ -64,58 +63,36 @@ def _require_2d(instance: Instance) -> None:
 # --- geometry helpers -------------------------------------------------------
 
 def _coords(dims: LatticeDims, cells) -> np.ndarray:
-    arr = np.empty((len(cells), 2), dtype=float)
-    for i, c in enumerate(cells):
-        arr[i] = dims.rowcol(c)
-    return arr
+    """(row, col) of each cell, as floats."""
+    col, row = np.divmod(np.asarray(cells, dtype=np.int64) - 1, dims.m1)
+    return np.stack([row + 1, col + 1], axis=1).astype(float)
 
 
 def _pair_dists(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
+    """Distances between every row of a and every row of b.  Coordinates
+    are integers, so the squares and sums are exact."""
+    dr = a[:, 0, None] - b[None, :, 0]
+    dc = a[:, 1, None] - b[None, :, 1]
     if metric == "manhattan":
-        return np.abs(diff).sum(axis=2)
-    return np.sqrt((diff * diff).sum(axis=2))
+        np.abs(dr, out=dr)
+        dr += np.abs(dc, out=dc)
+        return dr
+    dr *= dr
+    dc *= dc
+    dr += dc
+    return np.sqrt(dr, out=dr)
 
 
-def _min_entry(a: np.ndarray, b: np.ndarray, metric: str) -> tuple[float, int, int]:
-    """Closest cell pair between two coordinate sets: (distance, ia, ib).
-
-    Ties resolve to the earliest pair in row-major scan order, which keeps
-    reruns identical.  Large products are scanned in slabs to bound memory.
-    """
-    step = max(1, _SLAB_ENTRIES // max(1, len(b)))
-    best = (_INF, -1, -1)
-    for lo in range(0, len(a), step):
-        block = _pair_dists(a[lo:lo + step], b, metric)
-        flat = int(np.argmin(block))
-        ia, ib = divmod(flat, block.shape[1])
-        d = float(block[ia, ib])
-        if d < best[0]:
-            best = (d, lo + ia, ib)
-    return best
-
-
-def _min_detour(a: np.ndarray, a_next: np.ndarray, base: np.ndarray,
-                b: np.ndarray, metric: str) -> tuple[float, int, int]:
-    """Cheapest detour from a leg of cycle a into a cell of cycle b.
-
-    Candidate (u, e) costs d(u,e) + d(e,next(u)) - d(u,next(u)): leave the
-    leg at u, touch e, rejoin at next(u).  Returns (cost, ia, ib) with the
-    same slab scan and earliest-pair tie rule as _min_entry.
-    """
-    step = max(1, _SLAB_ENTRIES // max(1, len(b)))
-    best = (_INF, -1, -1)
-    for lo in range(0, len(a), step):
-        hi = lo + step
-        block = (_pair_dists(a[lo:hi], b, metric)
-                 + _pair_dists(a_next[lo:hi], b, metric)
-                 - base[lo:hi, None])
-        flat = int(np.argmin(block))
-        ia, ib = divmod(flat, block.shape[1])
-        d = float(block[ia, ib])
-        if d < best[0]:
-            best = (d, lo + ia, ib)
-    return best
+def _segment_mins(block: np.ndarray, starts: np.ndarray):
+    """Least entry of each column segment block[:, starts[b]:starts[b+1]]
+    and its earliest (row, column) in row-major order."""
+    per_row = np.minimum.reduceat(block, starts, axis=1)
+    least = per_row.min(axis=0)
+    ia = (per_row == least).argmax(axis=0)
+    cols = np.arange(block.shape[1])
+    seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(cols)))
+    hit = np.where(block[ia[seg], cols] == least[seg], cols, len(cols))
+    return least, ia, np.minimum.reduceat(hit, starts) - starts
 
 
 # --- displacement statistic -------------------------------------------------
@@ -185,40 +162,71 @@ def _emit_nested(root_kids, kids, nxt) -> Plan:
     return Plan(tuple(steps))
 
 
-def _schedule(dims: LatticeDims, cycle_cells, rest: int, model: CostModel, detour: bool):
-    """Arborescence over {rest} u cycles; returns (root_kids, kids) for
-    _emit_nested.  With detour=True arc weights are leg-detour costs (and
-    rest arcs charge the way there and back); otherwise arcs weigh the
-    nearest cell pair, the classic double-cover bound.
+def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
+    """Arcs of the scheduling graph over {0 = rest} u {b + 1 = cycle b}:
+    (edges, meta), meta[(u, v)] = (exit cell, entry cell) of each arc.
+
+    With detour=True an arc a -> b weighs the cheapest detour from a leg
+    u -> next(u) of cycle a through a cell e of cycle b,
+    d(u,e) + d(e,next(u)) - d(u,next(u)), and rest arcs charge the way there
+    and back; otherwise arcs weigh the nearest cell pair.
+
+    Each source cycle gets one matrix of distances from its cells (plus the
+    wrapped next cell) to the cells of all other cycles, computed in slabs
+    of at most about _SLAB_ENTRIES entries; every target's minimum comes
+    from one segmented reduction per slab.  Ties go to the earliest (source
+    cell, target cell) pair in row-major order, and an earlier slab wins a
+    tie with a later one.
     """
     k = len(cycle_cells)
-    coords = [_coords(dims, cells) for cells in cycle_cells]
-    nxt_coords = [np.roll(c, -1, axis=0) for c in coords]
-    metric = model.metric
-    base = [np.array([distance(dims, cells[t], cells[(t + 1) % len(cells)], model)
-                      for t in range(len(cells))])
-            for cells in cycle_cells]
-    rest_xy = _coords(dims, [rest])
+    lengths = np.array([len(cells) for cells in cycle_cells])
+    starts = np.cumsum(lengths) - lengths
+    xy = _coords(dims, [c for cells in cycle_cells for c in cells])
+    step = max(1, _SLAB_ENTRIES // len(xy))
 
-    edges = []
-    meta = {}
-    for b in range(k):
-        d, _, ib = _min_entry(rest_xy, coords[b], metric)
-        w = 2.0 * d if detour else d
-        edges.append((0, b + 1, w))
-        meta[(0, b + 1)] = (rest, cycle_cells[b][ib])
+    rest_w, _, rest_ib = _segment_mins(_pair_dists(_coords(dims, [rest]), xy, metric), starts)
+    if detour:
+        rest_w = 2.0 * rest_w
+    edges = [(0, b + 1, w) for b, w in enumerate(rest_w.tolist())]
+    meta = {(0, b + 1): (rest, cycle_cells[b][ib]) for b, ib in enumerate(rest_ib.tolist())}
     for a in range(k):
-        for b in range(k):
-            if a == b:
-                continue
+        n_a, at = int(lengths[a]), int(starts[a])
+        src = xy[at:at + n_a]
+        # the slab spans the cells of every other cycle
+        others = np.r_[0:at, at + n_a:len(xy)]
+        other_starts = np.r_[starts[:a], starts[a + 1:] - n_a]
+        if detour:
+            dr, dc = (src - np.roll(src, -1, axis=0)).T
+            base = np.abs(dr) + np.abs(dc) if metric == "manhattan" else np.sqrt(dr * dr + dc * dc)
+        w = np.full(k - 1, _INF)
+        ia = np.zeros(k - 1, dtype=np.int64)
+        ib = np.zeros(k - 1, dtype=np.int64)
+        for lo in range(0, n_a, step):
+            hi = min(lo + step, n_a)
+            # a detour slab also holds the row of each leg's next cell
+            rows = np.arange(lo, hi + 1 if detour else hi) % n_a
+            block = _pair_dists(src[rows], xy[others], metric)
             if detour:
-                w, ia, ib = _min_detour(coords[a], nxt_coords[a], base[a], coords[b], metric)
-            else:
-                w, ia, ib = _min_entry(coords[a], coords[b], metric)
-            edges.append((a + 1, b + 1, w))
-            meta[(a + 1, b + 1)] = (cycle_cells[a][ia], cycle_cells[b][ib])
+                block = block[:-1] + block[1:]
+                block -= base[lo:hi, None]
+            sw, sia, sib = _segment_mins(block, other_starts)
+            better = sw < w
+            w[better], ia[better], ib[better] = sw[better], sia[better] + lo, sib[better]
+        targets = [b for b in range(k) if b != a]
+        for b, wb, iab, ibb in zip(targets, w.tolist(), ia.tolist(), ib.tolist()):
+            edges.append((a + 1, b + 1, wb))
+            meta[(a + 1, b + 1)] = (cycle_cells[a][iab], cycle_cells[b][ibb])
+    return edges, meta
 
-    tree = min_arborescence(WeightedGraph(tuple(range(k + 1)), tuple(edges)), root=0)
+
+def _schedule(dims: LatticeDims, cycle_cells, rest: int, model: CostModel, detour: bool):
+    """Arborescence over {rest} u cycles with the weights of _arcs (with
+    detour=False, the classic double-cover bound); returns (root_kids, kids)
+    for _emit_nested.
+    """
+    edges, meta = _arcs(dims, cycle_cells, rest, model.metric, detour)
+    tree = min_arborescence(WeightedGraph(tuple(range(len(cycle_cells) + 1)), tuple(edges)),
+                            root=0)
     root_kids = []
     kids: dict[int, dict[int, list]] = {}
     for u, v, w in tree:
@@ -310,8 +318,13 @@ def form_cycles_ptr(instance: TypedInstance) -> list[MoveCycle]:
 def _trade_delta(dims: LatticeDims, e1, e2) -> float:
     """Travel added by trading the destinations of two moves."""
     (s1, g1), (s2, g2) = e1, e2
-    return (distance(dims, s1, g2) + distance(dims, s2, g1)
-            - distance(dims, s1, g1) - distance(dims, s2, g2))
+    # distance() under the Euclidean metric, each cell decoded once
+    cs1, rs1 = divmod(s1 - 1, dims.m1)
+    cg1, rg1 = divmod(g1 - 1, dims.m1)
+    cs2, rs2 = divmod(s2 - 1, dims.m1)
+    cg2, rg2 = divmod(g2 - 1, dims.m1)
+    return (math.hypot(rs1 - rg2, cs1 - cg2) + math.hypot(rs2 - rg1, cs2 - cg1)
+            - math.hypot(rs1 - rg1, cs1 - cg1) - math.hypot(rs2 - rg2, cs2 - cg2))
 
 
 def cycle_merge_cost(c1: MoveCycle, c2: MoveCycle, dims: LatticeDims) -> float:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -244,3 +245,11 @@ def test_import_loads_no_scipy(module):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_all_lists_every_public_name():
+    # `from lattice_rearrange import *` exports what the package imports
+    public = {name for name, value in vars(lattice_rearrange).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(public - set(lattice_rearrange.__all__)) == []
+    assert all(hasattr(lattice_rearrange, name) for name in lattice_rearrange.__all__)

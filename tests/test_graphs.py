@@ -15,7 +15,6 @@ from lattice_rearrange.graphs import (
     linear_sum_assignment,
     min_arborescence,
     min_cost_assignment,
-    mst_undirected,
     permutation_cycles,
 )
 from lattice_rearrange.lattice2d import GoalPattern
@@ -57,32 +56,7 @@ def test_cycles_partition_and_close(perm):
     assert mins == sorted(mins)
 
 
-# --- minimum spanning forest ------------------------------------------------
-
-def brute_msf_weight(vertices, edges):
-    """Minimum spanning forest weight by exhaustive subset search."""
-    # component count of the full graph fixes the forest size
-    def comps(chosen):
-        parent = {v: v for v in vertices}
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-        for u, v, _ in chosen:
-            parent[find(u)] = find(v)
-        return len({find(v) for v in vertices})
-
-    target = comps(edges)
-    need = len(vertices) - target
-    best = None
-    for subset in itertools.combinations(edges, need):
-        if comps(subset) == target:
-            w = sum(e[2] for e in subset)
-            if best is None or w < best:
-                best = w
-    return best or 0.0
-
+# --- minimum arborescence ---------------------------------------------------
 
 def random_graph(rng, nv, ne):
     verts = tuple(range(nv))
@@ -92,24 +66,6 @@ def random_graph(rng, nv, ne):
         edges.append((u, v, float(rng.randint(1, 8))))
     return WeightedGraph(verts, tuple(edges))
 
-
-def test_mst_matches_brute_force():
-    rng = random.Random(42)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(2, 6), rng.randint(1, 10))
-        forest = mst_undirected(g)
-        assert sum(w for *_, w in forest) == pytest.approx(
-            brute_msf_weight(g.vertices, g.edges))
-
-
-def test_mst_deterministic_under_tie_and_input_order():
-    edges = ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
-    g1 = WeightedGraph((0, 1, 2), edges)
-    g2 = WeightedGraph((0, 1, 2), tuple(reversed(edges)))
-    assert mst_undirected(g1) == mst_undirected(g2) == [(0, 1, 1.0), (0, 2, 1.0)]
-
-
-# --- minimum arborescence ---------------------------------------------------
 
 def brute_arborescence_weight(g, root):
     nonroot = [v for v in g.vertices if v != root]
@@ -169,6 +125,101 @@ def test_arborescence_tie_breaks_by_edge_id():
     # rerunning must give identical output
     g2 = WeightedGraph((0, 1, 2), ((0, 1, 1.0), (2, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
     assert min_arborescence(g2, 0) == min_arborescence(g2, 0)
+
+
+def recursive_edmonds(vertices, edges, root):
+    """The former recursive Chu-Liu/Edmonds, kept as the reference: edges
+    are (u, v, w, id); returns the chosen ids."""
+    best = {}
+    for u, v, w, eid in edges:
+        if v == root or u == v:
+            continue
+        cur = best.get(v)
+        if cur is None or (w, eid) < (cur[2], cur[3]):
+            best[v] = (u, v, w, eid)
+    for v in vertices:
+        if v != root and v not in best:
+            raise Unreachable(f"vertex {v} has no incoming path from root {root}")
+    cycle = None
+    color = {v: 0 for v in vertices}
+    for start in vertices:
+        if color[start] != 0 or start == root:
+            continue
+        path = []
+        v = start
+        while v != root and color[v] == 0:
+            color[v] = 1
+            path.append(v)
+            v = best[v][0]
+        if v != root and color[v] == 1 and v in path:
+            cycle = path[path.index(v):]
+            break
+        for p in path:
+            color[p] = 2
+        if v != root:
+            color[v] = 2
+    if cycle is None:
+        return {best[v][3] for v in vertices if v != root}
+    cyc = set(cycle)
+    super_v = max(vertices) + 1
+    contracted = []
+    for u, v, w, eid in edges:
+        if v in cyc and u not in cyc:
+            contracted.append((u, super_v, w - best[v][2], eid))
+        elif u in cyc and v not in cyc:
+            contracted.append((super_v, v, w, eid))
+        elif u not in cyc and v not in cyc:
+            contracted.append((u, v, w, eid))
+    sub = recursive_edmonds([v for v in vertices if v not in cyc] + [super_v], contracted, root)
+    head_of = {eid: v for u, v, w, eid in edges}
+    entering = next(head_of[eid] for eid in sub if head_of[eid] in cyc)
+    return sub | {best[v][3] for v in cycle if v != entering}
+
+
+def recursive_arborescence(g, root):
+    edges = [(u, v, float(w), eid) for eid, (u, v, w) in enumerate(g.edges)]
+    chosen = recursive_edmonds(list(g.vertices), edges, root)
+    return [edges[eid][:3] for eid in sorted(chosen)]
+
+
+def arborescence_outcome(solve, g, root):
+    try:
+        return solve(g, root)
+    except Unreachable as exc:
+        return type(exc), str(exc)
+
+
+def test_arborescence_matches_recursive_reference():
+    # tie-heavy weights, parallel edges, self-loops, edges into the root,
+    # unreachable vertices (also supernodes) and labels in any order
+    weights = [0.0, 0.5, 1.0, math.sqrt(2), 2.0, 3.0]
+    rng = random.Random(2024)
+    unreachable = 0
+    for _ in range(2500):
+        n = rng.randint(1, 9)
+        labels = rng.sample(range(12), n) if rng.random() < 0.3 else list(range(n))
+        root = rng.choice(labels)
+        edges = tuple((rng.choice(labels), rng.choice(labels), rng.choice(weights))
+                      for _ in range(rng.randint(0, 2 * n * n)))
+        g = WeightedGraph(tuple(labels), edges)
+        expected = arborescence_outcome(recursive_arborescence, g, root)
+        assert arborescence_outcome(min_arborescence, g, root) == expected
+        unreachable += isinstance(expected, tuple)
+    assert 200 < unreachable < 2300
+
+
+def test_arborescence_contracts_1200_nested_two_cycles():
+    # 1,200 contractions in a row, more than the interpreter's recursion
+    # limit would allow as nested calls
+    edges = []
+    for i in range(1200):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a, 10.0), (0, b, 10.0), (a, b, 1.0), (b, a, 1.0)]
+    arb = min_arborescence(WeightedGraph(tuple(range(2401)), tuple(edges)), 0)
+    assert len(arb) == 2400
+    assert sum(w for *_, w in arb) == 1200 * 11.0
+    # each pair is entered from the root at its first vertex
+    assert arb[:2] == [(0, 1, 10.0), (1, 2, 1.0)]
 
 
 # --- assignment -------------------------------------------------------------

@@ -9,21 +9,26 @@ import random
 import numpy as np
 import pytest
 
+from lattice_rearrange import lattice2d
 from lattice_rearrange.core import (
     Action,
     CostModel,
     LabeledInstance,
     LatticeDims,
     TypedInstance,
+    distance,
     is_solved,
     plan_cost,
     simulate,
 )
+from lattice_rearrange.gen import gen_block_random, gen_column_random, gen_x_random
 from lattice_rearrange.graphs import permutation_cycles
 from lattice_rearrange.lattice2d import (
     GoalPattern,
+    _arcs,
     _merge_cycles_ptr_logged,
     _pair_dists,
+    _schedule,
     cycle_distance_statistic,
     cycle_edge_length,
     cycle_merge_cost,
@@ -259,11 +264,101 @@ def test_form_cycles_ptr_matching_is_minimal():
 
 
 def test_vectorised_cost_matrix_rounds_like_distance():
-    # form_cycles_ptr builds its cost matrix with np.sqrt; the assignment's
-    # tie-break, and so the plan bytes, need the same floats as math.hypot
+    # form_cycles_ptr and the arc weights use np.sqrt; the tie-breaks, and
+    # so the plan bytes, need the same floats as math.hypot in distance()
     offsets = np.array([[r, c] for r in range(400) for c in range(400)], dtype=float)
     got = _pair_dists(offsets, np.zeros((1, 2)), "euclidean")[:, 0]
     assert got.tolist() == [math.hypot(r, c) for r, c in offsets.tolist()]
+    got = _pair_dists(np.zeros((1, 2)), offsets - 199, "manhattan")[0]
+    assert got.tolist() == [abs(r) + abs(c) for r, c in (offsets - 199).tolist()]
+
+
+# --- arc weights of the schedule -------------------------------------------
+
+def reference_pair_dists(a, b, metric):
+    diff = a[:, None, :] - b[None, :, :]
+    if metric == "manhattan":
+        return np.abs(diff).sum(axis=2)
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def reference_min_entry(a, b, metric):
+    """Closest cell pair (distance, ia, ib), earliest pair in row-major
+    order on ties, scanned per target cycle in slabs."""
+    step = max(1, lattice2d._SLAB_ENTRIES // len(b))
+    best = (math.inf, -1, -1)
+    for lo in range(0, len(a), step):
+        block = reference_pair_dists(a[lo:lo + step], b, metric)
+        ia, ib = divmod(int(np.argmin(block)), block.shape[1])
+        if block[ia, ib] < best[0]:
+            best = (float(block[ia, ib]), lo + ia, ib)
+    return best
+
+
+def reference_min_detour(a, a_next, base, b, metric):
+    step = max(1, lattice2d._SLAB_ENTRIES // len(b))
+    best = (math.inf, -1, -1)
+    for lo in range(0, len(a), step):
+        hi = lo + step
+        block = (reference_pair_dists(a[lo:hi], b, metric)
+                 + reference_pair_dists(a_next[lo:hi], b, metric)
+                 - base[lo:hi, None])
+        ia, ib = divmod(int(np.argmin(block)), block.shape[1])
+        if block[ia, ib] < best[0]:
+            best = (float(block[ia, ib]), lo + ia, ib)
+    return best
+
+
+def reference_arcs(dims, cycle_cells, rest, metric, detour):
+    """The former per-pair arc scan: one _min_entry/_min_detour per pair."""
+    model = CostModel(metric=metric)
+    coords = [np.array([dims.rowcol(c) for c in cells], dtype=float) for cells in cycle_cells]
+    base = [np.array([distance(dims, c, cells[(t + 1) % len(cells)], model)
+                      for t, c in enumerate(cells)]) for cells in cycle_cells]
+    rest_xy = np.array([dims.rowcol(rest)], dtype=float)
+    edges, meta = [], {}
+    for b, cells in enumerate(cycle_cells):
+        d, _, ib = reference_min_entry(rest_xy, coords[b], metric)
+        edges.append((0, b + 1, 2.0 * d if detour else d))
+        meta[(0, b + 1)] = (rest, cells[ib])
+    for a, a_cells in enumerate(cycle_cells):
+        for b, b_cells in enumerate(cycle_cells):
+            if a == b:
+                continue
+            if detour:
+                w, ia, ib = reference_min_detour(coords[a], np.roll(coords[a], -1, axis=0),
+                                                 base[a], coords[b], metric)
+            else:
+                w, ia, ib = reference_min_entry(coords[a], coords[b], metric)
+            edges.append((a + 1, b + 1, w))
+            meta[(a + 1, b + 1)] = (a_cells[ia], b_cells[ib])
+    return edges, meta
+
+
+def schedule_instances():
+    for seed in (1, 2):
+        yield gen_block_random(9, seed)
+        yield LabeledInstance(LatticeDims(10, 10), gen_x_random(100, 25, seed).pi)
+        yield gen_column_random(7, 11, seed)
+
+
+@pytest.mark.parametrize("slab", [None, 64])
+@pytest.mark.parametrize("detour", [True, False])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_slab_arcs_match_per_pair_reference(metric, detour, slab, monkeypatch):
+    # slab=64 puts every source cell in its own slab, so ties cross slabs
+    if slab is not None:
+        monkeypatch.setattr(lattice2d, "_SLAB_ENTRIES", slab)
+    model = CostModel(metric=metric)
+    for inst in schedule_instances():
+        cycles = permutation_cycles(inst.pi).cycles
+        for rest in (1, inst.dims.index(inst.dims.m1 // 2 + 1, inst.dims.m2 // 2 + 1)):
+            expected = reference_arcs(inst.dims, cycles, rest, metric, detour)
+            assert _arcs(inst.dims, cycles, rest, metric, detour) == expected
+            got = _schedule(inst.dims, cycles, rest, model, detour)
+            with monkeypatch.context() as patch:
+                patch.setattr(lattice2d, "_arcs", reference_arcs)
+                assert _schedule(inst.dims, cycles, rest, model, detour) == got
 
 
 # --- typed phase 2 ----------------------------------------------------------
