@@ -87,7 +87,6 @@ from .lor import CycleGroup, group_cycles, opt_plan_lor, sweep_cycles_lor
 from .oracle import OracleResult, TooLarge, oracle_min_picks, oracle_optimal
 from .por import (
     MoveCycle,
-    TypeRange,
     cycle_distance,
     form_cycles,
     greedy_plan,
@@ -95,7 +94,6 @@ from .por import (
     merge_cycles,
     merge_cycles_mst,
     opt_plan_por,
-    type_ranges,
 )
 
 __all__ = [
@@ -106,7 +104,7 @@ __all__ = [
     "LabeledInstance", "LatticeDims", "MalformedPermutation", "MoveCycle",
     "NotPerfectSquare", "OracleResult", "PatternInfeasible", "Plan", "PlanCost",
     "PlanStep", "PointOnBoundary", "RearrangeError", "ReportRow", "SimResult",
-    "SplitMix64", "TooLarge", "TypeMismatch", "TypeRange", "TypedInstance",
+    "SplitMix64", "TooLarge", "TypeMismatch", "TypedInstance",
     "cli_main", "cycle_distance", "cycle_distance_statistic",
     "cycle_edge_length", "derive_seed", "distance", "emit_report",
     "form_cycles", "form_cycles_ptr", "gen_block_random", "gen_column_random",
@@ -119,7 +117,7 @@ __all__ = [
     "plan_ptr", "plan_to_dict", "report_from_json", "report_to_csv",
     "report_to_json", "reverse_plan", "reversed_instance", "run_experiment",
     "simulate", "sweep_cycles_lor", "sweep_cycles_ltr", "sweep_cycles_ptr",
-    "switch_cycles_ltr", "type_ranges",
+    "switch_cycles_ltr",
 ]
 
 __version__ = "0.1.0"

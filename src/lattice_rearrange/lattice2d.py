@@ -47,7 +47,7 @@ from .core import (
 )
 from .graphs import WeightedGraph, min_arborescence, min_cost_assignment, permutation_cycles
 from .lor import follow_cycles
-from .por import MoveCycle, _cycles_from_assignment, _swap_destinations, greedy_plan
+from .por import MoveCycle, _cycles_from_assignment, _find, _swap_destinations, greedy_plan
 
 _INF = math.inf
 
@@ -378,16 +378,9 @@ def _merge_cycles_ptr_logged(cycles, dims: LatticeDims):
                 pair_edges.append((w, cycles[i].min_cell, cycles[j].min_cell, i, j))
     pair_edges.sort()
     comp = list(range(n))
-
-    def find(x: int) -> int:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     current: dict[int, MoveCycle] = dict(enumerate(cycles))
     for _, _, _, i, j in pair_edges:
-        ri, rj = find(i), find(j)
+        ri, rj = _find(comp, i), _find(comp, j)
         if ri == rj:
             continue
         a, b = current[ri], current[rj]
@@ -396,7 +389,7 @@ def _merge_cycles_ptr_logged(cycles, dims: LatticeDims):
         fused = _swap_destinations([a, b], e1, e2)
         comp[ri] = rj
         del current[ri]
-        current[find(j)] = fused[0]
+        current[_find(comp, j)] = fused[0]
     return sorted(current.values(), key=lambda c: c.min_cell), log
 
 

@@ -24,8 +24,8 @@ end-effector makes a single sweep.  Two devices do the work:
   trip.  The walk therefore goes out to the far end once and resolves
   everything on the way back.
 
-The result is provably best possible: fewest operations, and the least
-travel among plans with fewest operations.
+The result is provably best possible: fewest operations, and, when the
+arm rests at cell 1, the least travel among plans with fewest operations.
 """
 
 from __future__ import annotations
@@ -192,6 +192,10 @@ def opt_plan_lor(instance: LabeledInstance, model: CostModel = DEFAULT_COST) -> 
 
     Same operation count as the sweep, with cycle nesting and group
     hand-off arranged so the walk is a single out-and-back pass.
+
+    Travel is minimal only for rest = 1: the walk enters each cycle at its
+    leftmost cell, so with another rest cell it can travel more than the
+    optimum (ROADMAP item 2).
     """
     _require_1d(instance)
     cycles = permutation_cycles(instance.pi).cycles

@@ -8,7 +8,9 @@ which item goes to which goal cell and only then plans motion.  Four phases:
    type, and the chosen moves close into displacement cycles.
 2. merge_cycles: while two cycles contain same-type moves that can trade
    destinations without changing total distance, trade them.  Each trade
-   fuses two cycles into one, saving one operation for free.
+   fuses two cycles into one, saving one operation for free.  One
+   left-to-right sweep over the sources finds every such trade in order,
+   with a union-find tracking which cycles have fused.
 3. merge_cycles_mst: remaining fusions cost travel.  The cheapest fusion of
    two cycles trades the pair of same-type moves with the smallest span gap
    and costs twice that gap.  A minimum spanning forest over these gap
@@ -17,9 +19,9 @@ which item goes to which goal cell and only then plans motion.  Four phases:
 4. group_sweep_cycles_por: walk the final cycles exactly like the labeled
    1D planner (nested entries, parking, group hand-off).
 
-The resulting plan has the fewest operations achievable, and the least
-travel among such plans.  A best-first greedy baseline is included for
-benchmark comparisons.
+The resulting plan has the fewest operations achievable, and, when the
+arm rests at cell 1, the least travel among such plans (ROADMAP item 2).
+A best-first greedy baseline is included for benchmark comparisons.
 """
 
 from __future__ import annotations
@@ -43,29 +45,6 @@ _INF = math.inf
 
 
 @dataclass(frozen=True)
-class TypeRange:
-    """Where a type's goal cells live: span ends plus the explicit cells.
-
-    For a sorted (aggregated) goal arrangement the cells are one contiguous
-    run and [lo, hi] describes it completely; for arbitrary goals the
-    explicit cell tuple is authoritative and [lo, hi] is just its hull.
-    """
-
-    t: int
-    lo: int
-    hi: int
-    cells: tuple[int, ...]
-
-
-def type_ranges(instance: TypedInstance) -> dict[int, TypeRange]:
-    by_type: dict[int, list[int]] = {}
-    for cell, t in enumerate(instance.goal_types, start=1):
-        by_type.setdefault(t, []).append(cell)
-    return {t: TypeRange(t, cells[0], cells[-1], tuple(cells))
-            for t, cells in sorted(by_type.items())}
-
-
-@dataclass(frozen=True)
 class MoveCycle:
     """A closed chain of item moves: each move's destination is the next
     move's source.  edge_types[j] is the type carried by edges[j]."""
@@ -80,11 +59,6 @@ class MoveCycle:
     @property
     def min_cell(self) -> int:
         return self.edges[0][0]
-
-    @property
-    def span(self) -> tuple[int, int]:
-        cells = [c for e in self.edges for c in e]
-        return (min(cells), max(cells))
 
     def total_distance(self) -> int:
         return sum(abs(s - g) for s, g in self.edges)
@@ -161,35 +135,66 @@ def _swap_destinations(cycles, e1, e2) -> list[MoveCycle]:
     return _cycles_from_assignment(assign, types)
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def merge_cycles(cycles) -> list[MoveCycle]:
     """Phase 2: perform every free fusion.
 
     Two same-type moves can trade destinations at zero distance cost when
     both sources sit on the same side of both destinations; the trade links
-    their cycles.  Repeats to a fixed point, always taking the leftmost
-    eligible pair so reruns produce identical output.
+    their cycles.  Trades to a fixed point, always taking the eligible pair
+    with the leftmost (smaller source, larger source), so reruns produce
+    identical output.  One left-to-right sweep over the sources finds them
+    in that order: source a trades with its leftmost free partner b > a in
+    another cycle until it has none.  Destinations are traded in place and
+    the cycles rebuilt once.  Expects form_cycles output.
     """
     cycles = list(cycles)
-    while True:
-        found = None
-        for i in range(len(cycles)):
-            for j in range(i + 1, len(cycles)):
-                shared = cycles[i].types & cycles[j].types
-                if not shared:
-                    continue
-                for (s1, g1), t1 in zip(cycles[i].edges, cycles[i].edge_types):
-                    if t1 not in shared:
-                        continue
-                    for (s2, g2), t2 in zip(cycles[j].edges, cycles[j].edge_types):
-                        if t2 != t1:
-                            continue
-                        if _pair_gap((s1, g1), (s2, g2)) == 0.0:
-                            key = (min(s1, s2), max(s1, s2))
-                            if found is None or key < found[0]:
-                                found = (key, (s1, g1), (s2, g2))
-        if found is None:
-            return cycles
-        cycles = _swap_destinations(cycles, found[1], found[2])
+    assign, types = _assignment_of(cycles)
+    cycle_of = {s: i for i, cyc in enumerate(cycles) for s, _ in cyc.edges}
+    parent = list(range(len(cycles)))
+    order = sorted(assign)
+    by_type: dict[int, list[int]] = {}
+    for s in order:
+        by_type.setdefault(types[s], []).append(s)
+    rank = {s: i for srcs in by_type.values() for i, s in enumerate(srcs)}
+    left = len(cycles)
+    # Free trades keep every type's total distance, so the in-order pairing
+    # of form_cycles stays per-type optimal and no trade has delta < 0.
+    # Hence, for same-type sources a < b: if a moves right, b is free
+    # exactly when b < g_a; if a moves left, b is free exactly when
+    # g_b < a, and no such b lies past a source moving right.  Both bound
+    # the scan.  A trade at (a, b) only swaps g_a and g_b and joins their
+    # cycles, so no source left of a gains a partner: the sweep resumes
+    # at a instead of restarting.
+
+    def partner(a: int):
+        ga, ra = assign[a], _find(parent, cycle_of[a])
+        srcs = by_type[types[a]]
+        for j in range(rank[a] + 1, len(srcs)):
+            b = srcs[j]
+            gb = assign[b]
+            if (b > ga) if ga > a else (gb > b):
+                return None
+            if (abs(a - gb) + abs(b - ga) <= abs(a - ga) + abs(b - gb)
+                    and _find(parent, cycle_of[b]) != ra):
+                return b
+        return None
+
+    for a in order:
+        while left > 1 and (b := partner(a)) is not None:
+            assign[a], assign[b] = assign[b], assign[a]
+            parent[_find(parent, cycle_of[a])] = _find(parent, cycle_of[b])
+            left -= 1
+    if left == len(cycles):
+        return cycles
+    return _cycles_from_assignment(assign, types)
 
 
 def cycle_distance(c1: MoveCycle, c2: MoveCycle) -> float:
@@ -247,16 +252,9 @@ def merge_cycles_mst(cycles, model: CostModel = DEFAULT_COST,
                 pair_edges.append((d, cycles[i].min_cell, cycles[j].min_cell, i, j))
     pair_edges.sort()
     comp = list(range(n))
-
-    def find(x: int) -> int:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     current: dict[int, MoveCycle] = dict(enumerate(cycles))
     for d, _, _, i, j in pair_edges:
-        ri, rj = find(i), find(j)
+        ri, rj = _find(comp, i), _find(comp, j)
         if ri == rj:
             continue
         if skip_costly_merges and 2.0 * d * model.c_t >= model.c_p:
@@ -266,7 +264,7 @@ def merge_cycles_mst(cycles, model: CostModel = DEFAULT_COST,
         fused = _swap_destinations([a, b], e1, e2)
         comp[ri] = rj
         del current[ri]
-        current[find(j)] = fused[0]
+        current[_find(comp, j)] = fused[0]
     return sorted(current.values(), key=lambda c: c.min_cell)
 
 
@@ -290,6 +288,10 @@ def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST,
     instance admits is performed, which is what makes the operation count
     minimal; skip_costly_merges trades that guarantee for lower combined
     cost when operations are cheap relative to travel.
+
+    Travel is minimal only for rest = 1: the walk enters each cycle at its
+    leftmost cell, so with another rest cell it can travel more than the
+    optimum (ROADMAP item 2).
     """
     _require_1d(instance)
     cycles = form_cycles(instance)

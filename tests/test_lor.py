@@ -201,6 +201,13 @@ def _carried_distances(inst, plan):
     return carried
 
 
+@pytest.mark.xfail(strict=True, reason="exact only for rest = 1 (ROADMAP item 2)")
+def test_opt_matches_oracle_rest_not_one():
+    # the walk enters the cycle at its leftmost cell, not the one nearest rest
+    inst = LabeledInstance(LatticeDims(2, 1), (2, 1), rest=2)
+    assert run(opt_plan_lor, inst)[1] == oracle_optimal(inst).cost
+
+
 def test_single_group_items_move_their_displacement():
     # when every cycle belongs to one span group, no item is carried past
     # its destination: each item's total transport equals |source - home|

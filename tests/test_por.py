@@ -7,13 +7,17 @@ import random
 import pytest
 
 from lattice_rearrange import (
+    GoalPattern,
     LatticeDims,
     TypedInstance,
+    gen_typed,
+    gen_x_random,
     simulate,
 )
 from lattice_rearrange.por import (
     MoveCycle,
-    TypeRange,
+    _pair_gap,
+    _swap_destinations,
     cycle_distance,
     form_cycles,
     greedy_plan,
@@ -21,7 +25,6 @@ from lattice_rearrange.por import (
     merge_cycles,
     merge_cycles_mst,
     opt_plan_por,
-    type_ranges,
 )
 from lattice_rearrange.core import CostModel
 from lattice_rearrange.oracle import oracle_min_picks, oracle_optimal
@@ -143,6 +146,80 @@ def test_merge_aggregated_bound():
         assert len(merge_cycles(form_cycles(inst))) <= k - 1
 
 
+def merge_cycles_fixed_point(cycles):
+    """Reference: the all-pairs rescan that merge_cycles replaced."""
+    cycles = list(cycles)
+    while True:
+        found = None
+        for i in range(len(cycles)):
+            for j in range(i + 1, len(cycles)):
+                shared = cycles[i].types & cycles[j].types
+                if not shared:
+                    continue
+                for (s1, g1), t1 in zip(cycles[i].edges, cycles[i].edge_types):
+                    if t1 not in shared:
+                        continue
+                    for (s2, g2), t2 in zip(cycles[j].edges, cycles[j].edge_types):
+                        if t2 != t1:
+                            continue
+                        if _pair_gap((s1, g1), (s2, g2)) == 0.0:
+                            key = (min(s1, s2), max(s1, s2))
+                            if found is None or key < found[0]:
+                                found = (key, (s1, g1), (s2, g2))
+        if found is None:
+            return cycles
+        cycles = _swap_destinations(cycles, found[1], found[2])
+
+
+def typed_runs(m, k, seed):
+    """gen_typed row whose goal is k contiguous runs of m/k cells."""
+    goal = tuple(c // (m // k) + 1 for c in range(m))
+    return gen_typed(m, k, (m // k,) * k, GoalPattern("explicit", goal), seed)
+
+
+def typed_local(m, run, x, seed):
+    """Row of gen_x_random(m, x): each item takes its home cell's run type."""
+    goal = tuple(c // run + 1 for c in range(m))
+    start = tuple(goal[p - 1] for p in gen_x_random(m, x, seed).pi)
+    return typ1d(m // run, start, goal)
+
+
+def test_merge_matches_fixed_point_on_random_rows():
+    rng = random.Random(43)
+    fused = 0
+    for _ in range(2500):
+        m = rng.randint(2, 16)
+        k = rng.randint(1, min(5, m))
+        goal = [rng.randint(1, k) for _ in range(m)]
+        if rng.random() < 0.5:
+            goal.sort()
+        start = goal[:]
+        rng.shuffle(start)
+        cycles = form_cycles(typ1d(k, start, goal))
+        merged = merge_cycles(cycles)
+        assert merged == merge_cycles_fixed_point(cycles), (start, goal)
+        fused += len(merged) < len(cycles)
+    assert fused > 500
+
+
+@pytest.mark.parametrize("inst", [typed_runs(600, 4, seed) for seed in (1, 2, 3)]
+                         + [typed_local(256, 16, 24, seed) for seed in range(1, 9)])
+def test_merge_matches_fixed_point_on_workload_rows(inst):
+    cycles = form_cycles(inst)
+    merged = merge_cycles(cycles)
+    assert len(merged) < len(cycles)
+    assert merged == merge_cycles_fixed_point(cycles)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_merge_scales_to_long_rows(seed):
+    # the all-pairs rescan took up to seconds per row at this size
+    cycles = form_cycles(typed_runs(4000, 4, seed))
+    merged = merge_cycles(cycles)
+    assert len(merged) <= 4 - 1
+    assert total_distance(merged) == total_distance(cycles)
+
+
 # --- cycle distance ---------------------------------------------------------
 
 def test_cycle_distance_no_shared_type():
@@ -260,6 +337,13 @@ def test_opt_plan_pick_minimal_at_scale():
         assert sim.cost.picks == oracle_min_picks(inst)
 
 
+@pytest.mark.xfail(strict=True, reason="exact only for rest = 1 (ROADMAP item 2)")
+def test_opt_plan_matches_oracle_rest_not_one():
+    # the walk enters the cycle at its leftmost cell, not the one nearest rest
+    inst = TypedInstance(LatticeDims(2, 1), 2, (2, 1), (1, 2), rest=2)
+    assert simulate(inst, opt_plan_por(inst)).cost == oracle_optimal(inst).cost
+
+
 def test_skip_costly_merges_pipeline():
     # two type-1 trades far apart: fusing costs 6 travel to save one pick
     inst = typ1d(2, (2, 1, 1, 1, 2, 1), (1, 2, 1, 1, 1, 2))
@@ -267,21 +351,6 @@ def test_skip_costly_merges_pipeline():
     frugal = simulate(inst, opt_plan_por(inst, skip_costly_merges=True)).cost
     assert eager.picks == frugal.picks - 1
     assert frugal.travel <= eager.travel
-
-
-# --- type ranges ------------------------------------------------------------
-
-def test_type_ranges_aggregated():
-    ranges = type_ranges(typ1d(3, (3, 3, 2, 2, 1, 1), (1, 1, 2, 2, 3, 3)))
-    assert ranges[1] == TypeRange(1, 1, 2, (1, 2))
-    assert ranges[2] == TypeRange(2, 3, 4, (3, 4))
-    assert ranges[3] == TypeRange(3, 5, 6, (5, 6))
-
-
-def test_type_ranges_arbitrary():
-    ranges = type_ranges(typ1d(2, (1, 2, 1, 2), (2, 1, 2, 1)))
-    assert ranges[1].cells == (2, 4)
-    assert ranges[2] == TypeRange(2, 1, 3, (1, 3))
 
 
 # --- greedy baseline --------------------------------------------------------
