@@ -26,7 +26,6 @@ from .bench import (
 from .cli import main as cli_main
 from .core import (
     Action,
-    Cell,
     CostModel,
     DEFAULT_COST,
     HandNotEmptyAtEnd,
@@ -83,7 +82,7 @@ from .lattice2d import (
     sweep_cycles_ptr,
     switch_cycles_ltr,
 )
-from .lor import CycleGroup, group_cycles, opt_plan_lor, sweep_cycles_lor
+from .lor import opt_plan_lor, sweep_cycles_lor
 from .oracle import OracleResult, TooLarge, oracle_min_picks, oracle_optimal
 from .por import (
     MoveCycle,
@@ -97,7 +96,7 @@ from .por import (
 )
 
 __all__ = [
-    "Action", "BadCounts", "Cell", "ClusterOverlap", "CostModel", "CycleGroup",
+    "Action", "BadCounts", "ClusterOverlap", "CostModel",
     "DEFAULT_COST", "EXPERIMENTS", "ExperimentReport", "ExperimentSpec",
     "GoalPattern",
     "HandNotEmptyAtEnd", "IllegalStep", "Instance", "JsonFormatError",
@@ -110,7 +109,7 @@ __all__ = [
     "form_cycles", "form_cycles_ptr", "gen_block_random", "gen_column_random",
     "gen_tsp_clusters", "gen_typed", "gen_uniform_permutation", "gen_x_random",
     "greedy_2d", "greedy_plan",
-    "greedy_por", "group_cycles", "instance_from_dict", "instance_to_dict",
+    "greedy_por", "instance_from_dict", "instance_to_dict",
     "is_solved", "merge_cycles", "merge_cycles_mst", "merge_cycles_ptr",
     "opt_plan_lor", "opt_plan_por", "oracle_min_picks", "oracle_optimal",
     "pattern_blocks_types", "pattern_columns_types", "plan_cost", "plan_from_dict",

@@ -20,9 +20,6 @@ from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
 
 
-MASK64 = (1 << 64) - 1
-
-
 class RearrangeError(Exception):
     """Base class for all domain errors raised by this package."""
 
@@ -87,24 +84,6 @@ class LatticeDims:
 
     def cells(self) -> range:
         return range(1, self.n + 1)
-
-
-@dataclass(frozen=True)
-class Cell:
-    """A lattice cell with its index and geometric coordinates."""
-
-    index: int
-    row: int
-    col: int
-
-    @staticmethod
-    def from_index(dims: LatticeDims, index: int) -> "Cell":
-        row, col = dims.rowcol(index)
-        return Cell(index, row, col)
-
-    @staticmethod
-    def from_rowcol(dims: LatticeDims, row: int, col: int) -> "Cell":
-        return Cell(dims.index(row, col), row, col)
 
 
 @dataclass(frozen=True)

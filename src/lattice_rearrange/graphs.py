@@ -4,6 +4,9 @@ Everything here is deterministic, ties included: the arborescence breaks
 ties toward the smallest edge id (position in the input edge list), and the
 assignment toward the lexicographically smallest assignment vector.
 Callers rely on that for byte-identical reruns.
+
+numpy is imported inside the functions that use it, so importing this
+module (and the package) does not load it.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .core import MalformedPermutation, RearrangeError
 
@@ -90,6 +91,7 @@ def min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:
     best edge is recomputed.  Each contraction is recorded, and the records
     are expanded in reverse once no cycle is left.
     """
+    import numpy as np
     edges = [(u, v, float(w)) for u, v, w in g.edges]
     labels = list(g.vertices)
     nv = len(labels)
@@ -218,6 +220,7 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.n
     (col_of_row, u, v).  Every optimal matching uses only pairs of zero
     reduced cost under these duals.
     """
+    import numpy as np
     s = len(cost)
     inf = math.inf
     v = cost.min(axis=0)
@@ -285,6 +288,7 @@ def _lex_smallest_tight(cost: np.ndarray, col_of_row: list[int], u: np.ndarray,
     r holding j can pass its column down a chain that ends at i, where r -> r2
     means r is tight with r2's column; the chain is then rotated.
     """
+    import numpy as np
     s = len(cost)
     tight = cost - u[:, None] - v <= _TIGHT
     cols_of = [[] for _ in range(s)]
@@ -330,6 +334,7 @@ def min_cost_assignment(cost: Sequence[Sequence[float]]) -> tuple[tuple[int, ...
     optimum lies in the subgraph of zero reduced cost, and the lexicographic
     refinement searches only there.
     """
+    import numpy as np
     mat = np.asarray(cost, dtype=float)
     if mat.size == 0:
         return (), 0.0

@@ -22,15 +22,15 @@ of fusable cycles (fewest operations), and an arborescence-guided walk
 that resolves the surviving cycles with the same parking mechanism.
 
 A goal-type layout helper and the normalized displacement statistic used
-by the benchmarks live here too.
+by the benchmarks live here too.  numpy is imported only inside the
+geometry helpers and `_arcs`, so `sweep_cycles_ltr`, `merge_cycles_ptr` and
+`greedy_2d` run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     Action,
@@ -64,6 +64,7 @@ def _require_2d(instance: Instance) -> None:
 
 def _coords(dims: LatticeDims, cells) -> np.ndarray:
     """(row, col) of each cell, as floats."""
+    import numpy as np
     col, row = np.divmod(np.asarray(cells, dtype=np.int64) - 1, dims.m1)
     return np.stack([row + 1, col + 1], axis=1).astype(float)
 
@@ -71,6 +72,7 @@ def _coords(dims: LatticeDims, cells) -> np.ndarray:
 def _pair_dists(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     """Distances between every row of a and every row of b.  Coordinates
     are integers, so the squares and sums are exact."""
+    import numpy as np
     dr = a[:, 0, None] - b[None, :, 0]
     dc = a[:, 1, None] - b[None, :, 1]
     if metric == "manhattan":
@@ -86,6 +88,7 @@ def _pair_dists(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
 def _segment_mins(block: np.ndarray, starts: np.ndarray):
     """Least entry of each column segment block[:, starts[b]:starts[b+1]]
     and its earliest (row, column) in row-major order."""
+    import numpy as np
     per_row = np.minimum.reduceat(block, starts, axis=1)
     least = per_row.min(axis=0)
     ia = (per_row == least).argmax(axis=0)
@@ -178,6 +181,7 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
     cell, target cell) pair in row-major order, and an earlier slab wins a
     tie with a later one.
     """
+    import numpy as np
     k = len(cycle_cells)
     lengths = np.array([len(cells) for cells in cycle_cells])
     starts = np.cumsum(lengths) - lengths
@@ -281,11 +285,6 @@ def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST
 
 
 # --- typed pipeline ---------------------------------------------------------
-
-def edges_length(cycle: MoveCycle, dims: LatticeDims, model: CostModel = DEFAULT_COST) -> float:
-    """Total metric length of one move cycle's edges."""
-    return sum(distance(dims, s, g, model) for s, g in cycle.edges)
-
 
 def form_cycles_ptr(instance: TypedInstance) -> list[MoveCycle]:
     """Phase 1: per-type minimum-cost assignment of items to goal cells.

@@ -30,8 +30,6 @@ arm rests at cell 1, the least travel among plans with fewest operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Action,
     CostModel,
@@ -40,20 +38,7 @@ from .core import (
     Plan,
     PlanStep,
 )
-from .graphs import CycleSet, permutation_cycles
-
-
-@dataclass(frozen=True)
-class CycleGroup:
-    """A maximal run of cycles whose [min, max] cell spans chain-overlap."""
-
-    cycles: tuple[tuple[int, ...], ...]
-    lo: int
-    hi: int
-
-    @property
-    def range(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
+from .graphs import permutation_cycles
 
 
 def _require_1d(instance: LabeledInstance) -> None:
@@ -61,29 +46,10 @@ def _require_1d(instance: LabeledInstance) -> None:
         raise ValueError("this planner handles 1D instances only (m2 must be 1)")
 
 
-def group_cycles(cycles: CycleSet) -> list[CycleGroup]:
-    """Partition cycles into groups with chain-overlapping spans.
-
-    A single left-to-right pass suffices because the cycles arrive ordered
-    by their minimum cell: a group ends exactly when the next cycle starts
-    beyond everything seen so far.
-    """
-    groups: list[CycleGroup] = []
-    items = cycles.cycles
-    i = 0
-    while i < len(items):
-        lo = items[i][0]
-        hi = max(items[i])
-        j = i + 1
-        while j < len(items) and items[j][0] <= hi:
-            hi = max(hi, max(items[j]))
-            j += 1
-        groups.append(CycleGroup(items[i:j], lo, hi))
-        i = j
-    return groups
-
-
 def _group_max_per_cycle(cycles: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Rightmost cell of each cycle's group: cycles whose [min, max] spans
+    chain-overlap.  One pass suffices because cycles arrive ordered by their
+    minimum cell."""
     out = [0] * len(cycles)
     i = 0
     while i < len(cycles):

@@ -153,7 +153,13 @@ def merge_cycles(cycles) -> list[MoveCycle]:
     identical output.  One left-to-right sweep over the sources finds them
     in that order: source a trades with its leftmost free partner b > a in
     another cycle until it has none.  Destinations are traded in place and
-    the cycles rebuilt once.  Expects form_cycles output.
+    the cycles rebuilt once.
+
+    Precondition: each type's moves are the in-order pairing of its sources
+    and goals, as form_cycles produces.  The bounded partner scans rely on
+    it; on other input (say, two same-type moves that cross) the sweep still
+    makes only trades of delta <= 0, but it can pick other trades than the
+    fixed-point rule or stop before it.
     """
     cycles = list(cycles)
     assign, types = _assignment_of(cycles)

@@ -247,6 +247,40 @@ def test_import_loads_no_scipy(module):
     assert done.stdout.strip() == "[]"
 
 
+# solver -> (gen arguments of its instance, whether the solve runs numpy code)
+NUMPY_BY_SOLVER = {
+    "opt-lor": (["uniform", "--m", "12"], False),
+    "sweep-lor": (["uniform", "--m", "12"], False),
+    "opt-por": (["typed", "--m", "12", "--k", "3"], False),
+    "greedy-por": (["typed", "--m", "12", "--k", "3"], False),
+    "sweep-ltr": (["block-random", "--m", "16"], False),
+    "greedy-2d": (["typed", "--m1", "4", "--m2", "4", "--k", "2"], False),
+    "switch-ltr": (["block-random", "--m", "16"], True),
+    "plan-ptr": (["typed", "--m1", "4", "--m2", "4", "--k", "2"], True),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(NUMPY_BY_SOLVER))
+def test_numpy_loads_only_for_2d_scheduling_and_assignment(solver, tmp_path):
+    # import alone costs a CLI process more than most solves; only the
+    # arc-weight slabs, the arborescence and the assignment need numpy
+    gen_args, loads = NUMPY_BY_SOLVER[solver]
+    inst, plan = str(tmp_path / "inst.json"), str(tmp_path / "plan.json")
+    code = "\n".join([
+        "import sys",
+        "import lattice_rearrange, lattice_rearrange.cli as cli",
+        "loaded = lambda: any(m.split('.')[0] == 'numpy' for m in sys.modules)",
+        "print(loaded())",
+        f"assert cli.main({['gen', *gen_args, '--seed', '5', '-o', inst]!r}) == 0",
+        f"assert cli.main({['solve', '--solver', solver, '-i', inst, '-o', plan]!r}) == 0",
+        "print(loaded())",
+    ])
+    src = str(Path(lattice_rearrange.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout.split() == ["False", str(loads)]
+
+
 def test_all_lists_every_public_name():
     # `from lattice_rearrange import *` exports what the package imports
     public = {name for name, value in vars(lattice_rearrange).items()

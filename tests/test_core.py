@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from lattice_rearrange.core import (
     Action,
-    Cell,
     CostModel,
     HandNotEmptyAtEnd,
     IllegalStep,
@@ -49,9 +48,7 @@ def test_column_major_indexing():
     for i in dims.cells():
         r, c = dims.rowcol(i)
         assert dims.index(r, c) == i
-    cell = Cell.from_index(dims, 8)
-    assert (cell.row, cell.col) == (2, 3)
-    assert Cell.from_rowcol(dims, 2, 3).index == 8
+    assert dims.rowcol(8) == (2, 3)
 
 
 def test_distance_metrics():

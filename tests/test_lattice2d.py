@@ -32,7 +32,6 @@ from lattice_rearrange.lattice2d import (
     cycle_distance_statistic,
     cycle_edge_length,
     cycle_merge_cost,
-    edges_length,
     form_cycles_ptr,
     greedy_2d,
     merge_cycles_ptr,
@@ -53,6 +52,11 @@ def hand_dist(dims: LatticeDims, a: int, b: int) -> float:
     ra, ca = (a - 1) % dims.m1 + 1, (a - 1) // dims.m1 + 1
     rb, cb = (b - 1) % dims.m1 + 1, (b - 1) // dims.m1 + 1
     return math.hypot(ra - rb, ca - cb)
+
+
+def cycle_length(cycle, dims: LatticeDims) -> float:
+    """Summed Euclidean length of a move cycle's edges."""
+    return sum(hand_dist(dims, s, g) for s, g in cycle.edges)
 
 
 def random_labeled(rng: random.Random, m1: int, m2: int) -> LabeledInstance:
@@ -378,7 +382,7 @@ def test_merge_cost_collinear_pair():
     assert cycle_merge_cost(c1, c2, dims) == pytest.approx(4.0)
     merged = merge_cycles_ptr([c1, c2], dims)
     assert len(merged) == 1
-    added = edges_length(merged[0], dims) - edges_length(c1, dims) - edges_length(c2, dims)
+    added = cycle_length(merged[0], dims) - cycle_length(c1, dims) - cycle_length(c2, dims)
     assert added == pytest.approx(4.0)
 
 
@@ -463,7 +467,7 @@ def test_sweep_ptr_inter_cycle_travel_within_tree_bound():
         if not 2 <= len(cycles) <= 4:
             continue
         plan = sweep_cycles_ptr(cycles, inst.dims, inst.rest)
-        internal = sum(edges_length(c, inst.dims) for c in cycles)
+        internal = sum(cycle_length(c, inst.dims) for c in cycles)
         total = plan_cost(inst, plan).travel
         cells = [tuple(s for s, _ in c.edges) for c in cycles]
         weights = {}

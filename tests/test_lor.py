@@ -12,12 +12,7 @@ from lattice_rearrange import (
     simulate,
 )
 from lattice_rearrange.graphs import permutation_cycles
-from lattice_rearrange.lor import (
-    CycleGroup,
-    group_cycles,
-    opt_plan_lor,
-    sweep_cycles_lor,
-)
+from lattice_rearrange.lor import _group_max_per_cycle, opt_plan_lor, sweep_cycles_lor
 from lattice_rearrange.oracle import oracle_optimal
 
 from conftest import leg_travel
@@ -36,32 +31,14 @@ def run(planner, inst):
 
 # --- grouping ---------------------------------------------------------------
 
-def test_grouping_disjoint_spans():
-    groups = group_cycles(permutation_cycles((3, 2, 4, 1, 7, 6, 9, 5, 8)))
-    assert [g.range for g in groups] == [(1, 4), (5, 9)]
-    assert groups[0].cycles == ((1, 3, 4),)
-    assert groups[1].cycles == ((5, 7, 9, 8),)
-
-
-def test_grouping_overlapping_spans():
-    # cycles (1,4) and (2,6): spans [1,4] and [2,6] overlap, one group
-    groups = group_cycles(permutation_cycles((4, 6, 3, 1, 5, 2)))
-    assert len(groups) == 1
-    assert groups[0].range == (1, 6)
-    assert groups[0].cycles == ((1, 4), (2, 6))
-
-
-def test_grouping_single_cycle():
-    groups = group_cycles(permutation_cycles((2, 3, 1)))
-    assert groups == [CycleGroup(((1, 2, 3),), 1, 3)]
-
-
-def test_grouping_chained_overlap():
-    # [1,5] and [4,8] overlap, [6,7] overlaps the union only: still one group
-    cycles = permutation_cycles((5, 2, 3, 8, 1, 7, 6, 4))
-    groups = group_cycles(cycles)
-    assert len(groups) == 1
-    assert groups[0].range == (1, 8)
+def test_group_max_per_cycle():
+    for pi, expected in [
+        ((3, 2, 4, 1, 7, 6, 9, 5, 8), [4, 9]),   # disjoint spans [1,4], [5,9]
+        ((4, 6, 3, 1, 5, 2), [6, 6]),            # [1,4] and [2,6] overlap
+        ((2, 3, 1), [3]),                        # a single cycle
+        ((5, 2, 3, 8, 1, 7, 6, 4), [8, 8, 8]),   # [6,7] overlaps the union only
+    ]:
+        assert _group_max_per_cycle(permutation_cycles(pi).cycles) == expected, pi
 
 
 # --- known plans ------------------------------------------------------------
@@ -217,7 +194,7 @@ def test_single_group_items_move_their_displacement():
         m = rng.randint(4, 12)
         pi = list(range(1, m + 1))
         rng.shuffle(pi)
-        if len(group_cycles(permutation_cycles(tuple(pi)))) != 1:
+        if len(set(_group_max_per_cycle(permutation_cycles(tuple(pi)).cycles))) != 1:
             continue
         inst = lab1d(*pi)
         plan, _ = run(opt_plan_lor, inst)
