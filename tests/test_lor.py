@@ -31,14 +31,29 @@ def run(planner, inst):
 
 # --- grouping ---------------------------------------------------------------
 
-def test_group_max_per_cycle():
-    for pi, expected in [
-        ((3, 2, 4, 1, 7, 6, 9, 5, 8), [4, 9]),   # disjoint spans [1,4], [5,9]
-        ((4, 6, 3, 1, 5, 2), [6, 6]),            # [1,4] and [2,6] overlap
-        ((2, 3, 1), [3]),                        # a single cycle
-        ((5, 2, 3, 8, 1, 7, 6, 4), [8, 8, 8]),   # [6,7] overlaps the union only
-    ]:
-        assert _group_max_per_cycle(permutation_cycles(pi).cycles) == expected, pi
+def test_grouping_disjoint_spans():
+    cycles = permutation_cycles((3, 2, 4, 1, 7, 6, 9, 5, 8)).cycles
+    assert cycles == ((1, 3, 4), (5, 7, 9, 8))
+    assert _group_max_per_cycle(cycles) == [4, 9]
+
+
+def test_grouping_overlapping_spans():
+    # cycles (1,4) and (2,6): spans [1,4] and [2,6] overlap, one group
+    cycles = permutation_cycles((4, 6, 3, 1, 5, 2)).cycles
+    assert cycles == ((1, 4), (2, 6))
+    assert _group_max_per_cycle(cycles) == [6, 6]
+
+
+def test_grouping_single_cycle():
+    cycles = permutation_cycles((2, 3, 1)).cycles
+    assert cycles == ((1, 2, 3),)
+    assert _group_max_per_cycle(cycles) == [3]
+
+
+def test_grouping_chained_overlap():
+    # [1,5] and [4,8] overlap, [6,7] overlaps the union only: still one group
+    cycles = permutation_cycles((5, 2, 3, 8, 1, 7, 6, 4)).cycles
+    assert _group_max_per_cycle(cycles) == [8, 8, 8]
 
 
 # --- known plans ------------------------------------------------------------
