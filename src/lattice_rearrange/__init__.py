@@ -17,13 +17,10 @@ from .bench import (
     ExperimentReport,
     ExperimentSpec,
     ReportRow,
-    emit_report,
-    report_from_json,
     report_to_csv,
     report_to_json,
     run_experiment,
 )
-from .cli import main as cli_main
 from .core import (
     Action,
     CostModel,
@@ -86,7 +83,6 @@ from .lor import opt_plan_lor, sweep_cycles_lor
 from .oracle import OracleResult, TooLarge, oracle_min_picks, oracle_optimal
 from .por import (
     MoveCycle,
-    cycle_distance,
     form_cycles,
     greedy_plan,
     greedy_por,
@@ -104,8 +100,7 @@ __all__ = [
     "NotPerfectSquare", "OracleResult", "PatternInfeasible", "Plan", "PlanCost",
     "PlanStep", "PointOnBoundary", "RearrangeError", "ReportRow", "SimResult",
     "SplitMix64", "TooLarge", "TypeMismatch", "TypedInstance",
-    "cli_main", "cycle_distance", "cycle_distance_statistic",
-    "cycle_edge_length", "derive_seed", "distance", "emit_report",
+    "cycle_distance_statistic", "cycle_edge_length", "derive_seed", "distance",
     "form_cycles", "form_cycles_ptr", "gen_block_random", "gen_column_random",
     "gen_tsp_clusters", "gen_typed", "gen_uniform_permutation", "gen_x_random",
     "greedy_2d", "greedy_plan",
@@ -113,7 +108,7 @@ __all__ = [
     "is_solved", "merge_cycles", "merge_cycles_mst", "merge_cycles_ptr",
     "opt_plan_lor", "opt_plan_por", "oracle_min_picks", "oracle_optimal",
     "pattern_blocks_types", "pattern_columns_types", "plan_cost", "plan_from_dict",
-    "plan_ptr", "plan_to_dict", "report_from_json", "report_to_csv",
+    "plan_ptr", "plan_to_dict", "report_to_csv",
     "report_to_json", "reverse_plan", "reversed_instance", "run_experiment",
     "simulate", "sweep_cycles_lor", "sweep_cycles_ltr", "sweep_cycles_ptr",
     "switch_cycles_ltr",

@@ -46,8 +46,6 @@ __all__ = [
     "ExperimentReport",
     "ExperimentSpec",
     "ReportRow",
-    "emit_report",
-    "report_from_json",
     "report_to_csv",
     "report_to_json",
     "run_experiment",
@@ -278,28 +276,3 @@ def report_to_json(report: ExperimentReport) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> ExperimentReport:
-    doc = json.loads(text)
-    spec = ExperimentSpec(doc["experiment"], tuple(doc["sizes"]),
-                          doc["trials"], doc["distribution"], doc["seed"])
-    rows = tuple(
-        ReportRow(r["size"], r["statistic"], r["mean"], r["std"],
-                  r["trials"], r["seed"])
-        for r in doc["rows"])
-    failures = tuple(
-        (f["size"], f["trial"], f["error"]) for f in doc["failures"])
-    return ExperimentReport(spec, rows, failures)
-
-
-def emit_report(report: ExperimentReport, format: str, path) -> None:
-    """Write the report as CSV or JSON (UTF-8, LF line endings)."""
-    if format == "csv":
-        text = report_to_csv(report)
-    elif format == "json":
-        text = report_to_json(report)
-    else:
-        raise ValueError(f"unknown report format {format!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

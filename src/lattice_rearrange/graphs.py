@@ -36,10 +36,6 @@ class CycleSet:
         """Number of nontrivial cycles (length >= 2)."""
         return len(self.cycles)
 
-    @property
-    def count_with_fixed(self) -> int:
-        return len(self.cycles) + len(self.fixed_points)
-
 
 def permutation_cycles(pi: Sequence[int]) -> CycleSet:
     n = len(pi)

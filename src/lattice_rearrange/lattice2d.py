@@ -18,8 +18,10 @@ the switching planner never travels farther than the sweep.
 Typed instances run a three-phase pipeline: per-type minimum-cost
 assignment of misplaced items to free goal cells (cycle formation), a
 single spanning-forest round of destination trades that fuses every pair
-of fusable cycles (fewest operations), and an arborescence-guided walk
-that resolves the surviving cycles with the same parking mechanism.
+of fusable cycles (fewest operations; the 1D planner's engine,
+por.fuse_cycles, weighing each trade by the travel it adds), and an
+arborescence-guided walk that resolves the surviving cycles with the same
+parking mechanism.
 
 A goal-type layout helper and the normalized displacement statistic used
 by the benchmarks live here too.  numpy is imported only inside the
@@ -29,6 +31,7 @@ geometry helpers and `_arcs`, so `sweep_cycles_ltr`, `merge_cycles_ptr` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +50,7 @@ from .core import (
 )
 from .graphs import WeightedGraph, min_arborescence, min_cost_assignment, permutation_cycles
 from .lor import follow_cycles
-from .por import MoveCycle, _cycles_from_assignment, _find, _swap_destinations, greedy_plan
+from .por import MoveCycle, _cycles_from_assignment, fuse_cycles, greedy_plan
 
 _INF = math.inf
 
@@ -326,70 +329,13 @@ def _trade_delta(dims: LatticeDims, e1, e2) -> float:
             - math.hypot(rs1 - rg1, cs1 - cg1) - math.hypot(rs2 - rg2, cs2 - cg2))
 
 
-def cycle_merge_cost(c1: MoveCycle, c2: MoveCycle, dims: LatticeDims) -> float:
-    """Least travel added by fusing two cycles with one destination trade.
-
-    The trade must involve a type both cycles carry; infinity when no such
-    type exists.
-    """
-    shared = c1.types & c2.types
-    if not shared:
-        return _INF
-    best = _INF
-    for (s1, g1), t1 in zip(c1.edges, c1.edge_types):
-        if t1 not in shared:
-            continue
-        for (s2, g2), t2 in zip(c2.edges, c2.edge_types):
-            if t2 == t1:
-                best = min(best, _trade_delta(dims, (s1, g1), (s2, g2)))
-    return best
-
-
-def _argmin_trade(c1: MoveCycle, c2: MoveCycle, dims: LatticeDims):
-    best = None
-    for (s1, g1), t1 in zip(c1.edges, c1.edge_types):
-        for (s2, g2), t2 in zip(c2.edges, c2.edge_types):
-            if t2 != t1:
-                continue
-            key = (_trade_delta(dims, (s1, g1), (s2, g2)), min(s1, s2), max(s1, s2))
-            if best is None or key < best[0]:
-                best = (key, t1, (s1, g1), (s2, g2))
-    return best
-
-
 def _merge_cycles_ptr_logged(cycles, dims: LatticeDims):
-    """Spanning-forest fusion with a log of the goal trades performed.
+    """merge_cycles_ptr plus the log of goal trades fuse_cycles performed.
 
-    Each log entry is (type, goal_cell_1, goal_cell_2): the two goals that
-    exchanged owners.  The log exists so tests can check how far trades
-    reach; the public wrapper drops it.
+    The log exists so tests can check how far trades reach; the public
+    wrapper drops it.
     """
-    cycles = list(cycles)
-    n = len(cycles)
-    log: list[tuple[int, int, int]] = []
-    if n <= 1:
-        return cycles, log
-    pair_edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = cycle_merge_cost(cycles[i], cycles[j], dims)
-            if w < _INF:
-                pair_edges.append((w, cycles[i].min_cell, cycles[j].min_cell, i, j))
-    pair_edges.sort()
-    comp = list(range(n))
-    current: dict[int, MoveCycle] = dict(enumerate(cycles))
-    for _, _, _, i, j in pair_edges:
-        ri, rj = _find(comp, i), _find(comp, j)
-        if ri == rj:
-            continue
-        a, b = current[ri], current[rj]
-        _, t, e1, e2 = _argmin_trade(a, b, dims)
-        log.append((t, e1[1], e2[1]))
-        fused = _swap_destinations([a, b], e1, e2)
-        comp[ri] = rj
-        del current[ri]
-        current[_find(comp, j)] = fused[0]
-    return sorted(current.values(), key=lambda c: c.min_cell), log
+    return fuse_cycles(cycles, functools.partial(_trade_delta, dims))
 
 
 def merge_cycles_ptr(cycles, dims: LatticeDims) -> list[MoveCycle]:

@@ -15,7 +15,9 @@ which item goes to which goal cell and only then plans motion.  Four phases:
    two cycles trades the pair of same-type moves with the smallest span gap
    and costs twice that gap.  A minimum spanning forest over these gap
    weights gives the cheapest schedule that reaches the minimum possible
-   cycle count.
+   cycle count.  The forest is built by fuse_cycles, which takes the
+   per-trade cost as an argument; the typed 2D planner
+   (lattice2d.merge_cycles_ptr) runs it with the travel a trade adds.
 4. group_sweep_cycles_por: walk the final cycles exactly like the labeled
    1D planner (nested entries, parking, group hand-off).
 
@@ -26,8 +28,8 @@ A best-first greedy baseline is included for benchmark comparisons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     Action,
@@ -41,7 +43,8 @@ from .core import (
 )
 from .lor import follow_cycles
 
-_INF = math.inf
+# cost(e1, e2) of trading the destinations of two same-type moves
+TradeCost = Callable[[tuple[int, int], tuple[int, int]], float]
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,6 @@ class MoveCycle:
     @property
     def min_cell(self) -> int:
         return self.edges[0][0]
-
-    def total_distance(self) -> int:
-        return sum(abs(s - g) for s, g in self.edges)
 
 
 def _require_1d(instance: TypedInstance) -> None:
@@ -203,75 +203,73 @@ def merge_cycles(cycles) -> list[MoveCycle]:
     return _cycles_from_assignment(assign, types)
 
 
-def cycle_distance(c1: MoveCycle, c2: MoveCycle) -> float:
-    """Closest approach of two cycles: the smallest destination-trade gap
-    over their shared types.  Fusing them adds twice this in travel.
-    Infinity when they share no type."""
+def _cheapest_trade(c1: MoveCycle, c2: MoveCycle, cost: TradeCost):
+    """The same-type edge pair (e1 of c1, e2 of c2) whose destination trade
+    has the least cost(e1, e2), as (cost, type, e1, e2).  Ties go to the
+    smallest (min source, max source).  None when the cycles share no type."""
     shared = c1.types & c2.types
     if not shared:
-        return _INF
-    best = _INF
-    for (s1, g1), t1 in zip(c1.edges, c1.edge_types):
-        if t1 not in shared:
-            continue
-        for (s2, g2), t2 in zip(c2.edges, c2.edge_types):
-            if t2 == t1:
-                best = min(best, _pair_gap((s1, g1), (s2, g2)))
-    return best
-
-
-def _argmin_pair(c1: MoveCycle, c2: MoveCycle):
-    """The same-type edge pair realizing cycle_distance, ties leftward."""
+        return None
     best = None
-    for (s1, g1), t1 in zip(c1.edges, c1.edge_types):
-        for (s2, g2), t2 in zip(c2.edges, c2.edge_types):
-            if t2 != t1:
-                continue
-            key = (_pair_gap((s1, g1), (s2, g2)), min(s1, s2), max(s1, s2))
-            if best is None or key < best[0]:
-                best = (key, (s1, g1), (s2, g2))
-    return best
+    for e1, t in zip(c1.edges, c1.edge_types):
+        if t not in shared:
+            continue
+        for e2, t2 in zip(c2.edges, c2.edge_types):
+            if t2 == t:
+                key = (cost(e1, e2), min(e1[0], e2[0]), max(e1[0], e2[0]))
+                if best is None or key < best[0]:
+                    best = (key, t, e1, e2)
+    key, t, e1, e2 = best
+    return key[0], t, e1, e2
 
 
-def merge_cycles_mst(cycles, model: CostModel = DEFAULT_COST,
-                     skip_costly_merges: bool = False) -> list[MoveCycle]:
-    """Phase 3: fuse remaining cycles along a minimum spanning forest.
+def fuse_cycles(cycles, cost: TradeCost):
+    """Fuse cycles along a minimum spanning forest of trade costs.
 
-    Pair weights are cycle_distance values; fusions happen in ascending
-    weight order, each trading the currently closest same-type edge pair of
-    the two components.  Processing in that order makes every realized gap
-    equal its forest edge weight, so total added travel is exactly twice
-    the forest weight, the minimum over all fusion schedules.
-
-    With skip_costly_merges on, a fusion whose travel cost 2*gap*c_t would
-    reach the cost of the operation it saves (c_p) is left undone.
+    Each pair of cycles sharing a type weighs its cheapest trade; pairs are
+    fused in ascending (weight, min cells) order, each fusion trading the
+    currently cheapest same-type edge pair of the two components.  Returns
+    (cycles sorted by min cell, log), where each log entry is
+    (type, goal_cell_1, goal_cell_2): the two goals that exchanged owners.
     """
     cycles = list(cycles)
     n = len(cycles)
+    log: list[tuple[int, int, int]] = []
     if n <= 1:
-        return cycles
+        return cycles, log
     pair_edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            d = cycle_distance(cycles[i], cycles[j])
-            if d < _INF:
-                pair_edges.append((d, cycles[i].min_cell, cycles[j].min_cell, i, j))
+            trade = _cheapest_trade(cycles[i], cycles[j], cost)
+            if trade is not None:
+                pair_edges.append((trade[0], cycles[i].min_cell, cycles[j].min_cell, i, j))
     pair_edges.sort()
     comp = list(range(n))
     current: dict[int, MoveCycle] = dict(enumerate(cycles))
-    for d, _, _, i, j in pair_edges:
+    for _, _, _, i, j in pair_edges:
         ri, rj = _find(comp, i), _find(comp, j)
         if ri == rj:
             continue
-        if skip_costly_merges and 2.0 * d * model.c_t >= model.c_p:
-            continue
         a, b = current[ri], current[rj]
-        _, e1, e2 = _argmin_pair(a, b)
+        _, t, e1, e2 = _cheapest_trade(a, b, cost)
+        log.append((t, e1[1], e2[1]))
         fused = _swap_destinations([a, b], e1, e2)
         comp[ri] = rj
         del current[ri]
-        current[_find(comp, j)] = fused[0]
-    return sorted(current.values(), key=lambda c: c.min_cell)
+        current[rj] = fused[0]
+    return sorted(current.values(), key=lambda c: c.min_cell), log
+
+
+def merge_cycles_mst(cycles) -> list[MoveCycle]:
+    """Phase 3: fuse remaining cycles along a minimum spanning forest.
+
+    Pair weights are the smallest destination-trade gap over shared types
+    (_pair_gap); fusing two cycles adds twice that gap in travel.  Fusions
+    happen in ascending weight order, which makes every realized gap equal
+    its forest edge weight, so total added travel is exactly twice the
+    forest weight, the minimum over all fusion schedules.
+    """
+    return fuse_cycles(cycles, _pair_gap)[0]
 
 
 def group_sweep_cycles_por(cycles, model: CostModel = DEFAULT_COST) -> Plan:
@@ -286,14 +284,11 @@ def group_sweep_cycles_por(cycles, model: CostModel = DEFAULT_COST) -> Plan:
     return follow_cycles(tuple(cell_cycles), dest, switching=True)
 
 
-def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST,
-                 skip_costly_merges: bool = False) -> Plan:
+def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
     """Minimum-operation, minimum-travel plan for a typed 1D instance.
 
-    Runs the four phases in order.  By default every cycle fusion the
-    instance admits is performed, which is what makes the operation count
-    minimal; skip_costly_merges trades that guarantee for lower combined
-    cost when operations are cheap relative to travel.
+    Runs the four phases in order.  Every cycle fusion the instance admits
+    is performed, which is what makes the operation count minimal.
 
     Travel is minimal only for rest = 1: the walk enters each cycle at its
     leftmost cell, so with another rest cell it can travel more than the
@@ -302,7 +297,7 @@ def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST,
     _require_1d(instance)
     cycles = form_cycles(instance)
     cycles = merge_cycles(cycles)
-    cycles = merge_cycles_mst(cycles, model, skip_costly_merges)
+    cycles = merge_cycles_mst(cycles)
     return group_sweep_cycles_por(cycles, model)
 
 

@@ -1,6 +1,5 @@
 """Benchmark harness tests: spec validation, bands, determinism, emission."""
 
-import json
 import math
 
 import pytest
@@ -8,8 +7,6 @@ import pytest
 from lattice_rearrange.bench import (
     ExperimentReport,
     ExperimentSpec,
-    emit_report,
-    report_from_json,
     report_to_csv,
     report_to_json,
     run_experiment,
@@ -127,25 +124,6 @@ class TestEmission:
         spec = ExperimentSpec("lor_ratio", (10,), 5, seed=1)
         empty = ExperimentReport(spec, ())
         assert report_to_csv(empty) == "size,statistic,mean,std,trials,seed\n"
-
-    def test_json_round_trip_identical(self):
-        report = run_experiment(ExperimentSpec("cycle_stats", (50,), 5, seed=9))
-        text = report_to_json(report)
-        again = report_from_json(text)
-        assert report_to_json(again) == text
-        assert again == report
-
-    def test_emit_to_files(self, tmp_path):
-        report = run_experiment(ExperimentSpec("lor_ratio", (10,), 3, seed=2))
-        csv_path = tmp_path / "r.csv"
-        json_path = tmp_path / "r.json"
-        emit_report(report, "csv", csv_path)
-        emit_report(report, "json", json_path)
-        assert csv_path.read_text(encoding="utf-8") == report_to_csv(report)
-        doc = json.loads(json_path.read_text(encoding="utf-8"))
-        assert doc["format_version"] == 1
-        with pytest.raises(ValueError):
-            emit_report(report, "yaml", tmp_path / "r.yaml")
 
     def test_csv_keeps_full_float_precision(self):
         report = run_experiment(ExperimentSpec("lor_ratio", (9,), 4, seed=5))

@@ -247,6 +247,17 @@ def test_import_loads_no_scipy(module):
     assert done.stdout.strip() == "[]"
 
 
+def test_module_entry_point_warns_nothing():
+    # `python -m lattice_rearrange.cli` runs cli as __main__; importing the
+    # package must not have imported cli already, or runpy warns about it
+    src = str(Path(lattice_rearrange.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "lattice_rearrange.cli", "gen", "uniform",
+                           "--m", "4", "--seed", "1"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["kind"] == "labeled"
+
+
 # solver -> (gen arguments of its instance, whether the solve runs numpy code)
 NUMPY_BY_SOLVER = {
     "opt-lor": (["uniform", "--m", "12"], False),

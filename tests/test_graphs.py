@@ -27,7 +27,6 @@ def test_cycles_of_nine_item_example():
     assert cs.cycles == ((1, 3, 4), (5, 7, 9, 8))
     assert cs.fixed_points == (2, 6)
     assert cs.count == 2
-    assert cs.count_with_fixed == 4
 
 
 def test_cycles_identity_and_validation():

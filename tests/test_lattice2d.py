@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -21,7 +22,7 @@ from lattice_rearrange.core import (
     plan_cost,
     simulate,
 )
-from lattice_rearrange.gen import gen_block_random, gen_column_random, gen_x_random
+from lattice_rearrange.gen import gen_block_random, gen_column_random, gen_typed, gen_x_random
 from lattice_rearrange.graphs import permutation_cycles
 from lattice_rearrange.lattice2d import (
     GoalPattern,
@@ -29,9 +30,9 @@ from lattice_rearrange.lattice2d import (
     _merge_cycles_ptr_logged,
     _pair_dists,
     _schedule,
+    _trade_delta,
     cycle_distance_statistic,
     cycle_edge_length,
-    cycle_merge_cost,
     form_cycles_ptr,
     greedy_2d,
     merge_cycles_ptr,
@@ -44,6 +45,7 @@ from lattice_rearrange.lattice2d import (
     switch_cycles_ltr,
 )
 from lattice_rearrange.oracle import oracle_min_picks, oracle_optimal
+from lattice_rearrange.por import _cheapest_trade, _find, _swap_destinations
 
 from conftest import leg_travel
 
@@ -379,7 +381,8 @@ def test_merge_cost_collinear_pair():
     dims = LatticeDims(1, 6)
     c1 = typ_cycle((1, 2), (2, 1), types=(1, 1))
     c2 = typ_cycle((4, 5), (5, 4), types=(1, 2))
-    assert cycle_merge_cost(c1, c2, dims) == pytest.approx(4.0)
+    trade = _cheapest_trade(c1, c2, functools.partial(_trade_delta, dims))
+    assert trade[0] == pytest.approx(4.0)
     merged = merge_cycles_ptr([c1, c2], dims)
     assert len(merged) == 1
     added = cycle_length(merged[0], dims) - cycle_length(c1, dims) - cycle_length(c2, dims)
@@ -415,6 +418,95 @@ def test_merge_ptr_block_layout_trades_stay_in_block():
         assert log  # 16 types over 256 cells: fusions happen every time
         for _, g1, g2 in log:
             assert pattern_block_of(dims, 16, g1) == pattern_block_of(dims, 16, g2)
+
+
+def reference_cycle_merge_cost(c1, c2, dims):
+    """cycle_merge_cost as it was before the shared fusion engine."""
+    shared = c1.types & c2.types
+    if not shared:
+        return math.inf
+    best = math.inf
+    for (s1, g1), t1 in zip(c1.edges, c1.edge_types):
+        if t1 not in shared:
+            continue
+        for (s2, g2), t2 in zip(c2.edges, c2.edge_types):
+            if t2 == t1:
+                best = min(best, _trade_delta(dims, (s1, g1), (s2, g2)))
+    return best
+
+
+def reference_argmin_trade(c1, c2, dims):
+    best = None
+    for (s1, g1), t1 in zip(c1.edges, c1.edge_types):
+        for (s2, g2), t2 in zip(c2.edges, c2.edge_types):
+            if t2 != t1:
+                continue
+            key = (_trade_delta(dims, (s1, g1), (s2, g2)), min(s1, s2), max(s1, s2))
+            if best is None or key < best[0]:
+                best = (key, t1, (s1, g1), (s2, g2))
+    return best
+
+
+def reference_merge_cycles_ptr_logged(cycles, dims):
+    """_merge_cycles_ptr_logged as it was before the shared fusion engine."""
+    cycles = list(cycles)
+    n = len(cycles)
+    log = []
+    if n <= 1:
+        return cycles, log
+    pair_edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = reference_cycle_merge_cost(cycles[i], cycles[j], dims)
+            if w < math.inf:
+                pair_edges.append((w, cycles[i].min_cell, cycles[j].min_cell, i, j))
+    pair_edges.sort()
+    comp = list(range(n))
+    current = dict(enumerate(cycles))
+    for _, _, _, i, j in pair_edges:
+        ri, rj = _find(comp, i), _find(comp, j)
+        if ri == rj:
+            continue
+        a, b = current[ri], current[rj]
+        _, t, e1, e2 = reference_argmin_trade(a, b, dims)
+        log.append((t, e1[1], e2[1]))
+        fused = _swap_destinations([a, b], e1, e2)
+        comp[ri] = rj
+        del current[ri]
+        current[_find(comp, j)] = fused[0]
+    return sorted(current.values(), key=lambda c: c.min_cell), log
+
+
+def test_merge_ptr_matches_reference_on_random_grids():
+    rng = random.Random(79)
+    traded = 0
+    for _ in range(400):
+        m1, m2 = rng.randint(1, 6), rng.randint(2, 6)
+        k = rng.randint(1, min(4, m1 * m2))
+        goal = list(range(1, k + 1)) + [rng.randint(1, k) for _ in range(m1 * m2 - k)]
+        if rng.random() < 0.5:
+            goal.sort()
+        else:
+            rng.shuffle(goal)
+        start = goal[:]
+        rng.shuffle(start)
+        inst = TypedInstance(LatticeDims(m1, m2), k, tuple(start), tuple(goal))
+        cycles = form_cycles_ptr(inst)
+        got = _merge_cycles_ptr_logged(cycles, inst.dims)
+        assert got == reference_merge_cycles_ptr_logged(cycles, inst.dims), inst
+        traded += bool(got[1])
+    assert traded > 100
+
+
+@pytest.mark.parametrize("dims,k,pattern", [((20, 20), 4, "blocks"), ((32, 32), 16, "blocks"),
+                                            ((32, 32), 32, "columns")])
+def test_merge_ptr_matches_reference_on_workload_grids(dims, k, pattern):
+    n = dims[0] * dims[1]
+    inst = gen_typed(dims, k, (n // k,) * k, GoalPattern(pattern), 5)
+    cycles = form_cycles_ptr(inst)
+    got = _merge_cycles_ptr_logged(cycles, inst.dims)
+    assert got[1]
+    assert got == reference_merge_cycles_ptr_logged(cycles, inst.dims)
 
 
 # --- typed phase 3 ----------------------------------------------------------

@@ -16,9 +16,10 @@ from lattice_rearrange import (
 )
 from lattice_rearrange.por import (
     MoveCycle,
+    _cheapest_trade,
+    _find,
     _pair_gap,
     _swap_destinations,
-    cycle_distance,
     form_cycles,
     greedy_plan,
     greedy_por,
@@ -26,7 +27,6 @@ from lattice_rearrange.por import (
     merge_cycles_mst,
     opt_plan_por,
 )
-from lattice_rearrange.core import CostModel
 from lattice_rearrange.oracle import oracle_min_picks, oracle_optimal
 
 
@@ -39,7 +39,7 @@ def cyc(*edges, types):
 
 
 def total_distance(cycles):
-    return sum(c.total_distance() for c in cycles)
+    return sum(abs(s - g) for c in cycles for s, g in c.edges)
 
 
 def random_typed(rng, m, k, aggregated):
@@ -225,14 +225,16 @@ def test_merge_scales_to_long_rows(seed):
 def test_cycle_distance_no_shared_type():
     a = cyc((1, 2), (2, 1), types=(1, 2))
     b = cyc((4, 5), (5, 4), types=(3, 4))
-    assert cycle_distance(a, b) == math.inf
+    assert _cheapest_trade(a, b, _pair_gap) is None
 
 
 def test_cycle_distance_gap_values():
     a = cyc((1, 2), (2, 1), types=(1, 1))
-    assert cycle_distance(a, cyc((3, 4), (4, 3), types=(1, 1))) == 1.0
-    assert cycle_distance(a, cyc((4, 5), (5, 4), types=(1, 1))) == 2.0
-    assert cycle_distance(a, cyc((2, 3), (3, 2), types=(1, 1))) == 0.0
+    # every pair of a with this cycle has gap 1; the leftmost sources win
+    b = cyc((3, 4), (4, 3), types=(1, 1))
+    assert _cheapest_trade(a, b, _pair_gap) == (1.0, 1, (1, 2), (3, 4))
+    assert _cheapest_trade(a, cyc((4, 5), (5, 4), types=(1, 1)), _pair_gap)[0] == 2.0
+    assert _cheapest_trade(a, cyc((2, 3), (3, 2), types=(1, 1)), _pair_gap)[0] == 0.0
 
 
 # --- phase 3 ----------------------------------------------------------------
@@ -258,11 +260,11 @@ def brute_min_added(cycles):
     """Cheapest total added distance over all fusion schedules."""
     best = math.inf
     finite = [(i, j) for i in range(len(cycles)) for j in range(i + 1, len(cycles))
-              if cycle_distance(cycles[i], cycles[j]) < math.inf]
+              if _cheapest_trade(cycles[i], cycles[j], _pair_gap) is not None]
     if not finite:
         return 0.0
     for i, j in finite:
-        d = cycle_distance(cycles[i], cycles[j])
+        d = _cheapest_trade(cycles[i], cycles[j], _pair_gap)[0]
         fused = merge_cycles_mst([cycles[i], cycles[j]])
         assert len(fused) == 1
         rest = [c for t, c in enumerate(cycles) if t not in (i, j)] + fused
@@ -287,14 +289,90 @@ def test_mst_matches_brute_force_schedules():
         checked += 1
 
 
-def test_mst_skip_costly_merges():
-    a = cyc((1, 2), (2, 1), types=(1, 1))
-    b = cyc((5, 6), (6, 5), types=(1, 1))  # gap 3, fusion travel 6
-    assert len(merge_cycles_mst([a, b])) == 1
-    kept = merge_cycles_mst([a, b], CostModel(), skip_costly_merges=True)
-    assert kept == [a, b]
-    cheap_picks = CostModel(c_p=100.0)
-    assert len(merge_cycles_mst([a, b], cheap_picks, skip_costly_merges=True)) == 1
+def reference_cycle_distance(c1, c2):
+    """cycle_distance as it was before the shared fusion engine."""
+    shared = c1.types & c2.types
+    if not shared:
+        return math.inf
+    best = math.inf
+    for (s1, g1), t1 in zip(c1.edges, c1.edge_types):
+        if t1 not in shared:
+            continue
+        for (s2, g2), t2 in zip(c2.edges, c2.edge_types):
+            if t2 == t1:
+                best = min(best, _pair_gap((s1, g1), (s2, g2)))
+    return best
+
+
+def reference_argmin_pair(c1, c2):
+    """The same-type edge pair realizing cycle_distance, ties leftward."""
+    best = None
+    for (s1, g1), t1 in zip(c1.edges, c1.edge_types):
+        for (s2, g2), t2 in zip(c2.edges, c2.edge_types):
+            if t2 != t1:
+                continue
+            key = (_pair_gap((s1, g1), (s2, g2)), min(s1, s2), max(s1, s2))
+            if best is None or key < best[0]:
+                best = (key, (s1, g1), (s2, g2))
+    return best
+
+
+def reference_merge_cycles_mst(cycles):
+    """merge_cycles_mst before the shared fusion engine, without its
+    skip_costly_merges option (off by default and since removed)."""
+    cycles = list(cycles)
+    n = len(cycles)
+    if n <= 1:
+        return cycles
+    pair_edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = reference_cycle_distance(cycles[i], cycles[j])
+            if d < math.inf:
+                pair_edges.append((d, cycles[i].min_cell, cycles[j].min_cell, i, j))
+    pair_edges.sort()
+    comp = list(range(n))
+    current = dict(enumerate(cycles))
+    for d, _, _, i, j in pair_edges:
+        ri, rj = _find(comp, i), _find(comp, j)
+        if ri == rj:
+            continue
+        a, b = current[ri], current[rj]
+        _, e1, e2 = reference_argmin_pair(a, b)
+        fused = _swap_destinations([a, b], e1, e2)
+        comp[ri] = rj
+        del current[ri]
+        current[_find(comp, j)] = fused[0]
+    return sorted(current.values(), key=lambda c: c.min_cell)
+
+
+def test_mst_matches_reference_on_random_rows():
+    rng = random.Random(59)
+    fused = 0
+    for _ in range(1500):
+        m = rng.randint(2, 24)
+        k = rng.randint(1, min(5, m))
+        goal = [rng.randint(1, k) for _ in range(m)]
+        if rng.random() < 0.5:
+            goal.sort()
+        start = goal[:]
+        rng.shuffle(start)
+        formed = form_cycles(typ1d(k, start, goal))
+        for cycles in (formed, merge_cycles(formed)):
+            merged = merge_cycles_mst(cycles)
+            assert merged == reference_merge_cycles_mst(cycles), (start, goal)
+            fused += len(merged) < len(cycles)
+    assert fused > 500
+
+
+@pytest.mark.parametrize("inst", [typed_runs(600, 4, seed) for seed in (1, 2)]
+                         + [typed_local(256, 16, 24, seed) for seed in range(1, 5)])
+def test_mst_matches_reference_on_workload_rows(inst):
+    formed = form_cycles(inst)
+    for cycles in (formed, merge_cycles(formed)):
+        merged = merge_cycles_mst(cycles)
+        assert len(merged) < len(cycles) or len(cycles) == 1
+        assert merged == reference_merge_cycles_mst(cycles)
 
 
 # --- full pipeline ----------------------------------------------------------
@@ -342,15 +420,6 @@ def test_opt_plan_matches_oracle_rest_not_one():
     # the walk enters the cycle at its leftmost cell, not the one nearest rest
     inst = TypedInstance(LatticeDims(2, 1), 2, (2, 1), (1, 2), rest=2)
     assert simulate(inst, opt_plan_por(inst)).cost == oracle_optimal(inst).cost
-
-
-def test_skip_costly_merges_pipeline():
-    # two type-1 trades far apart: fusing costs 6 travel to save one pick
-    inst = typ1d(2, (2, 1, 1, 1, 2, 1), (1, 2, 1, 1, 1, 2))
-    eager = simulate(inst, opt_plan_por(inst)).cost
-    frugal = simulate(inst, opt_plan_por(inst, skip_costly_merges=True)).cost
-    assert eager.picks == frugal.picks - 1
-    assert frugal.travel <= eager.travel
 
 
 # --- greedy baseline --------------------------------------------------------
