@@ -19,14 +19,17 @@ Typed instances run a three-phase pipeline: per-type minimum-cost
 assignment of misplaced items to free goal cells (cycle formation), a
 single spanning-forest round of destination trades that fuses every pair
 of fusable cycles (fewest operations; the 1D planner's engine,
-por.fuse_cycles, weighing each trade by the travel it adds), and an
-arborescence-guided walk that resolves the surviving cycles with the same
-parking mechanism.
+por.fuse_cycles, weighing each trade by the travel it adds, read off
+per-type trade-delta matrices), and an arborescence-guided walk that
+resolves the surviving cycles with the same parking mechanism.
 
 A goal-type layout helper and the normalized displacement statistic used
 by the benchmarks live here too.  numpy is imported only inside the
-geometry helpers and `_arcs`, so `sweep_cycles_ltr`, `merge_cycles_ptr` and
-`greedy_2d` run without it.
+functions that run numpy code: the geometry helpers, `_arcs` and the 2D
+trade model behind `merge_cycles_ptr`.  `sweep_cycles_ltr`,
+`cycle_edge_length` and `greedy_2d` run without it; `merge_cycles_ptr`
+needs it, but only `plan_ptr` reaches it, and its assignment has loaded
+numpy already.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .core import (
     Plan,
     PlanStep,
     TypedInstance,
+    _manhattan_leg,
     distance,
     plan_cost,
 )
@@ -72,12 +76,13 @@ def _coords(dims: LatticeDims, cells) -> np.ndarray:
     return np.stack([row + 1, col + 1], axis=1).astype(float)
 
 
-def _pair_dists(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    """Distances between every row of a and every row of b.  Coordinates
-    are integers, so the squares and sums are exact."""
+def _dists(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """Distances between the (row, col) pairs on the last axes of a and b,
+    broadcast over the other axes.  Coordinates are integers, so the
+    squares and sums are exact."""
     import numpy as np
-    dr = a[:, 0, None] - b[None, :, 0]
-    dc = a[:, 1, None] - b[None, :, 1]
+    dr = a[..., 0] - b[..., 0]
+    dc = a[..., 1] - b[..., 1]
     if metric == "manhattan":
         np.abs(dr, out=dr)
         dr += np.abs(dc, out=dc)
@@ -86,6 +91,11 @@ def _pair_dists(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     dc *= dc
     dr += dc
     return np.sqrt(dr, out=dr)
+
+
+def _pair_dists(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """Distances between every row of a and every row of b."""
+    return _dists(a[:, None], b[None, :], metric)
 
 
 def _segment_mins(block: np.ndarray, starts: np.ndarray):
@@ -109,9 +119,16 @@ def cycle_edge_length(instance: LabeledInstance, model: CostModel = DEFAULT_COST
     This is exactly the within-cycle travel that any cycle-following plan
     must spend; planners differ only in travel between cycles.
     """
-    dims = instance.dims
-    return sum(distance(dims, cell, item, model)
-               for cell, item in enumerate(instance.pi, start=1) if item != cell)
+    m1 = instance.dims.m1
+    leg = _manhattan_leg if model.metric == "manhattan" else math.hypot
+    legs = []
+    for cell, item in enumerate(instance.pi, start=1):
+        if item != cell:
+            # distance(), with each cell decoded once
+            col_a, row_a = divmod(cell - 1, m1)
+            col_b, row_b = divmod(item - 1, m1)
+            legs.append(leg(row_a - row_b, col_a - col_b))
+    return sum(legs)
 
 
 def cycle_distance_statistic(instance: LabeledInstance, model: CostModel = DEFAULT_COST) -> float:
@@ -317,16 +334,118 @@ def form_cycles_ptr(instance: TypedInstance) -> list[MoveCycle]:
     return _cycles_from_assignment(assign, types)
 
 
-def _trade_delta(dims: LatticeDims, e1, e2) -> float:
-    """Travel added by trading the destinations of two moves."""
-    (s1, g1), (s2, g2) = e1, e2
-    # distance() under the Euclidean metric, each cell decoded once
-    cs1, rs1 = divmod(s1 - 1, dims.m1)
-    cg1, rg1 = divmod(g1 - 1, dims.m1)
-    cs2, rs2 = divmod(s2 - 1, dims.m1)
-    cg2, rg2 = divmod(g2 - 1, dims.m1)
-    return (math.hypot(rs1 - rg2, cs1 - cg2) + math.hypot(rs2 - rg1, cs2 - cg1)
-            - math.hypot(rs1 - rg1, cs1 - cg1) - math.hypot(rs2 - rg2, cs2 - cg2))
+def _trade_deltas(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Travel added by trading the destinations of moves m1 and m2, each
+    given on its last axis as (source row, source col, goal row, goal col,
+    length) and broadcast like _dists: d(s1,g2) + d(s2,g1) - d(s1,g1) -
+    d(s2,g2), summed in that order.  Each length is np.sqrt of an exact
+    integer sum, which rounds as math.hypot does, so the floats are those
+    of the same sum over distance()."""
+    delta = _dists(m1[..., 0:2], m2[..., 2:4], "euclidean")
+    delta += _dists(m2[..., 0:2], m1[..., 2:4], "euclidean")
+    delta -= m1[..., 4]
+    delta -= m2[..., 4]
+    return delta
+
+
+class _DeltaTrades:
+    """2D trade model (por.TradeModel): a trade costs the travel it adds.
+
+    Moves are kept type-major, each type's in cycle order, as rows of
+    (source row, source col, goal row, goal col, length) decoded once.  A
+    type's pair weights are its delta matrix over all its moves, built in
+    row slabs of at most about _SLAB_ENTRIES entries and reduced to
+    per-cycle-pair minima with segment minima.  A fusion's trade is the
+    least entry of the two components' same-type blocks, evaluated on
+    demand in chunks; only entries equal to the least go through the tie
+    rule.  Types held by one cycle never trade and are left out.
+    """
+
+    def __init__(self, dims: LatticeDims, cycles):
+        import numpy as np
+        moves: dict[int, list] = {}
+        for c, cyc in enumerate(cycles):
+            for (s, g), t in zip(cyc.edges, cyc.edge_types):
+                moves.setdefault(t, []).append((c, s, g))
+        runs = [(t, m) for t, m in sorted(moves.items()) if m[0][0] != m[-1][0]]
+        flat = [move for _, m in runs for move in m]
+        self.types = [t for t, _ in runs]
+        sizes = [len(m) for _, m in runs]
+        self.kind = np.repeat(np.arange(len(runs)), sizes)
+        # a trade query's chunk pairs at most as many moves as the per-type
+        # delta matrices have entries, and at most _SLAB_ENTRIES
+        self.budget = min(_SLAB_ENTRIES, sum(e * e for e in sizes))
+        self.cyc = np.array([c for c, _, _ in flat], dtype=np.int64)
+        self.src = [s for _, s, _ in flat]
+        self.goal = [g for _, _, g in flat]
+        src_xy, goal_xy = np.split(_coords(dims, self.src + self.goal), 2)
+        self.moves = np.column_stack([src_xy, goal_xy, _dists(src_xy, goal_xy, "euclidean")])
+        # each component's moves, under the root fuse_cycles gives it
+        by_cycle = np.argsort(self.cyc, kind="stable")
+        self.members = np.split(by_cycle, np.cumsum(np.bincount(self.cyc, minlength=len(cycles)))[:-1])
+
+    def pair_weights(self):
+        import numpy as np
+        if not self.types:
+            return []
+        # the runs of one (type, cycle): the segments of the segment minima
+        seg = np.flatnonzero(np.r_[True, (self.cyc[1:] != self.cyc[:-1])
+                                   | (self.kind[1:] != self.kind[:-1])])
+        seg_at = np.searchsorted(self.kind[seg], np.arange(len(self.types) + 1)).tolist()
+        cuts = seg.tolist() + [len(self.cyc)]
+        ws, ii, jj = [], [], []
+        for a, b in zip(seg_at[:-1], seg_at[1:]):
+            moves = self.moves[cuts[a]:cuts[b]]
+            starts = seg[a:b] - cuts[a]
+            step = max(1, _SLAB_ENTRIES // len(moves))
+            per_row = np.empty((len(moves), b - a))
+            for lo in range(0, len(moves), step):
+                block = _trade_deltas(moves[lo:lo + step, None], moves)
+                per_row[lo:lo + step] = np.minimum.reduceat(block, starts, axis=1)
+            ids = self.cyc[seg[a:b]]
+            ws.append(np.minimum.reduceat(per_row, starts, axis=0).ravel())
+            ii.append(np.repeat(ids, b - a))
+            jj.append(np.tile(ids, b - a))
+        w, i, j = np.concatenate(ws), np.concatenate(ii), np.concatenate(jj)
+        upper = i < j
+        w, i, j = w[upper], i[upper], j[upper]
+        # a pair sharing several types weighs its least entry over them
+        key = i * len(self.members) + j
+        order = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.r_[True, key[order][1:] != key[order][:-1]])
+        w = np.minimum.reduceat(w[order], first)
+        return zip(w.tolist(), i[order[first]].tolist(), j[order[first]].tolist())
+
+    def trade(self, ri, rj, a, b):
+        import numpy as np
+        x, y = self.members[ri], self.members[rj]
+        step = max(1, self.budget // len(y))
+        best = None
+        for lo in range(0, len(x), step):
+            rows = x[lo:lo + step]
+            at_x, at_y = np.nonzero(self.kind[rows, None] == self.kind[None, y])
+            if not len(at_x):
+                continue
+            xs, ys = rows[at_x], y[at_y]
+            delta = _trade_deltas(np.take(self.moves, xs, axis=0), np.take(self.moves, ys, axis=0))
+            least = float(delta.min())
+            if best is not None and least > best[0]:
+                continue
+            hit = np.flatnonzero(delta == least)
+            for x1, y1 in zip(xs[hit].tolist(), ys[hit].tolist()):
+                s1, s2 = self.src[x1], self.src[y1]
+                found = (least, min(s1, s2), max(s1, s2), x1, y1)
+                if best is None or found < best:
+                    best = found
+        x1, y1 = best[3:]
+        e1, e2 = (self.src[x1], self.goal[x1]), (self.src[y1], self.goal[y1])
+        self.goal[x1], self.goal[y1] = e2[1], e1[1]
+        pair = self.moves[[x1, y1]]
+        pair[:, 2:4] = pair[::-1, 2:4]
+        pair[:, 4] = _dists(pair[:, 0:2], pair[:, 2:4], "euclidean")
+        self.moves[[x1, y1]] = pair
+        self.members[rj] = np.concatenate((x, y))
+        return self.types[self.kind[x1]], e1, e2
 
 
 def _merge_cycles_ptr_logged(cycles, dims: LatticeDims):
@@ -335,7 +454,7 @@ def _merge_cycles_ptr_logged(cycles, dims: LatticeDims):
     The log exists so tests can check how far trades reach; the public
     wrapper drops it.
     """
-    return fuse_cycles(cycles, functools.partial(_trade_delta, dims))
+    return fuse_cycles(cycles, functools.partial(_DeltaTrades, dims))
 
 
 def merge_cycles_ptr(cycles, dims: LatticeDims) -> list[MoveCycle]:

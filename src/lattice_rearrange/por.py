@@ -15,9 +15,14 @@ which item goes to which goal cell and only then plans motion.  Four phases:
    two cycles trades the pair of same-type moves with the smallest span gap
    and costs twice that gap.  A minimum spanning forest over these gap
    weights gives the cheapest schedule that reaches the minimum possible
-   cycle count.  The forest is built by fuse_cycles, which takes the
-   per-trade cost as an argument; the typed 2D planner
-   (lattice2d.merge_cycles_ptr) runs it with the travel a trade adds.
+   cycle count.  The forest is built by fuse_cycles, which asks a
+   TradeModel two questions, the weight of every cycle pair and the
+   cheapest trade between two components, and splices the two orbits of
+   each fusion in O(|A| + |B|).  TradeModel states the tie rule every model
+   follows.  Here the model scans edge pairs in pure Python, so the 1D
+   planners never load numpy; the typed 2D planner
+   (lattice2d.merge_cycles_ptr) runs the same loop with a model that
+   answers from per-type numpy matrices of the travel a trade adds.
 4. group_sweep_cycles_por: walk the final cycles exactly like the labeled
    1D planner (nested entries, parking, group hand-off).
 
@@ -29,7 +34,7 @@ A best-first greedy baseline is included for benchmark comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Protocol
 
 from .core import (
     Action,
@@ -43,14 +48,17 @@ from .core import (
 )
 from .lor import follow_cycles
 
+Edge = tuple[int, int]
+
 # cost(e1, e2) of trading the destinations of two same-type moves
-TradeCost = Callable[[tuple[int, int], tuple[int, int]], float]
+TradeCost = Callable[[Edge, Edge], float]
 
 
 @dataclass(frozen=True)
 class MoveCycle:
     """A closed chain of item moves: each move's destination is the next
-    move's source.  edge_types[j] is the type carried by edges[j]."""
+    move's source.  edge_types[j] is the type carried by edges[j].  The
+    chain starts at its smallest source cell, min_cell."""
 
     edges: tuple[tuple[int, int], ...]
     edge_types: tuple[int, ...]
@@ -128,13 +136,6 @@ def _pair_gap(e1: tuple[int, int], e2: tuple[int, int]) -> float:
     return max(0.0, delta / 2.0)
 
 
-def _swap_destinations(cycles, e1, e2) -> list[MoveCycle]:
-    """Fuse two of the given cycles by trading the destinations of e1, e2."""
-    assign, types = _assignment_of(cycles)
-    assign[e1[0]], assign[e2[0]] = e2[1], e1[1]
-    return _cycles_from_assignment(assign, types)
-
-
 def _find(parent: list[int], x: int) -> int:
     """Union-find root of x, halving the path on the way up."""
     while parent[x] != x:
@@ -203,10 +204,31 @@ def merge_cycles(cycles) -> list[MoveCycle]:
     return _cycles_from_assignment(assign, types)
 
 
+class TradeModel(Protocol):
+    """What fuse_cycles asks about destination trades.
+
+    A trade exchanges the destinations of two same-type moves e1 = (s1, g1)
+    and e2 = (s2, g2) of different cycles, which fuses the cycles into one.
+    The cheapest trade between two cycles, or two fused components, has
+    the least key (cost, min(s1, s2), max(s1, s2)).  Sources are distinct,
+    so ties in cost go to the smallest source pair and the key names one
+    trade.  Every model answers by this rule.
+    """
+
+    def pair_weights(self) -> Iterable[tuple[float, int, int]]:
+        """(cost of the cheapest trade, i, j) for each pair i < j of the
+        model's cycles that shares a type."""
+
+    def trade(self, ri: int, rj: int, a: MoveCycle, b: MoveCycle) -> tuple[int, Edge, Edge]:
+        """(type, e1 of a, e2 of b): the cheapest trade between the
+        components rooted at ri and rj, whose orbits are a and b.  The
+        caller makes the trade, and ri's component joins rj's."""
+
+
 def _cheapest_trade(c1: MoveCycle, c2: MoveCycle, cost: TradeCost):
     """The same-type edge pair (e1 of c1, e2 of c2) whose destination trade
-    has the least cost(e1, e2), as (cost, type, e1, e2).  Ties go to the
-    smallest (min source, max source).  None when the cycles share no type."""
+    has the least cost(e1, e2), as (cost, type, e1, e2), by TradeModel's
+    tie rule.  None when the cycles share no type."""
     shared = c1.types & c2.types
     if not shared:
         return None
@@ -223,40 +245,69 @@ def _cheapest_trade(c1: MoveCycle, c2: MoveCycle, cost: TradeCost):
     return key[0], t, e1, e2
 
 
-def fuse_cycles(cycles, cost: TradeCost):
+class _GapTrades:
+    """1D trade model: _pair_gap, scanned edge pair by edge pair."""
+
+    def __init__(self, cycles):
+        self.cycles = cycles
+
+    def pair_weights(self):
+        cycles = self.cycles
+        for i in range(len(cycles)):
+            for j in range(i + 1, len(cycles)):
+                trade = _cheapest_trade(cycles[i], cycles[j], _pair_gap)
+                if trade is not None:
+                    yield trade[0], i, j
+
+    def trade(self, ri, rj, a, b):
+        return _cheapest_trade(a, b, _pair_gap)[1:]
+
+
+def _splice(a: MoveCycle, b: MoveCycle, e1: Edge, e2: Edge) -> MoveCycle:
+    """The one cycle left by trading the destinations of e1 (in a) and e2
+    (in b), min-first like its parts: a up to e1, then e1 bent to g2, b
+    from g2 around to e2, e2 bent to g1, and the rest of a."""
+    if b.min_cell < a.min_cell:
+        a, b, e1, e2 = b, a, e2, e1
+    p, q = a.edges.index(e1), b.edges.index(e2)
+    edges = (a.edges[:p] + ((e1[0], e2[1]),) + b.edges[q + 1:] + b.edges[:q]
+             + ((e2[0], e1[1]),) + a.edges[p + 1:])
+    types = (a.edge_types[:p + 1] + b.edge_types[q + 1:] + b.edge_types[:q + 1]
+             + a.edge_types[p + 1:])
+    return MoveCycle(edges, types)
+
+
+def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel]):
     """Fuse cycles along a minimum spanning forest of trade costs.
 
-    Each pair of cycles sharing a type weighs its cheapest trade; pairs are
-    fused in ascending (weight, min cells) order, each fusion trading the
-    currently cheapest same-type edge pair of the two components.  Returns
-    (cycles sorted by min cell, log), where each log entry is
-    (type, goal_cell_1, goal_cell_2): the two goals that exchanged owners.
+    trades(cycles) builds the TradeModel.  Each pair of cycles sharing a
+    type weighs its cheapest trade; pairs are fused in ascending (weight,
+    min cells) order, each fusion making the model's cheapest trade between
+    the two components and splicing their orbits.  Returns (cycles sorted
+    by min cell, log), where each log entry is (type, goal_cell_1,
+    goal_cell_2): the two goals that exchanged owners.
     """
     cycles = list(cycles)
     n = len(cycles)
     log: list[tuple[int, int, int]] = []
     if n <= 1:
         return cycles, log
-    pair_edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            trade = _cheapest_trade(cycles[i], cycles[j], cost)
-            if trade is not None:
-                pair_edges.append((trade[0], cycles[i].min_cell, cycles[j].min_cell, i, j))
-    pair_edges.sort()
+    model = trades(cycles)
+    pair_edges = sorted((w, cycles[i].min_cell, cycles[j].min_cell, i, j)
+                        for w, i, j in model.pair_weights())
     comp = list(range(n))
     current: dict[int, MoveCycle] = dict(enumerate(cycles))
     for _, _, _, i, j in pair_edges:
+        if len(current) == 1:
+            break
         ri, rj = _find(comp, i), _find(comp, j)
         if ri == rj:
             continue
-        a, b = current[ri], current[rj]
-        _, t, e1, e2 = _cheapest_trade(a, b, cost)
+        a, b = current.pop(ri), current[rj]
+        t, e1, e2 = model.trade(ri, rj, a, b)
         log.append((t, e1[1], e2[1]))
-        fused = _swap_destinations([a, b], e1, e2)
+        current[rj] = _splice(a, b, e1, e2)
         comp[ri] = rj
-        del current[ri]
-        current[rj] = fused[0]
     return sorted(current.values(), key=lambda c: c.min_cell), log
 
 
@@ -269,7 +320,7 @@ def merge_cycles_mst(cycles) -> list[MoveCycle]:
     its forest edge weight, so total added travel is exactly twice the
     forest weight, the minimum over all fusion schedules.
     """
-    return fuse_cycles(cycles, _pair_gap)[0]
+    return fuse_cycles(cycles, _GapTrades)[0]
 
 
 def group_sweep_cycles_por(cycles, model: CostModel = DEFAULT_COST) -> Plan:

@@ -292,6 +292,29 @@ def test_numpy_loads_only_for_2d_scheduling_and_assignment(solver, tmp_path):
     assert done.stdout.split() == ["False", str(loads)]
 
 
+def test_paid_1d_fusion_loads_no_numpy():
+    # the 1D trade model stays pure Python: this row has fusions left after
+    # the free ones, so merge_cycles_mst runs the shared engine's paid path
+    code = "\n".join([
+        "import sys",
+        "from lattice_rearrange import LatticeDims, TypedInstance, gen_x_random",
+        "from lattice_rearrange.por import form_cycles, merge_cycles, merge_cycles_mst, opt_plan_por",
+        "goal = tuple(c // 16 + 1 for c in range(256))",
+        "start = tuple(goal[p - 1] for p in gen_x_random(256, 24, 1).pi)",
+        "inst = TypedInstance(LatticeDims(256, 1), 16, start, goal)",
+        "opt_plan_por(inst)",
+        "free = merge_cycles(form_cycles(inst))",
+        "print(len(free), len(merge_cycles_mst(free)))",
+        "print(any(m.split('.')[0] == 'numpy' for m in sys.modules))",
+    ])
+    src = str(Path(lattice_rearrange.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    free, paid, loaded = done.stdout.split()
+    assert int(paid) < int(free)
+    assert loaded == "False"
+
+
 def test_all_lists_every_public_name():
     # `from lattice_rearrange import *` exports what the package imports
     public = {name for name, value in vars(lattice_rearrange).items()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -22,15 +21,22 @@ from lattice_rearrange.core import (
     plan_cost,
     simulate,
 )
-from lattice_rearrange.gen import gen_block_random, gen_column_random, gen_typed, gen_x_random
+from lattice_rearrange.gen import (
+    gen_block_random,
+    gen_column_random,
+    gen_typed,
+    gen_uniform_permutation,
+    gen_x_random,
+)
 from lattice_rearrange.graphs import permutation_cycles
 from lattice_rearrange.lattice2d import (
     GoalPattern,
     _arcs,
+    _DeltaTrades,
     _merge_cycles_ptr_logged,
     _pair_dists,
     _schedule,
-    _trade_delta,
+    _trade_deltas,
     cycle_distance_statistic,
     cycle_edge_length,
     form_cycles_ptr,
@@ -45,9 +51,10 @@ from lattice_rearrange.lattice2d import (
     switch_cycles_ltr,
 )
 from lattice_rearrange.oracle import oracle_min_picks, oracle_optimal
-from lattice_rearrange.por import _cheapest_trade, _find, _swap_destinations
+from lattice_rearrange.por import _find
 
 from conftest import leg_travel
+from test_por import _swap_destinations
 
 
 def hand_dist(dims: LatticeDims, a: int, b: int) -> float:
@@ -190,6 +197,20 @@ def test_cycle_edge_length_known_values():
     inst = LabeledInstance(dims, (2, 1, 3, 4))
     assert cycle_edge_length(inst) == pytest.approx(2.0)
     assert cycle_distance_statistic(inst) == pytest.approx(2.0 / (4 * 2))
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_cycle_edge_length_sums_distance_legs(metric):
+    # the per-edge decode must give the same float as summing distance()
+    model = CostModel(metric=metric)
+    rng = random.Random(43)
+    instances = [gen_uniform_permutation(rng.randint(2, 400), seed) for seed in range(8)]
+    instances += [random_labeled(rng, rng.randint(1, 30), rng.randint(2, 30)) for _ in range(8)]
+    instances += [gen_block_random(9, seed) for seed in (1, 2)]
+    for inst in instances:
+        legs = sum(distance(inst.dims, cell, item, model)
+                   for cell, item in enumerate(inst.pi, start=1) if item != cell)
+        assert cycle_edge_length(inst, model) == legs
 
 
 def test_statistic_uniform_square_near_expected():
@@ -374,6 +395,18 @@ def typ_cycle(*edges, types):
     return MoveCycle(tuple(edges), tuple(types))
 
 
+def _trade_delta(dims: LatticeDims, e1, e2) -> float:
+    """Travel added by trading the destinations of two moves."""
+    (s1, g1), (s2, g2) = e1, e2
+    # distance() under the Euclidean metric, each cell decoded once
+    cs1, rs1 = divmod(s1 - 1, dims.m1)
+    cg1, rg1 = divmod(g1 - 1, dims.m1)
+    cs2, rs2 = divmod(s2 - 1, dims.m1)
+    cg2, rg2 = divmod(g2 - 1, dims.m1)
+    return (math.hypot(rs1 - rg2, cs1 - cg2) + math.hypot(rs2 - rg1, cs2 - cg1)
+            - math.hypot(rs1 - rg1, cs1 - cg1) - math.hypot(rs2 - rg2, cs2 - cg2))
+
+
 def test_merge_cost_collinear_pair():
     # single-row lattice, so euclidean distances are plain index gaps:
     # trade between edges (1->2) and (4->5) adds 2 * the gap between the
@@ -381,8 +414,7 @@ def test_merge_cost_collinear_pair():
     dims = LatticeDims(1, 6)
     c1 = typ_cycle((1, 2), (2, 1), types=(1, 1))
     c2 = typ_cycle((4, 5), (5, 4), types=(1, 2))
-    trade = _cheapest_trade(c1, c2, functools.partial(_trade_delta, dims))
-    assert trade[0] == pytest.approx(4.0)
+    assert list(_DeltaTrades(dims, [c1, c2]).pair_weights()) == [(4.0, 0, 1)]
     merged = merge_cycles_ptr([c1, c2], dims)
     assert len(merged) == 1
     added = cycle_length(merged[0], dims) - cycle_length(c1, dims) - cycle_length(c2, dims)
@@ -507,6 +539,60 @@ def test_merge_ptr_matches_reference_on_workload_grids(dims, k, pattern):
     got = _merge_cycles_ptr_logged(cycles, inst.dims)
     assert got[1]
     assert got == reference_merge_cycles_ptr_logged(cycles, inst.dims)
+
+
+def typed_x_random(m, k, x, seed):
+    """m x m grid with k block-layout goal types whose items start where
+    gen_x_random(m * m, x) puts them: many small cycles."""
+    dims = LatticeDims(m, m)
+    goal, _ = pattern_blocks_types(dims, k)
+    start = tuple(goal[p - 1] for p in gen_x_random(m * m, x, seed).pi)
+    return TypedInstance(dims, k, start, goal)
+
+
+# (id, instance builder, fewest cycles form_cycles_ptr must give): blocks
+# and columns give a few long cycles, x-random starts many small ones
+LARGE_GRIDS = (
+    [(f"blocks-48x48-k16-{s}", lambda s=s: gen_typed((48, 48), 16, (144,) * 16,
+                                                      GoalPattern("blocks"), s), 2)
+     for s in (1, 2, 3)]
+    + [(f"columns-48x48-k48-{s}", lambda s=s: gen_typed((48, 48), 48, (48,) * 48,
+                                                         GoalPattern("columns"), s), 2)
+       for s in (1, 2, 3)]
+    + [("xrandom-32x32-k4-x6", lambda: typed_x_random(32, 4, 6, 1), 50),
+       ("xrandom-48x48-k16-x10", lambda: typed_x_random(48, 16, 10, 1), 50),
+       ("xrandom-24x24-k64-x4", lambda: typed_x_random(24, 64, 4, 1), 50)]
+)
+
+
+@pytest.mark.parametrize("make,fewest", [case[1:] for case in LARGE_GRIDS],
+                         ids=[case[0] for case in LARGE_GRIDS])
+def test_merge_ptr_matches_reference_on_large_grids(make, fewest, monkeypatch):
+    inst = make()
+    cycles = form_cycles_ptr(inst)
+    assert len(cycles) >= fewest
+    expected = reference_merge_cycles_ptr_logged(cycles, inst.dims)
+    assert expected[1]
+    assert _merge_cycles_ptr_logged(cycles, inst.dims) == expected
+    # slab=64 splits every delta matrix and trade query into many slabs,
+    # so least entries and their ties meet across slab boundaries
+    monkeypatch.setattr(lattice2d, "_SLAB_ENTRIES", 64)
+    assert _merge_cycles_ptr_logged(cycles, inst.dims) == expected
+
+
+@pytest.mark.parametrize("m1,m2", [(1, 64), (2, 3), (7, 13), (30, 17), (64, 64)])
+def test_trade_delta_matrix_matches_scalar_delta(m1, m2):
+    # every entry of the model's delta matrix against the scalar formula
+    rng = random.Random(m1 * 100 + m2)
+    dims = LatticeDims(m1, m2)
+    cells = list(dims.cells())
+    pairs = [rng.sample(cells, 2) for _ in range(150)]
+    cycles = [typ_cycle((a, b), (b, a), types=(1, 1)) for a, b in pairs]
+    model = _DeltaTrades(dims, cycles)
+    edges = list(zip(model.src, model.goal))
+    assert sorted(edges) == sorted(e for cyc in cycles for e in cyc.edges)
+    got = _trade_deltas(model.moves[:, None], model.moves[None, :])
+    assert got.tolist() == [[_trade_delta(dims, e1, e2) for e2 in edges] for e1 in edges]
 
 
 # --- typed phase 3 ----------------------------------------------------------

@@ -14,12 +14,15 @@ from lattice_rearrange import (
     gen_x_random,
     simulate,
 )
+from lattice_rearrange.lattice2d import form_cycles_ptr
 from lattice_rearrange.por import (
     MoveCycle,
+    _assignment_of,
     _cheapest_trade,
+    _cycles_from_assignment,
     _find,
     _pair_gap,
-    _swap_destinations,
+    _splice,
     form_cycles,
     greedy_plan,
     greedy_por,
@@ -40,6 +43,13 @@ def cyc(*edges, types):
 
 def total_distance(cycles):
     return sum(abs(s - g) for c in cycles for s, g in c.edges)
+
+
+def _swap_destinations(cycles, e1, e2) -> list[MoveCycle]:
+    """Fuse two of the given cycles by trading the destinations of e1, e2."""
+    assign, types = _assignment_of(cycles)
+    assign[e1[0]], assign[e2[0]] = e2[1], e1[1]
+    return _cycles_from_assignment(assign, types)
 
 
 def random_typed(rng, m, k, aggregated):
@@ -373,6 +383,37 @@ def test_mst_matches_reference_on_workload_rows(inst):
         merged = merge_cycles_mst(cycles)
         assert len(merged) < len(cycles) or len(cycles) == 1
         assert merged == reference_merge_cycles_mst(cycles)
+
+
+def random_cycles(rng, dim):
+    """Cycles of a random typed row (dim 1) or small grid (dim 2)."""
+    if dim == 1:
+        return form_cycles(random_typed(rng, rng.randint(4, 30), rng.randint(2, 4),
+                                        aggregated=rng.random() < 0.5))
+    m1, m2 = rng.randint(2, 7), rng.randint(2, 7)
+    goal = [rng.randint(1, 3) for _ in range(m1 * m2)]
+    start = goal[:]
+    rng.shuffle(start)
+    return form_cycles_ptr(TypedInstance(LatticeDims(m1, m2), 3, tuple(start), tuple(goal)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_splice_matches_swap_destinations(dim):
+    # the in-place splice fuse_cycles makes against the whole-assignment
+    # rebuild it replaced, in both argument orders
+    rng = random.Random(109 + dim)
+    checked = 0
+    while checked < 1000:
+        cycles = random_cycles(rng, dim)
+        if len(cycles) < 2:
+            continue
+        a, b = rng.sample(cycles, 2)
+        e1, e2 = rng.choice(a.edges), rng.choice(b.edges)
+        fused = _swap_destinations([a, b], e1, e2)
+        assert len(fused) == 1
+        assert _splice(a, b, e1, e2) == fused[0], (a, b, e1, e2)
+        assert _splice(b, a, e2, e1) == fused[0], (a, b, e1, e2)
+        checked += 1
 
 
 # --- full pipeline ----------------------------------------------------------
