@@ -2,7 +2,9 @@
 
 Cells are addressed by 1-based column-major index: cell (row, col) on an
 m1 x m2 lattice has index (col - 1) * m1 + row.  A plan is a sequence of
-steps, each an action (pick / swap / place) at a cell.  The end-effector
+steps, each an action (pick / swap / place) at a cell.  A step is a
+PlanStep, an immutable (cell, action) named tuple: it unpacks, and it
+compares equal to the plain tuple with the same fields.  The end-effector
 starts and ends at the rest cell (cell 1 unless an instance overrides it),
 so plan travel always includes the leg out of rest and the leg back.
 
@@ -17,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class RearrangeError(Exception):
@@ -186,8 +188,7 @@ class TypedInstance:
 Instance = Union[LabeledInstance, TypedInstance]
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     """One pick-n-swap operation at a cell (cell is a column-major index)."""
 
     cell: int
@@ -239,32 +240,34 @@ def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) ->
     held: Optional[int] = None
     rest_col, rest_row = col, row = divmod(instance.rest - 1, m1)
     travel = 0.0
-    for idx, step in enumerate(plan.steps):
-        cell = step.cell
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
+    for idx, (cell, action) in enumerate(plan.steps):
         if not 1 <= cell <= n:
             raise IllegalStep(idx, f"cell {cell} outside lattice")
         c, r = divmod(cell - 1, m1)
         travel += leg(row - r, col - c)
         col, row = c, r
         occupant = config[cell - 1]
-        if step.action is Action.PICK:
+        if action is pick:
             if held is not None:
                 raise IllegalStep(idx, "pick with an item already in hand")
             if occupant is None:
                 raise IllegalStep(idx, f"pick at empty cell {cell}")
             held, config[cell - 1] = occupant, None
-        elif step.action is Action.SWAP:
+        elif action is swap:
             if held is None:
                 raise IllegalStep(idx, "swap with an empty hand")
             if occupant is None:
                 raise IllegalStep(idx, f"swap at empty cell {cell}")
             held, config[cell - 1] = occupant, held
-        else:  # PLACE
+        elif action is place:
             if held is None:
                 raise IllegalStep(idx, "place with an empty hand")
             if occupant is not None:
                 raise IllegalStep(idx, f"place at occupied cell {cell}")
             config[cell - 1], held = held, None
+        else:
+            raise IllegalStep(idx, f"unknown action {action!r}")
     if held is not None:
         raise HandNotEmptyAtEnd(f"item {held} still in hand after final step")
     travel += leg(row - rest_row, col - rest_col)
@@ -351,8 +354,12 @@ def instance_from_dict(doc: dict) -> Instance:
     raise JsonFormatError(f"unknown instance kind {doc.get('kind')!r}")
 
 
+_ACTION_TEXT = {a: a.value for a in Action}
+
+
 def plan_to_dict(plan: Plan) -> dict:
-    return {"steps": [{"cell": s.cell, "action": s.action.value} for s in plan.steps]}
+    text = _ACTION_TEXT
+    return {"steps": [{"cell": cell, "action": text[action]} for cell, action in plan.steps]}
 
 
 def plan_from_dict(doc: dict) -> Plan:

@@ -38,25 +38,42 @@ class CycleSet:
 
 
 def permutation_cycles(pi: Sequence[int]) -> CycleSet:
+    """The CycleSet of pi, which must be a permutation of 1..len(pi).
+
+    The check runs inside the walk, in linear time: with every value in
+    range, pi is a permutation exactly when each orbit closes at its start
+    before it meets a visited cell.  Anything else raises
+    MalformedPermutation.
+    """
     n = len(pi)
-    if sorted(pi) != list(range(1, n + 1)):
-        raise MalformedPermutation(f"not a permutation of 1..{n}: {tuple(pi)!r}")
+
+    def malformed():
+        return MalformedPermutation(f"not a permutation of 1..{n}: {tuple(pi)!r}")
+
     seen = [False] * (n + 1)
     cycles = []
     fixed = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        orbit = []
-        g = start
-        while not seen[g]:
-            seen[g] = True
-            orbit.append(g)
-            g = pi[g - 1]
-        if len(orbit) == 1:
-            fixed.append(start)
-        else:
-            cycles.append(tuple(orbit))
+    try:
+        if n and not (1 <= min(pi) and max(pi) <= n):
+            raise malformed()
+        for start in range(1, n + 1):
+            if seen[start]:
+                continue
+            seen[start] = True
+            orbit = [start]
+            g = pi[start - 1]
+            while g != start:
+                if seen[g]:  # a second cell maps to g
+                    raise malformed()
+                seen[g] = True
+                orbit.append(g)
+                g = pi[g - 1]
+            if len(orbit) == 1:
+                fixed.append(start)
+            else:
+                cycles.append(tuple(orbit))
+    except TypeError:  # a value that is not an integer
+        raise malformed() from None
     return CycleSet(tuple(cycles), tuple(fixed))
 
 

@@ -53,7 +53,7 @@ from .core import (
     plan_cost,
 )
 from .graphs import WeightedGraph, min_arborescence, min_cost_assignment, permutation_cycles
-from .lor import follow_cycles
+from .lor import _dest_table, follow_cycles
 from .por import MoveCycle, _cycles_from_assignment, fuse_cycles, greedy_plan
 
 _INF = math.inf
@@ -154,9 +154,11 @@ def _emit_nested(root_kids, kids, nxt) -> Plan:
     leaves `cell`.  nxt maps each cycle cell to the next cell along its
     orbit.  Iterative frames; nesting can exceed the recursion limit.
     """
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
     steps: list[PlanStep] = []
+    emit = steps.append
     for entry0, cid0 in root_kids:
-        steps.append(PlanStep(entry0, Action.PICK))
+        emit(PlanStep(entry0, pick))
         # frame: [cycle id, entry cell, target to resume after closing,
         #         detours pending on the current leg]
         stack = [[cid0, entry0, 0, list(kids.get(cid0, {}).get(entry0, ()))]]
@@ -165,7 +167,7 @@ def _emit_nested(root_kids, kids, nxt) -> Plan:
             frame = stack[-1]
             if frame[3]:
                 child_entry, child_cid = frame[3].pop(0)
-                steps.append(PlanStep(child_entry, Action.SWAP))
+                emit(PlanStep(child_entry, swap))
                 stack.append([child_cid, child_entry, g,
                               list(kids.get(child_cid, {}).get(child_entry, ()))])
                 g = nxt[child_entry]
@@ -174,12 +176,12 @@ def _emit_nested(root_kids, kids, nxt) -> Plan:
                 stack.pop()
                 if stack:
                     # deposit this cycle's last item, take back the parked one
-                    steps.append(PlanStep(g, Action.SWAP))
+                    emit(PlanStep(g, swap))
                     g = frame[2]
                 else:
-                    steps.append(PlanStep(g, Action.PLACE))
+                    emit(PlanStep(g, place))
             else:
-                steps.append(PlanStep(g, Action.SWAP))
+                emit(PlanStep(g, swap))
                 frame[3] = list(kids.get(frame[0], {}).get(g, ()))
                 g = nxt[g]
     return Plan(tuple(steps))
@@ -280,7 +282,7 @@ def sweep_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST)
     """
     _require_2d(instance)
     cycles = permutation_cycles(instance.pi).cycles
-    dest = (0,) + tuple(instance.pi)
+    dest = _dest_table(instance)
     return follow_cycles(cycles, dest, switching=False)
 
 
@@ -295,7 +297,7 @@ def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST
     if not cycles:
         return Plan()
     dims = instance.dims
-    dest = (0,) + tuple(instance.pi)
+    dest = _dest_table(instance)
     root_kids, kids = _schedule(dims, cycles, instance.rest, model, detour=True)
     switched = _emit_nested(root_kids, kids, dest)
     sweep = follow_cycles(cycles, dest, switching=False)

@@ -79,66 +79,73 @@ def follow_cycles(cycles, dest, switching: bool = True) -> Plan:
     """
     if not cycles:
         return Plan()
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
     steps: list[PlanStep] = []
+    emit = steps.append
     if not switching:
         for cyc in cycles:
             entry = cyc[0]
-            steps.append(PlanStep(entry, Action.PICK))
+            emit(PlanStep(entry, pick))
             g = dest[entry]
             while g != entry:
-                steps.append(PlanStep(g, Action.SWAP))
+                emit(PlanStep(g, swap))
                 g = dest[g]
-            steps.append(PlanStep(entry, Action.PLACE))
+            emit(PlanStep(entry, place))
         return Plan(tuple(steps))
 
     gmax = _group_max_per_cycle(cycles)
-    entry0 = cycles[0][0]
-    steps.append(PlanStep(entry0, Action.PICK))
-    # frame: (entry cell, destination to resume after closing, group max)
-    stack: list[tuple[int, int, int]] = [(entry0, 0, gmax[0])]
-    g = dest[entry0]
+    n_cycles = len(cycles)
+    # entries[ptr]: entry cell of the next cycle to start; the sentinel
+    # lies past every cell, so the entry test needs no bounds check
+    entries = [cyc[0] for cyc in cycles]
+    entries.append(max(gmax) + 1)
+    # the innermost open cycle's frame is (entry, resume, gm): its entry
+    # cell, the destination to resume after closing it, its group max;
+    # the frames of the cycles it is nested in wait on the stack
+    entry, resume, gm = entries[0], 0, gmax[0]
+    stack: list[tuple[int, int, int]] = []
+    emit(PlanStep(entry, pick))
+    g = dest[entry]
     ptr = 1
-    while stack:
+    while True:
         # enter every not-yet-started cycle whose entry lies short of the
         # current target, parking the carried item at its entry cell
-        while ptr < len(cycles) and cycles[ptr][0] < g:
-            entry = cycles[ptr][0]
-            steps.append(PlanStep(entry, Action.SWAP))
-            stack.append((entry, g, gmax[ptr]))
+        while entries[ptr] < g:
+            stack.append((entry, resume, gm))
+            entry, resume, gm = entries[ptr], g, gmax[ptr]
+            emit(PlanStep(entry, swap))
             g = dest[entry]
             ptr += 1
-        entry, resume, gm = stack[-1]
         if g == entry:
-            stack.pop()
             if not stack:
-                steps.append(PlanStep(g, Action.PLACE))
-            else:
-                # closing swap: deposit the cycle's last item, take back
-                # whatever was parked here on entry
-                steps.append(PlanStep(g, Action.SWAP))
-                g = resume
+                emit(PlanStep(g, place))
+                break
+            # closing swap: deposit the cycle's last item, take back
+            # whatever was parked here on entry
+            emit(PlanStep(g, swap))
+            g = resume
+            entry, resume, gm = stack.pop()
         else:
-            steps.append(PlanStep(g, Action.SWAP))
+            emit(PlanStep(g, swap))
             nxt = dest[g]
-            if g == gm and ptr < len(cycles):
+            if g == gm and ptr < n_cycles:
                 # rightmost cell of this group: hand the acquired item to
                 # the next group rather than coming back for it later
-                entry = cycles[ptr][0]
-                steps.append(PlanStep(entry, Action.SWAP))
-                stack.append((entry, nxt, gmax[ptr]))
+                stack.append((entry, resume, gm))
+                entry, resume, gm = entries[ptr], nxt, gmax[ptr]
+                emit(PlanStep(entry, swap))
                 g = dest[entry]
                 ptr += 1
             else:
                 g = nxt
-    assert ptr == len(cycles)
+    assert ptr == n_cycles
     return Plan(tuple(steps))
 
 
 def _dest_table(instance: LabeledInstance) -> list[int]:
-    table = [0] * (instance.dims.n + 1)
-    for cell, item in enumerate(instance.pi, start=1):
-        table[cell] = item
-    return table
+    """dest[cell] = the item at that cell, which belongs at cell dest[cell];
+    index 0 is padding so cells index directly."""
+    return [0, *instance.pi]
 
 
 def sweep_cycles_lor(instance: LabeledInstance, model: CostModel = DEFAULT_COST) -> Plan:

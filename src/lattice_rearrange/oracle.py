@@ -118,6 +118,7 @@ def oracle_optimal(instance: Instance,
     base = max(start_config) + 1  # digit base for packing occupants
     lexicographic = objective == "lexicographic"
     cp, ct = model.c_p, model.c_t
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
 
     dist = [[0.0] * (n + 1) for _ in range(n + 1)]
     for a in range(1, n + 1):
@@ -174,10 +175,11 @@ def oracle_optimal(instance: Instance,
         if held == 0 and mism == 0:
             travel = g_travel + to_rest[pos]
             steps = []
+            emit = steps.append
             s = state
             while s in parents:
                 s, cell, act = parents[s]
-                steps.append(PlanStep(cell, act))
+                emit(PlanStep(cell, act))
             steps.reverse()
             return OracleResult(Plan(tuple(steps)),
                                 PlanCost(g_picks, travel, g_picks * cp + travel * ct))
@@ -188,13 +190,13 @@ def oracle_optimal(instance: Instance,
             if held == 0:
                 if occ == 0:
                     continue
-                act = Action.PICK
+                act = pick
                 new_held, new_occ = occ, 0
             elif occ != 0:
-                act = Action.SWAP
+                act = swap
                 new_held, new_occ = occ, held
             else:
-                act = Action.PLACE
+                act = place
                 new_held, new_occ = 0, held
             nstate = (state + (new_occ - occ) * digit_weight[cell - 1]
                       + (new_held - held) * n + (cell - pos))

@@ -277,6 +277,14 @@ def _splice(a: MoveCycle, b: MoveCycle, e1: Edge, e2: Edge) -> MoveCycle:
     return MoveCycle(edges, types)
 
 
+def _min_first(c: MoveCycle) -> MoveCycle:
+    """c rotated to start at its smallest source, as MoveCycle states."""
+    p = c.edges.index(min(c.edges))
+    if p == 0:
+        return c
+    return MoveCycle(c.edges[p:] + c.edges[:p], c.edge_types[p:] + c.edge_types[:p])
+
+
 def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel]):
     """Fuse cycles along a minimum spanning forest of trade costs.
 
@@ -285,9 +293,11 @@ def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel]):
     min cells) order, each fusion making the model's cheapest trade between
     the two components and splicing their orbits.  Returns (cycles sorted
     by min cell, log), where each log entry is (type, goal_cell_1,
-    goal_cell_2): the two goals that exchanged owners.
+    goal_cell_2): the two goals that exchanged owners.  A cycle that does
+    not start at its smallest source is rotated first, since the pair key
+    and the splice read min_cell from the first edge.
     """
-    cycles = list(cycles)
+    cycles = [_min_first(c) for c in cycles]
     n = len(cycles)
     log: list[tuple[int, int, int]] = []
     if n <= 1:
@@ -368,7 +378,9 @@ def greedy_plan(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:
     config: list = list(instance.start_config())
     pos = instance.rest
     held = None
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
     steps: list[PlanStep] = []
+    emit = steps.append
 
     def nearest(cells):
         return min(cells, key=lambda c: (distance(dims, pos, c, model), c))
@@ -380,17 +392,17 @@ def greedy_plan(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:
             if not misplaced:
                 break
             cell = nearest(misplaced)
-            steps.append(PlanStep(cell, Action.PICK))
+            emit(PlanStep(cell, pick))
             held, config[cell - 1] = config[cell - 1], None
         else:
             targets = [c for c in dims.cells()
                        if goal[c - 1] == held and config[c - 1] != held]
             cell = nearest(targets)
             if config[cell - 1] is None:
-                steps.append(PlanStep(cell, Action.PLACE))
+                emit(PlanStep(cell, place))
                 config[cell - 1], held = held, None
             else:
-                steps.append(PlanStep(cell, Action.SWAP))
+                emit(PlanStep(cell, swap))
                 held, config[cell - 1] = config[cell - 1], held
         pos = cell
     return Plan(tuple(steps))

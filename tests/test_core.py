@@ -116,6 +116,20 @@ def test_simulate_travel_is_the_sum_of_distance_legs():
                 assert simulate(inst, plan, model).cost.travel == legs
 
 
+def test_simulate_rejects_unknown_actions():
+    # only the three Action members are actions; a bare string that equals
+    # one is not, and it used to fall through to the place branch
+    inst = LabeledInstance(LatticeDims(3, 1), (2, 1, 3))
+    for bad in ("pick", "swap", "place", "hop", None):
+        with pytest.raises(IllegalStep) as err:
+            simulate(inst, Plan((PlanStep(1, bad),)))
+        assert err.value.step_index == 0
+        assert str(err.value) == f"step 0: unknown action {bad!r}"
+    plan = Plan((PlanStep(1, Action.PICK), PlanStep(2, "swap"), PlanStep(1, Action.PLACE)))
+    with pytest.raises(IllegalStep) as err:
+        simulate(inst, plan)
+    assert str(err.value) == "step 1: unknown action 'swap'"
+
 def test_simulate_out_of_range_cell_reports_its_step():
     inst = gen_block_random(4, 3)
     plan = sweep_cycles_ltr(inst)

@@ -36,6 +36,22 @@ def test_cycles_identity_and_validation():
         permutation_cycles((1, 1, 3))
 
 
+
+def test_cycles_reject_every_non_permutation():
+    # validation happens during the walk; it must agree with "sorted(pi) is
+    # 1..n" on every tuple over a value range wider than 1..n
+    for n in range(6):
+        for pi in itertools.product(range(-1, n + 2), repeat=n):
+            if sorted(pi) == list(range(1, n + 1)):
+                permutation_cycles(pi)
+                continue
+            with pytest.raises(MalformedPermutation) as err:
+                permutation_cycles(pi)
+            assert str(err.value) == f"not a permutation of 1..{n}: {pi!r}"
+    for pi in ((2.5, 1), (2.0, 1.0), ("a", "b"), (1, None), (2, 3, 2)):
+        with pytest.raises(MalformedPermutation):
+            permutation_cycles(pi)
+
 @given(st.permutations(list(range(1, 13))))
 def test_cycles_partition_and_close(perm):
     pi = tuple(perm)

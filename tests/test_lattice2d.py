@@ -428,6 +428,15 @@ def test_merge_ptr_unmergeable_unchanged():
     assert merge_cycles_ptr([c1, c2], dims) == [c1, c2]
 
 
+
+def test_merge_ptr_rotates_cycles_that_do_not_start_at_their_minimum():
+    dims = LatticeDims(3, 3)
+    late = typ_cycle((5, 1), (1, 5), types=(1, 1))
+    b = typ_cycle((6, 9), (9, 6), types=(1, 1))
+    merged = merge_cycles_ptr([late, b], dims)
+    assert merged == merge_cycles_ptr([typ_cycle((1, 5), (5, 1), types=(1, 1)), b], dims)
+    assert len(merged) == 1 and merged[0].min_cell == 1
+
 def test_merge_ptr_reaches_minimum_pick_count():
     rng = random.Random(71)
     for _ in range(40):

@@ -266,6 +266,18 @@ def test_mst_collinear_triple():
     assert added == 10
 
 
+
+def test_mst_rotates_cycles_that_do_not_start_at_their_minimum():
+    # fuse_cycles keys pairs and splices orbits by each cycle's first
+    # source; a hand-built cycle that starts elsewhere is rotated first
+    late = cyc((2, 1), (1, 2), types=(1, 1))
+    b = cyc((4, 5), (5, 4), types=(1, 1))
+    merged = merge_cycles_mst([late, b])
+    assert merged == merge_cycles_mst([cyc((1, 2), (2, 1), types=(1, 1)), b])
+    assert merged == [cyc((1, 5), (5, 4), (4, 2), (2, 1), types=(1, 1, 1, 1))]
+    lone = cyc((3, 1), (1, 2), (2, 3), types=(1, 2, 1))
+    assert merge_cycles_mst([lone]) == [cyc((1, 2), (2, 3), (3, 1), types=(2, 1, 1))]
+
 def brute_min_added(cycles):
     """Cheapest total added distance over all fusion schedules."""
     best = math.inf
