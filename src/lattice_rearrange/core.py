@@ -355,6 +355,7 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 _ACTION_TEXT = {a: a.value for a in Action}
+_ACTION_OF = {a.value: a for a in Action}
 
 
 def plan_to_dict(plan: Plan) -> dict:
@@ -363,8 +364,9 @@ def plan_to_dict(plan: Plan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> Plan:
+    action_of = _ACTION_OF
     try:
-        steps = tuple(PlanStep(int(s["cell"]), Action(s["action"])) for s in doc["steps"])
+        steps = tuple(PlanStep(int(s["cell"]), action_of[s["action"]]) for s in doc["steps"])
     except (KeyError, TypeError, ValueError) as exc:
         raise JsonFormatError(f"bad plan document: {exc}") from exc
     return Plan(steps)

@@ -240,6 +240,7 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.n
     u = (cost - v).min(axis=1)
     col_of_row = [-1] * s
     row_of_col = [-1] * s
+    cost_rows = cost.tolist()    # the walk back reads single entries
     for start in range(s):
         # dist holds the tentative distance of each column not yet reached.
         # A reached column gets inf there and -inf in vmask, so no later row
@@ -248,7 +249,7 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.n
         dist -= u[start]
         vmask = v.copy()
         tree = [start]          # rows, in the order the search enters them
-        offset = [-u[start]]    # each tree row's distance minus its u
+        offset = [-float(u[start])]  # each tree row's distance minus its u
         reached = []            # matched columns, in the order reached
         reached_at = []         # and their distances
         while True:
@@ -262,18 +263,20 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.n
             dist[j] = inf
             vmask[j] = -inf
             tree.append(i)
-            offset.append(d - u[i])
+            offset.append(d - float(u[i]))
             step = cost[i] - vmask
             step += offset[-1]
             np.minimum(dist, step, out=dist)
-        # Walk back from the free column j.  Its predecessor is a tree row,
-        # entered before j was reached, whose edge attains j's distance.  The
-        # sum is recomputed with the same float operations, so == is exact.
-        rows = np.array(tree)
-        offsets = np.array(offset)
+        # Walk back from the free column j.  Its predecessor is the first
+        # tree row, entered before j was reached, whose edge attains j's
+        # distance.  The sum is recomputed with the same float operations,
+        # so == is exact.
         k, target = len(tree), d
         while True:
-            t = int(((cost[rows[:k], j] - v[j]) + offsets[:k] == target).argmax())
+            v_j = float(v[j])
+            for t in range(k):
+                if (cost_rows[tree[t]][j] - v_j) + offset[t] == target:
+                    break
             i = tree[t]
             row_of_col[j] = i
             col_of_row[i], j = j, col_of_row[i]
@@ -282,7 +285,7 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.n
             k, target = t, reached_at[t - 1]
         if reached:
             gap = d - np.array(reached_at)
-            u[rows[1:]] += gap
+            u[tree[1:]] += gap
             v[reached] -= gap
         u[start] += d
     return col_of_row, u, v

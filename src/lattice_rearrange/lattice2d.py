@@ -23,13 +23,13 @@ por.fuse_cycles, weighing each trade by the travel it adds, read off
 per-type trade-delta matrices), and an arborescence-guided walk that
 resolves the surviving cycles with the same parking mechanism.
 
-A goal-type layout helper and the normalized displacement statistic used
-by the benchmarks live here too.  numpy is imported only inside the
-functions that run numpy code: the geometry helpers, `_arcs` and the 2D
-trade model behind `merge_cycles_ptr`.  `sweep_cycles_ltr`,
-`cycle_edge_length` and `greedy_2d` run without it; `merge_cycles_ptr`
-needs it, but only `plan_ptr` reaches it, and its assignment has loaded
-numpy already.
+Arc weights, assignment costs and trade deltas read every distance off
+one table of lattice offsets per call, holding distance()'s floats.  A
+goal-type layout helper and the normalized displacement statistic used by
+the benchmarks live here too.  numpy is imported only inside the functions
+that run numpy code: the table, `_arcs`, `form_cycles_ptr` and the 2D
+trade model.  `sweep_cycles_ltr`, `cycle_edge_length` and `greedy_2d` run
+without it.
 """
 
 from __future__ import annotations
@@ -69,33 +69,25 @@ def _require_2d(instance: Instance) -> None:
 
 # --- geometry helpers -------------------------------------------------------
 
-def _coords(dims: LatticeDims, cells) -> np.ndarray:
-    """(row, col) of each cell, as floats."""
+def _offset_table(dims: LatticeDims, metric: str) -> np.ndarray:
+    """Distance of every offset |dr| < m1, |dc| < m2, at its code difference
+    (see _codes) modulo the table size: d(a, b) = table[code(a) - code(b)],
+    a negative difference reading from the end.  The < 4n entries are
+    np.sqrt of the exact integer dr*dr + dc*dc, which rounds as math.hypot
+    does in distance() (or |dr| + |dc|)."""
     import numpy as np
-    col, row = np.divmod(np.asarray(cells, dtype=np.int64) - 1, dims.m1)
-    return np.stack([row + 1, col + 1], axis=1).astype(float)
+    dr = np.arange(1 - dims.m1, dims.m1)
+    dc = np.arange(1 - dims.m2, dims.m2)[:, None]
+    table = np.abs(dc) + np.abs(dr) if metric == "manhattan" else np.sqrt(dc * dc + dr * dr)
+    return np.roll(table.astype(float).ravel(), -(table.size // 2))
 
 
-def _dists(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    """Distances between the (row, col) pairs on the last axes of a and b,
-    broadcast over the other axes.  Coordinates are integers, so the
-    squares and sums are exact."""
+def _codes(dims: LatticeDims, cells) -> np.ndarray:
+    """intp code col*(2*m1 - 1) + row of each cell: the code difference of
+    two cells, dc*(2*m1 - 1) + dr, is distinct for every offset."""
     import numpy as np
-    dr = a[..., 0] - b[..., 0]
-    dc = a[..., 1] - b[..., 1]
-    if metric == "manhattan":
-        np.abs(dr, out=dr)
-        dr += np.abs(dc, out=dc)
-        return dr
-    dr *= dr
-    dc *= dc
-    dr += dc
-    return np.sqrt(dr, out=dr)
-
-
-def _pair_dists(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    """Distances between every row of a and every row of b."""
-    return _dists(a[:, None], b[None, :], metric)
+    col, row = np.divmod(np.asarray(cells, dtype=np.intp) - 1, dims.m1)
+    return col * (2 * dims.m1 - 1) + row
 
 
 def _segment_mins(block: np.ndarray, starts: np.ndarray):
@@ -197,33 +189,33 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
     and back; otherwise arcs weigh the nearest cell pair.
 
     Each source cycle gets one matrix of distances from its cells (plus the
-    wrapped next cell) to the cells of all other cycles, computed in slabs
-    of at most about _SLAB_ENTRIES entries; every target's minimum comes
-    from one segmented reduction per slab.  Ties go to the earliest (source
-    cell, target cell) pair in row-major order, and an earlier slab wins a
-    tie with a later one.
+    wrapped next cell) to the cells of all other cycles, read off the offset
+    table in slabs of at most about _SLAB_ENTRIES entries; every target's
+    minimum comes from one segmented reduction per slab.  Ties go to the
+    earliest (source cell, target cell) pair in row-major order, and an
+    earlier slab wins a tie with a later one.
     """
     import numpy as np
     k = len(cycle_cells)
     lengths = np.array([len(cells) for cells in cycle_cells])
     starts = np.cumsum(lengths) - lengths
-    xy = _coords(dims, [c for cells in cycle_cells for c in cells])
-    step = max(1, _SLAB_ENTRIES // len(xy))
+    table = _offset_table(dims, metric)
+    code = _codes(dims, [c for cells in cycle_cells for c in cells])
+    step = max(1, _SLAB_ENTRIES // len(code))
 
-    rest_w, _, rest_ib = _segment_mins(_pair_dists(_coords(dims, [rest]), xy, metric), starts)
+    rest_w, _, rest_ib = _segment_mins(table[_codes(dims, [rest])[:, None] - code], starts)
     if detour:
         rest_w = 2.0 * rest_w
     edges = [(0, b + 1, w) for b, w in enumerate(rest_w.tolist())]
     meta = {(0, b + 1): (rest, cycle_cells[b][ib]) for b, ib in enumerate(rest_ib.tolist())}
     for a in range(k):
         n_a, at = int(lengths[a]), int(starts[a])
-        src = xy[at:at + n_a]
+        own = code[at:at + n_a]
         # the slab spans the cells of every other cycle
-        others = np.r_[0:at, at + n_a:len(xy)]
+        others = np.concatenate((code[:at], code[at + n_a:]))
         other_starts = np.r_[starts[:a], starts[a + 1:] - n_a]
         if detour:
-            dr, dc = (src - np.roll(src, -1, axis=0)).T
-            base = np.abs(dr) + np.abs(dc) if metric == "manhattan" else np.sqrt(dr * dr + dc * dc)
+            base = table[own - np.roll(own, -1)]
         w = np.full(k - 1, _INF)
         ia = np.zeros(k - 1, dtype=np.int64)
         ib = np.zeros(k - 1, dtype=np.int64)
@@ -231,7 +223,7 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
             hi = min(lo + step, n_a)
             # a detour slab also holds the row of each leg's next cell
             rows = np.arange(lo, hi + 1 if detour else hi) % n_a
-            block = _pair_dists(src[rows], xy[others], metric)
+            block = table[own[rows, None] - others]
             if detour:
                 block = block[:-1] + block[1:]
                 block -= base[lo:hi, None]
@@ -324,11 +316,11 @@ def form_cycles_ptr(instance: TypedInstance) -> list[MoveCycle]:
             goals.setdefault(want, []).append(cell)
     assign: dict[int, int] = {}
     types: dict[int, int] = {}
+    table = _offset_table(dims, "euclidean")
     for t, srcs in sorted(sources.items()):
         dsts = goals[t]
-        # np.sqrt of the exact integer sum of squares rounds as math.hypot
-        # does in distance(), so ties, and the tie-break, are unchanged
-        cost = _pair_dists(_coords(dims, srcs), _coords(dims, dsts), "euclidean")
+        # distance()'s floats: ties and the tie-break are unchanged
+        cost = table[_codes(dims, srcs)[:, None] - _codes(dims, dsts)]
         chosen, _ = min_cost_assignment(cost)
         for s, j in zip(srcs, chosen):
             assign[s] = dsts[j]
@@ -336,17 +328,15 @@ def form_cycles_ptr(instance: TypedInstance) -> list[MoveCycle]:
     return _cycles_from_assignment(assign, types)
 
 
-def _trade_deltas(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Travel added by trading the destinations of moves m1 and m2, each
-    given on its last axis as (source row, source col, goal row, goal col,
-    length) and broadcast like _dists: d(s1,g2) + d(s2,g1) - d(s1,g1) -
-    d(s2,g2), summed in that order.  Each length is np.sqrt of an exact
-    integer sum, which rounds as math.hypot does, so the floats are those
-    of the same sum over distance()."""
-    delta = _dists(m1[..., 0:2], m2[..., 2:4], "euclidean")
-    delta += _dists(m2[..., 0:2], m1[..., 2:4], "euclidean")
-    delta -= m1[..., 4]
-    delta -= m2[..., 4]
+def _trade_deltas(table, m1, l1, m2, l2) -> np.ndarray:
+    """Travel added by trading the destinations of moves m1 and m2, given
+    on their last axis as (source code, goal code), of lengths l1 and l2,
+    broadcast together: d(s1,g2) + d(s2,g1) - d(s1,g1) - d(s2,g2), summed
+    in that order: the floats of that sum over distance()."""
+    delta = table[m1[..., 0] - m2[..., 1]]
+    delta += table[m2[..., 0] - m1[..., 1]]
+    delta -= l1
+    delta -= l2
     return delta
 
 
@@ -354,13 +344,13 @@ class _DeltaTrades:
     """2D trade model (por.TradeModel): a trade costs the travel it adds.
 
     Moves are kept type-major, each type's in cycle order, as rows of
-    (source row, source col, goal row, goal col, length) decoded once.  A
-    type's pair weights are its delta matrix over all its moves, built in
-    row slabs of at most about _SLAB_ENTRIES entries and reduced to
-    per-cycle-pair minima with segment minima.  A fusion's trade is the
-    least entry of the two components' same-type blocks, evaluated on
-    demand in chunks; only entries equal to the least go through the tie
-    rule.  Types held by one cycle never trade and are left out.
+    (source code, goal code) with their lengths, read once.  A type's pair
+    weights are its delta matrix over all its moves, built in row slabs of
+    at most about _SLAB_ENTRIES entries and reduced to per-cycle-pair
+    minima with segment minima.  A fusion's trade is the least entry of the
+    two components' same-type blocks, evaluated on demand in chunks; only
+    entries equal to the least go through the tie rule.  Types held by one
+    cycle never trade and are left out.
     """
 
     def __init__(self, dims: LatticeDims, cycles):
@@ -380,8 +370,9 @@ class _DeltaTrades:
         self.cyc = np.array([c for c, _, _ in flat], dtype=np.int64)
         self.src = [s for _, s, _ in flat]
         self.goal = [g for _, _, g in flat]
-        src_xy, goal_xy = np.split(_coords(dims, self.src + self.goal), 2)
-        self.moves = np.column_stack([src_xy, goal_xy, _dists(src_xy, goal_xy, "euclidean")])
+        self.table = _offset_table(dims, "euclidean")
+        self.moves = np.column_stack([_codes(dims, self.src), _codes(dims, self.goal)])
+        self.length = self.table[self.moves[:, 0] - self.moves[:, 1]]
         # each component's moves, under the root fuse_cycles gives it
         by_cycle = np.argsort(self.cyc, kind="stable")
         self.members = np.split(by_cycle, np.cumsum(np.bincount(self.cyc, minlength=len(cycles)))[:-1])
@@ -398,11 +389,13 @@ class _DeltaTrades:
         ws, ii, jj = [], [], []
         for a, b in zip(seg_at[:-1], seg_at[1:]):
             moves = self.moves[cuts[a]:cuts[b]]
+            length = self.length[cuts[a]:cuts[b]]
             starts = seg[a:b] - cuts[a]
             step = max(1, _SLAB_ENTRIES // len(moves))
             per_row = np.empty((len(moves), b - a))
             for lo in range(0, len(moves), step):
-                block = _trade_deltas(moves[lo:lo + step, None], moves)
+                block = _trade_deltas(self.table, moves[lo:lo + step, None],
+                                      length[lo:lo + step, None], moves, length)
                 per_row[lo:lo + step] = np.minimum.reduceat(block, starts, axis=1)
             ids = self.cyc[seg[a:b]]
             ws.append(np.minimum.reduceat(per_row, starts, axis=0).ravel())
@@ -429,7 +422,8 @@ class _DeltaTrades:
             if not len(at_x):
                 continue
             xs, ys = rows[at_x], y[at_y]
-            delta = _trade_deltas(np.take(self.moves, xs, axis=0), np.take(self.moves, ys, axis=0))
+            delta = _trade_deltas(self.table, self.moves[xs], self.length[xs],
+                                  self.moves[ys], self.length[ys])
             least = float(delta.min())
             if best is not None and least > best[0]:
                 continue
@@ -442,10 +436,9 @@ class _DeltaTrades:
         x1, y1 = best[3:]
         e1, e2 = (self.src[x1], self.goal[x1]), (self.src[y1], self.goal[y1])
         self.goal[x1], self.goal[y1] = e2[1], e1[1]
-        pair = self.moves[[x1, y1]]
-        pair[:, 2:4] = pair[::-1, 2:4]
-        pair[:, 4] = _dists(pair[:, 0:2], pair[:, 2:4], "euclidean")
-        self.moves[[x1, y1]] = pair
+        pair = [x1, y1]
+        self.moves[pair, 1] = self.moves[[y1, x1], 1]
+        self.length[pair] = self.table[self.moves[pair, 0] - self.moves[pair, 1]]
         self.members[rj] = np.concatenate((x, y))
         return self.types[self.kind[x1]], e1, e2
 

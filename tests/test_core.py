@@ -9,6 +9,7 @@ from lattice_rearrange.core import (
     CostModel,
     HandNotEmptyAtEnd,
     IllegalStep,
+    JsonFormatError,
     LabeledInstance,
     LatticeDims,
     MalformedPermutation,
@@ -210,6 +211,13 @@ def test_json_round_trips():
     assert plan_from_dict(pdoc) == plan
     # deterministic bytes
     assert dumps(pdoc) == dumps(plan_to_dict(plan))
+
+
+@pytest.mark.parametrize("action", ["jump", "PICK", "", None, 1, ["pick"], {"pick": 1}])
+def test_plan_from_dict_rejects_unknown_and_unhashable_actions(action):
+    doc = {"steps": [{"cell": 1, "action": "pick"}, {"cell": 1, "action": action}]}
+    with pytest.raises(JsonFormatError):
+        plan_from_dict(doc)
 
 
 @given(st.permutations(list(range(1, 8))))

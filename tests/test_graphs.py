@@ -321,6 +321,13 @@ def typed_cost_matrices(metric):
                 yield [[distance(inst.dims, a, b, model) for b in dsts] for a in srcs]
 
 
+def tie_heavy_matrices():
+    rng = random.Random(11)
+    for _ in range(300):
+        s = rng.randint(1, 9)
+        yield [[float(rng.randint(0, 4)) for _ in range(s)] for _ in range(s)]
+
+
 def check_against_reference(cost):
     vec, total = min_cost_assignment(cost)
     ref_vec, ref_total = resolve_reference(cost)
@@ -337,12 +344,92 @@ def check_against_reference(cost):
 
 def test_assignment_matches_resolve_reference_on_ties():
     pytest.importorskip("scipy")
-    rng = random.Random(11)
-    for _ in range(300):
-        s = rng.randint(1, 9)
-        cost = [[float(rng.randint(0, 4)) for _ in range(s)] for _ in range(s)]
+    for cost in tie_heavy_matrices():
         total, ref_total = check_against_reference(cost)
         assert total == ref_total  # integer sums are exact
+
+
+def reference_linear_sum_assignment(cost):
+    """The former linear_sum_assignment, kept verbatim as the reference: it
+    walks each augmenting path back with one numpy gather, compare and
+    argmax per step.
+
+    Minimum-cost perfect matching of a finite square float matrix, with duals.
+
+    Shortest augmenting paths (Jonker and Volgenant, Computing 1987; Crouse,
+    IEEE TAES 2016): rows join the matching one at a time, each through a
+    Dijkstra search over the reduced costs cost[i, j] - u[i] - v[j], which
+    stay nonnegative and are zero on matched pairs.  Returns
+    (col_of_row, u, v).  Every optimal matching uses only pairs of zero
+    reduced cost under these duals.
+    """
+    s = len(cost)
+    inf = math.inf
+    v = cost.min(axis=0)
+    u = (cost - v).min(axis=1)
+    col_of_row = [-1] * s
+    row_of_col = [-1] * s
+    for start in range(s):
+        # dist holds the tentative distance of each column not yet reached.
+        # A reached column gets inf there and -inf in vmask, so no later row
+        # lowers it again.
+        dist = cost[start] - v
+        dist -= u[start]
+        vmask = v.copy()
+        tree = [start]          # rows, in the order the search enters them
+        offset = [-u[start]]    # each tree row's distance minus its u
+        reached = []            # matched columns, in the order reached
+        reached_at = []         # and their distances
+        while True:
+            j = int(dist.argmin())
+            d = float(dist[j])
+            i = row_of_col[j]
+            if i < 0:
+                break
+            reached.append(j)
+            reached_at.append(d)
+            dist[j] = inf
+            vmask[j] = -inf
+            tree.append(i)
+            offset.append(d - u[i])
+            step = cost[i] - vmask
+            step += offset[-1]
+            np.minimum(dist, step, out=dist)
+        # Walk back from the free column j.  Its predecessor is a tree row,
+        # entered before j was reached, whose edge attains j's distance.  The
+        # sum is recomputed with the same float operations, so == is exact.
+        rows = np.array(tree)
+        offsets = np.array(offset)
+        k, target = len(tree), d
+        while True:
+            t = int(((cost[rows[:k], j] - v[j]) + offsets[:k] == target).argmax())
+            i = tree[t]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if t == 0:
+                break
+            k, target = t, reached_at[t - 1]
+        if reached:
+            gap = d - np.array(reached_at)
+            u[rows[1:]] += gap
+            v[reached] -= gap
+        u[start] += d
+    return col_of_row, u, v
+
+
+def test_linear_sum_assignment_matches_numpy_walk_back_reference():
+    # the walk back over Python floats must pick the same predecessor rows,
+    # so the matching and both duals come out bit-equal
+    corpus = [*tie_heavy_matrices(), *typed_cost_matrices("euclidean"),
+              *typed_cost_matrices("manhattan")]
+    for cost in corpus:
+        mat = np.asarray(cost, dtype=float)
+        if not mat.size:
+            continue
+        cols, u, v = linear_sum_assignment(mat)
+        ref_cols, ref_u, ref_v = reference_linear_sum_assignment(mat)
+        assert cols == ref_cols
+        assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])

@@ -33,8 +33,9 @@ from lattice_rearrange.lattice2d import (
     GoalPattern,
     _arcs,
     _DeltaTrades,
+    _codes,
     _merge_cycles_ptr_logged,
-    _pair_dists,
+    _offset_table,
     _schedule,
     _trade_deltas,
     cycle_distance_statistic,
@@ -291,13 +292,30 @@ def test_form_cycles_ptr_matching_is_minimal():
 
 
 def test_vectorised_cost_matrix_rounds_like_distance():
-    # form_cycles_ptr and the arc weights use np.sqrt; the tie-breaks, and
-    # so the plan bytes, need the same floats as math.hypot in distance()
-    offsets = np.array([[r, c] for r in range(400) for c in range(400)], dtype=float)
-    got = _pair_dists(offsets, np.zeros((1, 2)), "euclidean")[:, 0]
-    assert got.tolist() == [math.hypot(r, c) for r, c in offsets.tolist()]
-    got = _pair_dists(np.zeros((1, 2)), offsets - 199, "manhattan")[0]
-    assert got.tolist() == [abs(r) + abs(c) for r, c in (offsets - 199).tolist()]
+    # form_cycles_ptr and the arc weights read the offset table's np.sqrt;
+    # the tie-breaks, and so the plan bytes, need the same floats as
+    # math.hypot in distance()
+    dims = LatticeDims(400, 400)
+    offsets = [(r - 1, c - 1) for r, c in map(dims.rowcol, dims.cells())]
+    codes = _codes(dims, list(dims.cells()))
+    got = _offset_table(dims, "euclidean")[codes - codes[0]]
+    assert got.tolist() == [math.hypot(r, c) for r, c in offsets]
+    got = _offset_table(dims, "manhattan")[_codes(dims, [dims.index(200, 200)]) - codes]
+    assert got.tolist() == [abs(r - 199) + abs(c - 199) for r, c in offsets]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("m1,m2", [(1, 9), (9, 1), (7, 13), (13, 7), (40, 40)])
+def test_offset_table_holds_distance_of_every_offset(m1, m2, metric):
+    # one cell pair per offset (dr, dc); together they read every entry once
+    dims = LatticeDims(m1, m2)
+    pairs = [(dims.index(max(dr, 0) + 1, max(dc, 0) + 1), dims.index(max(-dr, 0) + 1, max(-dc, 0) + 1))
+             for dr in range(1 - m1, m1) for dc in range(1 - m2, m2)]
+    at = _codes(dims, [a for a, _ in pairs]) - _codes(dims, [b for _, b in pairs])
+    table = _offset_table(dims, metric)
+    assert sorted((at % len(table)).tolist()) == list(range(len(table)))
+    model = CostModel(metric=metric)
+    assert table[at].tolist() == [distance(dims, a, b, model) for a, b in pairs]
 
 
 # --- arc weights of the schedule -------------------------------------------
@@ -367,6 +385,10 @@ def schedule_instances():
         yield gen_block_random(9, seed)
         yield LabeledInstance(LatticeDims(10, 10), gen_x_random(100, 25, seed).pi)
         yield gen_column_random(7, 11, seed)
+        # one row, and more rows than columns: on unequal sides a swapped
+        # row/column stride in the cell codes reads the wrong offsets
+        yield LabeledInstance(LatticeDims(1, 12), gen_uniform_permutation(12, seed).pi)
+        yield LabeledInstance(LatticeDims(13, 3), gen_uniform_permutation(39, seed).pi)
 
 
 @pytest.mark.parametrize("slab", [None, 64])
@@ -600,7 +622,8 @@ def test_trade_delta_matrix_matches_scalar_delta(m1, m2):
     model = _DeltaTrades(dims, cycles)
     edges = list(zip(model.src, model.goal))
     assert sorted(edges) == sorted(e for cyc in cycles for e in cyc.edges)
-    got = _trade_deltas(model.moves[:, None], model.moves[None, :])
+    got = _trade_deltas(model.table, model.moves[:, None], model.length[:, None],
+                        model.moves[None, :], model.length[None, :])
     assert got.tolist() == [[_trade_delta(dims, e1, e2) for e2 in edges] for e1 in edges]
 
 
