@@ -11,9 +11,8 @@ import json
 import os
 import sys
 
-from .bench import EXPERIMENTS, ExperimentSpec, report_to_csv, report_to_json, \
-    run_experiment
 from .core import (
+    _ACTION_TEXT,
     CostModel,
     instance_from_dict,
     instance_to_dict,
@@ -23,30 +22,23 @@ from .core import (
     plan_to_dict,
     simulate,
 )
-from .gen import (
-    gen_block_random,
-    gen_column_random,
-    gen_tsp_clusters,
-    gen_typed,
-    gen_uniform_permutation,
-    gen_x_random,
-)
-from .lattice2d import GoalPattern, greedy_2d, plan_ptr, sweep_cycles_ltr, \
-    switch_cycles_ltr
-from .lor import opt_plan_lor, sweep_cycles_lor
-from .oracle import oracle_optimal
-from .por import greedy_por, opt_plan_por
 
+# solver name -> ("module.function", instance kind); the module is imported
+# only when a solve runs, so a process loads just its own planner
 SOLVERS = {
-    "sweep-lor": (sweep_cycles_lor, "labeled"),
-    "opt-lor": (opt_plan_lor, "labeled"),
-    "opt-por": (opt_plan_por, "typed"),
-    "greedy-por": (greedy_por, "typed"),
-    "sweep-ltr": (sweep_cycles_ltr, "labeled"),
-    "switch-ltr": (switch_cycles_ltr, "labeled"),
-    "plan-ptr": (plan_ptr, "typed"),
-    "greedy-2d": (greedy_2d, "any"),
+    "sweep-lor": ("lor.sweep_cycles_lor", "labeled"),
+    "opt-lor": ("lor.opt_plan_lor", "labeled"),
+    "opt-por": ("por.opt_plan_por", "typed"),
+    "greedy-por": ("por.greedy_por", "typed"),
+    "sweep-ltr": ("lattice2d.sweep_cycles_ltr", "labeled"),
+    "switch-ltr": ("lattice2d.switch_cycles_ltr", "labeled"),
+    "plan-ptr": ("lattice2d.plan_ptr", "typed"),
+    "greedy-2d": ("lattice2d.greedy_2d", "any"),
 }
+
+# the keys of bench.EXPERIMENTS, which the parser offers without importing bench
+EXPERIMENT_NAMES = ("lor_ratio", "lor_greedy_vs_opt", "ltr_cycle_dist", "ltr_total_vs_cycles",
+                    "por_ratios", "ptr_ratios", "cycle_stats")
 
 DISTRIBUTIONS = ("uniform", "x-random", "column-random", "block-random",
                  "typed", "tsp-clusters")
@@ -102,6 +94,16 @@ def _need(args, names: str):
 
 
 def _cmd_gen(args) -> int:
+    from .gen import (
+        gen_block_random,
+        gen_column_random,
+        gen_tsp_clusters,
+        gen_typed,
+        gen_uniform_permutation,
+        gen_x_random,
+    )
+    from .lattice2d import GoalPattern
+
     seed = _resolve_seed(args.seed)
     dist = args.distribution
     if dist == "uniform":
@@ -140,23 +142,47 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def resolve_solver(name: str):
+    """The planner function behind a solver name, importing its module.
+
+    Read from the module at call time, so a rebinding of the module
+    attribute (a tracer's wrapper, say) is what runs.
+    """
+    from importlib import import_module
+    module, function = SOLVERS[name][0].split(".")
+    return getattr(import_module(f".{module}", __package__), function)
+
+
+def _solve_json(plan, cost) -> str:
+    """The solve document, byte for byte as ``json.dumps(doc, indent=2)``
+    writes it plus a newline.
+
+    The indenting encoder runs in pure Python, which on long plans costs more
+    than the solve; each step here is one f-string.  The cost scalars still
+    go through ``json.dumps``, so float formatting cannot drift.
+    """
+    text = _ACTION_TEXT
+    steps = ",\n".join([
+        f'    {{\n      "cell": {cell},\n      "action": "{text[action]}"\n    }}'
+        for cell, action in plan.steps])
+    steps = f"[\n{steps}\n  ]" if steps else "[]"
+    picks, travel, total = (json.dumps(v) for v in (cost.picks, cost.travel, cost.total))
+    return (f'{{\n  "format_version": 1,\n  "steps": {steps},\n  "cost": {{\n'
+            f'    "picks": {picks},\n    "travel": {travel},\n    "total": {total}\n'
+            f'  }}\n}}\n')
+
+
 def _cmd_solve(args) -> int:
     inst = _load_instance(_read_text(args.input))
-    solver, wants = SOLVERS[args.solver]
+    wants = SOLVERS[args.solver][1]
     if wants != "any" and inst.kind != wants:
         raise SolverMismatch(
             f"solver {args.solver!r} expects a {wants} instance, "
             f"got {inst.kind}")
     model = _cost_model(args)
-    plan = solver(inst, model)
+    plan = resolve_solver(args.solver)(inst, model)
     cost = plan_cost(inst, plan, model)
-    doc = {
-        "format_version": 1,
-        **plan_to_dict(plan),
-        "cost": {"picks": cost.picks, "travel": cost.travel,
-                 "total": cost.total},
-    }
-    _write_text(args.output, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.output, _solve_json(plan, cost))
     sys.stderr.write(
         f"picks={cost.picks} travel={cost.travel:.6g} "
         f"total={cost.total:.6g}\n")
@@ -179,6 +205,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import oracle_optimal
+
     inst = _load_instance(_read_text(args.input))
     objective = "lexicographic" if args.objective == "lex" else "total"
     result = oracle_optimal(inst, _cost_model(args), objective, cap=args.cap)
@@ -193,6 +221,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import ExperimentSpec, report_to_csv, report_to_json, run_experiment
+
     spec = ExperimentSpec(args.experiment, tuple(args.sizes), args.trials,
                           args.distribution, _resolve_seed(args.seed))
     report = run_experiment(spec)
@@ -230,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Rearrangement planning on 1D/2D lattices "
                     "(pick-n-swap cost model).",
         epilog=f"solvers: {', '.join(SOLVERS)}; "
-               f"experiments: {', '.join(EXPERIMENTS)}")
+               f"experiments: {', '.join(EXPERIMENT_NAMES)}")
     commands = parser.add_subparsers(dest="command", required=True)
 
     gen = commands.add_parser(
@@ -275,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser("bench", help="run a seeded experiment")
     bench.add_argument("--experiment", required=True,
-                       choices=tuple(EXPERIMENTS))
+                       choices=EXPERIMENT_NAMES)
     bench.add_argument("--sizes", type=int, nargs="+", required=True)
     bench.add_argument("--trials", type=int, default=100)
     bench.add_argument("--distribution", default=None)

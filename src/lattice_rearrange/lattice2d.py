@@ -397,13 +397,13 @@ class _DeltaTrades:
                 block = _trade_deltas(self.table, moves[lo:lo + step, None],
                                       length[lo:lo + step, None], moves, length)
                 per_row[lo:lo + step] = np.minimum.reduceat(block, starts, axis=1)
+            # cycle ids rise within a type, so i < j is the strict upper triangle
             ids = self.cyc[seg[a:b]]
-            ws.append(np.minimum.reduceat(per_row, starts, axis=0).ravel())
-            ii.append(np.repeat(ids, b - a))
-            jj.append(np.tile(ids, b - a))
+            r, c = np.triu_indices(b - a, 1)
+            ws.append(np.minimum.reduceat(per_row, starts, axis=0)[r, c])
+            ii.append(ids[r])
+            jj.append(ids[c])
         w, i, j = np.concatenate(ws), np.concatenate(ii), np.concatenate(jj)
-        upper = i < j
-        w, i, j = w[upper], i[upper], j[upper]
         # a pair sharing several types weighs its least entry over them
         key = i * len(self.members) + j
         order = np.argsort(key, kind="stable")

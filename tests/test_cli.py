@@ -1,5 +1,6 @@
 """CLI tests driven through main(argv): exit codes, JSON shapes, pipes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,17 @@ from pathlib import Path
 import pytest
 
 import lattice_rearrange
-from lattice_rearrange.cli import main
+from lattice_rearrange import (
+    CostModel,
+    GoalPattern,
+    gen_block_random,
+    gen_typed,
+    gen_uniform_permutation,
+    instance_to_dict,
+    plan_cost,
+    plan_to_dict,
+)
+from lattice_rearrange.cli import main, resolve_solver
 
 
 def run(capsys, *argv):
@@ -235,16 +246,21 @@ class TestTopLevel:
         assert code == 2
 
 
-@pytest.mark.parametrize("module", ["lattice_rearrange", "lattice_rearrange.cli"])
-def test_import_loads_no_scipy(module):
-    # every CLI process pays for what the package imports; the assignment
-    # solver is in-repo, so scipy must stay off that path
+@pytest.mark.parametrize("module,loads", [
+    ("lattice_rearrange", ["lattice_rearrange"]),
+    ("lattice_rearrange.cli", ["lattice_rearrange", "lattice_rearrange.cli", "lattice_rearrange.core"]),
+], ids=["lattice_rearrange", "lattice_rearrange.cli"])
+def test_import_loads_no_scipy(module, loads):
+    # every CLI process pays for what the package imports: the package
+    # itself loads no submodule, cli only core, and neither scipy (the
+    # assignment solver is in-repo) nor numpy
     src = str(Path(lattice_rearrange.__file__).resolve().parents[1])
     code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('lattice_rearrange', 'numpy', 'scipy')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split() == loads
 
 
 def test_module_entry_point_warns_nothing():
@@ -258,38 +274,54 @@ def test_module_entry_point_warns_nothing():
     assert json.loads(done.stdout)["kind"] == "labeled"
 
 
-# solver -> (gen arguments of its instance, whether the solve runs numpy code)
-NUMPY_BY_SOLVER = {
-    "opt-lor": (["uniform", "--m", "12"], False),
-    "sweep-lor": (["uniform", "--m", "12"], False),
-    "opt-por": (["typed", "--m", "12", "--k", "3"], False),
-    "greedy-por": (["typed", "--m", "12", "--k", "3"], False),
-    "sweep-ltr": (["block-random", "--m", "16"], False),
-    "greedy-2d": (["typed", "--m1", "4", "--m2", "4", "--k", "2"], False),
-    "switch-ltr": (["block-random", "--m", "16"], True),
-    "plan-ptr": (["typed", "--m1", "4", "--m2", "4", "--k", "2"], True),
-}
-
-
-@pytest.mark.parametrize("solver", sorted(NUMPY_BY_SOLVER))
-def test_numpy_loads_only_for_2d_scheduling_and_assignment(solver, tmp_path):
-    # import alone costs a CLI process more than most solves; only the
-    # arc-weight slabs, the arborescence and the assignment need numpy
-    gen_args, loads = NUMPY_BY_SOLVER[solver]
-    inst, plan = str(tmp_path / "inst.json"), str(tmp_path / "plan.json")
+def _loaded_after(argv) -> tuple[int, list[str]]:
+    """Run main(argv) in a fresh interpreter: its exit status and the package
+    modules, logging and numpy it has loaded at exit."""
     code = "\n".join([
         "import sys",
-        "import lattice_rearrange, lattice_rearrange.cli as cli",
-        "loaded = lambda: any(m.split('.')[0] == 'numpy' for m in sys.modules)",
-        "print(loaded())",
-        f"assert cli.main({['gen', *gen_args, '--seed', '5', '-o', inst]!r}) == 0",
-        f"assert cli.main({['solve', '--solver', solver, '-i', inst, '-o', plan]!r}) == 0",
-        "print(loaded())",
+        "from lattice_rearrange.cli import main",
+        f"status = main({argv!r})",
+        "print(status, *sorted(m for m in sys.modules if m.split('.')[0] == 'lattice_rearrange'",
+        "                      or m in ('logging', 'numpy')))",
     ])
     src = str(Path(lattice_rearrange.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-    assert done.stdout.split() == ["False", str(loads)]
+    status, *modules = done.stdout.split()
+    return int(status), modules
+
+
+_1D = ("cli", "core", "graphs", "lor")
+_TYPED = _1D + ("por",)
+_2D = _TYPED + ("lattice2d",)
+# solver -> (gen arguments of its instance, the package modules a solve
+# process ends with, whether the solve runs numpy code); no solve loads
+# bench, gen, oracle or logging
+SOLVE_CASES = {
+    "opt-lor": (["uniform", "--m", "12"], _1D, False),
+    "sweep-lor": (["uniform", "--m", "12"], _1D, False),
+    "opt-por": (["typed", "--m", "12", "--k", "3"], _TYPED, False),
+    "greedy-por": (["typed", "--m", "12", "--k", "3"], _TYPED, False),
+    "sweep-ltr": (["block-random", "--m", "16"], _2D, False),
+    "greedy-2d": (["typed", "--m1", "4", "--m2", "4", "--k", "2"], _2D, False),
+    "switch-ltr": (["block-random", "--m", "16"], _2D, True),
+    "plan-ptr": (["typed", "--m1", "4", "--m2", "4", "--k", "2"], _2D, True),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVE_CASES))
+def test_numpy_loads_only_for_2d_scheduling_and_assignment(solver, tmp_path, capsys):
+    # import alone costs a CLI process more than most solves: a solve loads
+    # only its planner's modules, and numpy only for the arc-weight slabs,
+    # the arborescence and the assignment
+    gen_args, modules, loads = SOLVE_CASES[solver]
+    inst = str(tmp_path / "inst.json")
+    assert run(capsys, "gen", *gen_args, "--seed", "5", "-o", inst)[0] == 0
+    status, loaded = _loaded_after(
+        ["solve", "--solver", solver, "-i", inst, "-o", str(tmp_path / "plan.json")])
+    assert status == 0
+    expected = {"lattice_rearrange", *(f"lattice_rearrange.{m}" for m in modules)}
+    assert loaded == sorted(expected | ({"numpy"} if loads else set()))
 
 
 def test_paid_1d_fusion_loads_no_numpy():
@@ -321,3 +353,98 @@ def test_all_lists_every_public_name():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(public - set(lattice_rearrange.__all__)) == []
     assert all(hasattr(lattice_rearrange, name) for name in lattice_rearrange.__all__)
+
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (["gen", "typed", "--m", "12", "--k", "3"], "gen"),
+    (["oracle", "-i", "{inst}"], "oracle"),
+    (["bench", "--experiment", "lor_ratio", "--sizes", "8", "--trials", "2"], "bench"),
+])
+def test_other_subcommands_import_what_they_run(argv, loads, tmp_path):
+    # gen, oracle and bench import their modules inside the command
+    inst = write_instance(tmp_path, "inst.json", CYCLE_INSTANCE)
+    argv = [a.format(inst=inst) for a in argv] + ["-o", str(tmp_path / "out")]
+    status, modules = _loaded_after(argv)
+    assert status == 0 and f"lattice_rearrange.{loads}" in modules
+    assert (tmp_path / "out").read_text(encoding="utf-8")
+
+
+class TestLazyExports:
+    def test_each_name_is_its_home_object(self):
+        import importlib
+        for name in lattice_rearrange.__all__:
+            home = importlib.import_module(
+                f"lattice_rearrange.{lattice_rearrange._EXPORTS[name]}")
+            assert getattr(lattice_rearrange, name) is getattr(home, name)
+
+    def test_dir_and_star_import(self):
+        assert set(lattice_rearrange.__all__) <= set(dir(lattice_rearrange))
+        namespace = {}
+        exec("from lattice_rearrange import *", namespace)
+        assert set(lattice_rearrange.__all__) <= set(namespace)
+        assert namespace["opt_plan_lor"] is lattice_rearrange.lor.opt_plan_lor
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError) as info:
+            lattice_rearrange.no_such_name  # noqa: B018
+        assert str(info.value) == "module 'lattice_rearrange' has no attribute 'no_such_name'"
+        assert not hasattr(lattice_rearrange, "no_such_name")
+
+    def test_access_leaves_module_namespace_unchanged(self):
+        for name in lattice_rearrange.__all__:  # imports every home submodule
+            getattr(lattice_rearrange, name)
+        before = dict(vars(lattice_rearrange))
+        for name in lattice_rearrange.__all__:
+            getattr(lattice_rearrange, name)
+        assert vars(lattice_rearrange) == before
+        assert not set(lattice_rearrange.__all__) & set(before)
+
+    def test_cli_experiment_names_match_bench(self):
+        from lattice_rearrange import bench, cli
+        assert cli.EXPERIMENT_NAMES == tuple(bench.EXPERIMENTS)
+
+
+def _solved(inst):
+    if inst.kind == "labeled":
+        return dataclasses.replace(inst, pi=tuple(range(1, inst.dims.n + 1)))
+    return dataclasses.replace(inst, start_types=inst.goal_types)
+
+
+def _typed(dims, k, seed):
+    n = dims if isinstance(dims, int) else dims[0] * dims[1]
+    return gen_typed(dims, k, (n // k,) * k, GoalPattern("blocks"), seed)
+
+
+# solver -> a seeded instance of the kind it takes; the writer test also
+# solves it with an interior rest cell, and already solved
+WRITER_CASES = {
+    "sweep-lor": lambda: gen_uniform_permutation(30, 1),
+    "opt-lor": lambda: gen_uniform_permutation(30, 1),
+    "opt-por": lambda: _typed(24, 3, 3),
+    "greedy-por": lambda: _typed(24, 3, 3),
+    "sweep-ltr": lambda: gen_block_random(9, 2),
+    "switch-ltr": lambda: gen_block_random(9, 2),
+    "plan-ptr": lambda: _typed((6, 6), 4, 4),
+    "greedy-2d": lambda: _typed((6, 6), 4, 4),
+}
+
+
+@pytest.mark.parametrize("costs", [("1", "1"), ("2.5", "0.3")])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("solver", sorted(WRITER_CASES))
+def test_solve_writes_the_indent_2_json_bytes(solver, metric, costs, tmp_path, capsys):
+    model = CostModel(float(costs[0]), float(costs[1]), metric)
+    base = WRITER_CASES[solver]()
+    solved = _solved(base)
+    for inst in (base, dataclasses.replace(base, rest=base.dims.n // 2 + 1), solved):
+        path = write_instance(tmp_path, "inst.json", instance_to_dict(inst))
+        code, out, _ = run(capsys, "solve", "--solver", solver, "-i", path,
+                           "--metric", metric, "--cp", costs[0], "--ct", costs[1])
+        assert code == 0
+        plan = resolve_solver(solver)(inst, model)
+        cost = plan_cost(inst, plan, model)
+        doc = {"format_version": 1, **plan_to_dict(plan),
+               "cost": {"picks": cost.picks, "travel": cost.travel, "total": cost.total}}
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert ('"steps": [],' in out) == (inst is solved)

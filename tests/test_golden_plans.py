@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from lattice_rearrange.cli import SOLVERS
+from lattice_rearrange.cli import resolve_solver
 from lattice_rearrange.core import (
     Action,
     CostModel,
@@ -182,8 +182,7 @@ def _digest(plan: Plan) -> str:
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("solver,name", [(s, i) for s, names in CASES.items() for i in names])
 def test_solver_plan_digest(solver, name, metric):
-    fn, _ = SOLVERS[solver]
-    plan = fn(INSTANCES[name](), CostModel(metric=metric))
+    plan = resolve_solver(solver)(INSTANCES[name](), CostModel(metric=metric))
     assert _digest(plan) == GOLDEN[f"{solver}/{name}/{metric}"]
 
 
@@ -217,7 +216,7 @@ def test_plan_step_is_an_immutable_value():
 
 
 def test_plan_json_round_trip():
-    plan = SOLVERS["opt-lor"][0](INSTANCES["row-uniform"](), CostModel())
+    plan = resolve_solver("opt-lor")(INSTANCES["row-uniform"](), CostModel())
     text = json.dumps(plan_to_dict(plan))
     back = plan_from_dict(json.loads(text))
     assert back == plan
