@@ -12,7 +12,6 @@ import os
 import sys
 
 from .core import (
-    _ACTION_TEXT,
     CostModel,
     instance_from_dict,
     instance_to_dict,
@@ -20,20 +19,21 @@ from .core import (
     plan_cost,
     plan_from_dict,
     plan_to_dict,
+    plan_to_json,
     simulate,
 )
 
-# solver name -> ("module.function", instance kind); the module is imported
-# only when a solve runs, so a process loads just its own planner
+# solver name -> (package export, instance kind); the export's module is
+# imported only when a solve runs, so a process loads just its own planner
 SOLVERS = {
-    "sweep-lor": ("lor.sweep_cycles_lor", "labeled"),
-    "opt-lor": ("lor.opt_plan_lor", "labeled"),
-    "opt-por": ("por.opt_plan_por", "typed"),
-    "greedy-por": ("por.greedy_por", "typed"),
-    "sweep-ltr": ("lattice2d.sweep_cycles_ltr", "labeled"),
-    "switch-ltr": ("lattice2d.switch_cycles_ltr", "labeled"),
-    "plan-ptr": ("lattice2d.plan_ptr", "typed"),
-    "greedy-2d": ("lattice2d.greedy_2d", "any"),
+    "sweep-lor": ("sweep_cycles_lor", "labeled"),
+    "opt-lor": ("opt_plan_lor", "labeled"),
+    "opt-por": ("opt_plan_por", "typed"),
+    "greedy-por": ("greedy_por", "typed"),
+    "sweep-ltr": ("sweep_cycles_ltr", "labeled"),
+    "switch-ltr": ("switch_cycles_ltr", "labeled"),
+    "plan-ptr": ("plan_ptr", "typed"),
+    "greedy-2d": ("greedy_2d", "any"),
 }
 
 # the keys of bench.EXPERIMENTS, which the parser offers without importing bench
@@ -145,31 +145,11 @@ def _cmd_gen(args) -> int:
 def resolve_solver(name: str):
     """The planner function behind a solver name, importing its module.
 
-    Read from the module at call time, so a rebinding of the module
-    attribute (a tracer's wrapper, say) is what runs.
+    Looked up through the package's lazy exports at call time, so a
+    rebinding of the home module's attribute (a tracer's wrapper, say) is
+    what runs.
     """
-    from importlib import import_module
-    module, function = SOLVERS[name][0].split(".")
-    return getattr(import_module(f".{module}", __package__), function)
-
-
-def _solve_json(plan, cost) -> str:
-    """The solve document, byte for byte as ``json.dumps(doc, indent=2)``
-    writes it plus a newline.
-
-    The indenting encoder runs in pure Python, which on long plans costs more
-    than the solve; each step here is one f-string.  The cost scalars still
-    go through ``json.dumps``, so float formatting cannot drift.
-    """
-    text = _ACTION_TEXT
-    steps = ",\n".join([
-        f'    {{\n      "cell": {cell},\n      "action": "{text[action]}"\n    }}'
-        for cell, action in plan.steps])
-    steps = f"[\n{steps}\n  ]" if steps else "[]"
-    picks, travel, total = (json.dumps(v) for v in (cost.picks, cost.travel, cost.total))
-    return (f'{{\n  "format_version": 1,\n  "steps": {steps},\n  "cost": {{\n'
-            f'    "picks": {picks},\n    "travel": {travel},\n    "total": {total}\n'
-            f'  }}\n}}\n')
+    return getattr(sys.modules[__package__], SOLVERS[name][0])
 
 
 def _cmd_solve(args) -> int:
@@ -182,7 +162,7 @@ def _cmd_solve(args) -> int:
     model = _cost_model(args)
     plan = resolve_solver(args.solver)(inst, model)
     cost = plan_cost(inst, plan, model)
-    _write_text(args.output, _solve_json(plan, cost))
+    _write_text(args.output, plan_to_json(plan, cost))
     sys.stderr.write(
         f"picks={cost.picks} travel={cost.travel:.6g} "
         f"total={cost.total:.6g}\n")

@@ -363,6 +363,26 @@ def plan_to_dict(plan: Plan) -> dict:
     return {"steps": [{"cell": cell, "action": text[action]} for cell, action in plan.steps]}
 
 
+def plan_to_json(plan: Plan, cost: PlanCost) -> str:
+    """The solve document of `plan` and its `cost`, byte for byte what
+    ``json.dumps({"format_version": 1, **plan_to_dict(plan), "cost": ...},
+    indent=2)`` writes, plus a newline.
+
+    The indenting encoder runs in pure Python, which on long plans costs more
+    than the solve; each step here is one f-string.  The cost scalars still
+    go through ``json.dumps``, so float formatting cannot drift.
+    """
+    text = _ACTION_TEXT
+    steps = ",\n".join([
+        f'    {{\n      "cell": {cell},\n      "action": "{text[action]}"\n    }}'
+        for cell, action in plan.steps])
+    steps = f"[\n{steps}\n  ]" if steps else "[]"
+    picks, travel, total = (json.dumps(v) for v in (cost.picks, cost.travel, cost.total))
+    return (f'{{\n  "format_version": 1,\n  "steps": {steps},\n  "cost": {{\n'
+            f'    "picks": {picks},\n    "travel": {travel},\n    "total": {total}\n'
+            f'  }}\n}}\n')
+
+
 def plan_from_dict(doc: dict) -> Plan:
     action_of = _ACTION_OF
     try:

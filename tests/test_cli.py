@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -310,13 +309,14 @@ SOLVE_CASES = {
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVE_CASES))
-def test_numpy_loads_only_for_2d_scheduling_and_assignment(solver, tmp_path, capsys):
+def test_numpy_loads_only_for_2d_scheduling_and_assignment(solver, tmp_path):
     # import alone costs a CLI process more than most solves: a solve loads
     # only its planner's modules, and numpy only for the arc-weight slabs,
-    # the arborescence and the assignment
+    # the arborescence and the assignment; gen never needs numpy
     gen_args, modules, loads = SOLVE_CASES[solver]
     inst = str(tmp_path / "inst.json")
-    assert run(capsys, "gen", *gen_args, "--seed", "5", "-o", inst)[0] == 0
+    status, loaded = _loaded_after(["gen", *gen_args, "--seed", "5", "-o", inst])
+    assert status == 0 and "lattice_rearrange.gen" in loaded and "numpy" not in loaded
     status, loaded = _loaded_after(
         ["solve", "--solver", solver, "-i", inst, "-o", str(tmp_path / "plan.json")])
     assert status == 0
@@ -348,12 +348,14 @@ def test_paid_1d_fusion_loads_no_numpy():
 
 
 def test_all_lists_every_public_name():
-    # `from lattice_rearrange import *` exports what the package imports
-    public = {name for name, value in vars(lattice_rearrange).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert sorted(public - set(lattice_rearrange.__all__)) == []
-    assert all(hasattr(lattice_rearrange, name) for name in lattice_rearrange.__all__)
-
+    # each export is listed under exactly one home module, where it is a
+    # public name
+    import importlib
+    listed = [name for names in lattice_rearrange._HOMES.values() for name in names.split()]
+    assert sorted(listed) == lattice_rearrange.__all__
+    for name in listed:
+        home = importlib.import_module(f"lattice_rearrange.{lattice_rearrange._EXPORTS[name]}")
+        assert not name.startswith("_") and name in vars(home)
 
 
 @pytest.mark.parametrize("argv,loads", [
