@@ -7,7 +7,7 @@ Submodules:
     por        typed 1D planners (exact) and the best-first greedy
     lattice2d  labeled/typed 2D planners (asymptotically optimal heuristics)
     oracle     exhaustive optimal search for small instances
-    gen        seeded instance generators
+    gen        seeded instance generators and typed goal layouts
     bench      benchmark experiments and reports
     cli        command-line interface
 
@@ -26,12 +26,12 @@ _HOMES = {
         PlanStep RearrangeError SimResult TypedInstance TypeMismatch distance
         instance_from_dict instance_to_dict is_solved plan_cost plan_from_dict
         plan_to_dict reverse_plan reversed_instance simulate""",
-    "gen": """BadCounts ClusterOverlap NotPerfectSquare PatternInfeasible PointOnBoundary
-        SplitMix64 derive_seed gen_block_random gen_column_random gen_tsp_clusters
-        gen_typed gen_uniform_permutation gen_x_random""",
-    "lattice2d": """GoalPattern cycle_distance_statistic cycle_edge_length form_cycles_ptr
-        greedy_2d merge_cycles_ptr pattern_blocks_types pattern_columns_types plan_ptr
-        sweep_cycles_ltr sweep_cycles_ptr switch_cycles_ltr""",
+    "gen": """BadCounts ClusterOverlap GoalPattern NotPerfectSquare PatternInfeasible
+        PointOnBoundary SplitMix64 derive_seed gen_block_random gen_column_random
+        gen_tsp_clusters gen_typed gen_uniform_permutation gen_x_random
+        pattern_blocks_types pattern_columns_types""",
+    "lattice2d": """cycle_distance_statistic cycle_edge_length form_cycles_ptr greedy_2d
+        merge_cycles_ptr plan_ptr sweep_cycles_ltr sweep_cycles_ptr switch_cycles_ltr""",
     "lor": "opt_plan_lor sweep_cycles_lor",
     "oracle": "OracleResult TooLarge oracle_min_picks oracle_optimal",
     "por": """MoveCycle form_cycles greedy_plan greedy_por merge_cycles merge_cycles_mst

@@ -13,14 +13,9 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .core import (
-    LabeledInstance,
-    LatticeDims,
-    TypedInstance,
-    plan_cost,
-)
+from .core import LabeledInstance, LatticeDims, TypedInstance, plan_cost
 from .gen import (
-    SplitMix64,
+    GoalPattern,
     derive_seed,
     gen_block_random,
     gen_column_random,
@@ -30,7 +25,6 @@ from .gen import (
 )
 from .graphs import permutation_cycles
 from .lattice2d import (
-    GoalPattern,
     cycle_distance_statistic,
     cycle_edge_length,
     greedy_2d,
@@ -133,22 +127,12 @@ class ExperimentReport:
     runtime_seconds: float = field(default=0.0, compare=False)
 
 
-def _uniform_2d(m: int, seed: int) -> LabeledInstance:
-    dims = LatticeDims(m, m)
-    pi = list(range(1, dims.n + 1))
-    SplitMix64(seed).shuffle(pi)
-    return LabeledInstance(dims, tuple(pi))
-
-
 def _typed_quarters(dims: LatticeDims, seed: int) -> TypedInstance:
     # k=4, contiguous index runs as the (aggregated) goal
-    n, k = dims.n, 4
-    base, rem = divmod(n, k)
-    counts = tuple(base + (1 if t < rem else 0) for t in range(k))
-    goal = tuple(t + 1 for t in range(k) for _ in range(counts[t]))
-    start = list(goal)
-    SplitMix64(seed).shuffle(start)
-    return TypedInstance(dims, k, tuple(start), goal)
+    base, rem = divmod(dims.n, 4)
+    counts = tuple(base + (1 if t < rem else 0) for t in range(4))
+    goal = tuple(t + 1 for t in range(4) for _ in range(counts[t]))
+    return gen_typed(dims, 4, counts, GoalPattern("explicit", goal), seed)
 
 
 def _make_instance(spec: ExperimentSpec, size: int, seed: int):
@@ -161,7 +145,8 @@ def _make_instance(spec: ExperimentSpec, size: int, seed: int):
         return gen_x_random(size, max(1, math.isqrt(size)), seed)
     if spec.experiment in ("ltr_cycle_dist", "ltr_total_vs_cycles"):
         if dist == "uniform":
-            return _uniform_2d(size, seed)
+            return LabeledInstance(LatticeDims(size, size),
+                                   gen_uniform_permutation(size * size, seed).pi)
         if dist == "column-random":
             return gen_column_random(size, size, seed)
         return gen_block_random(size, seed)

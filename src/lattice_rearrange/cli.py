@@ -95,6 +95,7 @@ def _need(args, names: str):
 
 def _cmd_gen(args) -> int:
     from .gen import (
+        GoalPattern,
         gen_block_random,
         gen_column_random,
         gen_tsp_clusters,
@@ -102,7 +103,6 @@ def _cmd_gen(args) -> int:
         gen_uniform_permutation,
         gen_x_random,
     )
-    from .lattice2d import GoalPattern
 
     seed = _resolve_seed(args.seed)
     dist = args.distribution

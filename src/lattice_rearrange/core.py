@@ -335,18 +335,27 @@ def instance_to_dict(instance: Instance) -> dict:
     return d
 
 
+def _ints(values, field: str) -> tuple[int, ...]:
+    """values as a tuple, provided each is a JSON integer (exact type int):
+    a float such as 1.7, a bool or a string is rejected, never coerced."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        raise JsonFormatError(f"{field} must hold JSON integers only")
+    return values
+
+
 def instance_from_dict(doc: dict) -> Instance:
     try:
-        m1, m2 = doc["dims"]
-        dims = LatticeDims(int(m1), int(m2))
+        m1, m2 = _ints(doc["dims"], "dims")
+        dims = LatticeDims(m1, m2)
         kind = doc["kind"]
-        rest = int(doc.get("rest", 1))
+        (rest,) = _ints((doc.get("rest", 1),), "rest")
         if kind == "labeled":
-            return LabeledInstance(dims, tuple(int(x) for x in doc["pi"]), rest)
+            return LabeledInstance(dims, _ints(doc["pi"], "pi"), rest)
         if kind == "typed":
-            return TypedInstance(dims, int(doc["k"]),
-                                 tuple(int(t) for t in doc["start_types"]),
-                                 tuple(int(t) for t in doc["goal_types"]), rest)
+            (k,) = _ints((doc["k"],), "k")
+            return TypedInstance(dims, k, _ints(doc["start_types"], "start_types"),
+                                 _ints(doc["goal_types"], "goal_types"), rest)
     except RearrangeError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -386,12 +395,8 @@ def plan_to_json(plan: Plan, cost: PlanCost) -> str:
 def plan_from_dict(doc: dict) -> Plan:
     action_of = _ACTION_OF
     try:
-        steps = tuple(PlanStep(int(s["cell"]), action_of[s["action"]]) for s in doc["steps"])
-    except (KeyError, TypeError, ValueError) as exc:
+        steps = tuple(PlanStep(s["cell"], action_of[s["action"]]) for s in doc["steps"])
+    except (KeyError, TypeError) as exc:
         raise JsonFormatError(f"bad plan document: {exc}") from exc
+    _ints((cell for cell, _ in steps), "step cells")
     return Plan(steps)
-
-
-def dumps(doc: dict) -> str:
-    """Serialize a document deterministically (fixed key order, no spaces)."""
-    return json.dumps(doc, separators=(",", ":"))

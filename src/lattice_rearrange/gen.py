@@ -5,21 +5,25 @@ The random stream is SplitMix64, chosen because it is tiny, fast, and has
 published reference outputs; the constants below are part of this package's
 compatibility contract and will not change.  Same inputs, same instance,
 byte for byte, on any platform.
+
+Typed goals follow a GoalPattern, defined here with its layout helpers; the
+module imports only core, so drawing an instance loads no planner.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from dataclasses import dataclass
 
 from .core import LabeledInstance, LatticeDims, RearrangeError, TypedInstance
-from .lattice2d import GoalPattern
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "BadCounts",
     "ClusterOverlap",
+    "GoalPattern",
     "NotPerfectSquare",
     "PatternInfeasible",
     "PointOnBoundary",
@@ -31,6 +35,8 @@ __all__ = [
     "gen_typed",
     "gen_uniform_permutation",
     "gen_x_random",
+    "pattern_blocks_types",
+    "pattern_columns_types",
 ]
 
 
@@ -184,6 +190,74 @@ def gen_block_random(m: int, seed: int) -> LabeledInstance:
             for c, label in zip(cells, block):
                 pi[c - 1] = label
     return LabeledInstance(dims, tuple(pi))
+
+
+# --- goal-type layouts ------------------------------------------------------
+
+@dataclass(frozen=True)
+class GoalPattern:
+    """Recipe for a typed goal layout.
+
+    kind "blocks": types tile the lattice in square blocks (side sqrt(k)),
+    falling back to contiguous index runs when such blocks cannot tile.
+    kind "columns": one type per column.  kind "explicit": goal_types is
+    given verbatim.
+    """
+
+    kind: str
+    goal_types: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("blocks", "columns", "explicit"):
+            raise ValueError(f"unknown goal pattern kind {self.kind!r}")
+        if (self.kind == "explicit") != (self.goal_types is not None):
+            raise ValueError("explicit patterns carry goal_types; others must not")
+
+    def resolve(self, dims: LatticeDims, k: int) -> tuple[tuple[int, ...], bool]:
+        """Concrete goal types for a lattice; the flag reports whether the
+        block layout fell back to index runs."""
+        if self.kind == "explicit":
+            return self.goal_types, False
+        if self.kind == "columns":
+            return pattern_columns_types(dims, k), False
+        return pattern_blocks_types(dims, k)
+
+
+def pattern_blocks_types(dims: LatticeDims, k: int) -> tuple[tuple[int, ...], bool]:
+    """Goal types aggregated in both dimensions: square same-type blocks.
+
+    Needs k to be a perfect square whose root divides both sides; when it
+    is not, falls back to contiguous runs of n/k cells in index order and
+    flags that with the second return value.
+    """
+    n = dims.n
+    if n % k:
+        raise ValueError(f"{k} types cannot evenly fill {n} cells")
+    r = math.isqrt(k)
+    if r * r == k and dims.m1 % r == 0 and dims.m2 % r == 0:
+        bh, bw = dims.m1 // r, dims.m2 // r
+        types = []
+        for cell in dims.cells():
+            row, col = dims.rowcol(cell)
+            types.append(((col - 1) // bw) * r + ((row - 1) // bh) + 1)
+        return tuple(types), False
+    run = n // k
+    return tuple((cell - 1) // run + 1 for cell in dims.cells()), True
+
+
+def pattern_block_of(dims: LatticeDims, k: int, cell: int) -> tuple[int, int]:
+    """Which square block a cell belongs to under the block layout."""
+    r = math.isqrt(k)
+    bh, bw = dims.m1 // r, dims.m2 // r
+    row, col = dims.rowcol(cell)
+    return ((row - 1) // bh, (col - 1) // bw)
+
+
+def pattern_columns_types(dims: LatticeDims, k: int) -> tuple[int, ...]:
+    """Goal types with one type per column; requires k = m2."""
+    if k != dims.m2:
+        raise ValueError(f"one type per column needs k = m2, got k={k} m2={dims.m2}")
+    return tuple(col for col in range(1, dims.m2 + 1) for _ in range(dims.m1))
 
 
 def _check_counts(counts, k: int, n: int) -> tuple:

@@ -77,6 +77,16 @@ def permutation_cycles(pi: Sequence[int]) -> CycleSet:
     return CycleSet(tuple(cycles), tuple(fixed))
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way up (Tarjan, JACM 22,
+    1975).  parent[x] == x marks a root; joining two roots is the caller's
+    single assignment."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 Edge = tuple[int, int, float]
 
 
@@ -138,12 +148,6 @@ def min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:
     vid_at = list(range(nv))        # matrix slot -> the vertex id holding it
     rep = list(range(nv))           # vertex id -> the supernode that absorbed it
 
-    def find(x: int) -> int:
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
     # 2: reaches the root along best edges; 1: on the path being walked
     color = [0] * nv
     color[r] = 2
@@ -162,7 +166,7 @@ def min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:
             while not color[v]:
                 color[v] = 1
                 path.append(v)
-                v = find(parent[v])
+                v = _find(rep, parent[v])
             closed = color[v] == 1
             for p in path:
                 color[p] = 0 if closed else 2

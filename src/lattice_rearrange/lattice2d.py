@@ -24,9 +24,9 @@ per-type trade-delta matrices), and an arborescence-guided walk that
 resolves the surviving cycles with the same parking mechanism.
 
 Arc weights, assignment costs and trade deltas read every distance off
-one table of lattice offsets per call, holding distance()'s floats.  A
-goal-type layout helper and the normalized displacement statistic used by
-the benchmarks live here too.  numpy is imported only inside the functions
+one table of lattice offsets per call, holding distance()'s floats.  The
+normalized displacement statistic used by the benchmarks lives here too;
+goal-type layouts live in gen.  numpy is imported only inside the functions
 that run numpy code: the table, `_arcs`, `form_cycles_ptr` and the 2D
 trade model.  `sweep_cycles_ltr`, `cycle_edge_length` and `greedy_2d` run
 without it.
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .core import (
     Action,
@@ -54,7 +53,14 @@ from .core import (
 )
 from .graphs import WeightedGraph, min_arborescence, min_cost_assignment, permutation_cycles
 from .lor import _dest_table, follow_cycles
-from .por import MoveCycle, _cycles_from_assignment, fuse_cycles, greedy_plan
+from .por import (
+    MoveCycle,
+    _cycles_from_assignment,
+    _misplaced_by_type,
+    _orbits,
+    fuse_cycles,
+    greedy_plan,
+)
 
 _INF = math.inf
 
@@ -308,12 +314,7 @@ def form_cycles_ptr(instance: TypedInstance) -> list[MoveCycle]:
     close into displacement cycles.
     """
     dims = instance.dims
-    sources: dict[int, list[int]] = {}
-    goals: dict[int, list[int]] = {}
-    for cell, (have, want) in enumerate(zip(instance.start_types, instance.goal_types), start=1):
-        if have != want:
-            sources.setdefault(have, []).append(cell)
-            goals.setdefault(want, []).append(cell)
+    sources, goals = _misplaced_by_type(instance)
     assign: dict[int, int] = {}
     types: dict[int, int] = {}
     table = _offset_table(dims, "euclidean")
@@ -473,16 +474,10 @@ def sweep_cycles_ptr(cycles, dims: LatticeDims, rest: int = 1,
     cell); the walk serves each cycle on first entry with parking, so
     travel between cycles stays within twice the arborescence weight.
     """
-    cycles = sorted(cycles, key=lambda c: c.min_cell)
-    if not cycles:
+    cells, nxt = _orbits(cycles)
+    if not cells:
         return Plan()
-    nxt: dict[int, int] = {}
-    cell_lists = []
-    for cyc in cycles:
-        for s, g in cyc.edges:
-            nxt[s] = g
-        cell_lists.append(tuple(s for s, _ in cyc.edges))
-    root_kids, kids = _schedule(dims, cell_lists, rest, model, detour=False)
+    root_kids, kids = _schedule(dims, cells, rest, model, detour=False)
     return _emit_nested(root_kids, kids, nxt)
 
 
@@ -490,8 +485,10 @@ def plan_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
     """Fewest-operation plan for a typed 2D instance.
 
     Travel is not exactly minimal (that is intractable) but stays close
-    for common goal layouts: cycle formation is distance-minimal per type
-    and the later phases add comparatively little.
+    for common goal layouts: cycle formation minimizes each type's summed
+    Euclidean distance, and the later phases add comparatively little.
+    Only scheduling reads `model`; assignment and fusion weigh Euclidean
+    distance under either metric.
     """
     _require_2d(instance)
     cycles = form_cycles_ptr(instance)
@@ -505,69 +502,10 @@ def greedy_2d(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:
     return greedy_plan(instance, model)
 
 
-# --- goal-type layouts ------------------------------------------------------
-
-@dataclass(frozen=True)
-class GoalPattern:
-    """Recipe for a typed goal layout.
-
-    kind "blocks": types tile the lattice in square blocks (side sqrt(k)),
-    falling back to contiguous index runs when such blocks cannot tile.
-    kind "columns": one type per column.  kind "explicit": goal_types is
-    given verbatim.
-    """
-
-    kind: str
-    goal_types: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("blocks", "columns", "explicit"):
-            raise ValueError(f"unknown goal pattern kind {self.kind!r}")
-        if (self.kind == "explicit") != (self.goal_types is not None):
-            raise ValueError("explicit patterns carry goal_types; others must not")
-
-    def resolve(self, dims: LatticeDims, k: int) -> tuple[tuple[int, ...], bool]:
-        """Concrete goal types for a lattice; the flag reports whether the
-        block layout fell back to index runs."""
-        if self.kind == "explicit":
-            return self.goal_types, False
-        if self.kind == "columns":
-            return pattern_columns_types(dims, k), False
-        return pattern_blocks_types(dims, k)
-
-
-def pattern_blocks_types(dims: LatticeDims, k: int) -> tuple[tuple[int, ...], bool]:
-    """Goal types aggregated in both dimensions: square same-type blocks.
-
-    Needs k to be a perfect square whose root divides both sides; when it
-    is not, falls back to contiguous runs of n/k cells in index order and
-    flags that with the second return value.
-    """
-    n = dims.n
-    if n % k:
-        raise ValueError(f"{k} types cannot evenly fill {n} cells")
-    r = math.isqrt(k)
-    if r * r == k and dims.m1 % r == 0 and dims.m2 % r == 0:
-        bh, bw = dims.m1 // r, dims.m2 // r
-        types = []
-        for cell in dims.cells():
-            row, col = dims.rowcol(cell)
-            types.append(((col - 1) // bw) * r + ((row - 1) // bh) + 1)
-        return tuple(types), False
-    run = n // k
-    return tuple((cell - 1) // run + 1 for cell in dims.cells()), True
-
-
-def pattern_block_of(dims: LatticeDims, k: int, cell: int) -> tuple[int, int]:
-    """Which square block a cell belongs to under the block layout."""
-    r = math.isqrt(k)
-    bh, bw = dims.m1 // r, dims.m2 // r
-    row, col = dims.rowcol(cell)
-    return ((row - 1) // bh, (col - 1) // bw)
-
-
-def pattern_columns_types(dims: LatticeDims, k: int) -> tuple[int, ...]:
-    """Goal types with one type per column; requires k = m2."""
-    if k != dims.m2:
-        raise ValueError(f"one type per column needs k = m2, got k={k} m2={dims.m2}")
-    return tuple(col for col in range(1, dims.m2 + 1) for _ in range(dims.m1))
+def __getattr__(name: str):
+    # the goal layouts moved to gen; these two names are still served here,
+    # importing gen on first access, so a 2D solve never loads it
+    if name in ("GoalPattern", "pattern_block_of"):
+        from . import gen
+        return getattr(gen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,6 +34,7 @@ from .core import (
     Action,
     CostModel,
     DEFAULT_COST,
+    Instance,
     LabeledInstance,
     Plan,
     PlanStep,
@@ -41,7 +42,7 @@ from .core import (
 from .graphs import permutation_cycles
 
 
-def _require_1d(instance: LabeledInstance) -> None:
+def _require_1d(instance: Instance) -> None:
     if instance.dims.m2 != 1:
         raise ValueError("this planner handles 1D instances only (m2 must be 1)")
 

@@ -34,7 +34,7 @@ from .core import (
     RearrangeError,
     distance,
 )
-from .graphs import permutation_cycles
+from .graphs import _find, permutation_cycles
 
 DEFAULT_STATE_CAP = 50_000_000
 _Q = 1e-9  # travel comparison quantum
@@ -77,19 +77,11 @@ def oracle_min_picks(instance: Instance) -> int:
         misplaced = sum(1 for a, b in zip(start, goal) if a != b)
         return misplaced + permutation_cycles(instance.pi).count
     edges = [(a, b) for a, b in zip(start, goal) if a != b]
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(instance.k + 1))    # type ids are 1..k
     for a, b in edges:
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        parent[find(a)] = find(b)
-    components = len({find(x) for x in parent})
+        parent[_find(parent, a)] = _find(parent, b)
+    # both ends of an edge share a component, so its item type names it
+    components = len({_find(parent, a) for a, _ in edges})
     return len(edges) + components
 
 

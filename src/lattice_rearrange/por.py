@@ -46,7 +46,8 @@ from .core import (
     TypedInstance,
     distance,
 )
-from .lor import follow_cycles
+from .graphs import _find
+from .lor import _require_1d, follow_cycles
 
 Edge = tuple[int, int]
 
@@ -72,11 +73,6 @@ class MoveCycle:
         return self.edges[0][0]
 
 
-def _require_1d(instance: TypedInstance) -> None:
-    if instance.dims.m2 != 1:
-        raise ValueError("this planner handles 1D instances only (m2 must be 1)")
-
-
 def _cycles_from_assignment(assign: dict[int, int], types: dict[int, int]) -> list[MoveCycle]:
     """Decompose a destination assignment into min-first move cycles."""
     seen: set[int] = set()
@@ -96,6 +92,19 @@ def _cycles_from_assignment(assign: dict[int, int], types: dict[int, int]) -> li
     return cycles
 
 
+def _misplaced_by_type(instance: TypedInstance) -> tuple[dict[int, list[int]],
+                                                         dict[int, list[int]]]:
+    """(sources, goals): per type, the misplaced cells holding it and the
+    misplaced cells wanting it, each in cell order."""
+    sources: dict[int, list[int]] = {}
+    goals: dict[int, list[int]] = {}
+    for cell, (have, want) in enumerate(zip(instance.start_types, instance.goal_types), start=1):
+        if have != want:
+            sources.setdefault(have, []).append(cell)
+            goals.setdefault(want, []).append(cell)
+    return sources, goals
+
+
 def form_cycles(instance: TypedInstance) -> list[MoveCycle]:
     """Phase 1: leftmost-available matching of misplaced items to goals.
 
@@ -104,12 +113,7 @@ def form_cycles(instance: TypedInstance) -> list[MoveCycle]:
     the per-type total distance minimal in 1D.
     """
     _require_1d(instance)
-    sources: dict[int, list[int]] = {}
-    goals: dict[int, list[int]] = {}
-    for cell, (have, want) in enumerate(zip(instance.start_types, instance.goal_types), start=1):
-        if have != want:
-            sources.setdefault(have, []).append(cell)
-            goals.setdefault(want, []).append(cell)
+    sources, goals = _misplaced_by_type(instance)
     assign: dict[int, int] = {}
     types: dict[int, int] = {}
     for t, srcs in sources.items():
@@ -134,14 +138,6 @@ def _pair_gap(e1: tuple[int, int], e2: tuple[int, int]) -> float:
     (s1, g1), (s2, g2) = e1, e2
     delta = abs(s1 - g2) + abs(s2 - g1) - abs(s1 - g1) - abs(s2 - g2)
     return max(0.0, delta / 2.0)
-
-
-def _find(parent: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way up."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 def merge_cycles(cycles) -> list[MoveCycle]:
@@ -333,16 +329,18 @@ def merge_cycles_mst(cycles) -> list[MoveCycle]:
     return fuse_cycles(cycles, _GapTrades)[0]
 
 
+def _orbits(cycles) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    """(cells, dest): each cycle's source cells, cycles in min-cell order,
+    and the destination of every source, as the walk emitters read them."""
+    cycles = sorted(cycles, key=lambda c: c.min_cell)
+    dest = {s: g for cyc in cycles for s, g in cyc.edges}
+    return tuple(tuple(s for s, _ in cyc.edges) for cyc in cycles), dest
+
+
 def group_sweep_cycles_por(cycles, model: CostModel = DEFAULT_COST) -> Plan:
     """Phase 4: emit the walk, reusing the labeled 1D sweep/switch engine."""
-    cycles = sorted(cycles, key=lambda c: c.min_cell)
-    dest: dict[int, int] = {}
-    cell_cycles = []
-    for cyc in cycles:
-        for s, g in cyc.edges:
-            dest[s] = g
-        cell_cycles.append(tuple(s for s, _ in cyc.edges))
-    return follow_cycles(tuple(cell_cycles), dest, switching=True)
+    cells, dest = _orbits(cycles)
+    return follow_cycles(cells, dest, switching=True)
 
 
 def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:

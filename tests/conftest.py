@@ -7,9 +7,15 @@ route.
 
 from __future__ import annotations
 
+import json
 import math
 
 from lattice_rearrange.core import LatticeDims
+
+
+def dumps(doc: dict) -> str:
+    """Serialize a document deterministically (fixed key order, no spaces)."""
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def leg_travel(dims: LatticeDims, cells: list[int], rest: int = 1, metric: str = "euclidean") -> float:

@@ -1,10 +1,12 @@
 """Benchmark harness tests: spec validation, bands, determinism, emission."""
 
+import hashlib
 import math
 
 import pytest
 
 from lattice_rearrange.bench import (
+    EXPERIMENTS,
     ExperimentReport,
     ExperimentSpec,
     report_to_csv,
@@ -130,3 +132,42 @@ class TestEmission:
         row = report.rows[0]
         text = report_to_csv(report)
         assert repr(row.mean) in text and repr(row.std) in text
+
+
+# sha256 of report_to_json for every (experiment, allowed distribution) pair,
+# sizes (6, 9), 3 trials, seed 4: pins every instance draw and every solver
+# statistic, including the 2D uniform and typed k=4 draws and the recorded
+# NotPerfectSquare failures of block-random at size 6
+REPORT_DIGESTS = {
+    ("lor_ratio", "uniform"): "4c5ac36cbdc3fd34ee5a653fdac8ae0a0a4dab09ca97cc94fbf96cfeb7cac111",
+    ("lor_ratio", "10-random"): "1cf9ddadd88eea92e9e53a96daaa68335ec350a6c898973788cd07dca84a2242",
+    ("lor_ratio", "sqrt-random"): "fd4d490b65c229869fb8a879070a26336d99337e0799f0224189818fe962ec97",
+    ("lor_greedy_vs_opt", "uniform"): "a4c1bf22c0071936e0458420eb6ceccee597bff3cb529c66491ea581b79d52ab",
+    ("lor_greedy_vs_opt", "10-random"): "c3ad5144724994a343e02ae6fd2ecdc4427a0af0f77e061e979627464b91f5e6",
+    ("lor_greedy_vs_opt", "sqrt-random"): "fde3fff9429d49decbac3010e3190e27cd0a6ec4dcc72da882788cc097150d27",
+    ("ltr_cycle_dist", "uniform"): "5a4c897a85bbc29c52ad64600388a3a9dca5503948c4c1fd2a794c1f14915d3a",
+    ("ltr_cycle_dist", "column-random"): "8c43aaa0bd4a899f34a45a488e84fe5ed4ffef10017a0c508c72b4e3c39a8e8e",
+    ("ltr_cycle_dist", "block-random"): "e5e5cde5bd058d2aa7d9d173154176c170fa7a4c51f14c013cf8f2130280efee",
+    ("ltr_total_vs_cycles", "uniform"): "43382a8815c54a631832fd857742423d623ad590663bb69d2ee54e2fcabccfff",
+    ("ltr_total_vs_cycles", "column-random"): "0e3bdde203190f22173641324d84dea51cf6b5cc3fb96c093d4c587ae13c4721",
+    ("ltr_total_vs_cycles", "block-random"): "73b7e0f0f41c601b94e9e267ac2b75e80af06d824bb630be572032b5a48fdf57",
+    ("por_ratios", "typed-k4"): "4a31ba7ad4b00735a2a8d71e3e55105b6a646bf8b4339b471efdce0364adeb96",
+    ("ptr_ratios", "typed-k4"): "1a3c0696fa523d8228f0d9563446366fac288a4fc46b52bf0b8f16dc74cc2690",
+    ("ptr_ratios", "pattern-a"): "b6e196102e7d54f96117a192c8f4c967ec813577b0fc98e118144a2cffbb377b",
+    ("ptr_ratios", "pattern-b"): "44668c4b2a75ef012bbbb14f65681ae09cfb638336673523692ddedd8d00462f",
+    ("cycle_stats", "uniform"): "db22454e3ffdef060cff493656e3d515e5c0891573d7acc5607a69bc4e4ec497",
+    ("cycle_stats", "10-random"): "00d484ab01535ecb94f80936f0d39f6149002d9d3bc4d80d5d1e2c200a34b579",
+    ("cycle_stats", "sqrt-random"): "ffea008d078955071d2d31e1c1473c17c04f4cfd7451936096dc2f1b6cc45fc3",
+}
+
+
+def test_report_digests_cover_every_pair():
+    pairs = {(exp, dist) for exp, (allowed, _, _) in EXPERIMENTS.items() for dist in allowed}
+    assert set(REPORT_DIGESTS) == pairs
+
+
+@pytest.mark.parametrize("experiment,distribution", sorted(REPORT_DIGESTS))
+def test_report_json_digest(experiment, distribution):
+    report = run_experiment(ExperimentSpec(experiment, (6, 9), 3, distribution, seed=4))
+    digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
+    assert digest == REPORT_DIGESTS[(experiment, distribution)]

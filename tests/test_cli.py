@@ -175,6 +175,20 @@ class TestSolveAndValidate:
         assert code == 1
         assert json.loads(err)["error"] == "SolverMismatch"
 
+    def test_non_integer_values_are_format_errors(self, capsys, tmp_path):
+        inst = write_instance(tmp_path, "i.json", {"kind": "labeled", "dims": [2, 1],
+                                                   "pi": [2, 1]})
+        plan = write_instance(tmp_path, "p.json", {
+            "steps": [{"cell": 1.7, "action": "pick"}, {"cell": True, "action": "place"}]})
+        coerced = write_instance(tmp_path, "c.json", {"kind": "labeled", "dims": [2.9, 1],
+                                                      "pi": [2.2, 1.0], "rest": True})
+        for argv in (("validate", "--instance", inst, "--plan", plan),
+                     ("solve", "--solver", "opt-lor", "-i", coerced)):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            doc = json.loads(err)
+            assert doc["format_version"] == 1 and doc["error"] == "JsonFormatError"
+
     def test_malformed_json_never_panics(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -290,6 +304,9 @@ def _loaded_after(argv) -> tuple[int, list[str]]:
     return int(status), modules
 
 
+# a gen process loads the generators and nothing of the planners or numpy
+GEN_MODULES = ["lattice_rearrange", "lattice_rearrange.cli", "lattice_rearrange.core",
+               "lattice_rearrange.gen", "logging"]
 _1D = ("cli", "core", "graphs", "lor")
 _TYPED = _1D + ("por",)
 _2D = _TYPED + ("lattice2d",)
@@ -312,11 +329,11 @@ SOLVE_CASES = {
 def test_numpy_loads_only_for_2d_scheduling_and_assignment(solver, tmp_path):
     # import alone costs a CLI process more than most solves: a solve loads
     # only its planner's modules, and numpy only for the arc-weight slabs,
-    # the arborescence and the assignment; gen never needs numpy
+    # the arborescence and the assignment; gen loads exactly GEN_MODULES
     gen_args, modules, loads = SOLVE_CASES[solver]
     inst = str(tmp_path / "inst.json")
     status, loaded = _loaded_after(["gen", *gen_args, "--seed", "5", "-o", inst])
-    assert status == 0 and "lattice_rearrange.gen" in loaded and "numpy" not in loaded
+    assert status == 0 and loaded == GEN_MODULES
     status, loaded = _loaded_after(
         ["solve", "--solver", solver, "-i", inst, "-o", str(tmp_path / "plan.json")])
     assert status == 0

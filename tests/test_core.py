@@ -18,7 +18,6 @@ from lattice_rearrange.core import (
     TypedInstance,
     TypeMismatch,
     distance,
-    dumps,
     instance_from_dict,
     instance_to_dict,
     is_solved,
@@ -32,7 +31,7 @@ from lattice_rearrange.core import (
 from lattice_rearrange.gen import gen_block_random, gen_uniform_permutation
 from lattice_rearrange.lattice2d import sweep_cycles_ltr
 from lattice_rearrange.lor import opt_plan_lor
-from conftest import leg_travel
+from conftest import dumps, leg_travel
 
 
 def P(*steps):
@@ -216,6 +215,38 @@ def test_json_round_trips():
 @pytest.mark.parametrize("action", ["jump", "PICK", "", None, 1, ["pick"], {"pick": 1}])
 def test_plan_from_dict_rejects_unknown_and_unhashable_actions(action):
     doc = {"steps": [{"cell": 1, "action": "pick"}, {"cell": 1, "action": action}]}
+    with pytest.raises(JsonFormatError):
+        plan_from_dict(doc)
+
+
+# field -> (a valid document, where the field holds a 1: the index into its
+# array, or None for a scalar); int() would turn 1.5 and True back into 1
+_LABELED_DOC = {"dims": [3, 1], "kind": "labeled", "pi": [2, 3, 1], "rest": 1}
+_TYPED_DOC = {"dims": [3, 1], "kind": "typed", "k": 1, "start_types": [1, 1, 1],
+              "goal_types": [1, 1, 1], "rest": 1}
+_INT_FIELDS = {
+    "dims": (_LABELED_DOC, 1), "pi": (_LABELED_DOC, 2), "rest": (_LABELED_DOC, None),
+    "k": (_TYPED_DOC, None), "start_types": (_TYPED_DOC, 0), "goal_types": (_TYPED_DOC, 0),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3"])
+@pytest.mark.parametrize("field", sorted(_INT_FIELDS))
+def test_instance_from_dict_accepts_only_json_integers(field, bad):
+    base, at = _INT_FIELDS[field]
+    instance_from_dict(base)
+    doc = {key: list(value) if isinstance(value, list) else value for key, value in base.items()}
+    if at is None:
+        doc[field] = bad
+    else:
+        doc[field][at] = bad
+    with pytest.raises(JsonFormatError, match=field):
+        instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3"])
+def test_plan_from_dict_accepts_only_integer_cells(bad):
+    doc = {"steps": [{"cell": 1, "action": "pick"}, {"cell": bad, "action": "place"}]}
     with pytest.raises(JsonFormatError):
         plan_from_dict(doc)
 

@@ -9,6 +9,7 @@ from lattice_rearrange.core import LatticeDims
 from lattice_rearrange.gen import (
     BadCounts,
     ClusterOverlap,
+    GoalPattern,
     NotPerfectSquare,
     PatternInfeasible,
     PointOnBoundary,
@@ -20,13 +21,10 @@ from lattice_rearrange.gen import (
     gen_typed,
     gen_uniform_permutation,
     gen_x_random,
+    pattern_block_of,
 )
 from lattice_rearrange.core import is_solved, plan_cost, simulate
-from lattice_rearrange.lattice2d import (
-    GoalPattern,
-    pattern_block_of,
-    sweep_cycles_ltr,
-)
+from lattice_rearrange.lattice2d import sweep_cycles_ltr
 from lattice_rearrange.oracle import oracle_min_picks
 
 
@@ -243,3 +241,12 @@ class TestTspClusters:
     def test_disjoint_columns_share_a_row_fine(self):
         inst = gen_tsp_clusters([(2, 2), (2, 4)], (6, 6))
         assert oracle_min_picks(inst) == 6
+
+
+def test_lattice2d_still_serves_goal_pattern_and_block_of():
+    # the goal layouts live in gen; lattice2d answers for these two names only
+    from lattice_rearrange import gen, lattice2d
+    assert lattice2d.GoalPattern is gen.GoalPattern
+    assert lattice2d.pattern_block_of is gen.pattern_block_of
+    with pytest.raises(AttributeError):
+        lattice2d.pattern_blocks_types  # noqa: B018

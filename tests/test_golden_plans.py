@@ -20,19 +20,19 @@ from lattice_rearrange.core import (
     CostModel,
     Plan,
     PlanStep,
-    dumps,
     plan_from_dict,
     plan_to_dict,
 )
 from lattice_rearrange.gen import (
+    GoalPattern,
     gen_block_random,
     gen_column_random,
     gen_typed,
     gen_uniform_permutation,
     gen_x_random,
 )
-from lattice_rearrange.lattice2d import GoalPattern
 from lattice_rearrange.oracle import oracle_optimal
+from conftest import dumps
 
 
 def _rest(inst, rest):

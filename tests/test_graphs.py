@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_rearrange.core import CostModel, MalformedPermutation, distance
-from lattice_rearrange.gen import gen_typed
+from lattice_rearrange.gen import GoalPattern, gen_typed
 from lattice_rearrange.graphs import (
     CycleSet,
     Unreachable,
@@ -17,7 +17,6 @@ from lattice_rearrange.graphs import (
     min_cost_assignment,
     permutation_cycles,
 )
-from lattice_rearrange.lattice2d import GoalPattern
 
 
 # --- permutation cycles -----------------------------------------------------

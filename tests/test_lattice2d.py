@@ -22,15 +22,18 @@ from lattice_rearrange.core import (
     simulate,
 )
 from lattice_rearrange.gen import (
+    GoalPattern,
     gen_block_random,
     gen_column_random,
     gen_typed,
     gen_uniform_permutation,
     gen_x_random,
+    pattern_block_of,
+    pattern_blocks_types,
+    pattern_columns_types,
 )
-from lattice_rearrange.graphs import permutation_cycles
+from lattice_rearrange.graphs import _find, permutation_cycles
 from lattice_rearrange.lattice2d import (
-    GoalPattern,
     _arcs,
     _DeltaTrades,
     _codes,
@@ -43,16 +46,12 @@ from lattice_rearrange.lattice2d import (
     form_cycles_ptr,
     greedy_2d,
     merge_cycles_ptr,
-    pattern_block_of,
-    pattern_blocks_types,
-    pattern_columns_types,
     plan_ptr,
     sweep_cycles_ltr,
     sweep_cycles_ptr,
     switch_cycles_ltr,
 )
 from lattice_rearrange.oracle import oracle_min_picks, oracle_optimal
-from lattice_rearrange.por import _find
 
 from conftest import leg_travel
 from test_por import _swap_destinations

@@ -9,6 +9,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lattice_rearrange import (
     CostModel,
@@ -95,6 +96,62 @@ def test_min_picks_typed_components():
     assert oracle_min_picks(typ1d(3, (2, 3, 1, 2), (1, 2, 3, 2))) == 4
     # two independent trades in one arrangement: 4 misplaced + 2
     assert oracle_min_picks(typ1d(4, (2, 1, 4, 3, 1), (1, 2, 3, 4, 1))) == 6
+
+
+def _min_picks_by_bfs(instance):
+    """Misplaced cells plus the connected components of the type multigraph
+    (an edge from each misplaced item's type to its cell's goal type),
+    counted by breadth-first search."""
+    adjacent = {}
+    misplaced = 0
+    for have, want in zip(instance.start_types, instance.goal_types):
+        if have != want:
+            misplaced += 1
+            adjacent.setdefault(have, []).append(want)
+            adjacent.setdefault(want, []).append(have)
+    seen = set()
+    components = 0
+    for t in adjacent:
+        if t in seen:
+            continue
+        components += 1
+        seen.add(t)
+        queue = [t]
+        for u in queue:
+            for v in adjacent[u]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+    return misplaced + components
+
+
+@st.composite
+def typed_instances(draw):
+    """Typed 1D or 2D instances with any k from 1 to n.  Cells flagged to
+    stay keep their goal type and the rest are shuffled among themselves, so
+    some types are never misplaced."""
+    m1 = draw(st.integers(1, 6))
+    m2 = draw(st.sampled_from([1, 2, 3]))
+    n = m1 * m2
+    k = draw(st.integers(1, n))
+    goal = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    stay = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    moving = [c for c in range(n) if not stay[c]]
+    start = list(goal)
+    for c, t in zip(moving, draw(st.permutations([goal[c] for c in moving]))):
+        start[c] = t
+    return TypedInstance(LatticeDims(m1, m2), k, tuple(start), tuple(goal))
+
+
+@given(typed_instances())
+# k = n, all types distinct: 1 <-> 2 misplaced, types 3 and 4 never are
+@example(TypedInstance(LatticeDims(4, 1), 4, (2, 1, 3, 4), (1, 2, 3, 4)))
+# k = n on a 2D lattice: two separate trades, types 3 and 6 idle
+@example(TypedInstance(LatticeDims(3, 2), 6, (2, 1, 3, 5, 4, 6), (1, 2, 3, 4, 5, 6)))
+# k = 1: nothing can be misplaced
+@example(TypedInstance(LatticeDims(2, 2), 1, (1, 1, 1, 1), (1, 1, 1, 1)))
+def test_min_picks_typed_matches_component_count(instance):
+    assert oracle_min_picks(instance) == _min_picks_by_bfs(instance)
 
 
 def test_search_achieves_min_picks_everywhere():

@@ -14,13 +14,13 @@ from lattice_rearrange import (
     gen_x_random,
     simulate,
 )
+from lattice_rearrange.graphs import _find
 from lattice_rearrange.lattice2d import form_cycles_ptr
 from lattice_rearrange.por import (
     MoveCycle,
     _assignment_of,
     _cheapest_trade,
     _cycles_from_assignment,
-    _find,
     _pair_gap,
     _splice,
     form_cycles,
