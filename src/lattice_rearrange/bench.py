@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .core import LabeledInstance, LatticeDims, TypedInstance, plan_cost
 from .gen import (
     GoalPattern,
+    _even_counts,
     derive_seed,
     gen_block_random,
     gen_column_random,
@@ -129,8 +130,7 @@ class ExperimentReport:
 
 def _typed_quarters(dims: LatticeDims, seed: int) -> TypedInstance:
     # k=4, contiguous index runs as the (aggregated) goal
-    base, rem = divmod(dims.n, 4)
-    counts = tuple(base + (1 if t < rem else 0) for t in range(4))
+    counts = _even_counts(dims, 4)
     goal = tuple(t + 1 for t in range(4) for _ in range(counts[t]))
     return gen_typed(dims, 4, counts, GoalPattern("explicit", goal), seed)
 

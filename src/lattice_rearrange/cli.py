@@ -96,6 +96,7 @@ def _need(args, names: str):
 def _cmd_gen(args) -> int:
     from .gen import (
         GoalPattern,
+        _even_counts,
         gen_block_random,
         gen_column_random,
         gen_tsp_clusters,
@@ -126,9 +127,7 @@ def _cmd_gen(args) -> int:
         else:
             _need(args, "m")
             dims = args.m
-        n = dims if isinstance(dims, int) else dims[0] * dims[1]
-        base, rem = divmod(n, args.k)
-        counts = tuple(base + (1 if t < rem else 0) for t in range(args.k))
+        counts = _even_counts(dims, args.k)
         inst = gen_typed(dims, args.k, counts, GoalPattern(args.pattern), seed)
     else:  # tsp-clusters
         _need(args, "m1 m2 points")

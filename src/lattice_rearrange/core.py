@@ -99,8 +99,8 @@ class CostModel:
     def __post_init__(self):
         if self.metric not in ("euclidean", "manhattan"):
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.c_p < 0 or self.c_t < 0:
-            raise ValueError("cost coefficients must be nonnegative")
+        if not all(math.isfinite(c) and c >= 0 for c in (self.c_p, self.c_t)):
+            raise ValueError("cost coefficients must be finite and nonnegative")
 
 
 DEFAULT_COST = CostModel()

@@ -271,6 +271,14 @@ def _check_counts(counts, k: int, n: int) -> tuple:
     return counts
 
 
+def _even_counts(dims, k: int) -> tuple[int, ...]:
+    """k counts filling the lattice evenly, the first n % k one larger."""
+    if k < 1:
+        raise BadCounts(f"need at least one type, got k={k}")
+    base, rem = divmod(_as_dims(dims).n, k)
+    return tuple(base + (1 if t < rem else 0) for t in range(k))
+
+
 def gen_typed(dims, k: int, counts, goal: GoalPattern, seed: int) -> TypedInstance:
     """Typed instance: goal laid out per pattern, start a uniform shuffle.
 

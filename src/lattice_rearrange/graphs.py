@@ -37,8 +37,9 @@ class CycleSet:
         return len(self.cycles)
 
 
-def permutation_cycles(pi: Sequence[int]) -> CycleSet:
-    """The CycleSet of pi, which must be a permutation of 1..len(pi).
+def _walk_orbits(pi: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(cycles, fixed points) of pi, which must be a permutation of
+    1..len(pi): the one orbit walk behind every cycle decomposition.
 
     The check runs inside the walk, in linear time: with every value in
     range, pi is a permutation exactly when each orbit closes at its start
@@ -74,7 +75,13 @@ def permutation_cycles(pi: Sequence[int]) -> CycleSet:
                 cycles.append(tuple(orbit))
     except TypeError:  # a value that is not an integer
         raise malformed() from None
-    return CycleSet(tuple(cycles), tuple(fixed))
+    return cycles, fixed
+
+
+def permutation_cycles(pi: Sequence[int]) -> CycleSet:
+    """The CycleSet of pi, checked as _walk_orbits does.  Only labeled
+    arrangements come through here; por's assignments call the walk."""
+    return CycleSet(*map(tuple, _walk_orbits(pi)))
 
 
 def _find(parent: list[int], x: int) -> int:

@@ -13,7 +13,8 @@ the rest cell) decides which cycle is resolved inside which leg of which
 other cycle.  Entering a cycle mid-leg parks the carried item at the entry
 cell; the closing swap there takes it back.  Whenever the scheduled
 detours happen to lose to the plain sweep, the sweep plan is returned, so
-the switching planner never travels farther than the sweep.
+the switching planner never travels farther than the sweep.  Every walk
+is emitted by lor._emit_nested, the sweep being the one with no detours.
 
 Typed instances run a three-phase pipeline: per-type minimum-cost
 assignment of misplaced items to free goal cells (cycle formation), a
@@ -38,21 +39,19 @@ import functools
 import math
 
 from .core import (
-    Action,
     CostModel,
     DEFAULT_COST,
     Instance,
     LabeledInstance,
     LatticeDims,
     Plan,
-    PlanStep,
     TypedInstance,
     _manhattan_leg,
     distance,
     plan_cost,
 )
 from .graphs import WeightedGraph, min_arborescence, min_cost_assignment, permutation_cycles
-from .lor import _dest_table, follow_cycles
+from .lor import _dest_table, _emit_nested, _sweep
 from .por import (
     MoveCycle,
     _cycles_from_assignment,
@@ -141,49 +140,7 @@ def cycle_distance_statistic(instance: LabeledInstance, model: CostModel = DEFAU
     return cycle_edge_length(instance, model) / (dims.n * max(dims.m1, dims.m2))
 
 
-# --- nested emission along an arborescence ----------------------------------
-
-def _emit_nested(root_kids, kids, nxt) -> Plan:
-    """Walk every cycle, entering nested cycles mid-leg with parking.
-
-    root_kids: [(entry_cell, cycle_id), ...] resolved one after another,
-    each opened with Pick and closed with Place.  kids[cid][cell] lists
-    (entry_cell, child_id) detours to serve while traversing the leg that
-    leaves `cell`.  nxt maps each cycle cell to the next cell along its
-    orbit.  Iterative frames; nesting can exceed the recursion limit.
-    """
-    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
-    steps: list[PlanStep] = []
-    emit = steps.append
-    for entry0, cid0 in root_kids:
-        emit(PlanStep(entry0, pick))
-        # frame: [cycle id, entry cell, target to resume after closing,
-        #         detours pending on the current leg]
-        stack = [[cid0, entry0, 0, list(kids.get(cid0, {}).get(entry0, ()))]]
-        g = nxt[entry0]
-        while stack:
-            frame = stack[-1]
-            if frame[3]:
-                child_entry, child_cid = frame[3].pop(0)
-                emit(PlanStep(child_entry, swap))
-                stack.append([child_cid, child_entry, g,
-                              list(kids.get(child_cid, {}).get(child_entry, ()))])
-                g = nxt[child_entry]
-                continue
-            if g == frame[1]:
-                stack.pop()
-                if stack:
-                    # deposit this cycle's last item, take back the parked one
-                    emit(PlanStep(g, swap))
-                    g = frame[2]
-                else:
-                    emit(PlanStep(g, place))
-            else:
-                emit(PlanStep(g, swap))
-                frame[3] = list(kids.get(frame[0], {}).get(g, ()))
-                g = nxt[g]
-    return Plan(tuple(steps))
-
+# --- detour scheduling ------------------------------------------------------
 
 def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
     """Arcs of the scheduling graph over {0 = rest} u {b + 1 = cycle b}:
@@ -246,7 +203,8 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
 def _schedule(dims: LatticeDims, cycle_cells, rest: int, model: CostModel, detour: bool):
     """Arborescence over {rest} u cycles with the weights of _arcs (with
     detour=False, the classic double-cover bound); returns (root_kids, kids)
-    for _emit_nested.
+    for lor._emit_nested.  Each detour list is sorted by (distance from the
+    cell it leaves, entry cell, cycle id).
     """
     edges, meta = _arcs(dims, cycle_cells, rest, model.metric, detour)
     tree = min_arborescence(WeightedGraph(tuple(range(len(cycle_cells) + 1)), tuple(edges)),
@@ -256,17 +214,14 @@ def _schedule(dims: LatticeDims, cycle_cells, rest: int, model: CostModel, detou
     for u, v, w in tree:
         exit_cell, entry_cell = meta[(u, v)]
         if u == 0:
-            root_kids.append((distance(dims, rest, entry_cell, model), entry_cell, v - 1))
+            root_kids.append((entry_cell, v - 1))
         else:
-            kids.setdefault(u - 1, {}).setdefault(exit_cell, []).append(
-                (distance(dims, exit_cell, entry_cell, model), entry_cell, v - 1))
-    root_kids.sort()
+            kids.setdefault(u - 1, {}).setdefault(exit_cell, []).append((entry_cell, v - 1))
+    root_kids.sort(key=lambda kid: (distance(dims, rest, kid[0], model), *kid))
     for per_exit in kids.values():
-        for lst in per_exit.values():
-            lst.sort()
-    return ([(e, c) for _, e, c in root_kids],
-            {cid: {cell: [(e, c) for _, e, c in lst] for cell, lst in per.items()}
-             for cid, per in kids.items()})
+        for cell, lst in per_exit.items():
+            lst.sort(key=lambda kid: (distance(dims, cell, kid[0], model), *kid))
+    return root_kids, kids
 
 
 # --- labeled planners -------------------------------------------------------
@@ -279,9 +234,7 @@ def sweep_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST)
     cost.
     """
     _require_2d(instance)
-    cycles = permutation_cycles(instance.pi).cycles
-    dest = _dest_table(instance)
-    return follow_cycles(cycles, dest, switching=False)
+    return _sweep(permutation_cycles(instance.pi).cycles, _dest_table(instance))
 
 
 def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST) -> Plan:
@@ -298,7 +251,7 @@ def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST
     dest = _dest_table(instance)
     root_kids, kids = _schedule(dims, cycles, instance.rest, model, detour=True)
     switched = _emit_nested(root_kids, kids, dest)
-    sweep = follow_cycles(cycles, dest, switching=False)
+    sweep = _sweep(cycles, dest)
     if plan_cost(instance, switched, model).travel <= plan_cost(instance, sweep, model).travel:
         return switched
     return sweep

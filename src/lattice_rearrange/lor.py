@@ -26,6 +26,10 @@ end-effector makes a single sweep.  Two devices do the work:
 
 The result is provably best possible: fewest operations, and, when the
 arm rests at cell 1, the least travel among plans with fewest operations.
+
+The module holds walk emission for every planner: follow_cycles (this
+single pass, also for por) and _emit_nested (detours lattice2d schedules;
+with none, the sweep of both sweep planners).
 """
 
 from __future__ import annotations
@@ -65,15 +69,14 @@ def _group_max_per_cycle(cycles: tuple[tuple[int, ...], ...]) -> list[int]:
     return out
 
 
-def follow_cycles(cycles, dest, switching: bool = True) -> Plan:
-    """Emit the pick/swap/place walk that resolves destination cycles.
+def follow_cycles(cycles, dest) -> Plan:
+    """Emit the 1D single-pass walk that resolves destination cycles.
 
     `cycles` are tuples of cells, each beginning at its minimum cell and
     ordered by that minimum; `dest` maps a cell to where the item currently
-    at that cell belongs (indexable by cell).  With switching off, each
-    cycle is resolved independently.  With switching on, the walk parks and
-    retrieves items to resolve inner cycles en route and hands items across
-    group boundaries at each group's maximum cell.
+    at that cell belongs (indexable by cell).  The walk parks and retrieves
+    items to resolve inner cycles en route and hands items across group
+    boundaries at each group's maximum cell (the sweep is _sweep).
 
     The loop is iterative with an explicit frame stack; nesting depth can
     reach the cycle count, far past the recursion limit on large inputs.
@@ -83,17 +86,6 @@ def follow_cycles(cycles, dest, switching: bool = True) -> Plan:
     pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
     steps: list[PlanStep] = []
     emit = steps.append
-    if not switching:
-        for cyc in cycles:
-            entry = cyc[0]
-            emit(PlanStep(entry, pick))
-            g = dest[entry]
-            while g != entry:
-                emit(PlanStep(g, swap))
-                g = dest[g]
-            emit(PlanStep(entry, place))
-        return Plan(tuple(steps))
-
     gmax = _group_max_per_cycle(cycles)
     n_cycles = len(cycles)
     # entries[ptr]: entry cell of the next cycle to start; the sentinel
@@ -143,6 +135,60 @@ def follow_cycles(cycles, dest, switching: bool = True) -> Plan:
     return Plan(tuple(steps))
 
 
+_NO_DETOURS: dict = {}  # the detour map of whatever nests nothing
+
+
+def _emit_nested(root_kids, kids, nxt) -> Plan:
+    """Walk every cycle, entering nested cycles mid-leg with parking.
+
+    root_kids: [(entry_cell, cycle_id), ...] resolved one after another,
+    each opened with Pick and closed with Place.  kids[cid][cell] lists
+    (entry_cell, child_id) detours to serve while traversing the leg that
+    leaves `cell`, and may leave out cycles without detours.  nxt maps each
+    cycle cell to the next cell along its orbit.  The open cycle's frame
+    (detour map, entry cell, target to resume after it, detours due on this
+    leg) lives in locals; outer frames wait on the stack as tuples, since
+    nesting can exceed the recursion limit.
+    """
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
+    steps: list[PlanStep] = []
+    emit = steps.append
+    stack: list[tuple] = []
+    for entry, cid in root_kids:
+        emit(PlanStep(entry, pick))
+        legs = kids.get(cid, _NO_DETOURS)
+        resume, pending = 0, legs.get(entry, ())
+        g = nxt[entry]
+        while True:
+            if pending:
+                # park the carried item at the child's entry cell
+                stack.append((legs, entry, resume, pending[1:]))
+                (entry, cid), resume = pending[0], g
+                emit(PlanStep(entry, swap))
+                legs = kids.get(cid, _NO_DETOURS)
+                pending = legs.get(entry, ())
+                g = nxt[entry]
+            elif g != entry:
+                emit(PlanStep(g, swap))
+                if legs:  # a sweep skips the lookup on every step
+                    pending = legs.get(g, ())
+                g = nxt[g]
+            elif stack:
+                # deposit this cycle's last item, take back the parked one
+                emit(PlanStep(g, swap))
+                g = resume
+                legs, entry, resume, pending = stack.pop()
+            else:
+                emit(PlanStep(g, place))
+                break
+    return Plan(tuple(steps))
+
+
+def _sweep(cycles, dest) -> Plan:
+    """Each cycle on its own, in order: Pick, Swap around, Place."""
+    return _emit_nested([(cyc[0], cid) for cid, cyc in enumerate(cycles)], _NO_DETOURS, dest)
+
+
 def _dest_table(instance: LabeledInstance) -> list[int]:
     """dest[cell] = the item at that cell, which belongs at cell dest[cell];
     index 0 is padding so cells index directly."""
@@ -157,8 +203,7 @@ def sweep_cycles_lor(instance: LabeledInstance, model: CostModel = DEFAULT_COST)
     accepted for interface symmetry with the other planners.
     """
     _require_1d(instance)
-    cycles = permutation_cycles(instance.pi).cycles
-    return follow_cycles(cycles, _dest_table(instance), switching=False)
+    return _sweep(permutation_cycles(instance.pi).cycles, _dest_table(instance))
 
 
 def opt_plan_lor(instance: LabeledInstance, model: CostModel = DEFAULT_COST) -> Plan:
@@ -172,5 +217,4 @@ def opt_plan_lor(instance: LabeledInstance, model: CostModel = DEFAULT_COST) -> 
     optimum (ROADMAP item 2).
     """
     _require_1d(instance)
-    cycles = permutation_cycles(instance.pi).cycles
-    return follow_cycles(cycles, _dest_table(instance), switching=True)
+    return follow_cycles(permutation_cycles(instance.pi).cycles, _dest_table(instance))

@@ -137,25 +137,25 @@ def oracle_optimal(instance: Instance,
             config.append(d)
         return config, held, p + 1
 
+    def priority(picks, travel, mism, back):
+        # cost so far plus the heuristic's rest of it, rounded to _Q; the
+        # total objective's key stays a bare int, which the heap compares faster
+        if lexicographic:
+            return picks + mism, round((travel + back) / _Q)
+        return round((picks * cp + travel * ct + mism * cp + back * ct) / _Q)
+
     use_h = heuristic
     start_state = pack(start_config, 0, rest)
     mism0 = sum(1 for c, g in zip(start_config, goal) if c != g)
-    if lexicographic:
-        k0 = ((mism0, round(to_rest[rest] / _Q)) if use_h else (0, 0))
-        heap = [(k0[0], k0[1], start_state, 0, 0.0)]
-    else:
-        k0 = round((mism0 * cp + to_rest[rest] * ct) / _Q) if use_h else 0
-        heap = [(k0, start_state, 0, 0.0)]
+    k0 = priority(0, 0.0, mism0, to_rest[rest]) if use_h else priority(0, 0.0, 0, 0.0)
+    # heap entries: (key, state, picks, travel)
+    heap = [(k0, start_state, 0, 0.0)]
     best_g: dict[int, tuple[int, float]] = {start_state: (0, 0.0)}
     parents: dict[int, tuple[int, int, Action]] = {}
     closed: set[int] = set()
 
     while heap:
-        entry = heapq.heappop(heap)
-        if lexicographic:
-            state, g_picks, g_travel = entry[2], entry[3], entry[4]
-        else:
-            state, g_picks, g_travel = entry[1], entry[2], entry[3]
+        _, state, g_picks, g_travel = heapq.heappop(heap)
         if state in closed:
             continue
         closed.add(state)
@@ -211,11 +211,6 @@ def oracle_optimal(instance: Instance,
                 back = to_rest[cell]
             else:
                 new_mism, back = 0, 0.0
-            if lexicographic:
-                heapq.heappush(heap, (ng_picks + new_mism,
-                                      round((ng_travel + back) / _Q),
-                                      nstate, ng_picks, ng_travel))
-            else:
-                f = ng_picks * cp + ng_travel * ct + new_mism * cp + back * ct
-                heapq.heappush(heap, (round(f / _Q), nstate, ng_picks, ng_travel))
+            heapq.heappush(heap, (priority(ng_picks, ng_travel, new_mism, back),
+                                  nstate, ng_picks, ng_travel))
     raise RearrangeError("search exhausted without reaching the goal")  # pragma: no cover

@@ -46,7 +46,7 @@ from .core import (
     TypedInstance,
     distance,
 )
-from .graphs import _find
+from .graphs import _find, _walk_orbits
 from .lor import _require_1d, follow_cycles
 
 Edge = tuple[int, int]
@@ -74,22 +74,14 @@ class MoveCycle:
 
 
 def _cycles_from_assignment(assign: dict[int, int], types: dict[int, int]) -> list[MoveCycle]:
-    """Decompose a destination assignment into min-first move cycles."""
-    seen: set[int] = set()
-    cycles = []
-    for start in sorted(assign):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        cur = assign[start]
-        while cur != start:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = assign[cur]
-        edges = tuple((orbit[i], orbit[(i + 1) % len(orbit)]) for i in range(len(orbit)))
-        cycles.append(MoveCycle(edges, tuple(types[s] for s, _ in edges)))
-    return cycles
+    """Decompose a destination assignment, a bijection on its sources that
+    sends none to itself, into min-first move cycles: the orbit walk splits
+    it laid over the identity on 1..max(assign)."""
+    pi = list(range(1, max(assign, default=0) + 1))
+    for s, g in assign.items():
+        pi[s - 1] = g
+    return [MoveCycle(tuple(zip(orbit, orbit[1:] + orbit[:1])), tuple(types[s] for s in orbit))
+            for orbit in _walk_orbits(pi)[0]]
 
 
 def _misplaced_by_type(instance: TypedInstance) -> tuple[dict[int, list[int]],
@@ -337,10 +329,10 @@ def _orbits(cycles) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
     return tuple(tuple(s for s, _ in cyc.edges) for cyc in cycles), dest
 
 
-def group_sweep_cycles_por(cycles, model: CostModel = DEFAULT_COST) -> Plan:
-    """Phase 4: emit the walk, reusing the labeled 1D sweep/switch engine."""
+def group_sweep_cycles_por(cycles) -> Plan:
+    """Phase 4: emit the walk with the labeled 1D planner's engine."""
     cells, dest = _orbits(cycles)
-    return follow_cycles(cells, dest, switching=True)
+    return follow_cycles(cells, dest)
 
 
 def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
@@ -357,7 +349,7 @@ def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Pl
     cycles = form_cycles(instance)
     cycles = merge_cycles(cycles)
     cycles = merge_cycles_mst(cycles)
-    return group_sweep_cycles_por(cycles, model)
+    return group_sweep_cycles_por(cycles)
 
 
 # --- greedy baseline --------------------------------------------------------

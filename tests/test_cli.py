@@ -95,6 +95,12 @@ class TestGen:
         assert code == 1
         assert json.loads(err)["error"] == "PatternInfeasible"
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_no_types_is_bad_counts(self, capsys, k):
+        code, out, err = run(capsys, "gen", "typed", "--m", "12", "--k", k)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "BadCounts"
+
 
 class TestSolveAndValidate:
     def test_identity_solves_to_empty_plan(self, capsys, tmp_path):
@@ -196,6 +202,22 @@ class TestSolveAndValidate:
                            "-i", str(bad))
         assert code == 1
         assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--cp", "--ct"])
+@pytest.mark.parametrize("command", ["solve", "validate", "oracle"])
+def test_non_finite_cost_is_domain_error(capsys, tmp_path, command, flag, value):
+    # a non-finite coefficient would print NaN or Infinity, which is not JSON
+    inst = write_instance(tmp_path, "i.json", CYCLE_INSTANCE)
+    plan = write_instance(tmp_path, "p.json", CYCLE_PLAN)
+    argv = {"solve": ("solve", "--solver", "opt-lor", "-i", inst),
+            "validate": ("validate", "--instance", inst, "--plan", plan),
+            "oracle": ("oracle", "-i", inst)}[command]
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "finite" in doc["detail"]
 
 
 class TestOracle:

@@ -62,6 +62,14 @@ def test_distance_metrics():
     assert distance(line, 2, 8) == 6.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["c_p", "c_t"])
+def test_cost_model_rejects_non_finite_coefficients(field, value):
+    # a NaN slips past `< 0`, and either would reach plan totals
+    with pytest.raises(ValueError, match="finite"):
+        CostModel(**{field: value})
+
+
 def test_simulate_single_cycle_plan():
     # items (3,2,4,1): one 3-cycle over cells 1,3,4 plus fixed point 2
     inst = LabeledInstance(LatticeDims(4, 1), (3, 2, 4, 1))

@@ -1,0 +1,276 @@
+"""The shared orbit walk and nested emitter against the loops they replaced.
+
+Three loops are kept here verbatim as references: the sweep branch of
+follow_cycles, por's own orbit loop in _cycles_from_assignment, and the
+list-frame nested emitter lattice2d used to hold.  Every planner built on
+their replacements must emit exactly what they did.
+"""
+
+import random
+
+import pytest
+
+from lattice_rearrange import (
+    Action,
+    CostModel,
+    LabeledInstance,
+    LatticeDims,
+    Plan,
+    PlanStep,
+    plan_cost,
+)
+from lattice_rearrange.gen import (
+    GoalPattern,
+    _even_counts,
+    gen_block_random,
+    gen_column_random,
+    gen_typed,
+    gen_uniform_permutation,
+    gen_x_random,
+)
+from lattice_rearrange.graphs import permutation_cycles
+from lattice_rearrange.lattice2d import (
+    _schedule,
+    form_cycles_ptr,
+    merge_cycles_ptr,
+    sweep_cycles_ltr,
+    sweep_cycles_ptr,
+    switch_cycles_ltr,
+)
+from lattice_rearrange.lor import _dest_table, _emit_nested, sweep_cycles_lor
+from lattice_rearrange.por import (
+    MoveCycle,
+    _cycles_from_assignment,
+    _misplaced_by_type,
+    _orbits,
+)
+
+
+# --- the replaced loops, verbatim -------------------------------------------
+
+def reference_sweep(cycles, dest) -> Plan:
+    """follow_cycles(cycles, dest, switching=False)."""
+    if not cycles:
+        return Plan()
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
+    steps: list[PlanStep] = []
+    emit = steps.append
+    for cyc in cycles:
+        entry = cyc[0]
+        emit(PlanStep(entry, pick))
+        g = dest[entry]
+        while g != entry:
+            emit(PlanStep(g, swap))
+            g = dest[g]
+        emit(PlanStep(entry, place))
+    return Plan(tuple(steps))
+
+
+def reference_cycles_from_assignment(assign, types):
+    """por._cycles_from_assignment with its own orbit loop."""
+    seen: set[int] = set()
+    cycles = []
+    for start in sorted(assign):
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        cur = assign[start]
+        while cur != start:
+            orbit.append(cur)
+            seen.add(cur)
+            cur = assign[cur]
+        edges = tuple((orbit[i], orbit[(i + 1) % len(orbit)]) for i in range(len(orbit)))
+        cycles.append(MoveCycle(edges, tuple(types[s] for s, _ in edges)))
+    return cycles
+
+
+def reference_emit_nested(root_kids, kids, nxt) -> Plan:
+    """lattice2d._emit_nested with list frames."""
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
+    steps: list[PlanStep] = []
+    emit = steps.append
+    for entry0, cid0 in root_kids:
+        emit(PlanStep(entry0, pick))
+        # frame: [cycle id, entry cell, target to resume after closing,
+        #         detours pending on the current leg]
+        stack = [[cid0, entry0, 0, list(kids.get(cid0, {}).get(entry0, ()))]]
+        g = nxt[entry0]
+        while stack:
+            frame = stack[-1]
+            if frame[3]:
+                child_entry, child_cid = frame[3].pop(0)
+                emit(PlanStep(child_entry, swap))
+                stack.append([child_cid, child_entry, g,
+                              list(kids.get(child_cid, {}).get(child_entry, ()))])
+                g = nxt[child_entry]
+                continue
+            if g == frame[1]:
+                stack.pop()
+                if stack:
+                    # deposit this cycle's last item, take back the parked one
+                    emit(PlanStep(g, swap))
+                    g = frame[2]
+                else:
+                    emit(PlanStep(g, place))
+            else:
+                emit(PlanStep(g, swap))
+                frame[3] = list(kids.get(frame[0], {}).get(g, ()))
+                g = nxt[g]
+    return Plan(tuple(steps))
+
+
+# --- seeded inputs ----------------------------------------------------------
+
+def interior_rest(dims: LatticeDims, rng) -> int:
+    """A random cell off the lattice border, or cell 1 if there is none."""
+    if dims.m1 < 3 or dims.m2 == 2:
+        return 1
+    if dims.m2 == 1:
+        return rng.randint(2, dims.m1 - 1)
+    return dims.index(rng.randint(2, dims.m1 - 1), rng.randint(2, dims.m2 - 1))
+
+
+def labeled_rows():
+    rng = random.Random(12)
+    for seed in range(40):
+        m = rng.randint(1, 60)
+        inst = gen_uniform_permutation(m, seed) if seed % 2 else gen_x_random(m, 4, seed)
+        yield LabeledInstance(inst.dims, inst.pi, interior_rest(inst.dims, rng))
+
+
+def labeled_grids():
+    rng = random.Random(13)
+    for seed in range(24):
+        m1, m2 = rng.randint(3, 9), rng.randint(3, 9)
+        kind = seed % 3
+        if kind == 0:
+            inst = LabeledInstance(LatticeDims(m1, m2), gen_uniform_permutation(m1 * m2, seed).pi)
+        elif kind == 1:
+            inst = gen_column_random(m1, m2, seed)
+        else:
+            inst = gen_block_random(rng.choice((4, 9)), seed)
+        yield LabeledInstance(inst.dims, inst.pi, interior_rest(inst.dims, rng))
+    # four 2-cycles whose schedule travels farther than the sweep: the
+    # switching planner falls back
+    yield LabeledInstance(LatticeDims(5, 4), (1, 3, 2, 5, 4, 6, 7, 8, 9, 10, 11, 12, 14, 13,
+                                              15, 16, 18, 17, 19, 20), rest=12)
+
+
+def typed_instances(dims_of):
+    rng = random.Random(14)
+    for seed in range(20):
+        dims = dims_of(rng)
+        k = rng.randint(1, min(12, dims.n))
+        counts = _even_counts(dims, k)
+        goal = tuple(t + 1 for t in range(k) for _ in range(counts[t]))
+        yield gen_typed(dims, k, counts, GoalPattern("explicit", goal), seed)
+
+
+def in_order_assignment(instance):
+    """form_cycles' matching: per type, the i-th source to the i-th goal."""
+    sources, goals = _misplaced_by_type(instance)
+    assign, types = {}, {}
+    for t, srcs in sources.items():
+        for s, g in zip(srcs, goals[t]):
+            assign[s], types[s] = g, t
+    return assign, types
+
+
+def shuffled_assignment(n: int, rng):
+    """A random bijection on a random subset of 1..n, no cell mapped to
+    itself, with random types: orbits of length >= 2 cut from a shuffle."""
+    cells = rng.sample(range(1, n + 1), rng.randint(0, n))
+    assign, types = {}, {}
+    at = 0
+    while len(cells) - at >= 2:
+        size = rng.randint(2, len(cells) - at)
+        if len(cells) - at - size == 1:
+            size += 1
+        orbit = cells[at:at + size]
+        for s, g in zip(orbit, orbit[1:] + orbit[:1]):
+            assign[s], types[s] = g, rng.randint(1, 4)
+        at += size
+    return assign, types
+
+
+# --- sweeps -----------------------------------------------------------------
+
+def test_1d_sweep_matches_reference_loop():
+    for inst in labeled_rows():
+        cycles = permutation_cycles(inst.pi).cycles
+        assert sweep_cycles_lor(inst) == reference_sweep(cycles, _dest_table(inst))
+
+
+def test_2d_sweep_matches_reference_loop():
+    for inst in labeled_grids():
+        cycles = permutation_cycles(inst.pi).cycles
+        assert sweep_cycles_ltr(inst) == reference_sweep(cycles, _dest_table(inst))
+
+
+def test_emitter_without_detours_is_the_reference_sweep():
+    for inst in labeled_rows():
+        cycles = permutation_cycles(inst.pi).cycles
+        root_kids = [(cyc[0], cid) for cid, cyc in enumerate(cycles)]
+        dest = _dest_table(inst)
+        assert _emit_nested(root_kids, {}, dest) == reference_sweep(cycles, dest)
+
+
+# --- orbit walk over typed assignments --------------------------------------
+
+@pytest.mark.parametrize("dims_of", [lambda rng: LatticeDims(rng.randint(2, 80), 1),
+                                     lambda rng: LatticeDims(rng.randint(2, 9), rng.randint(2, 9))],
+                         ids=["1d", "2d"])
+def test_typed_assignments_decompose_like_reference(dims_of):
+    for inst in typed_instances(dims_of):
+        assign, types = in_order_assignment(inst)
+        assert _cycles_from_assignment(assign, types) == \
+            reference_cycles_from_assignment(assign, types)
+    rng = random.Random(15)
+    for _ in range(60):
+        dims = dims_of(rng)
+        assign, types = shuffled_assignment(dims.n, rng)
+        assert _cycles_from_assignment(assign, types) == \
+            reference_cycles_from_assignment(assign, types)
+
+
+def test_empty_assignment_has_no_cycles():
+    assert _cycles_from_assignment({}, {}) == reference_cycles_from_assignment({}, {}) == []
+
+
+# --- nested emission along a schedule ---------------------------------------
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_switch_schedule_emits_like_reference(metric):
+    model = CostModel(metric=metric)
+    for inst in labeled_grids():
+        cycles = permutation_cycles(inst.pi).cycles
+        if not cycles:
+            assert switch_cycles_ltr(inst, model) == Plan()
+            continue
+        dest = _dest_table(inst)
+        root_kids, kids = _schedule(inst.dims, cycles, inst.rest, model, detour=True)
+        switched = reference_emit_nested(root_kids, kids, dest)
+        assert _emit_nested(root_kids, kids, dest) == switched
+        # the planner as it read before: the schedule, or the sweep when
+        # the schedule travels farther
+        sweep = reference_sweep(cycles, dest)
+        better = (plan_cost(inst, switched, model).travel
+                  <= plan_cost(inst, sweep, model).travel)
+        assert switch_cycles_ltr(inst, model) == (switched if better else sweep)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_typed_schedule_emits_like_reference(metric):
+    model = CostModel(metric=metric)
+    rng = random.Random(16)
+    for inst in typed_instances(lambda rng: LatticeDims(rng.randint(2, 8), rng.randint(2, 8))):
+        cycles = merge_cycles_ptr(form_cycles_ptr(inst), inst.dims)
+        cells, nxt = _orbits(cycles)
+        rest = interior_rest(inst.dims, rng)
+        plan = sweep_cycles_ptr(cycles, inst.dims, rest, model)
+        if not cells:
+            assert plan == Plan()
+            continue
+        root_kids, kids = _schedule(inst.dims, cells, rest, model, detour=False)
+        assert plan == reference_emit_nested(root_kids, kids, nxt)
