@@ -176,7 +176,7 @@ def _cmd_validate(args) -> int:
     if not is_solved(result.config, inst):
         raise PlanDoesNotSolve("plan executes legally but the final "
                                "configuration is not the goal")
-    cost = plan_cost(inst, plan, model)
+    cost = result.cost
     doc = {"format_version": 1, "solved": True, "picks": cost.picks,
            "travel": cost.travel, "total": cost.total}
     _write_text(args.output, json.dumps(doc, indent=2) + "\n")

@@ -2,8 +2,10 @@
 
 Cells are addressed by 1-based column-major index: cell (row, col) on an
 m1 x m2 lattice has index (col - 1) * m1 + row.  A plan is a sequence of
-steps, each an action (pick / swap / place) at a cell.  A step is a
-PlanStep, an immutable (cell, action) named tuple: it unpacks, and it
+steps, each an action (pick / swap / place) at a cell, stored as two
+columns: Plan.cells (a tuple of ints) and Plan.actions (a tuple of Action
+members).  Plan.steps is a view built on demand from the columns: a tuple
+of PlanStep, an immutable (cell, action) named tuple that unpacks and
 compares equal to the plain tuple with the same fields.  The end-effector
 starts and ends at the rest cell (cell 1 unless an instance overrides it),
 so plan travel always includes the leg out of rest and the leg back.
@@ -19,7 +21,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from itertools import count
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class RearrangeError(Exception):
@@ -195,19 +198,51 @@ class PlanStep(NamedTuple):
     action: Action
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Plan:
-    steps: tuple[PlanStep, ...] = ()
+    """A plan as two columns: step i acts `actions[i]` at cell `cells[i]`.
+
+    The columns are the only stored form.  Plan(steps) takes any iterable
+    of (cell, action) pairs and splits it; emitters that already hold the
+    columns use Plan.from_columns.  `steps` is a view built on demand, a
+    tuple of PlanStep; iterating yields the same PlanSteps one at a time.
+    A step still unpacks and compares equal to the (cell, action) tuple.
+    Length, equality and hashing follow the columns.
+    """
+
+    cells: tuple[int, ...]
+    actions: tuple[Action, ...]
+
+    def __init__(self, steps: Iterable[tuple[int, Action]] = ()):
+        pairs = tuple(steps)
+        self._fill(tuple(cell for cell, _ in pairs), tuple(action for _, action in pairs))
+
+    @classmethod
+    def from_columns(cls, cells: Iterable[int], actions: Iterable[Action]) -> Plan:
+        """The plan whose step i is (cells[i], actions[i])."""
+        plan = object.__new__(cls)
+        plan._fill(tuple(cells), tuple(actions))
+        return plan
+
+    def _fill(self, cells: tuple[int, ...], actions: tuple[Action, ...]) -> None:
+        if len(cells) != len(actions):
+            raise ValueError(f"{len(cells)} cells but {len(actions)} actions")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "actions", actions)
+
+    @property
+    def steps(self) -> tuple[PlanStep, ...]:
+        return tuple(map(PlanStep, self.cells, self.actions))
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.cells)
 
     def __iter__(self) -> Iterator[PlanStep]:
-        return iter(self.steps)
+        return map(PlanStep, self.cells, self.actions)
 
     @property
     def picks(self) -> int:
-        return len(self.steps)
+        return len(self.cells)
 
 
 @dataclass(frozen=True)
@@ -241,7 +276,7 @@ def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) ->
     rest_col, rest_row = col, row = divmod(instance.rest - 1, m1)
     travel = 0.0
     pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
-    for idx, (cell, action) in enumerate(plan.steps):
+    for idx, cell, action in zip(count(), plan.cells, plan.actions):
         if not 1 <= cell <= n:
             raise IllegalStep(idx, f"cell {cell} outside lattice")
         c, r = divmod(cell - 1, m1)
@@ -271,7 +306,7 @@ def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) ->
     if held is not None:
         raise HandNotEmptyAtEnd(f"item {held} still in hand after final step")
     travel += leg(row - rest_row, col - rest_col)
-    picks = len(plan.steps)
+    picks = len(plan)
     cost = PlanCost(picks, travel, picks * model.c_p + travel * model.c_t)
     return SimResult(tuple(config), cost)
 
@@ -292,7 +327,7 @@ def reverse_plan(plan: Plan) -> Plan:
     start with the same picks and travel.
     """
     flipped = {Action.PICK: Action.PLACE, Action.PLACE: Action.PICK, Action.SWAP: Action.SWAP}
-    return Plan(tuple(PlanStep(s.cell, flipped[s.action]) for s in reversed(plan.steps)))
+    return Plan.from_columns(plan.cells[::-1], map(flipped.__getitem__, reversed(plan.actions)))
 
 
 def reversed_instance(instance: Instance) -> Instance:
@@ -369,7 +404,8 @@ _ACTION_OF = {a.value: a for a in Action}
 
 def plan_to_dict(plan: Plan) -> dict:
     text = _ACTION_TEXT
-    return {"steps": [{"cell": cell, "action": text[action]} for cell, action in plan.steps]}
+    return {"steps": [{"cell": cell, "action": text[action]}
+                      for cell, action in zip(plan.cells, plan.actions)]}
 
 
 def plan_to_json(plan: Plan, cost: PlanCost) -> str:
@@ -384,7 +420,7 @@ def plan_to_json(plan: Plan, cost: PlanCost) -> str:
     text = _ACTION_TEXT
     steps = ",\n".join([
         f'    {{\n      "cell": {cell},\n      "action": "{text[action]}"\n    }}'
-        for cell, action in plan.steps])
+        for cell, action in zip(plan.cells, plan.actions)])
     steps = f"[\n{steps}\n  ]" if steps else "[]"
     picks, travel, total = (json.dumps(v) for v in (cost.picks, cost.travel, cost.total))
     return (f'{{\n  "format_version": 1,\n  "steps": {steps},\n  "cost": {{\n'
@@ -395,8 +431,9 @@ def plan_to_json(plan: Plan, cost: PlanCost) -> str:
 def plan_from_dict(doc: dict) -> Plan:
     action_of = _ACTION_OF
     try:
-        steps = tuple(PlanStep(s["cell"], action_of[s["action"]]) for s in doc["steps"])
+        steps = doc["steps"]
+        cells = [s["cell"] for s in steps]
+        actions = [action_of[s["action"]] for s in steps]
     except (KeyError, TypeError) as exc:
         raise JsonFormatError(f"bad plan document: {exc}") from exc
-    _ints((cell for cell, _ in steps), "step cells")
-    return Plan(steps)
+    return Plan.from_columns(_ints(cells, "step cells"), actions)

@@ -41,7 +41,6 @@ from .core import (
     Instance,
     LabeledInstance,
     Plan,
-    PlanStep,
 )
 from .graphs import permutation_cycles
 
@@ -84,8 +83,9 @@ def follow_cycles(cycles, dest) -> Plan:
     if not cycles:
         return Plan()
     pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
-    steps: list[PlanStep] = []
-    emit = steps.append
+    cells: list[int] = []
+    actions: list[Action] = []
+    at, act = cells.append, actions.append
     gmax = _group_max_per_cycle(cycles)
     n_cycles = len(cycles)
     # entries[ptr]: entry cell of the next cycle to start; the sentinel
@@ -97,7 +97,8 @@ def follow_cycles(cycles, dest) -> Plan:
     # the frames of the cycles it is nested in wait on the stack
     entry, resume, gm = entries[0], 0, gmax[0]
     stack: list[tuple[int, int, int]] = []
-    emit(PlanStep(entry, pick))
+    at(entry)
+    act(pick)
     g = dest[entry]
     ptr = 1
     while True:
@@ -106,33 +107,38 @@ def follow_cycles(cycles, dest) -> Plan:
         while entries[ptr] < g:
             stack.append((entry, resume, gm))
             entry, resume, gm = entries[ptr], g, gmax[ptr]
-            emit(PlanStep(entry, swap))
+            at(entry)
+            act(swap)
             g = dest[entry]
             ptr += 1
         if g == entry:
             if not stack:
-                emit(PlanStep(g, place))
+                at(g)
+                act(place)
                 break
             # closing swap: deposit the cycle's last item, take back
             # whatever was parked here on entry
-            emit(PlanStep(g, swap))
+            at(g)
+            act(swap)
             g = resume
             entry, resume, gm = stack.pop()
         else:
-            emit(PlanStep(g, swap))
+            at(g)
+            act(swap)
             nxt = dest[g]
             if g == gm and ptr < n_cycles:
                 # rightmost cell of this group: hand the acquired item to
                 # the next group rather than coming back for it later
                 stack.append((entry, resume, gm))
                 entry, resume, gm = entries[ptr], nxt, gmax[ptr]
-                emit(PlanStep(entry, swap))
+                at(entry)
+                act(swap)
                 g = dest[entry]
                 ptr += 1
             else:
                 g = nxt
     assert ptr == n_cycles
-    return Plan(tuple(steps))
+    return Plan.from_columns(cells, actions)
 
 
 _NO_DETOURS: dict = {}  # the detour map of whatever nests nothing
@@ -151,11 +157,13 @@ def _emit_nested(root_kids, kids, nxt) -> Plan:
     nesting can exceed the recursion limit.
     """
     pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
-    steps: list[PlanStep] = []
-    emit = steps.append
+    cells: list[int] = []
+    actions: list[Action] = []
+    at, act = cells.append, actions.append
     stack: list[tuple] = []
     for entry, cid in root_kids:
-        emit(PlanStep(entry, pick))
+        at(entry)
+        act(pick)
         legs = kids.get(cid, _NO_DETOURS)
         resume, pending = 0, legs.get(entry, ())
         g = nxt[entry]
@@ -164,24 +172,28 @@ def _emit_nested(root_kids, kids, nxt) -> Plan:
                 # park the carried item at the child's entry cell
                 stack.append((legs, entry, resume, pending[1:]))
                 (entry, cid), resume = pending[0], g
-                emit(PlanStep(entry, swap))
+                at(entry)
+                act(swap)
                 legs = kids.get(cid, _NO_DETOURS)
                 pending = legs.get(entry, ())
                 g = nxt[entry]
             elif g != entry:
-                emit(PlanStep(g, swap))
+                at(g)
+                act(swap)
                 if legs:  # a sweep skips the lookup on every step
                     pending = legs.get(g, ())
                 g = nxt[g]
             elif stack:
                 # deposit this cycle's last item, take back the parked one
-                emit(PlanStep(g, swap))
+                at(g)
+                act(swap)
                 g = resume
                 legs, entry, resume, pending = stack.pop()
             else:
-                emit(PlanStep(g, place))
+                at(g)
+                act(place)
                 break
-    return Plan(tuple(steps))
+    return Plan.from_columns(cells, actions)
 
 
 def _sweep(cycles, dest) -> Plan:

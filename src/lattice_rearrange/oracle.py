@@ -30,7 +30,6 @@ from .core import (
     LabeledInstance,
     Plan,
     PlanCost,
-    PlanStep,
     RearrangeError,
     distance,
 )
@@ -166,14 +165,13 @@ def oracle_optimal(instance: Instance,
                 mism += 1
         if held == 0 and mism == 0:
             travel = g_travel + to_rest[pos]
-            steps = []
-            emit = steps.append
+            cells, actions = [], []
             s = state
             while s in parents:
                 s, cell, act = parents[s]
-                emit(PlanStep(cell, act))
-            steps.reverse()
-            return OracleResult(Plan(tuple(steps)),
+                cells.append(cell)
+                actions.append(act)
+            return OracleResult(Plan.from_columns(reversed(cells), reversed(actions)),
                                 PlanCost(g_picks, travel, g_picks * cp + travel * ct))
         drow = dist[pos]
         ng_picks = g_picks + 1

@@ -42,7 +42,6 @@ from .core import (
     DEFAULT_COST,
     Instance,
     Plan,
-    PlanStep,
     TypedInstance,
     distance,
 )
@@ -369,11 +368,12 @@ def greedy_plan(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:
     pos = instance.rest
     held = None
     pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
-    steps: list[PlanStep] = []
-    emit = steps.append
+    cells: list[int] = []
+    actions: list[Action] = []
+    at, act = cells.append, actions.append
 
-    def nearest(cells):
-        return min(cells, key=lambda c: (distance(dims, pos, c, model), c))
+    def nearest(candidates):
+        return min(candidates, key=lambda c: (distance(dims, pos, c, model), c))
 
     while True:
         if held is None:
@@ -382,20 +382,23 @@ def greedy_plan(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:
             if not misplaced:
                 break
             cell = nearest(misplaced)
-            emit(PlanStep(cell, pick))
+            at(cell)
+            act(pick)
             held, config[cell - 1] = config[cell - 1], None
         else:
             targets = [c for c in dims.cells()
                        if goal[c - 1] == held and config[c - 1] != held]
             cell = nearest(targets)
             if config[cell - 1] is None:
-                emit(PlanStep(cell, place))
+                at(cell)
+                act(place)
                 config[cell - 1], held = held, None
             else:
-                emit(PlanStep(cell, swap))
+                at(cell)
+                act(swap)
                 held, config[cell - 1] = config[cell - 1], held
         pos = cell
-    return Plan(tuple(steps))
+    return Plan.from_columns(cells, actions)
 
 
 def greedy_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:

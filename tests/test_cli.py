@@ -156,6 +156,31 @@ class TestSolveAndValidate:
         doc = json.loads(out)
         assert doc["picks"] == 4 and doc["travel"] == pytest.approx(6.0)
 
+    def test_validate_simulates_the_plan_once(self, capsys, tmp_path, monkeypatch):
+        from lattice_rearrange import cli
+        calls = []
+
+        def counting(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("simulate", "plan_cost"):
+            monkeypatch.setattr(cli, name, counting(name))
+        inst = gen_uniform_permutation(30, 1)
+        inst_path = write_instance(tmp_path, "i.json", instance_to_dict(inst))
+        plan = resolve_solver("opt-lor")(inst, CostModel())
+        plan_path = write_instance(tmp_path, "p.json", plan_to_dict(plan))
+        code, out, _ = run(capsys, "validate", "--instance", inst_path, "--plan", plan_path)
+        assert code == 0
+        assert calls == ["simulate"]
+        cost = plan_cost(inst, plan)
+        assert out == json.dumps({"format_version": 1, "solved": True, "picks": cost.picks,
+                                  "travel": cost.travel, "total": cost.total}, indent=2) + "\n"
+
     def test_validate_flags_illegal_step(self, capsys, tmp_path):
         inst = write_instance(tmp_path, "i.json", CYCLE_INSTANCE)
         plan = write_instance(tmp_path, "p.json", {

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -28,9 +31,17 @@ from lattice_rearrange.core import (
     reversed_instance,
     simulate,
 )
-from lattice_rearrange.gen import gen_block_random, gen_uniform_permutation
+from lattice_rearrange.cli import resolve_solver
+from lattice_rearrange.gen import (
+    GoalPattern,
+    gen_block_random,
+    gen_column_random,
+    gen_typed,
+    gen_uniform_permutation,
+)
 from lattice_rearrange.lattice2d import sweep_cycles_ltr
 from lattice_rearrange.lor import opt_plan_lor
+from lattice_rearrange.oracle import oracle_optimal
 from conftest import dumps, leg_travel
 
 
@@ -284,3 +295,95 @@ def test_metric_triangle_inequality_spot():
                 for c in cells:
                     assert distance(dims, a, c, m) <= (
                         distance(dims, a, b, m) + distance(dims, b, c, m) + 1e-9)
+
+
+# --- the column plan ---------------------------------------------------------
+
+def _rest(inst, rest):
+    return dataclasses.replace(inst, rest=rest)
+
+
+def _typed(dims, k, seed):
+    n = dims if isinstance(dims, int) else dims[0] * dims[1]
+    return gen_typed(dims, k, (n // k,) * k, GoalPattern("blocks"), seed)
+
+
+# instance families, each seeded and given an interior rest cell
+_LABELED_ROWS = [lambda s: _rest(gen_uniform_permutation(30, s), 12)]
+_TYPED_ROWS = [lambda s: _rest(_typed(24, 3, s), 9)]
+_LABELED_GRIDS = [lambda s: _rest(gen_block_random(9, s), 41),
+                  lambda s: _rest(gen_column_random(5, 4, s), 8)]
+_TYPED_GRIDS = [lambda s: _rest(_typed((6, 6), 4, s), 15)]
+_COLUMN_CASES = {
+    "sweep-lor": _LABELED_ROWS, "opt-lor": _LABELED_ROWS,
+    "opt-por": _TYPED_ROWS, "greedy-por": _TYPED_ROWS,
+    "sweep-ltr": _LABELED_GRIDS, "switch-ltr": _LABELED_GRIDS,
+    "plan-ptr": _TYPED_GRIDS, "greedy-2d": _LABELED_GRIDS + _TYPED_GRIDS,
+}
+_ORACLE_CASES = [lambda s: _rest(gen_uniform_permutation(5, s), 3),
+                 lambda s: _rest(_typed((3, 2), 2, s), 2)]
+
+
+def _assert_columns_round_trip(plan):
+    assert type(plan.cells) is tuple and type(plan.actions) is tuple
+    assert all(type(a) is Action for a in plan.actions)
+    assert all(type(s) is PlanStep for s in plan.steps)
+    assert list(plan) == list(plan.steps) == list(zip(plan.cells, plan.actions))
+    rebuilt = Plan(plan.steps)
+    assert rebuilt == plan and hash(rebuilt) == hash(plan)
+    assert Plan.from_columns(plan.cells, plan.actions) == plan
+    assert plan_from_dict(plan_to_dict(plan)) == plan
+    assert reverse_plan(reverse_plan(plan)) == plan
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("solver", sorted(_COLUMN_CASES))
+def test_every_solver_plan_round_trips_through_its_columns(solver, metric):
+    model = CostModel(metric=metric)
+    for make in _COLUMN_CASES[solver]:
+        for seed in (1, 2, 3):
+            inst = make(seed)
+            plan = resolve_solver(solver)(inst, model)
+            assert len(plan) == plan.picks == len(plan.cells) > 0
+            _assert_columns_round_trip(plan)
+            assert is_solved(simulate(inst, plan, model).config, inst)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_oracle_plan_round_trips_through_its_columns(metric):
+    model = CostModel(metric=metric)
+    for make in _ORACLE_CASES:
+        for seed in (1, 2, 3):
+            inst = make(seed)
+            res = oracle_optimal(inst, model)
+            _assert_columns_round_trip(res.plan)
+            assert simulate(inst, res.plan, model).cost == res.cost
+
+
+def test_plan_pickles_copies_and_stays_frozen():
+    plan = opt_plan_lor(gen_uniform_permutation(20, 4))
+    for twin in (pickle.loads(pickle.dumps(plan)), copy.copy(plan), copy.deepcopy(plan)):
+        assert twin == plan and hash(twin) == hash(plan)
+        assert twin.cells == plan.cells and twin.actions == plan.actions
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.cells = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.actions = ()
+
+
+def test_empty_plan():
+    plan = Plan()
+    assert plan.cells == plan.actions == plan.steps == ()
+    assert len(plan) == plan.picks == 0 and list(plan) == []
+    assert plan == Plan(()) == Plan.from_columns([], []) == Plan(iter(()))
+    assert plan_to_dict(plan) == {"steps": []}
+
+
+def test_plan_takes_any_iterable_of_pairs():
+    steps = [(1, Action.PICK), (3, Action.SWAP), (1, Action.PLACE)]
+    plan = Plan(PlanStep(c, a) for c, a in steps)
+    assert plan == Plan(steps) == Plan(tuple(steps))
+    assert plan.cells == (1, 3, 1)
+    assert plan.actions == (Action.PICK, Action.SWAP, Action.PLACE)
+    with pytest.raises(ValueError):
+        Plan.from_columns((1, 2), (Action.PICK,))

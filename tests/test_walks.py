@@ -1,9 +1,10 @@
-"""The shared orbit walk and nested emitter against the loops they replaced.
+"""The shared orbit walk and emitters against the loops they replaced.
 
-Three loops are kept here verbatim as references: the sweep branch of
-follow_cycles, por's own orbit loop in _cycles_from_assignment, and the
-list-frame nested emitter lattice2d used to hold.  Every planner built on
-their replacements must emit exactly what they did.
+Four loops are kept here verbatim as references: the sweep branch of
+follow_cycles, por's own orbit loop in _cycles_from_assignment, the
+list-frame nested emitter lattice2d used to hold, and the single-pass
+follow_cycles as it read when it built one PlanStep per step.  Every
+planner built on their replacements must emit exactly what they did.
 """
 
 import random
@@ -37,12 +38,23 @@ from lattice_rearrange.lattice2d import (
     sweep_cycles_ptr,
     switch_cycles_ltr,
 )
-from lattice_rearrange.lor import _dest_table, _emit_nested, sweep_cycles_lor
+from lattice_rearrange.lor import (
+    _dest_table,
+    _emit_nested,
+    _group_max_per_cycle,
+    follow_cycles,
+    opt_plan_lor,
+    sweep_cycles_lor,
+)
 from lattice_rearrange.por import (
     MoveCycle,
     _cycles_from_assignment,
     _misplaced_by_type,
     _orbits,
+    form_cycles,
+    merge_cycles,
+    merge_cycles_mst,
+    opt_plan_por,
 )
 
 
@@ -117,6 +129,62 @@ def reference_emit_nested(root_kids, kids, nxt) -> Plan:
                 emit(PlanStep(g, swap))
                 frame[3] = list(kids.get(frame[0], {}).get(g, ()))
                 g = nxt[g]
+    return Plan(tuple(steps))
+
+
+def reference_follow_cycles(cycles, dest) -> Plan:
+    """lor.follow_cycles building one PlanStep per step."""
+    if not cycles:
+        return Plan()
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
+    steps: list[PlanStep] = []
+    emit = steps.append
+    gmax = _group_max_per_cycle(cycles)
+    n_cycles = len(cycles)
+    # entries[ptr]: entry cell of the next cycle to start; the sentinel
+    # lies past every cell, so the entry test needs no bounds check
+    entries = [cyc[0] for cyc in cycles]
+    entries.append(max(gmax) + 1)
+    # the innermost open cycle's frame is (entry, resume, gm): its entry
+    # cell, the destination to resume after closing it, its group max;
+    # the frames of the cycles it is nested in wait on the stack
+    entry, resume, gm = entries[0], 0, gmax[0]
+    stack: list[tuple[int, int, int]] = []
+    emit(PlanStep(entry, pick))
+    g = dest[entry]
+    ptr = 1
+    while True:
+        # enter every not-yet-started cycle whose entry lies short of the
+        # current target, parking the carried item at its entry cell
+        while entries[ptr] < g:
+            stack.append((entry, resume, gm))
+            entry, resume, gm = entries[ptr], g, gmax[ptr]
+            emit(PlanStep(entry, swap))
+            g = dest[entry]
+            ptr += 1
+        if g == entry:
+            if not stack:
+                emit(PlanStep(g, place))
+                break
+            # closing swap: deposit the cycle's last item, take back
+            # whatever was parked here on entry
+            emit(PlanStep(g, swap))
+            g = resume
+            entry, resume, gm = stack.pop()
+        else:
+            emit(PlanStep(g, swap))
+            nxt = dest[g]
+            if g == gm and ptr < n_cycles:
+                # rightmost cell of this group: hand the acquired item to
+                # the next group rather than coming back for it later
+                stack.append((entry, resume, gm))
+                entry, resume, gm = entries[ptr], nxt, gmax[ptr]
+                emit(PlanStep(entry, swap))
+                g = dest[entry]
+                ptr += 1
+            else:
+                g = nxt
+    assert ptr == n_cycles
     return Plan(tuple(steps))
 
 
@@ -274,3 +342,21 @@ def test_typed_schedule_emits_like_reference(metric):
             continue
         root_kids, kids = _schedule(inst.dims, cells, rest, model, detour=False)
         assert plan == reference_emit_nested(root_kids, kids, nxt)
+
+
+# --- the single-pass walk ---------------------------------------------------
+
+def test_single_pass_walk_matches_reference_on_labeled_rows():
+    for inst in labeled_rows():
+        cycles = permutation_cycles(inst.pi).cycles
+        plan = reference_follow_cycles(cycles, _dest_table(inst))
+        assert follow_cycles(cycles, _dest_table(inst)) == plan
+        assert opt_plan_lor(inst) == plan
+
+
+def test_single_pass_walk_matches_reference_on_typed_rows():
+    for inst in typed_instances(lambda rng: LatticeDims(rng.randint(2, 80), 1)):
+        cells, dest = _orbits(merge_cycles_mst(merge_cycles(form_cycles(inst))))
+        plan = reference_follow_cycles(cells, dest)
+        assert follow_cycles(cells, dest) == plan
+        assert opt_plan_por(inst) == plan
