@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .core import LabeledInstance, LatticeDims, TypedInstance, plan_cost
+from .core import FORMAT_VERSION, LabeledInstance, LatticeDims, TypedInstance, plan_cost
 from .gen import (
     GoalPattern,
     _even_counts,
@@ -244,7 +244,7 @@ def report_to_csv(report: ExperimentReport) -> str:
 def report_to_json(report: ExperimentReport) -> str:
     spec = report.spec
     doc = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "experiment": spec.experiment,
         "distribution": spec.distribution,
         "sizes": list(spec.sizes),

@@ -12,6 +12,7 @@ import os
 import sys
 
 from .core import (
+    FORMAT_VERSION,
     CostModel,
     instance_from_dict,
     instance_to_dict,
@@ -136,7 +137,7 @@ def _cmd_gen(args) -> int:
             x1, x2 = chunk.split(",")
             points.append((int(x1), int(x2)))
         inst = gen_tsp_clusters(points, (args.m1, args.m2))
-    doc = {"format_version": 1, **instance_to_dict(inst)}
+    doc = {"format_version": FORMAT_VERSION, **instance_to_dict(inst)}
     _write_text(args.output, json.dumps(doc, indent=2) + "\n")
     return 0
 
@@ -177,7 +178,7 @@ def _cmd_validate(args) -> int:
         raise PlanDoesNotSolve("plan executes legally but the final "
                                "configuration is not the goal")
     cost = result.cost
-    doc = {"format_version": 1, "solved": True, "picks": cost.picks,
+    doc = {"format_version": FORMAT_VERSION, "solved": True, "picks": cost.picks,
            "travel": cost.travel, "total": cost.total}
     _write_text(args.output, json.dumps(doc, indent=2) + "\n")
     return 0
@@ -191,7 +192,7 @@ def _cmd_oracle(args) -> int:
     result = oracle_optimal(inst, _cost_model(args), objective, cap=args.cap)
     cost = result.cost
     doc = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "picks": cost.picks, "travel": cost.travel, "total": cost.total,
         "plan": plan_to_dict(result.plan),
     }
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:  # domain errors become machine-readable JSON
         sys.stderr.write(json.dumps({
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "error": type(exc).__name__,
             "detail": str(exc),
         }) + "\n")

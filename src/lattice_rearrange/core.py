@@ -353,7 +353,8 @@ def reversed_instance(instance: Instance) -> Instance:
 # Plan document:      {"steps": [{"cell": i, "action": "pick"|"swap"|"place"}]}
 #
 # Writers emit keys in a fixed order so equal objects serialize to equal
-# bytes.  Readers ignore a top-level "format_version".
+# bytes.  The documents the CLI and the bench reports write open with
+# "format_version": FORMAT_VERSION; readers ignore it.
 
 FORMAT_VERSION = 1
 
@@ -410,8 +411,8 @@ def plan_to_dict(plan: Plan) -> dict:
 
 def plan_to_json(plan: Plan, cost: PlanCost) -> str:
     """The solve document of `plan` and its `cost`, byte for byte what
-    ``json.dumps({"format_version": 1, **plan_to_dict(plan), "cost": ...},
-    indent=2)`` writes, plus a newline.
+    ``json.dumps({"format_version": FORMAT_VERSION, **plan_to_dict(plan),
+    "cost": ...}, indent=2)`` writes, plus a newline.
 
     The indenting encoder runs in pure Python, which on long plans costs more
     than the solve; each step here is one f-string.  The cost scalars still
@@ -423,7 +424,7 @@ def plan_to_json(plan: Plan, cost: PlanCost) -> str:
         for cell, action in zip(plan.cells, plan.actions)])
     steps = f"[\n{steps}\n  ]" if steps else "[]"
     picks, travel, total = (json.dumps(v) for v in (cost.picks, cost.travel, cost.total))
-    return (f'{{\n  "format_version": 1,\n  "steps": {steps},\n  "cost": {{\n'
+    return (f'{{\n  "format_version": {FORMAT_VERSION},\n  "steps": {steps},\n  "cost": {{\n'
             f'    "picks": {picks},\n    "travel": {travel},\n    "total": {total}\n'
             f'  }}\n}}\n')
 

@@ -161,16 +161,14 @@ def gen_x_random(m: int, x: int, seed: int) -> LabeledInstance:
 
 
 def gen_column_random(m1: int, m2: int, seed: int) -> LabeledInstance:
-    """Shuffle each lattice column independently; items keep their column."""
+    """Shuffle each lattice column independently; items keep their column.
+
+    Columns are the consecutive blocks of m1 cells in column-major order,
+    so this is gen_x_random's shuffle with x = m1, drawing from the same
+    single SplitMix64 stream, laid onto the m1 x m2 lattice.
+    """
     dims = LatticeDims(m1, m2)
-    rng = SplitMix64(seed)
-    pi = list(range(1, dims.n + 1))
-    for col in range(m2):
-        lo = col * m1
-        block = pi[lo:lo + m1]
-        rng.shuffle(block)
-        pi[lo:lo + m1] = block
-    return LabeledInstance(dims, tuple(pi))
+    return LabeledInstance(dims, gen_x_random(dims.n, m1, seed).pi)
 
 
 def gen_block_random(m: int, seed: int) -> LabeledInstance:

@@ -22,7 +22,8 @@ single spanning-forest round of destination trades that fuses every pair
 of fusable cycles (fewest operations; the 1D planner's engine,
 por.fuse_cycles, weighing each trade by the travel it adds, read off
 per-type trade-delta matrices), and an arborescence-guided walk that
-resolves the surviving cycles with the same parking mechanism.
+resolves the surviving cycles with the same parking mechanism.  Every
+phase measures distance under the cost model's metric.
 
 Arc weights, assignment costs and trade deltas read every distance off
 one table of lattice offsets per call, holding distance()'s floats.  The
@@ -143,38 +144,37 @@ def cycle_distance_statistic(instance: LabeledInstance, model: CostModel = DEFAU
 # --- detour scheduling ------------------------------------------------------
 
 def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
-    """Arcs of the scheduling graph over {0 = rest} u {b + 1 = cycle b}:
+    """Arcs of the scheduling graph over vertex 0, the rest cell taken as
+    the one-cell cycle (rest,), and vertex b = cycle_cells[b - 1]:
     (edges, meta), meta[(u, v)] = (exit cell, entry cell) of each arc.
+    No arc enters vertex 0.
 
     With detour=True an arc a -> b weighs the cheapest detour from a leg
     u -> next(u) of cycle a through a cell e of cycle b,
-    d(u,e) + d(e,next(u)) - d(u,next(u)), and rest arcs charge the way there
-    and back; otherwise arcs weigh the nearest cell pair.
+    d(u,e) + d(e,next(u)) - d(u,next(u)); the rest cell's only leg stays
+    put, so its arcs charge the way there and back, 2 d(rest,e).  Otherwise
+    arcs weigh the nearest cell pair.
 
-    Each source cycle gets one matrix of distances from its cells (plus the
-    wrapped next cell) to the cells of all other cycles, read off the offset
-    table in slabs of at most about _SLAB_ENTRIES entries; every target's
-    minimum comes from one segmented reduction per slab.  Ties go to the
-    earliest (source cell, target cell) pair in row-major order, and an
-    earlier slab wins a tie with a later one.
+    Each source gets one matrix of distances from its cells (plus the
+    wrapped next cell) to the cells of all other vertices, read off the
+    offset table in slabs of at most about _SLAB_ENTRIES entries; every
+    target's minimum comes from one segmented reduction per slab.  Ties go
+    to the earliest (source cell, target cell) pair in row-major order, and
+    an earlier slab wins a tie with a later one.
     """
     import numpy as np
-    k = len(cycle_cells)
-    lengths = np.array([len(cells) for cells in cycle_cells])
+    vertices = [(rest,), *cycle_cells]
+    k = len(vertices)
+    lengths = np.array([len(cells) for cells in vertices])
     starts = np.cumsum(lengths) - lengths
     table = _offset_table(dims, metric)
-    code = _codes(dims, [c for cells in cycle_cells for c in cells])
+    code = _codes(dims, [c for cells in vertices for c in cells])
     step = max(1, _SLAB_ENTRIES // len(code))
-
-    rest_w, _, rest_ib = _segment_mins(table[_codes(dims, [rest])[:, None] - code], starts)
-    if detour:
-        rest_w = 2.0 * rest_w
-    edges = [(0, b + 1, w) for b, w in enumerate(rest_w.tolist())]
-    meta = {(0, b + 1): (rest, cycle_cells[b][ib]) for b, ib in enumerate(rest_ib.tolist())}
+    edges, meta = [], {}
     for a in range(k):
         n_a, at = int(lengths[a]), int(starts[a])
         own = code[at:at + n_a]
-        # the slab spans the cells of every other cycle
+        # the slab spans the cells of every other vertex
         others = np.concatenate((code[:at], code[at + n_a:]))
         other_starts = np.r_[starts[:a], starts[a + 1:] - n_a]
         if detour:
@@ -195,33 +195,31 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
             w[better], ia[better], ib[better] = sw[better], sia[better] + lo, sib[better]
         targets = [b for b in range(k) if b != a]
         for b, wb, iab, ibb in zip(targets, w.tolist(), ia.tolist(), ib.tolist()):
-            edges.append((a + 1, b + 1, wb))
-            meta[(a + 1, b + 1)] = (cycle_cells[a][iab], cycle_cells[b][ibb])
+            if b:
+                edges.append((a, b, wb))
+                meta[(a, b)] = (vertices[a][iab], vertices[b][ibb])
     return edges, meta
 
 
 def _schedule(dims: LatticeDims, cycle_cells, rest: int, model: CostModel, detour: bool):
-    """Arborescence over {rest} u cycles with the weights of _arcs (with
+    """Arborescence over the vertices of _arcs (0 = the rest cell as a
+    one-cell cycle, b = cycle_cells[b - 1]) with its weights (with
     detour=False, the classic double-cover bound); returns (root_kids, kids)
-    for lor._emit_nested.  Each detour list is sorted by (distance from the
-    cell it leaves, entry cell, cycle id).
+    for lor._emit_nested, cycle ids being vertex ids.  The root's kids are
+    the detour list that leaves the rest cell.  Each detour list is sorted
+    by (distance from the cell it leaves, entry cell, cycle id).
     """
     edges, meta = _arcs(dims, cycle_cells, rest, model.metric, detour)
     tree = min_arborescence(WeightedGraph(tuple(range(len(cycle_cells) + 1)), tuple(edges)),
                             root=0)
-    root_kids = []
     kids: dict[int, dict[int, list]] = {}
     for u, v, w in tree:
         exit_cell, entry_cell = meta[(u, v)]
-        if u == 0:
-            root_kids.append((entry_cell, v - 1))
-        else:
-            kids.setdefault(u - 1, {}).setdefault(exit_cell, []).append((entry_cell, v - 1))
-    root_kids.sort(key=lambda kid: (distance(dims, rest, kid[0], model), *kid))
+        kids.setdefault(u, {}).setdefault(exit_cell, []).append((entry_cell, v))
     for per_exit in kids.values():
         for cell, lst in per_exit.items():
             lst.sort(key=lambda kid: (distance(dims, cell, kid[0], model), *kid))
-    return root_kids, kids
+    return kids.pop(0)[rest], kids
 
 
 # --- labeled planners -------------------------------------------------------
@@ -259,18 +257,18 @@ def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST
 
 # --- typed pipeline ---------------------------------------------------------
 
-def form_cycles_ptr(instance: TypedInstance) -> list[MoveCycle]:
+def form_cycles_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> list[MoveCycle]:
     """Phase 1: per-type minimum-cost assignment of items to goal cells.
 
     Misplaced cells holding type t are matched to free goal cells of type
-    t so the summed straight-line distance is minimal; the chosen moves
-    close into displacement cycles.
+    t so the summed distance under model.metric is minimal; the chosen
+    moves close into displacement cycles.
     """
     dims = instance.dims
     sources, goals = _misplaced_by_type(instance)
     assign: dict[int, int] = {}
     types: dict[int, int] = {}
-    table = _offset_table(dims, "euclidean")
+    table = _offset_table(dims, model.metric)
     for t, srcs in sorted(sources.items()):
         dsts = goals[t]
         # distance()'s floats: ties and the tie-break are unchanged
@@ -295,7 +293,8 @@ def _trade_deltas(table, m1, l1, m2, l2) -> np.ndarray:
 
 
 class _DeltaTrades:
-    """2D trade model (por.TradeModel): a trade costs the travel it adds.
+    """2D trade model (por.TradeModel): a trade costs the travel it adds
+    under `metric`.
 
     Moves are kept type-major, each type's in cycle order, as rows of
     (source code, goal code) with their lengths, read once.  A type's pair
@@ -307,7 +306,7 @@ class _DeltaTrades:
     cycle never trade and are left out.
     """
 
-    def __init__(self, dims: LatticeDims, cycles):
+    def __init__(self, dims: LatticeDims, metric: str, cycles):
         import numpy as np
         moves: dict[int, list] = {}
         for c, cyc in enumerate(cycles):
@@ -324,7 +323,7 @@ class _DeltaTrades:
         self.cyc = np.array([c for c, _, _ in flat], dtype=np.int64)
         self.src = [s for _, s, _ in flat]
         self.goal = [g for _, _, g in flat]
-        self.table = _offset_table(dims, "euclidean")
+        self.table = _offset_table(dims, metric)
         self.moves = np.column_stack([_codes(dims, self.src), _codes(dims, self.goal)])
         self.length = self.table[self.moves[:, 0] - self.moves[:, 1]]
         # each component's moves, under the root fuse_cycles gives it
@@ -397,25 +396,26 @@ class _DeltaTrades:
         return self.types[self.kind[x1]], e1, e2
 
 
-def _merge_cycles_ptr_logged(cycles, dims: LatticeDims):
+def _merge_cycles_ptr_logged(cycles, dims: LatticeDims, model: CostModel = DEFAULT_COST):
     """merge_cycles_ptr plus the log of goal trades fuse_cycles performed.
 
     The log exists so tests can check how far trades reach; the public
     wrapper drops it.
     """
-    return fuse_cycles(cycles, functools.partial(_DeltaTrades, dims))
+    return fuse_cycles(cycles, functools.partial(_DeltaTrades, dims, model.metric))
 
 
-def merge_cycles_ptr(cycles, dims: LatticeDims) -> list[MoveCycle]:
+def merge_cycles_ptr(cycles, dims: LatticeDims,
+                     model: CostModel = DEFAULT_COST) -> list[MoveCycle]:
     """Phase 2: fuse every pair of fusable cycles, cheapest trades first.
 
     Unlike the 1D pipeline there is no free-fusion phase: trades cost
     travel in general, so a single spanning-forest round (weights = least
-    added travel per fusion) does all the merging.  Afterward no two
-    remaining cycles share a type, which is what makes the operation count
-    minimal.
+    travel added per fusion under model.metric) does all the merging.
+    Afterward no two remaining cycles share a type, which is what makes the
+    operation count minimal.
     """
-    merged, _ = _merge_cycles_ptr_logged(cycles, dims)
+    merged, _ = _merge_cycles_ptr_logged(cycles, dims, model)
     return merged
 
 
@@ -439,13 +439,12 @@ def plan_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
 
     Travel is not exactly minimal (that is intractable) but stays close
     for common goal layouts: cycle formation minimizes each type's summed
-    Euclidean distance, and the later phases add comparatively little.
-    Only scheduling reads `model`; assignment and fusion weigh Euclidean
-    distance under either metric.
+    distance, and the later phases add comparatively little.  All three
+    phases weigh distance under `model.metric`.
     """
     _require_2d(instance)
-    cycles = form_cycles_ptr(instance)
-    cycles = merge_cycles_ptr(cycles, instance.dims)
+    cycles = form_cycles_ptr(instance, model)
+    cycles = merge_cycles_ptr(cycles, instance.dims, model)
     return sweep_cycles_ptr(cycles, instance.dims, instance.rest, model)
 
 

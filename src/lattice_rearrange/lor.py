@@ -20,9 +20,9 @@ end-effector makes a single sweep.  Two devices do the work:
 * Group hand-off.  Cycles whose spans overlap are grouped; groups occupy
   disjoint intervals.  When the walk swaps at the rightmost cell of its
   group, the item just acquired is carried on into the next group (parked
-  at that group's first cycle entry) instead of waiting for a separate
-  trip.  The walk therefore goes out to the far end once and resolves
-  everything on the way back.
+  at that group's first cycle entry, a nested entry like any other)
+  instead of waiting for a separate trip.  The walk therefore goes out to
+  the far end once and resolves everything on the way back.
 
 The result is provably best possible: fewest operations, and, when the
 arm rests at cell 1, the least travel among plans with fewest operations.
@@ -74,8 +74,10 @@ def follow_cycles(cycles, dest) -> Plan:
     `cycles` are tuples of cells, each beginning at its minimum cell and
     ordered by that minimum; `dest` maps a cell to where the item currently
     at that cell belongs (indexable by cell).  The walk parks and retrieves
-    items to resolve inner cycles en route and hands items across group
-    boundaries at each group's maximum cell (the sweep is _sweep).
+    items to resolve inner cycles en route (the sweep is _sweep).  A group
+    hand-off is one such nested entry, triggered by the swap at the group's
+    maximum cell: the next group's first cycle is entered with the item
+    that swap acquired.
 
     The loop is iterative with an explicit frame stack; nesting depth can
     reach the cycle count, far past the recursion limit on large inputs.
@@ -101,42 +103,35 @@ def follow_cycles(cycles, dest) -> Plan:
     act(pick)
     g = dest[entry]
     ptr = 1
+    handoff = False
     while True:
         # enter every not-yet-started cycle whose entry lies short of the
-        # current target, parking the carried item at its entry cell
-        while entries[ptr] < g:
+        # current target, parking the carried item at its entry cell; a
+        # hand-off enters the next group's first cycle the same way
+        while handoff or entries[ptr] < g:
+            handoff = False
             stack.append((entry, resume, gm))
             entry, resume, gm = entries[ptr], g, gmax[ptr]
             at(entry)
             act(swap)
             g = dest[entry]
             ptr += 1
-        if g == entry:
-            if not stack:
-                at(g)
-                act(place)
-                break
+        at(g)
+        if g != entry:
+            act(swap)
+            # at the rightmost cell of its group the walk hands the item
+            # it acquires to the next group instead of coming back for it
+            handoff = g == gm and ptr < n_cycles
+            g = dest[g]
+        elif stack:
             # closing swap: deposit the cycle's last item, take back
             # whatever was parked here on entry
-            at(g)
             act(swap)
             g = resume
             entry, resume, gm = stack.pop()
         else:
-            at(g)
-            act(swap)
-            nxt = dest[g]
-            if g == gm and ptr < n_cycles:
-                # rightmost cell of this group: hand the acquired item to
-                # the next group rather than coming back for it later
-                stack.append((entry, resume, gm))
-                entry, resume, gm = entries[ptr], nxt, gmax[ptr]
-                at(entry)
-                act(swap)
-                g = dest[entry]
-                ptr += 1
-            else:
-                g = nxt
+            act(place)
+            break
     assert ptr == n_cycles
     return Plan.from_columns(cells, actions)
 

@@ -1,5 +1,6 @@
 """Generator tests: pinned streams, structural bounds, determinism."""
 
+import hashlib
 import logging
 from collections import Counter
 
@@ -138,6 +139,18 @@ class TestColumnRandom:
 
     def test_single_column_is_plain_shuffle(self):
         assert gen_column_random(6, 1, 4).pi == gen_uniform_permutation(6, 4).pi
+
+    @pytest.mark.parametrize("m1,m2,seed,digest", [
+        (7, 5, 1, "04a9931c38cefe26ec32931c1784cc5e8f93086d87030295ec5f2bce208a77d6"),
+        (12, 12, 99, "7a2accbd76a9d0bc476ba1697ca8f49e9209f9efb06ae22030cc166e7a0aa24d"),
+        (1, 9, 3, "6f9ceca26913e1d0b47a9dda8cbabf29cac6d4a34ebd00b5df598cdd80c3480c"),
+        (30, 2, 2024, "2cf1455d0549ed4575b2385510e5a55a6fdd1ea3f4429f4172de83c917d94e16"),
+    ])
+    def test_pinned_streams(self, m1, m2, seed, digest):
+        # sha256 of the comma-joined labels, recorded from the per-column
+        # shuffle loop this generator ran before it became gen_x_random's
+        pi = gen_column_random(m1, m2, seed).pi
+        assert hashlib.sha256(",".join(map(str, pi)).encode()).hexdigest() == digest
 
 
 class TestBlockRandom:

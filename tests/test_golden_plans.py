@@ -3,7 +3,9 @@
 Each case solves a small seeded instance through `cli.SOLVERS` and hashes
 the compact `plan_to_dict` JSON (sha256).  The digests were recorded from
 the planners before plan steps became named tuples; any change to step
-order, cells or action strings shows up here.  Cases cover labeled and
+order, cells or action strings shows up here.  The three Manhattan
+`plan-ptr` digests were recorded again when the typed 2D assignment and
+fusion began to read the cost model's metric.  Cases cover labeled and
 typed instances, 1D and 2D lattices, both metrics and interior rest cells.
 The oracle's plan reconstruction is pinned the same way on tiny instances.
 """
@@ -139,15 +141,15 @@ GOLDEN = {
     "plan-ptr/grid-typed-blocks/euclidean":
         "079fb5328f30c9eb0da6cca325c1bf14c77a31c8744efa983e65c80fcbb6cea9",
     "plan-ptr/grid-typed-blocks/manhattan":
-        "079fb5328f30c9eb0da6cca325c1bf14c77a31c8744efa983e65c80fcbb6cea9",
+        "2eff8092b0f5fd4ce6c168cdc28fd7087859259493730806d313fc4aec81b853",
     "plan-ptr/grid-typed-columns/euclidean":
         "eb64db2c3433a59183d0a11d18c9fa15bb173d66066f6ff8d83693f275030017",
     "plan-ptr/grid-typed-columns/manhattan":
-        "eb64db2c3433a59183d0a11d18c9fa15bb173d66066f6ff8d83693f275030017",
+        "0a525fcd683436dff950f1781616370d6d29421cceec38c8b6778e301b1c5cad",
     "plan-ptr/grid-typed-rest/euclidean":
         "8d5f62b518e41fb4e7ba7a1ad1f1a6a8a72017b750bd268f95f085aec6d1a78c",
     "plan-ptr/grid-typed-rest/manhattan":
-        "8d5f62b518e41fb4e7ba7a1ad1f1a6a8a72017b750bd268f95f085aec6d1a78c",
+        "5896bf63ded4d77ae3cd49c8af54e3d48d5d6405a3318174de85e91ea0274ff4",
     "greedy-2d/grid-block/euclidean":
         "a23f6a0335b3a67f637eebabd1edfa2b454b8f1b19005bf54a2cec15461159fe",
     "greedy-2d/grid-block/manhattan":

@@ -52,6 +52,7 @@ from lattice_rearrange.lattice2d import (
     switch_cycles_ltr,
 )
 from lattice_rearrange.oracle import oracle_min_picks, oracle_optimal
+from lattice_rearrange.por import _misplaced_by_type
 
 from conftest import leg_travel
 from test_por import _swap_destinations
@@ -290,6 +291,31 @@ def test_form_cycles_ptr_matching_is_minimal():
             assert by_type[t] == pytest.approx(brute)
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_form_cycles_ptr_assignment_is_minimal_under_metric(metric):
+    # each type's summed move length under the model's metric is the least
+    # over every matching of its sources to its goals
+    model = CostModel(metric=metric)
+    rng = random.Random(71)
+    checked = 0
+    for _ in range(600):
+        inst = random_typed_2d(rng, rng.randint(2, 5), rng.randint(2, 5), rng.randint(2, 3))
+        by_type: dict[int, list[float]] = {}
+        for cyc in form_cycles_ptr(inst, model):
+            for (s, g), t in zip(cyc.edges, cyc.edge_types):
+                by_type.setdefault(t, []).append(distance(inst.dims, s, g, model))
+        sources, goals = _misplaced_by_type(inst)
+        for t, srcs in sources.items():
+            if len(srcs) > 7:
+                continue
+            d = [[distance(inst.dims, s, g, model) for g in goals[t]] for s in srcs]
+            brute = min(math.fsum(row[j] for row, j in zip(d, perm))
+                        for perm in itertools.permutations(range(len(srcs))))
+            assert math.fsum(by_type[t]) <= brute + 1e-9, (inst, t)
+            checked += 1
+    assert checked >= 1400
+
+
 def test_vectorised_cost_matrix_rounds_like_distance():
     # form_cycles_ptr and the arc weights read the offset table's np.sqrt;
     # the tie-breaks, and so the plan bytes, need the same floats as
@@ -435,7 +461,7 @@ def test_merge_cost_collinear_pair():
     dims = LatticeDims(1, 6)
     c1 = typ_cycle((1, 2), (2, 1), types=(1, 1))
     c2 = typ_cycle((4, 5), (5, 4), types=(1, 2))
-    assert list(_DeltaTrades(dims, [c1, c2]).pair_weights()) == [(4.0, 0, 1)]
+    assert list(_DeltaTrades(dims, "euclidean", [c1, c2]).pair_weights()) == [(4.0, 0, 1)]
     merged = merge_cycles_ptr([c1, c2], dims)
     assert len(merged) == 1
     added = cycle_length(merged[0], dims) - cycle_length(c1, dims) - cycle_length(c2, dims)
@@ -618,7 +644,7 @@ def test_trade_delta_matrix_matches_scalar_delta(m1, m2):
     cells = list(dims.cells())
     pairs = [rng.sample(cells, 2) for _ in range(150)]
     cycles = [typ_cycle((a, b), (b, a), types=(1, 1)) for a, b in pairs]
-    model = _DeltaTrades(dims, cycles)
+    model = _DeltaTrades(dims, "euclidean", cycles)
     edges = list(zip(model.src, model.goal))
     assert sorted(edges) == sorted(e for cyc in cycles for e in cyc.edges)
     got = _trade_deltas(model.table, model.moves[:, None], model.length[:, None],

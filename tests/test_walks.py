@@ -354,6 +354,30 @@ def test_single_pass_walk_matches_reference_on_labeled_rows():
         assert opt_plan_lor(inst) == plan
 
 
+def nested_handoffs(cycles) -> int:
+    """Groups whose maximum cell lies in a cycle other than the group's
+    first: the walk hands off from inside a nested cycle there."""
+    gmax = _group_max_per_cycle(cycles)
+    return sum(1 for i, cyc in enumerate(cycles)
+               if i and gmax[i] == gmax[i - 1] and gmax[i] in cyc)
+
+
+def test_single_pass_walk_matches_reference_on_long_xrandom_rows():
+    rng = random.Random(17)
+    handoffs = 0
+    for x in (2, 3, 7):
+        for seed in range(3):
+            inst = gen_x_random(rng.randint(2_000, 10_000), x, seed)
+            cycles = permutation_cycles(inst.pi).cycles
+            dest = _dest_table(inst)
+            plan = reference_follow_cycles(cycles, dest)
+            assert follow_cycles(cycles, dest) == plan
+            for rest in (1, rng.randint(2, inst.dims.m1 - 1)):
+                assert opt_plan_lor(LabeledInstance(inst.dims, inst.pi, rest)) == plan
+            handoffs += nested_handoffs(cycles)
+    assert handoffs > 0
+
+
 def test_single_pass_walk_matches_reference_on_typed_rows():
     for inst in typed_instances(lambda rng: LatticeDims(rng.randint(2, 80), 1)):
         cells, dest = _orbits(merge_cycles_mst(merge_cycles(form_cycles(inst))))
