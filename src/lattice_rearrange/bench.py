@@ -8,8 +8,10 @@ reproducible byte for byte and independent of execution order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -198,11 +200,13 @@ def _trial_values(spec: ExperimentSpec, inst) -> tuple:
 
 
 def _mean_std(values) -> tuple:
+    # sums run left to right: sum() of floats is compensated from Python
+    # 3.12 on, which would move report bytes with the interpreter
     n = len(values)
-    mean = sum(values) / n
+    mean = functools.reduce(operator.add, values, 0) / n
     if n < 2:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = functools.reduce(operator.add, ((v - mean) ** 2 for v in values), 0) / (n - 1)
     return mean, math.sqrt(var)
 
 

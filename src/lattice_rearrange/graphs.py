@@ -122,18 +122,19 @@ def min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:
     are expanded in reverse once no cycle is left.
     """
     import numpy as np
-    edges = [(u, v, float(w)) for u, v, w in g.edges]
     labels = list(g.vertices)
     nv = len(labels)
     slot = {v: i for i, v in enumerate(labels)}
     r = slot[root]
-    no_edge = len(edges)   # id of "no edge", above every real id
+    no_edge = len(g.edges)   # id of "no edge", above every real id
     W = np.full((nv, nv), math.inf)
     E = np.full((nv, nv), no_edge, dtype=np.int64)
-    if edges:
-        us = np.array([slot[u] for u, _, _ in edges])
-        vs = np.array([slot[v] for _, v, _ in edges])
-        ws = np.array([w for _, _, w in edges])
+    # the edge list, one column at a time
+    sources, targets, weights = zip(*g.edges) if g.edges else ((), (), ())
+    if g.edges:
+        us = np.array(list(map(slot.__getitem__, sources)))
+        vs = np.array(list(map(slot.__getitem__, targets)))
+        ws = np.array(weights, dtype=float)
         # self-loops and edges into the root never count
         ids = np.flatnonzero((us != vs) & (vs != r))
         key = us[ids] * nv + vs[ids]
@@ -231,7 +232,7 @@ def min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:
         entering = enter[e]
         for v, b in zip(cycle, bests):
             in_edge[v] = e if v == entering else b
-    return [edges[e] for e in sorted(in_edge.values())]
+    return [(sources[e], targets[e], float(weights[e])) for e in sorted(in_edge.values())]
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:

@@ -26,18 +26,21 @@ resolves the surviving cycles with the same parking mechanism.  Every
 phase measures distance under the cost model's metric.
 
 Arc weights, assignment costs and trade deltas read every distance off
-one table of lattice offsets per call, holding distance()'s floats.  The
-normalized displacement statistic used by the benchmarks lives here too;
-goal-type layouts live in gen.  numpy is imported only inside the functions
-that run numpy code: the table, `_arcs`, `form_cycles_ptr` and the 2D
-trade model.  `sweep_cycles_ltr`, `cycle_edge_length` and `greedy_2d` run
-without it.
+one table of lattice offsets per call, holding distance()'s floats.  Arc
+weights are found source by source, in row slabs that reuse two buffers,
+and fill k x k matrices of weights and exit and entry cells; the schedule
+turns back into cells only the arcs of its tree.  The normalized
+displacement statistic used by the benchmarks lives here too; goal-type
+layouts live in gen.  numpy is imported only inside the functions that run
+numpy code: the table, `_arcs`, `form_cycles_ptr` and the 2D trade model.
+`sweep_cycles_ltr`, `cycle_edge_length` and `greedy_2d` run without it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 from .core import (
     CostModel,
@@ -96,17 +99,17 @@ def _codes(dims: LatticeDims, cells) -> np.ndarray:
     return col * (2 * dims.m1 - 1) + row
 
 
-def _segment_mins(block: np.ndarray, starts: np.ndarray):
-    """Least entry of each column segment block[:, starts[b]:starts[b+1]]
-    and its earliest (row, column) in row-major order."""
+def _segment_mins(block: np.ndarray, starts: np.ndarray, seg: np.ndarray, cols: np.ndarray):
+    """Least entry of each column segment block[:, starts[b]:starts[b+1]],
+    with the row and the column of its earliest occurrence in row-major
+    order.  seg[j] is the segment of column j and cols is
+    arange(block.shape[1]); callers hoist both out of their slab loops."""
     import numpy as np
     per_row = np.minimum.reduceat(block, starts, axis=1)
     least = per_row.min(axis=0)
     ia = (per_row == least).argmax(axis=0)
-    cols = np.arange(block.shape[1])
-    seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(cols)))
     hit = np.where(block[ia[seg], cols] == least[seg], cols, len(cols))
-    return least, ia, np.minimum.reduceat(hit, starts) - starts
+    return least, ia, np.minimum.reduceat(hit, starts)
 
 
 # --- displacement statistic -------------------------------------------------
@@ -126,7 +129,8 @@ def cycle_edge_length(instance: LabeledInstance, model: CostModel = DEFAULT_COST
             col_a, row_a = divmod(cell - 1, m1)
             col_b, row_b = divmod(item - 1, m1)
             legs.append(leg(row_a - row_b, col_a - col_b))
-    return sum(legs)
+    # left to right: sum() of floats is compensated from Python 3.12 on
+    return functools.reduce(operator.add, legs, 0)
 
 
 def cycle_distance_statistic(instance: LabeledInstance, model: CostModel = DEFAULT_COST) -> float:
@@ -146,8 +150,9 @@ def cycle_distance_statistic(instance: LabeledInstance, model: CostModel = DEFAU
 def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
     """Arcs of the scheduling graph over vertex 0, the rest cell taken as
     the one-cell cycle (rest,), and vertex b = cycle_cells[b - 1]:
-    (edges, meta), meta[(u, v)] = (exit cell, entry cell) of each arc.
-    No arc enters vertex 0.
+    (edges, cells).  edges holds one (a, b, weight) per ordered pair,
+    source-major with targets ascending, and no arc enters vertex 0;
+    cells(a, b) gives the arc's (exit cell, entry cell).
 
     With detour=True an arc a -> b weighs the cheapest detour from a leg
     u -> next(u) of cycle a through a cell e of cycle b,
@@ -155,50 +160,81 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
     put, so its arcs charge the way there and back, 2 d(rest,e).  Otherwise
     arcs weigh the nearest cell pair.
 
-    Each source gets one matrix of distances from its cells (plus the
+    Each source gets its own matrix of distances from its cells (plus the
     wrapped next cell) to the cells of all other vertices, read off the
-    offset table in slabs of at most about _SLAB_ENTRIES entries; every
+    offset table in row slabs of at most about _SLAB_ENTRIES entries; every
     target's minimum comes from one segmented reduction per slab.  Ties go
     to the earliest (source cell, target cell) pair in row-major order, and
-    an earlier slab wins a tie with a later one.
+    an earlier slab wins a tie with a later one.  The weights and the
+    indices of exit and entry cells fill k x k matrices, so only the arcs
+    the caller asks cells(a, b) for are turned back into cells.  Every slab
+    is written into one index buffer and one distance buffer, allocated
+    once for the largest slab.
     """
     import numpy as np
     vertices = [(rest,), *cycle_cells]
     k = len(vertices)
+    flat = [c for cells in vertices for c in cells]
+    n = len(flat)
     lengths = np.array([len(cells) for cells in vertices])
-    starts = np.cumsum(lengths) - lengths
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
     table = _offset_table(dims, metric)
-    code = _codes(dims, [c for cells in vertices for c in cells])
-    step = max(1, _SLAB_ENTRIES // len(code))
-    edges, meta = [], {}
+    code = _codes(dims, flat)
+    # each vertex's codes, then its first code again: the cell of vertex a
+    # at flat index i sits at i + a, followed by the next cell of its leg
+    ring = np.insert(code, ends, code[starts])
+    legs = table[ring[:-1] - ring[1:]]
+    # the vertices after a, then those before it: one slice [ends[a],
+    # starts[a] + n) of the doubled layout holds the cells of all others
+    code2 = np.tile(code, 2)
+    vid2 = np.tile(np.arange(k), 2)
+    seg2 = np.repeat(np.arange(2 * k), np.tile(lengths, 2))
+    starts2 = np.concatenate((starts, starts + n))
+    cols = np.arange(n)
+    step = max(1, _SLAB_ENTRIES // n)
+    size = int(((np.minimum(lengths, step) + detour) * (n - lengths)).max())
+    index_buf = np.empty(size, dtype=np.intp)
+    dist_buf = np.empty(size)
+    weight = np.full((k, k), _INF)
+    exits = np.zeros((k, k), dtype=np.intp)
+    entries = np.zeros((k, k), dtype=np.intp)
     for a in range(k):
-        n_a, at = int(lengths[a]), int(starts[a])
-        own = code[at:at + n_a]
-        # the slab spans the cells of every other vertex
-        others = np.concatenate((code[:at], code[at + n_a:]))
-        other_starts = np.r_[starts[:a], starts[a + 1:] - n_a]
-        if detour:
-            base = table[own - np.roll(own, -1)]
-        w = np.full(k - 1, _INF)
-        ia = np.zeros(k - 1, dtype=np.int64)
-        ib = np.zeros(k - 1, dtype=np.int64)
+        at, end = int(starts[a]), int(ends[a])
+        n_a = end - at
+        width = n - n_a
+        others = code2[end:at + n]
+        seg = seg2[end:at + n] - (a + 1)
+        seg_starts = starts2[a + 1:a + k] - end
         for lo in range(0, n_a, step):
             hi = min(lo + step, n_a)
-            # a detour slab also holds the row of each leg's next cell
-            rows = np.arange(lo, hi + 1 if detour else hi) % n_a
-            block = table[own[rows, None] - others]
+            # a detour slab also holds the row of its last leg's next cell
+            rows = hi - lo + detour
+            index = index_buf[:rows * width].reshape(rows, width)
+            block = dist_buf[:rows * width].reshape(rows, width)
+            np.subtract(ring[at + a + lo:at + a + lo + rows, None], others, out=index)
+            np.take(table, index, out=block, mode="wrap")
             if detour:
-                block = block[:-1] + block[1:]
-                block -= base[lo:hi, None]
-            sw, sia, sib = _segment_mins(block, other_starts)
-            better = sw < w
-            w[better], ia[better], ib[better] = sw[better], sia[better] + lo, sib[better]
-        targets = [b for b in range(k) if b != a]
-        for b, wb, iab, ibb in zip(targets, w.tolist(), ia.tolist(), ib.tolist()):
-            if b:
-                edges.append((a, b, wb))
-                meta[(a, b)] = (vertices[a][iab], vertices[b][ibb])
-    return edges, meta
+                block[:-1] += block[1:]
+                block = block[:-1]
+                block -= legs[at + a + lo:at + a + hi, None]
+            sw, sia, sib = _segment_mins(block, seg_starts, seg, cols[:width])
+            if lo:
+                better = sw < w
+                w[better], ia[better], ib[better] = sw[better], sia[better] + lo, sib[better]
+            else:
+                w, ia, ib = sw, sia, sib
+        targets = vid2[a + 1:a + k]
+        weight[a, targets] = w
+        exits[a, targets] = ia + at
+        entries[a, targets] = (ib + end) % n
+    # off the diagonal and out of column 0, in row-major order
+    us, vs = np.nonzero(~np.eye(k, dtype=bool) & (np.arange(k) > 0))
+    edges = tuple(zip(us.tolist(), vs.tolist(), weight[us, vs].tolist()))
+
+    def cells(a: int, b: int) -> tuple[int, int]:
+        return flat[exits[a, b]], flat[entries[a, b]]
+    return edges, cells
 
 
 def _schedule(dims: LatticeDims, cycle_cells, rest: int, model: CostModel, detour: bool):
@@ -209,12 +245,11 @@ def _schedule(dims: LatticeDims, cycle_cells, rest: int, model: CostModel, detou
     the detour list that leaves the rest cell.  Each detour list is sorted
     by (distance from the cell it leaves, entry cell, cycle id).
     """
-    edges, meta = _arcs(dims, cycle_cells, rest, model.metric, detour)
-    tree = min_arborescence(WeightedGraph(tuple(range(len(cycle_cells) + 1)), tuple(edges)),
-                            root=0)
+    edges, cells = _arcs(dims, cycle_cells, rest, model.metric, detour)
+    tree = min_arborescence(WeightedGraph(tuple(range(len(cycle_cells) + 1)), edges), root=0)
     kids: dict[int, dict[int, list]] = {}
     for u, v, w in tree:
-        exit_cell, entry_cell = meta[(u, v)]
+        exit_cell, entry_cell = cells(u, v)
         kids.setdefault(u, {}).setdefault(exit_cell, []).append((entry_cell, v))
     for per_exit in kids.values():
         for cell, lst in per_exit.items():

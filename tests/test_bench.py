@@ -9,6 +9,7 @@ from lattice_rearrange.bench import (
     EXPERIMENTS,
     ExperimentReport,
     ExperimentSpec,
+    _mean_std,
     report_to_csv,
     report_to_json,
     run_experiment,
@@ -132,6 +133,12 @@ class TestEmission:
         row = report.rows[0]
         text = report_to_csv(report)
         assert repr(row.mean) in text and repr(row.std) in text
+
+    def test_mean_sums_left_to_right(self):
+        # ten 0.1s sum to 0.9999999999999999 left to right; the compensated
+        # sum() of Python 3.12 and later gives 1.0
+        mean, _ = _mean_std([0.1] * 10)
+        assert mean == 0.9999999999999999 / 10
 
 
 # sha256 of report_to_json for every (experiment, allowed distribution) pair,

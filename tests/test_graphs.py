@@ -10,7 +10,9 @@ from lattice_rearrange.core import CostModel, MalformedPermutation, distance
 from lattice_rearrange.gen import GoalPattern, gen_typed
 from lattice_rearrange.graphs import (
     CycleSet,
+    Edge,
     Unreachable,
+    _find,
     WeightedGraph,
     linear_sum_assignment,
     min_arborescence,
@@ -234,6 +236,164 @@ def test_arborescence_contracts_1200_nested_two_cycles():
     assert sum(w for *_, w in arb) == 1200 * 11.0
     # each pair is entered from the root at its first vertex
     assert arb[:2] == [(0, 1, 10.0), (1, 2, 1.0)]
+
+
+# the matrix Chu-Liu/Edmonds as it was before its edge list was converted
+# column by column, kept verbatim as the reference for that conversion
+def reference_min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:
+    """Minimum spanning arborescence rooted at `root` (Chu-Liu/Edmonds).
+
+    Returns the chosen edges in input order.  Raises Unreachable if some
+    vertex has no path from the root.
+
+    Iterative contraction (Tarjan, Networks 1977; Camerini, Fratta and
+    Maffioli, Networks 1979) on a dense matrix whose cell (u, v) holds the
+    least (weight, edge id) from u to v.  Each vertex keeps its cheapest
+    incoming edge, ties toward the smallest id; the first cycle among those
+    edges, scanning vertices in order, contracts into a supernode that is
+    scanned last, and edges entering it are charged `w - best[v].w`.  A
+    contraction changes only the supernode's row and column, so only its
+    best edge is recomputed.  Each contraction is recorded, and the records
+    are expanded in reverse once no cycle is left.
+    """
+    import numpy as np
+    edges = [(u, v, float(w)) for u, v, w in g.edges]
+    labels = list(g.vertices)
+    nv = len(labels)
+    slot = {v: i for i, v in enumerate(labels)}
+    r = slot[root]
+    no_edge = len(edges)   # id of "no edge", above every real id
+    W = np.full((nv, nv), math.inf)
+    E = np.full((nv, nv), no_edge, dtype=np.int64)
+    if edges:
+        us = np.array([slot[u] for u, _, _ in edges])
+        vs = np.array([slot[v] for _, v, _ in edges])
+        ws = np.array([w for _, _, w in edges])
+        # self-loops and edges into the root never count
+        ids = np.flatnonzero((us != vs) & (vs != r))
+        key = us[ids] * nv + vs[ids]
+        order = np.lexsort((ids, ws[ids], key))
+        ids = ids[order[np.unique(key[order], return_index=True)[1]]]
+        W[us[ids], vs[ids]] = ws[ids]
+        E[us[ids], vs[ids]] = ids
+
+    # vertex ids: the originals are their matrix slots, supernode i is nv + i
+    col_w = W.min(axis=0)
+    col_e = np.where(W == col_w, E, no_edge)
+    best_w = col_w.tolist()
+    best_e = col_e.min(axis=0).tolist()
+    parent = col_e.argmin(axis=0).tolist()
+    for v in range(nv):
+        if v != r and best_e[v] == no_edge:
+            raise Unreachable(f"vertex {labels[v]} has no incoming path from root {root}")
+    slot_of = list(range(nv))       # vertex id -> its matrix slot
+    vid_at = list(range(nv))        # matrix slot -> the vertex id holding it
+    rep = list(range(nv))           # vertex id -> the supernode that absorbed it
+
+    # 2: reaches the root along best edges; 1: on the path being walked
+    color = [0] * nv
+    color[r] = 2
+    records = []
+    start = 0
+    while True:
+        # scan vertex ids in order (a supernode comes after every vertex
+        # it absorbed) for the first cycle of best edges
+        cycle = None
+        while start < len(rep):
+            if rep[start] != start or color[start]:
+                start += 1
+                continue
+            path = []
+            v = start
+            while not color[v]:
+                color[v] = 1
+                path.append(v)
+                v = _find(rep, parent[v])
+            closed = color[v] == 1
+            for p in path:
+                color[p] = 0 if closed else 2
+            if closed:
+                cycle = path[path.index(v):]
+                break
+            start += 1
+        if cycle is None:
+            break
+
+        # contract the cycle into supernode `sup` in the slot of its first
+        # member.  The vertices before `start` still reach the root, so the
+        # next scan resumes at `start`.
+        cyc = [slot_of[v] for v in cycle]
+        into, into_e = W[:, cyc] - [best_w[v] for v in cycle], E[:, cyc]
+        into[cyc], into_e[cyc] = math.inf, no_edge
+        in_w = into.min(axis=1)
+        in_pick = np.where(into == in_w[:, None], into_e, no_edge)
+        member = in_pick.argmin(axis=1)
+        in_e = in_pick[np.arange(nv), member]
+        out, out_e = W[cyc], E[cyc]
+        out[:, cyc], out_e[:, cyc] = math.inf, no_edge
+        out_w = out.min(axis=0)
+        out_e = np.where(out == out_w, out_e, no_edge).min(axis=0)
+        # which member each edge entering the supernode reaches
+        entered = np.flatnonzero(in_e != no_edge)
+        enter = dict(zip(in_e[entered].tolist(), (cycle[j] for j in member[entered].tolist())))
+        records.append((cycle, [best_e[v] for v in cycle], enter))
+
+        W[cyc] = math.inf
+        W[:, cyc] = math.inf
+        E[cyc] = no_edge
+        E[:, cyc] = no_edge
+        s, sup = cyc[0], len(rep)
+        W[:, s], E[:, s], W[s], E[s] = in_w, in_e, out_w, out_e
+        for v in cycle:
+            rep[v] = sup
+        rep.append(sup)
+        color.append(0)
+        slot_of.append(s)
+        vid_at[s] = sup
+        t = int(np.where(in_w == in_w.min(), in_e, no_edge).argmin())
+        best_w.append(float(in_w[t]))
+        best_e.append(int(in_e[t]))
+        parent.append(vid_at[t])
+        if best_e[sup] == no_edge:
+            # supernodes are labelled past the largest vertex, in order
+            label = max(labels) + len(records)
+            raise Unreachable(f"vertex {label} has no incoming path from root {root}")
+
+    # expand: the edge entering a supernode decides where its cycle breaks
+    in_edge = {v: best_e[v] for v in range(len(rep)) if rep[v] == v and v != r}
+    for sup, (cycle, bests, enter) in zip(reversed(range(nv, len(rep))), reversed(records)):
+        e = in_edge.pop(sup)
+        entering = enter[e]
+        for v, b in zip(cycle, bests):
+            in_edge[v] = e if v == entering else b
+    return [edges[e] for e in sorted(in_edge.values())]
+
+
+def test_arborescence_matches_per_edge_conversion_reference():
+    # int and mixed int/float weights, duplicate (u, v) edges, self-loops,
+    # edges into the root, labels with gaps, empty edge lists and
+    # unreachable vertices: equal triples, element types included
+    rng = random.Random(1515)
+    weights = [0, 1, 2, 3, 1.0, 0.5, math.sqrt(2), 2**60 + 1]
+    outcomes = {"empty": 0, "unreachable": 0, "int": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        labels = rng.sample(range(3, 40), n) if rng.random() < 0.4 else list(range(n))
+        root = rng.choice(labels)
+        edges = [(rng.choice(labels), rng.choice(labels), rng.choice(weights))
+                 for _ in range(rng.choice([0, rng.randint(1, 3 * n * n)]))]
+        edges += rng.sample(edges, len(edges) // 4)   # duplicates
+        g = WeightedGraph(tuple(labels), tuple(edges))
+        expected = arborescence_outcome(reference_min_arborescence, g, root)
+        got = arborescence_outcome(min_arborescence, g, root)
+        assert got == expected
+        if isinstance(expected, list):
+            assert [tuple(map(type, e)) for e in got] == [(int, int, float)] * len(got)
+            outcomes["int"] += any(type(w) is int for _, _, w in edges)
+        else:
+            outcomes["unreachable"] += 1
+        outcomes["empty"] += not edges
+    assert min(outcomes.values()) > 100
 
 
 # --- assignment -------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -209,9 +211,16 @@ def test_cycle_edge_length_sums_distance_legs(metric):
     instances += [random_labeled(rng, rng.randint(1, 30), rng.randint(2, 30)) for _ in range(8)]
     instances += [gen_block_random(9, seed) for seed in (1, 2)]
     for inst in instances:
-        legs = sum(distance(inst.dims, cell, item, model)
-                   for cell, item in enumerate(inst.pi, start=1) if item != cell)
+        legs = functools.reduce(operator.add, (distance(inst.dims, cell, item, model)
+                                               for cell, item in enumerate(inst.pi, start=1)
+                                               if item != cell), 0)
         assert cycle_edge_length(inst, model) == legs
+
+
+def test_cycle_edge_length_sums_left_to_right():
+    # the bits of a left-to-right float sum on every Python version; the
+    # compensated sum() of Python 3.12 and later ends in ...32ap+9 here
+    assert cycle_edge_length(gen_block_random(16, 1)).hex() == "0x1.0b37eacbaf32bp+9"
 
 
 def test_statistic_uniform_square_near_expected():
@@ -416,22 +425,32 @@ def schedule_instances():
         yield LabeledInstance(LatticeDims(13, 3), gen_uniform_permutation(39, seed).pi)
 
 
-@pytest.mark.parametrize("slab", [None, 64])
+def reference_arcs_lookup(dims, cycle_cells, rest, metric, detour):
+    """reference_arcs in _arcs' return shape: (edges, cells(a, b))."""
+    edges, meta = reference_arcs(dims, cycle_cells, rest, metric, detour)
+    return tuple(edges), lambda a, b: meta[(a, b)]
+
+
+@pytest.mark.parametrize("slab", [None, 64, 1])
 @pytest.mark.parametrize("detour", [True, False])
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
 def test_slab_arcs_match_per_pair_reference(metric, detour, slab, monkeypatch):
-    # slab=64 puts every source cell in its own slab, so ties cross slabs
+    # slab=64 puts every source cell in its own slab, so ties cross slabs;
+    # slab=1 does too, with a one-row slab whatever the grid size
     if slab is not None:
         monkeypatch.setattr(lattice2d, "_SLAB_ENTRIES", slab)
     model = CostModel(metric=metric)
     for inst in schedule_instances():
         cycles = permutation_cycles(inst.pi).cycles
         for rest in (1, inst.dims.index(inst.dims.m1 // 2 + 1, inst.dims.m2 // 2 + 1)):
-            expected = reference_arcs(inst.dims, cycles, rest, metric, detour)
-            assert _arcs(inst.dims, cycles, rest, metric, detour) == expected
+            expected, meta = reference_arcs(inst.dims, cycles, rest, metric, detour)
+            edges, cells = _arcs(inst.dims, cycles, rest, metric, detour)
+            # every arc's weight, then its exit and entry cell
+            assert list(edges) == expected
+            assert {(a, b): cells(a, b) for a, b, _ in edges} == meta
             got = _schedule(inst.dims, cycles, rest, model, detour)
             with monkeypatch.context() as patch:
-                patch.setattr(lattice2d, "_arcs", reference_arcs)
+                patch.setattr(lattice2d, "_arcs", reference_arcs_lookup)
                 assert _schedule(inst.dims, cycles, rest, model, detour) == got
 
 
