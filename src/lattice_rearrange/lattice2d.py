@@ -240,21 +240,22 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
 def _schedule(dims: LatticeDims, cycle_cells, rest: int, model: CostModel, detour: bool):
     """Arborescence over the vertices of _arcs (0 = the rest cell as a
     one-cell cycle, b = cycle_cells[b - 1]) with its weights (with
-    detour=False, the classic double-cover bound); returns (root_kids, kids)
-    for lor._emit_nested, cycle ids being vertex ids.  The root's kids are
-    the detour list that leaves the rest cell.  Each detour list is sorted
-    by (distance from the cell it leaves, entry cell, cycle id).
+    detour=False, the classic double-cover bound); returns (roots, kids)
+    for lor._emit_nested.  roots holds the entry cells served from the
+    rest cell; kids maps each other exit cell to the entry cells served on
+    the leg that leaves it.  Each list is sorted by (distance from the cell
+    it leaves, entry cell).
     """
     edges, cells = _arcs(dims, cycle_cells, rest, model.metric, detour)
     tree = min_arborescence(WeightedGraph(tuple(range(len(cycle_cells) + 1)), edges), root=0)
-    kids: dict[int, dict[int, list]] = {}
+    roots: list[int] = []
+    kids: dict[int, list[int]] = {}
     for u, v, w in tree:
         exit_cell, entry_cell = cells(u, v)
-        kids.setdefault(u, {}).setdefault(exit_cell, []).append((entry_cell, v))
-    for per_exit in kids.values():
-        for cell, lst in per_exit.items():
-            lst.sort(key=lambda kid: (distance(dims, cell, kid[0], model), *kid))
-    return kids.pop(0)[rest], kids
+        (kids.setdefault(exit_cell, []) if u else roots).append(entry_cell)
+    for cell, entries in [(rest, roots), *kids.items()]:
+        entries.sort(key=lambda e: (distance(dims, cell, e, model), e))
+    return roots, kids
 
 
 # --- labeled planners -------------------------------------------------------
@@ -282,8 +283,8 @@ def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST
         return Plan()
     dims = instance.dims
     dest = _dest_table(instance)
-    root_kids, kids = _schedule(dims, cycles, instance.rest, model, detour=True)
-    switched = _emit_nested(root_kids, kids, dest)
+    roots, kids = _schedule(dims, cycles, instance.rest, model, detour=True)
+    switched = _emit_nested(roots, kids, dest)
     sweep = _sweep(cycles, dest)
     if plan_cost(instance, switched, model).travel <= plan_cost(instance, sweep, model).travel:
         return switched
@@ -465,8 +466,8 @@ def sweep_cycles_ptr(cycles, dims: LatticeDims, rest: int = 1,
     cells, nxt = _orbits(cycles)
     if not cells:
         return Plan()
-    root_kids, kids = _schedule(dims, cells, rest, model, detour=False)
-    return _emit_nested(root_kids, kids, nxt)
+    roots, kids = _schedule(dims, cells, rest, model, detour=False)
+    return _emit_nested(roots, kids, nxt)
 
 
 def plan_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:

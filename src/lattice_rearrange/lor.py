@@ -17,12 +17,13 @@ end-effector makes a single sweep.  Two devices do the work:
   back.  Parking cells lie on the way, so the carried item still moves
   exactly its displacement distance.
 
-* Group hand-off.  Cycles whose spans overlap are grouped; groups occupy
-  disjoint intervals.  When the walk swaps at the rightmost cell of its
-  group, the item just acquired is carried on into the next group (parked
-  at that group's first cycle entry, a nested entry like any other)
-  instead of waiting for a separate trip.  The walk therefore goes out to
-  the far end once and resolves everything on the way back.
+* Group hand-off.  Cycles whose spans overlap form groups on disjoint
+  intervals.  When the walk swaps at the farthest cell of the cycles
+  entered so far, which ends its group, the item just acquired is carried
+  on into the next group (parked at its first cycle entry, a nested entry
+  like any other) instead of waiting for a separate trip.  The walk
+  therefore goes out to the far end once and resolves everything on the
+  way back.
 
 The result is provably best possible: fewest operations, and, when the
 arm rests at cell 1, the least travel among plans with fewest operations.
@@ -33,6 +34,8 @@ with none, the sweep of both sweep planners).
 """
 
 from __future__ import annotations
+
+import math
 
 from .core import (
     Action,
@@ -50,24 +53,6 @@ def _require_1d(instance: Instance) -> None:
         raise ValueError("this planner handles 1D instances only (m2 must be 1)")
 
 
-def _group_max_per_cycle(cycles: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Rightmost cell of each cycle's group: cycles whose [min, max] spans
-    chain-overlap.  One pass suffices because cycles arrive ordered by their
-    minimum cell."""
-    out = [0] * len(cycles)
-    i = 0
-    while i < len(cycles):
-        hi = max(cycles[i])
-        j = i + 1
-        while j < len(cycles) and cycles[j][0] <= hi:
-            hi = max(hi, max(cycles[j]))
-            j += 1
-        for t in range(i, j):
-            out[t] = hi
-        i = j
-    return out
-
-
 def follow_cycles(cycles, dest) -> Plan:
     """Emit the 1D single-pass walk that resolves destination cycles.
 
@@ -75,9 +60,9 @@ def follow_cycles(cycles, dest) -> Plan:
     ordered by that minimum; `dest` maps a cell to where the item currently
     at that cell belongs (indexable by cell).  The walk parks and retrieves
     items to resolve inner cycles en route (the sweep is _sweep).  A group
-    hand-off is one such nested entry, triggered by the swap at the group's
-    maximum cell: the next group's first cycle is entered with the item
-    that swap acquired.
+    hand-off is one such nested entry, triggered by the swap at the
+    farthest cell of the cycles entered so far: the next cycle is entered
+    with the item that swap acquired.
 
     The loop is iterative with an explicit frame stack; nesting depth can
     reach the cycle count, far past the recursion limit on large inputs.
@@ -88,17 +73,17 @@ def follow_cycles(cycles, dest) -> Plan:
     cells: list[int] = []
     actions: list[Action] = []
     at, act = cells.append, actions.append
-    gmax = _group_max_per_cycle(cycles)
     n_cycles = len(cycles)
     # entries[ptr]: entry cell of the next cycle to start; the sentinel
     # lies past every cell, so the entry test needs no bounds check
     entries = [cyc[0] for cyc in cycles]
-    entries.append(max(gmax) + 1)
-    # the innermost open cycle's frame is (entry, resume, gm): its entry
-    # cell, the destination to resume after closing it, its group max;
-    # the frames of the cycles it is nested in wait on the stack
-    entry, resume, gm = entries[0], 0, gmax[0]
-    stack: list[tuple[int, int, int]] = []
+    entries.append(math.inf)
+    # the innermost open cycle's frame is (entry, resume): its entry cell
+    # and the destination to resume after closing it; the frames of the
+    # cycles it is nested in wait on the stack.  top: the farthest cell of
+    # the cycles entered so far
+    entry, resume, top = entries[0], 0, max(cycles[0])
+    stack: list[tuple[int, int]] = []
     at(entry)
     act(pick)
     g = dest[entry]
@@ -110,8 +95,9 @@ def follow_cycles(cycles, dest) -> Plan:
         # hand-off enters the next group's first cycle the same way
         while handoff or entries[ptr] < g:
             handoff = False
-            stack.append((entry, resume, gm))
-            entry, resume, gm = entries[ptr], g, gmax[ptr]
+            stack.append((entry, resume))
+            entry, resume = entries[ptr], g
+            top = max(top, max(cycles[ptr]))
             at(entry)
             act(swap)
             g = dest[entry]
@@ -119,16 +105,16 @@ def follow_cycles(cycles, dest) -> Plan:
         at(g)
         if g != entry:
             act(swap)
-            # at the rightmost cell of its group the walk hands the item
-            # it acquires to the next group instead of coming back for it
-            handoff = g == gm and ptr < n_cycles
+            # every entry left of g is entered, so g ends its group exactly
+            # when it is top: hand the item acquired here to the next group
+            handoff = g == top and ptr < n_cycles
             g = dest[g]
         elif stack:
             # closing swap: deposit the cycle's last item, take back
             # whatever was parked here on entry
             act(swap)
             g = resume
-            entry, resume, gm = stack.pop()
+            entry, resume = stack.pop()
         else:
             act(place)
             break
@@ -136,56 +122,50 @@ def follow_cycles(cycles, dest) -> Plan:
     return Plan.from_columns(cells, actions)
 
 
-_NO_DETOURS: dict = {}  # the detour map of whatever nests nothing
-
-
-def _emit_nested(root_kids, kids, nxt) -> Plan:
+def _emit_nested(roots, kids, nxt) -> Plan:
     """Walk every cycle, entering nested cycles mid-leg with parking.
 
-    root_kids: [(entry_cell, cycle_id), ...] resolved one after another,
-    each opened with Pick and closed with Place.  kids[cid][cell] lists
-    (entry_cell, child_id) detours to serve while traversing the leg that
-    leaves `cell`, and may leave out cycles without detours.  nxt maps each
-    cycle cell to the next cell along its orbit.  The open cycle's frame
-    (detour map, entry cell, target to resume after it, detours due on this
-    leg) lives in locals; outer frames wait on the stack as tuples, since
-    nesting can exceed the recursion limit.
+    Cells are unique across cycles, so an entry cell names its cycle.
+    roots: entry cells resolved one after another, each opened with Pick
+    and closed with Place.  kids[cell] lists the entry cells to serve while
+    traversing the leg that leaves `cell`, and may leave out cells without
+    detours.  nxt maps each cycle cell to the next cell along its orbit.
+    The open cycle's frame (entry cell, target to resume after it, detours
+    due on this leg) lives in locals; outer frames wait on the stack as
+    tuples, since nesting can exceed the recursion limit.
     """
     pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
     cells: list[int] = []
     actions: list[Action] = []
     at, act = cells.append, actions.append
     stack: list[tuple] = []
-    for entry, cid in root_kids:
+    for entry in roots:
         at(entry)
         act(pick)
-        legs = kids.get(cid, _NO_DETOURS)
-        resume, pending = 0, legs.get(entry, ())
+        resume, pending = 0, kids.get(entry, ())
         g = nxt[entry]
         while True:
             if pending:
                 # park the carried item at the child's entry cell
-                stack.append((legs, entry, resume, pending[1:]))
-                (entry, cid), resume = pending[0], g
+                stack.append((entry, resume, pending[1:]))
+                entry, resume = pending[0], g
                 at(entry)
                 act(swap)
-                legs = kids.get(cid, _NO_DETOURS)
-                pending = legs.get(entry, ())
+                pending = kids.get(entry, ())
                 g = nxt[entry]
-            elif g != entry:
-                at(g)
+                continue
+            at(g)
+            if g != entry:
                 act(swap)
-                if legs:  # a sweep skips the lookup on every step
-                    pending = legs.get(g, ())
+                if kids:  # a sweep skips the lookup on every step
+                    pending = kids.get(g, ())
                 g = nxt[g]
             elif stack:
                 # deposit this cycle's last item, take back the parked one
-                at(g)
                 act(swap)
                 g = resume
-                legs, entry, resume, pending = stack.pop()
+                entry, resume, pending = stack.pop()
             else:
-                at(g)
                 act(place)
                 break
     return Plan.from_columns(cells, actions)
@@ -193,7 +173,7 @@ def _emit_nested(root_kids, kids, nxt) -> Plan:
 
 def _sweep(cycles, dest) -> Plan:
     """Each cycle on its own, in order: Pick, Swap around, Place."""
-    return _emit_nested([(cyc[0], cid) for cid, cyc in enumerate(cycles)], _NO_DETOURS, dest)
+    return _emit_nested([cyc[0] for cyc in cycles], {}, dest)
 
 
 def _dest_table(instance: LabeledInstance) -> list[int]:

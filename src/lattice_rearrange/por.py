@@ -23,8 +23,9 @@ which item goes to which goal cell and only then plans motion.  Four phases:
    planners never load numpy; the typed 2D planner
    (lattice2d.merge_cycles_ptr) runs the same loop with a model that
    answers from per-type numpy matrices of the travel a trade adds.
-4. group_sweep_cycles_por: walk the final cycles exactly like the labeled
-   1D planner (nested entries, parking, group hand-off).
+4. group_sweep_cycles_por: walk the final cycles with the labeled 1D
+   planner's single pass, lor.follow_cycles (nested entries, parking, and
+   the hand-off at the farthest cell entered so far).
 
 The resulting plan has the fewest operations achievable, and, when the
 arm rests at cell 1, the least travel among such plans (ROADMAP item 2).
@@ -280,21 +281,20 @@ def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel]):
     min cells) order, each fusion making the model's cheapest trade between
     the two components and splicing their orbits.  Returns (cycles sorted
     by min cell, log), where each log entry is (type, goal_cell_1,
-    goal_cell_2): the two goals that exchanged owners.  A cycle that does
-    not start at its smallest source is rotated first, since the pair key
-    and the splice read min_cell from the first edge.
+    goal_cell_2): the two goals that exchanged owners.  Cycles are rotated
+    to start at their smallest source, as the splice reads min_cell from
+    the first edge, and sorted by it, so index order is min-cell order and
+    the model's (weight, i, j) triples sort in the fusion order.
     """
-    cycles = [_min_first(c) for c in cycles]
+    cycles = sorted(map(_min_first, cycles), key=lambda c: c.min_cell)
     n = len(cycles)
     log: list[tuple[int, int, int]] = []
     if n <= 1:
         return cycles, log
     model = trades(cycles)
-    pair_edges = sorted((w, cycles[i].min_cell, cycles[j].min_cell, i, j)
-                        for w, i, j in model.pair_weights())
     comp = list(range(n))
     current: dict[int, MoveCycle] = dict(enumerate(cycles))
-    for _, _, _, i, j in pair_edges:
+    for _, i, j in sorted(model.pair_weights()):
         if len(current) == 1:
             break
         ri, rj = _find(comp, i), _find(comp, j)
@@ -344,7 +344,6 @@ def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Pl
     leftmost cell, so with another rest cell it can travel more than the
     optimum (ROADMAP item 2).
     """
-    _require_1d(instance)
     cycles = form_cycles(instance)
     cycles = merge_cycles(cycles)
     cycles = merge_cycles_mst(cycles)

@@ -2,7 +2,10 @@
 
 The leg-summing and brute-force helpers here are deliberately independent of
 the library's own cost accounting so expected values come from a second
-route.
+route.  _group_max_per_cycle is the span grouping lor's single-pass walk
+read before it derived the group hand-off from a running maximum; the
+reference walk in test_walks and the single-group test in test_lor still
+read it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,24 @@ def leg_travel(dims: LatticeDims, cells: list[int], rest: int = 1, metric: str =
         else:
             total += math.hypot(ra - rb, ca - cb)
     return total
+
+
+def _group_max_per_cycle(cycles: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Rightmost cell of each cycle's group: cycles whose [min, max] spans
+    chain-overlap.  One pass suffices because cycles arrive ordered by their
+    minimum cell."""
+    out = [0] * len(cycles)
+    i = 0
+    while i < len(cycles):
+        hi = max(cycles[i])
+        j = i + 1
+        while j < len(cycles) and cycles[j][0] <= hi:
+            hi = max(hi, max(cycles[j]))
+            j += 1
+        for t in range(i, j):
+            out[t] = hi
+        i = j
+    return out
 
 
 def apply_plan_by_hand(start: list, steps: list[tuple[int, str]]):

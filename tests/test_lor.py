@@ -12,10 +12,10 @@ from lattice_rearrange import (
     simulate,
 )
 from lattice_rearrange.graphs import permutation_cycles
-from lattice_rearrange.lor import _group_max_per_cycle, opt_plan_lor, sweep_cycles_lor
+from lattice_rearrange.lor import opt_plan_lor, sweep_cycles_lor
 from lattice_rearrange.oracle import oracle_optimal
 
-from conftest import leg_travel
+from conftest import _group_max_per_cycle, leg_travel
 
 
 def lab1d(*pi):
@@ -27,33 +27,6 @@ def run(planner, inst):
     sim = simulate(inst, plan)
     assert sim.config == inst.goal_config()
     return plan, sim.cost
-
-
-# --- grouping ---------------------------------------------------------------
-
-def test_grouping_disjoint_spans():
-    cycles = permutation_cycles((3, 2, 4, 1, 7, 6, 9, 5, 8)).cycles
-    assert cycles == ((1, 3, 4), (5, 7, 9, 8))
-    assert _group_max_per_cycle(cycles) == [4, 9]
-
-
-def test_grouping_overlapping_spans():
-    # cycles (1,4) and (2,6): spans [1,4] and [2,6] overlap, one group
-    cycles = permutation_cycles((4, 6, 3, 1, 5, 2)).cycles
-    assert cycles == ((1, 4), (2, 6))
-    assert _group_max_per_cycle(cycles) == [6, 6]
-
-
-def test_grouping_single_cycle():
-    cycles = permutation_cycles((2, 3, 1)).cycles
-    assert cycles == ((1, 2, 3),)
-    assert _group_max_per_cycle(cycles) == [3]
-
-
-def test_grouping_chained_overlap():
-    # [1,5] and [4,8] overlap, [6,7] overlaps the union only: still one group
-    cycles = permutation_cycles((5, 2, 3, 8, 1, 7, 6, 4)).cycles
-    assert _group_max_per_cycle(cycles) == [8, 8, 8]
 
 
 # --- known plans ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the typed 1D planner and its phases."""
 
+import functools
 import itertools
 import math
 import random
@@ -15,7 +16,7 @@ from lattice_rearrange import (
     simulate,
 )
 from lattice_rearrange.graphs import _find
-from lattice_rearrange.lattice2d import form_cycles_ptr
+from lattice_rearrange.lattice2d import form_cycles_ptr, merge_cycles_ptr
 from lattice_rearrange.por import (
     MoveCycle,
     _assignment_of,
@@ -277,6 +278,31 @@ def test_mst_rotates_cycles_that_do_not_start_at_their_minimum():
     assert merged == [cyc((1, 5), (5, 4), (4, 2), (2, 1), types=(1, 1, 1, 1))]
     lone = cyc((3, 1), (1, 2), (2, 3), types=(1, 2, 1))
     assert merge_cycles_mst([lone]) == [cyc((1, 2), (2, 3), (3, 1), types=(2, 1, 1))]
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fusion_does_not_depend_on_input_order(dim):
+    # fuse_cycles sorts by min cell before the trade model numbers the
+    # cycles, so both models fuse reversed input as they fuse sorted input
+    rng = random.Random(127 + dim)
+    fused = 0
+    for _ in range(200):
+        if dim == 1:
+            inst = random_typed(rng, rng.randint(4, 30), rng.randint(2, 4), aggregated=False)
+            merge = merge_cycles_mst
+        else:
+            dims = LatticeDims(rng.randint(2, 7), rng.randint(2, 7))
+            goal = [rng.randint(1, 3) for _ in range(dims.n)]
+            start = goal[:]
+            rng.shuffle(start)
+            inst = TypedInstance(dims, 3, tuple(start), tuple(goal))
+            merge = functools.partial(merge_cycles_ptr, dims=dims)
+        cycles = (form_cycles if dim == 1 else form_cycles_ptr)(inst)
+        assert [c.min_cell for c in cycles] == sorted(c.min_cell for c in cycles)
+        merged = merge(cycles)
+        assert merge(cycles[::-1]) == merged
+        fused += len(merged) < len(cycles)
+    assert fused > 100
+
 
 def brute_min_added(cycles):
     """Cheapest total added distance over all fusion schedules."""

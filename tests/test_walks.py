@@ -5,8 +5,12 @@ follow_cycles, por's own orbit loop in _cycles_from_assignment, the
 list-frame nested emitter lattice2d used to hold, and the single-pass
 follow_cycles as it read when it built one PlanStep per step.  Every
 planner built on their replacements must emit exactly what they did.
+The nested reference reads cycle ids, which id_keyed derives from a
+schedule keyed by cells; the single-pass reference reads the span
+grouping kept in conftest.
 """
 
+import itertools
 import random
 
 import pytest
@@ -41,7 +45,6 @@ from lattice_rearrange.lattice2d import (
 from lattice_rearrange.lor import (
     _dest_table,
     _emit_nested,
-    _group_max_per_cycle,
     follow_cycles,
     opt_plan_lor,
     sweep_cycles_lor,
@@ -56,6 +59,8 @@ from lattice_rearrange.por import (
     merge_cycles_mst,
     opt_plan_por,
 )
+
+from conftest import _group_max_per_cycle
 
 
 # --- the replaced loops, verbatim -------------------------------------------
@@ -188,6 +193,22 @@ def reference_follow_cycles(cycles, dest) -> Plan:
     return Plan(tuple(steps))
 
 
+def id_keyed(roots, kids, nxt):
+    """A schedule (roots, kids) of lattice2d._schedule in the form
+    reference_emit_nested reads: every cycle's id is its entry cell, and
+    its detours are keyed by that id, then by the cell they leave."""
+    cycle_of = {}
+    for entry in [*roots, *(e for entries in kids.values() for e in entries)]:
+        cell = entry
+        while cell not in cycle_of:
+            cycle_of[cell] = entry
+            cell = nxt[cell]
+    by_cycle: dict[int, dict[int, list]] = {}
+    for cell, entries in kids.items():
+        by_cycle.setdefault(cycle_of[cell], {})[cell] = [(e, e) for e in entries]
+    return [(e, e) for e in roots], by_cycle
+
+
 # --- seeded inputs ----------------------------------------------------------
 
 def interior_rest(dims: LatticeDims, rng) -> int:
@@ -279,9 +300,8 @@ def test_2d_sweep_matches_reference_loop():
 def test_emitter_without_detours_is_the_reference_sweep():
     for inst in labeled_rows():
         cycles = permutation_cycles(inst.pi).cycles
-        root_kids = [(cyc[0], cid) for cid, cyc in enumerate(cycles)]
         dest = _dest_table(inst)
-        assert _emit_nested(root_kids, {}, dest) == reference_sweep(cycles, dest)
+        assert _emit_nested([cyc[0] for cyc in cycles], {}, dest) == reference_sweep(cycles, dest)
 
 
 # --- orbit walk over typed assignments --------------------------------------
@@ -317,9 +337,9 @@ def test_switch_schedule_emits_like_reference(metric):
             assert switch_cycles_ltr(inst, model) == Plan()
             continue
         dest = _dest_table(inst)
-        root_kids, kids = _schedule(inst.dims, cycles, inst.rest, model, detour=True)
-        switched = reference_emit_nested(root_kids, kids, dest)
-        assert _emit_nested(root_kids, kids, dest) == switched
+        roots, kids = _schedule(inst.dims, cycles, inst.rest, model, detour=True)
+        switched = reference_emit_nested(*id_keyed(roots, kids, dest), dest)
+        assert _emit_nested(roots, kids, dest) == switched
         # the planner as it read before: the schedule, or the sweep when
         # the schedule travels farther
         sweep = reference_sweep(cycles, dest)
@@ -340,8 +360,8 @@ def test_typed_schedule_emits_like_reference(metric):
         if not cells:
             assert plan == Plan()
             continue
-        root_kids, kids = _schedule(inst.dims, cells, rest, model, detour=False)
-        assert plan == reference_emit_nested(root_kids, kids, nxt)
+        roots, kids = _schedule(inst.dims, cells, rest, model, detour=False)
+        assert plan == reference_emit_nested(*id_keyed(roots, kids, nxt), nxt)
 
 
 # --- the single-pass walk ---------------------------------------------------
@@ -352,6 +372,14 @@ def test_single_pass_walk_matches_reference_on_labeled_rows():
         plan = reference_follow_cycles(cycles, _dest_table(inst))
         assert follow_cycles(cycles, _dest_table(inst)) == plan
         assert opt_plan_lor(inst) == plan
+
+
+def test_single_pass_walk_matches_reference_on_every_small_permutation():
+    for n in range(1, 8):
+        for pi in itertools.permutations(range(1, n + 1)):
+            cycles = permutation_cycles(pi).cycles
+            dest = [0, *pi]
+            assert follow_cycles(cycles, dest) == reference_follow_cycles(cycles, dest)
 
 
 def nested_handoffs(cycles) -> int:
