@@ -21,7 +21,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
+from itertools import chain
+from operator import length_hint, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -261,54 +262,99 @@ class SimResult:
 def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) -> SimResult:
     """Execute a plan from the instance's start arrangement.
 
-    Raises IllegalStep if any step's precondition fails (pick needs an empty
-    hand and an occupied cell, swap a held item and an occupied cell, place a
-    held item and an empty cell) and HandNotEmptyAtEnd if the effector is
-    still holding an item after the last step.  The returned cost includes
-    the closing leg back to the rest cell.
+    Every step exchanges the hand with the cell: pick takes the occupant
+    into an empty hand, place leaves the held item in an empty cell, swap
+    trades the two.  The action only sets the precondition: pick needs an
+    empty hand and an occupied cell, swap a held item and an occupied cell,
+    place a held item and an empty cell.  The first step by index that
+    fails its precondition, is not an Action member or lies off the lattice
+    raises IllegalStep; HandNotEmptyAtEnd follows if the effector still
+    holds an item after the last step.  Travel is summed once the plan is
+    legal and includes the closing leg back to the rest cell.  On a row
+    every leg is a whole number under both metrics, so row travel is one
+    integer sum, exact below 2**53.
     """
-    dims = instance.dims
-    n, m1 = dims.n, dims.m1
-    # distance() inlined: each cell is decoded once, after its range check
-    leg = _manhattan_leg if model.metric == "manhattan" else math.hypot
-    config: list[Optional[int]] = list(instance.start_config())
+    n = instance.dims.n
+    cells, actions = plan.cells, plan.actions
+    # the loop stops short of the first cell outside 1..n, so an earlier
+    # illegal step is still the one reported
+    on_lattice = cells
+    if cells and not (1 <= min(cells) and max(cells) <= n):
+        on_lattice = cells[:next(idx for idx, cell in enumerate(cells) if not 1 <= cell <= n)]
+    config: list[Optional[int]] = [None, *instance.start_config()]  # config[cell]
     held: Optional[int] = None
-    rest_col, rest_row = col, row = divmod(instance.rest - 1, m1)
-    travel = 0.0
     pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
-    for idx, cell, action in zip(count(), plan.cells, plan.actions):
-        if not 1 <= cell <= n:
-            raise IllegalStep(idx, f"cell {cell} outside lattice")
+    cells_left = iter(on_lattice)
+    failed = True
+    try:
+        for cell, action in zip(cells_left, actions):
+            occupant = config[cell]
+            if action is swap:
+                if held is None or occupant is None:
+                    break
+            elif action is pick:
+                if held is not None or occupant is None:
+                    break
+            elif action is place:
+                if held is None or occupant is not None:
+                    break
+            else:
+                break
+            held, config[cell] = occupant, held
+        else:
+            failed = False
+    except TypeError:
+        # min() and max() can pass over a NaN cell; any other cell that
+        # is no index fails as config[cell] says
+        if 1 <= cell <= n:
+            raise
+    if failed:
+        # the zip stopped at the failing step: it took that step's cell last
+        raise IllegalStep(len(on_lattice) - length_hint(cells_left) - 1,
+                          _violation(n, cell, action, held))
+    if on_lattice is not cells:
+        off = len(on_lattice)
+        raise IllegalStep(off, _violation(n, cells[off], actions[off], held))
+    if held is not None:
+        raise HandNotEmptyAtEnd(f"item {held} still in hand after final step")
+    travel = _travel(instance.dims, instance.rest, cells, model)
+    picks = len(plan)
+    cost = PlanCost(picks, travel, picks * model.c_p + travel * model.c_t)
+    return SimResult(tuple(config[1:]), cost)
+
+
+def _violation(n: int, cell: int, action: Action, held: Optional[int]) -> str:
+    """Why simulate rejects a step, checked in the order it always was:
+    range, then action, then hand, then cell."""
+    if not 1 <= cell <= n:
+        return f"cell {cell} outside lattice"
+    if action is Action.PICK:
+        return ("pick with an item already in hand" if held is not None
+                else f"pick at empty cell {cell}")
+    if action is Action.SWAP:
+        return ("swap with an empty hand" if held is None
+                else f"swap at empty cell {cell}")
+    if action is Action.PLACE:
+        return ("place with an empty hand" if held is None
+                else f"place at occupied cell {cell}")
+    return f"unknown action {action!r}"
+
+
+def _travel(dims: LatticeDims, rest: int, cells: tuple[int, ...], model: CostModel) -> float:
+    """Length of the closed walk rest -> cells... -> rest under the metric."""
+    if dims.m2 == 1:
+        # hypot(d, 0) and _manhattan_leg(d, 0) are both float(abs(d))
+        return float(sum(map(abs, map(sub, chain((rest,), cells), chain(cells, (rest,))))))
+    m1 = dims.m1
+    # distance() inlined: each cell is decoded once
+    leg = _manhattan_leg if model.metric == "manhattan" else math.hypot
+    rest_col, rest_row = col, row = divmod(rest - 1, m1)
+    travel = 0.0
+    for cell in cells:
         c, r = divmod(cell - 1, m1)
         travel += leg(row - r, col - c)
         col, row = c, r
-        occupant = config[cell - 1]
-        if action is pick:
-            if held is not None:
-                raise IllegalStep(idx, "pick with an item already in hand")
-            if occupant is None:
-                raise IllegalStep(idx, f"pick at empty cell {cell}")
-            held, config[cell - 1] = occupant, None
-        elif action is swap:
-            if held is None:
-                raise IllegalStep(idx, "swap with an empty hand")
-            if occupant is None:
-                raise IllegalStep(idx, f"swap at empty cell {cell}")
-            held, config[cell - 1] = occupant, held
-        elif action is place:
-            if held is None:
-                raise IllegalStep(idx, "place with an empty hand")
-            if occupant is not None:
-                raise IllegalStep(idx, f"place at occupied cell {cell}")
-            config[cell - 1], held = held, None
-        else:
-            raise IllegalStep(idx, f"unknown action {action!r}")
-    if held is not None:
-        raise HandNotEmptyAtEnd(f"item {held} still in hand after final step")
-    travel += leg(row - rest_row, col - rest_col)
-    picks = len(plan)
-    cost = PlanCost(picks, travel, picks * model.c_p + travel * model.c_t)
-    return SimResult(tuple(config), cost)
+    return travel + leg(row - rest_row, col - rest_col)
 
 
 def is_solved(config: Sequence[Optional[int]], instance: Instance) -> bool:

@@ -5,15 +5,31 @@ the library's own cost accounting so expected values come from a second
 route.  _group_max_per_cycle is the span grouping lor's single-pass walk
 read before it derived the group hand-off from a running maximum; the
 reference walk in test_walks and the single-group test in test_lor still
-read it.
+read it.  reference_simulate is simulate as it stood before its loop was cut
+down to the hand exchange: one step at a time, range check, travel leg and
+precondition together; the differential tests in test_simulate compare the
+two bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import count
 
-from lattice_rearrange.core import LatticeDims
+from lattice_rearrange.core import (
+    DEFAULT_COST,
+    Action,
+    CostModel,
+    HandNotEmptyAtEnd,
+    IllegalStep,
+    Instance,
+    LatticeDims,
+    Plan,
+    PlanCost,
+    SimResult,
+    _manhattan_leg,
+)
 
 
 def dumps(doc: dict) -> str:
@@ -74,3 +90,56 @@ def apply_plan_by_hand(start: list, steps: list[tuple[int, str]]):
             config[cell - 1], held = held, None
     assert held is None
     return config
+
+
+def reference_simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) -> SimResult:
+    """Execute a plan from the instance's start arrangement.
+
+    Raises IllegalStep if any step's precondition fails (pick needs an empty
+    hand and an occupied cell, swap a held item and an occupied cell, place a
+    held item and an empty cell) and HandNotEmptyAtEnd if the effector is
+    still holding an item after the last step.  The returned cost includes
+    the closing leg back to the rest cell.
+    """
+    dims = instance.dims
+    n, m1 = dims.n, dims.m1
+    # distance() inlined: each cell is decoded once, after its range check
+    leg = _manhattan_leg if model.metric == "manhattan" else math.hypot
+    config: list[Optional[int]] = list(instance.start_config())
+    held: Optional[int] = None
+    rest_col, rest_row = col, row = divmod(instance.rest - 1, m1)
+    travel = 0.0
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
+    for idx, cell, action in zip(count(), plan.cells, plan.actions):
+        if not 1 <= cell <= n:
+            raise IllegalStep(idx, f"cell {cell} outside lattice")
+        c, r = divmod(cell - 1, m1)
+        travel += leg(row - r, col - c)
+        col, row = c, r
+        occupant = config[cell - 1]
+        if action is pick:
+            if held is not None:
+                raise IllegalStep(idx, "pick with an item already in hand")
+            if occupant is None:
+                raise IllegalStep(idx, f"pick at empty cell {cell}")
+            held, config[cell - 1] = occupant, None
+        elif action is swap:
+            if held is None:
+                raise IllegalStep(idx, "swap with an empty hand")
+            if occupant is None:
+                raise IllegalStep(idx, f"swap at empty cell {cell}")
+            held, config[cell - 1] = occupant, held
+        elif action is place:
+            if held is None:
+                raise IllegalStep(idx, "place with an empty hand")
+            if occupant is not None:
+                raise IllegalStep(idx, f"place at occupied cell {cell}")
+            config[cell - 1], held = held, None
+        else:
+            raise IllegalStep(idx, f"unknown action {action!r}")
+    if held is not None:
+        raise HandNotEmptyAtEnd(f"item {held} still in hand after final step")
+    travel += leg(row - rest_row, col - rest_col)
+    picks = len(plan)
+    cost = PlanCost(picks, travel, picks * model.c_p + travel * model.c_t)
+    return SimResult(tuple(config), cost)

@@ -162,6 +162,35 @@ def test_simulate_out_of_range_cell_reports_its_step():
             assert str(err.value) == f"step {k}: cell {bad} outside lattice"
 
 
+def test_simulate_reports_the_earlier_of_a_bad_action_and_an_off_lattice_cell():
+    # the range check scans the whole plan before the loop runs; the step
+    # reported must still be the first bad one by index, whichever kind
+    inst = gen_block_random(4, 3)
+    plan = sweep_cycles_ltr(inst)
+    n, last = inst.dims.n, len(plan) - 1
+    # an action that fails where a legal plan has the key action
+    wrong = {Action.PICK: Action.PLACE, Action.SWAP: Action.PICK, Action.PLACE: Action.SWAP}
+    for early, late in ((0, 1), (1, last // 2), (last // 2, last)):
+        for bad_cell in (0, -1, n + 1):
+            for unknown in (False, True):
+                for off_first in (False, True):
+                    off, act = (early, late) if off_first else (late, early)
+                    cells, actions = list(plan.cells), list(plan.actions)
+                    cells[off] = bad_cell
+                    actions[act] = "hop" if unknown else wrong[actions[act]]
+                    reason = {Action.PICK: "place with an empty hand",
+                              Action.SWAP: "pick with an item already in hand",
+                              Action.PLACE: f"swap at empty cell {cells[act]}"}[plan.actions[act]]
+                    if unknown:
+                        reason = "unknown action 'hop'"
+                    if off_first:
+                        reason = f"cell {bad_cell} outside lattice"
+                    with pytest.raises(IllegalStep) as err:
+                        simulate(inst, Plan.from_columns(cells, actions))
+                    assert err.value.step_index == min(off, act)
+                    assert str(err.value) == f"step {min(off, act)}: {reason}"
+
+
 def test_reverse_plan_swap_fixed_ends_flipped():
     plan = P((1, "p"), (3, "s"), (4, "s"), (1, "l"))
     rev = reverse_plan(plan)
