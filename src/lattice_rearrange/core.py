@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from operator import length_hint, sub
+from operator import index, length_hint, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -267,20 +267,24 @@ def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) ->
     trades the two.  The action only sets the precondition: pick needs an
     empty hand and an occupied cell, swap a held item and an occupied cell,
     place a held item and an empty cell.  The first step by index that
-    fails its precondition, is not an Action member or lies off the lattice
-    raises IllegalStep; HandNotEmptyAtEnd follows if the effector still
-    holds an item after the last step.  Travel is summed once the plan is
-    legal and includes the closing leg back to the rest cell.  On a row
-    every leg is a whole number under both metrics, so row travel is one
-    integer sum, exact below 2**53.
+    fails its precondition, is not an Action member or has no lattice cell
+    (off the lattice or not an integer) raises IllegalStep; HandNotEmptyAtEnd
+    follows if the effector still holds an item after the last step.
+    Travel is summed once the plan is legal and includes the closing leg
+    back to the rest cell.  On a row every leg is a whole number under both
+    metrics, so row travel is one integer sum, exact below 2**53.
     """
     n = instance.dims.n
     cells, actions = plan.cells, plan.actions
-    # the loop stops short of the first cell outside 1..n, so an earlier
-    # illegal step is still the one reported
+    # the loop stops short of the first cell that is not a lattice cell,
+    # so an earlier illegal step is still the one reported
     on_lattice = cells
-    if cells and not (1 <= min(cells) and max(cells) <= n):
-        on_lattice = cells[:next(idx for idx, cell in enumerate(cells) if not 1 <= cell <= n)]
+    try:
+        bounded = not cells or (1 <= min(cells) and max(cells) <= n)
+    except TypeError:  # a cell that does not compare with ints
+        bounded = False
+    if not bounded:
+        on_lattice = cells[:next(idx for idx, cell in enumerate(cells) if _cell_fault(n, cell))]
     config: list[Optional[int]] = [None, *instance.start_config()]  # config[cell]
     held: Optional[int] = None
     pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
@@ -304,10 +308,9 @@ def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) ->
         else:
             failed = False
     except TypeError:
-        # min() and max() can pass over a NaN cell; any other cell that
-        # is no index fails as config[cell] says
-        if 1 <= cell <= n:
-            raise
+        # min() and max() pass over NaN and over floats in 1..n;
+        # config[cell] rejects them at their step
+        pass
     if failed:
         # the zip stopped at the failing step: it took that step's cell last
         raise IllegalStep(len(on_lattice) - length_hint(cells_left) - 1,
@@ -323,11 +326,22 @@ def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) ->
     return SimResult(tuple(config[1:]), cost)
 
 
+def _cell_fault(n: int, cell) -> Optional[str]:
+    """Why cell is not one of the lattice cells 1..n, or None."""
+    try:
+        if not 1 <= cell <= n:
+            return f"cell {cell} outside lattice"
+        index(cell)
+    except TypeError:
+        return f"cell {cell!r} is not an integer"
+    return None
+
+
 def _violation(n: int, cell: int, action: Action, held: Optional[int]) -> str:
     """Why simulate rejects a step, checked in the order it always was:
-    range, then action, then hand, then cell."""
-    if not 1 <= cell <= n:
-        return f"cell {cell} outside lattice"
+    cell, then action, then hand, then occupant."""
+    if (fault := _cell_fault(n, cell)) is not None:
+        return fault
     if action is Action.PICK:
         return ("pick with an item already in hand" if held is not None
                 else f"pick at empty cell {cell}")

@@ -400,7 +400,7 @@ class _DeltaTrades:
         w = np.minimum.reduceat(w[order], first)
         return zip(w.tolist(), i[order[first]].tolist(), j[order[first]].tolist())
 
-    def trade(self, ri, rj, a, b):
+    def trade(self, ri, rj):
         import numpy as np
         x, y = self.members[ri], self.members[rj]
         step = max(1, self.budget // len(y))

@@ -17,12 +17,13 @@ which item goes to which goal cell and only then plans motion.  Four phases:
    weights gives the cheapest schedule that reaches the minimum possible
    cycle count.  The forest is built by fuse_cycles, which asks a
    TradeModel two questions, the weight of every cycle pair and the
-   cheapest trade between two components, and splices the two orbits of
-   each fusion in O(|A| + |B|).  TradeModel states the tie rule every model
-   follows.  Here the model scans edge pairs in pure Python, so the 1D
-   planners never load numpy; the typed 2D planner
-   (lattice2d.merge_cycles_ptr) runs the same loop with a model that
-   answers from per-type numpy matrices of the travel a trade adds.
+   cheapest trade between two components.  Each fusion swaps two
+   destinations of one assignment, and the fused cycles are read off it
+   once at the end.  TradeModel states the tie rule every model follows.
+   Here the model scans move pairs in pure Python, so the 1D planners
+   never load numpy; the typed 2D planner (lattice2d.merge_cycles_ptr)
+   runs the same loop with a model that answers from per-type numpy
+   matrices of the travel a trade adds.
 4. group_sweep_cycles_por: walk the final cycles with the labeled 1D
    planner's single pass, lor.follow_cycles (nested entries, parking, and
    the hand-off at the farthest cell entered so far).
@@ -207,24 +208,25 @@ class TradeModel(Protocol):
         """(cost of the cheapest trade, i, j) for each pair i < j of the
         model's cycles that shares a type."""
 
-    def trade(self, ri: int, rj: int, a: MoveCycle, b: MoveCycle) -> tuple[int, Edge, Edge]:
-        """(type, e1 of a, e2 of b): the cheapest trade between the
-        components rooted at ri and rj, whose orbits are a and b.  The
-        caller makes the trade, and ri's component joins rj's."""
+    def trade(self, ri: int, rj: int) -> tuple[int, Edge, Edge]:
+        """(type, e1, e2): the cheapest trade between the components rooted
+        at ri and rj, e1 a move of ri's and e2 of rj's as they were.  The
+        model makes the trade on its own moves; ri's component joins rj's."""
 
 
-def _cheapest_trade(c1: MoveCycle, c2: MoveCycle, cost: TradeCost):
-    """The same-type edge pair (e1 of c1, e2 of c2) whose destination trade
+def _cheapest_trade(m1, m2, cost: TradeCost):
+    """The same-type move pair (e1 of m1, e2 of m2) whose destination trade
     has the least cost(e1, e2), as (cost, type, e1, e2), by TradeModel's
-    tie rule.  None when the cycles share no type."""
-    shared = c1.types & c2.types
+    tie rule.  m1 and m2 list (move, type) pairs.  None when they share no
+    type."""
+    shared = {t for _, t in m1} & {t for _, t in m2}
     if not shared:
         return None
     best = None
-    for e1, t in zip(c1.edges, c1.edge_types):
+    for e1, t in m1:
         if t not in shared:
             continue
-        for e2, t2 in zip(c2.edges, c2.edge_types):
+        for e2, t2 in m2:
             if t2 == t:
                 key = (cost(e1, e2), min(e1[0], e2[0]), max(e1[0], e2[0]))
                 if best is None or key < best[0]:
@@ -234,78 +236,59 @@ def _cheapest_trade(c1: MoveCycle, c2: MoveCycle, cost: TradeCost):
 
 
 class _GapTrades:
-    """1D trade model: _pair_gap, scanned edge pair by edge pair."""
+    """1D trade model: _pair_gap, scanned move pair by move pair.  Each
+    component's (move, type) pairs are one list under its root."""
 
     def __init__(self, cycles):
-        self.cycles = cycles
+        self.members = [list(zip(c.edges, c.edge_types)) for c in cycles]
 
     def pair_weights(self):
-        cycles = self.cycles
-        for i in range(len(cycles)):
-            for j in range(i + 1, len(cycles)):
-                trade = _cheapest_trade(cycles[i], cycles[j], _pair_gap)
+        members = self.members
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                trade = _cheapest_trade(members[i], members[j], _pair_gap)
                 if trade is not None:
                     yield trade[0], i, j
 
-    def trade(self, ri, rj, a, b):
-        return _cheapest_trade(a, b, _pair_gap)[1:]
-
-
-def _splice(a: MoveCycle, b: MoveCycle, e1: Edge, e2: Edge) -> MoveCycle:
-    """The one cycle left by trading the destinations of e1 (in a) and e2
-    (in b), min-first like its parts: a up to e1, then e1 bent to g2, b
-    from g2 around to e2, e2 bent to g1, and the rest of a."""
-    if b.min_cell < a.min_cell:
-        a, b, e1, e2 = b, a, e2, e1
-    p, q = a.edges.index(e1), b.edges.index(e2)
-    edges = (a.edges[:p] + ((e1[0], e2[1]),) + b.edges[q + 1:] + b.edges[:q]
-             + ((e2[0], e1[1]),) + a.edges[p + 1:])
-    types = (a.edge_types[:p + 1] + b.edge_types[q + 1:] + b.edge_types[:q + 1]
-             + a.edge_types[p + 1:])
-    return MoveCycle(edges, types)
-
-
-def _min_first(c: MoveCycle) -> MoveCycle:
-    """c rotated to start at its smallest source, as MoveCycle states."""
-    p = c.edges.index(min(c.edges))
-    if p == 0:
-        return c
-    return MoveCycle(c.edges[p:] + c.edges[:p], c.edge_types[p:] + c.edge_types[:p])
+    def trade(self, ri, rj):
+        x, y = self.members[ri], self.members[rj]
+        _, t, (s1, g1), (s2, g2) = _cheapest_trade(x, y, _pair_gap)
+        x[x.index(((s1, g1), t))] = (s1, g2), t
+        y[y.index(((s2, g2), t))] = (s2, g1), t
+        self.members[rj] = x + y
+        return t, (s1, g1), (s2, g2)
 
 
 def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel]):
     """Fuse cycles along a minimum spanning forest of trade costs.
 
-    trades(cycles) builds the TradeModel.  Each pair of cycles sharing a
-    type weighs its cheapest trade; pairs are fused in ascending (weight,
-    min cells) order, each fusion making the model's cheapest trade between
-    the two components and splicing their orbits.  Returns (cycles sorted
-    by min cell, log), where each log entry is (type, goal_cell_1,
-    goal_cell_2): the two goals that exchanged owners.  Cycles are rotated
-    to start at their smallest source, as the splice reads min_cell from
-    the first edge, and sorted by it, so index order is min-cell order and
-    the model's (weight, i, j) triples sort in the fusion order.
+    trades(cycles) builds the TradeModel over the cycles sorted by smallest
+    source, so index order is min-cell order.  Each pair of cycles sharing
+    a type weighs its cheapest trade; pairs are fused in ascending (weight,
+    i, j) order, each fusion swapping the destinations of the model's
+    cheapest trade between the two components in one assignment, the only
+    state kept.  The fused cycles are read off it once, min-first and in
+    min-cell order, whatever source a hand-built input cycle starts at.
+    Returns (cycles, log), where each log entry is (type, goal_cell_1,
+    goal_cell_2): the two goals that exchanged owners.
     """
-    cycles = sorted(map(_min_first, cycles), key=lambda c: c.min_cell)
-    n = len(cycles)
+    cycles = sorted(cycles, key=lambda c: min(c.edges))
+    assign, types = _assignment_of(cycles)
     log: list[tuple[int, int, int]] = []
-    if n <= 1:
-        return cycles, log
-    model = trades(cycles)
-    comp = list(range(n))
-    current: dict[int, MoveCycle] = dict(enumerate(cycles))
-    for _, i, j in sorted(model.pair_weights()):
-        if len(current) == 1:
-            break
-        ri, rj = _find(comp, i), _find(comp, j)
-        if ri == rj:
-            continue
-        a, b = current.pop(ri), current[rj]
-        t, e1, e2 = model.trade(ri, rj, a, b)
-        log.append((t, e1[1], e2[1]))
-        current[rj] = _splice(a, b, e1, e2)
-        comp[ri] = rj
-    return sorted(current.values(), key=lambda c: c.min_cell), log
+    if len(cycles) > 1:
+        model = trades(cycles)
+        comp = list(range(len(cycles)))
+        for _, i, j in sorted(model.pair_weights()):
+            if len(log) == len(cycles) - 1:
+                break
+            ri, rj = _find(comp, i), _find(comp, j)
+            if ri == rj:
+                continue
+            t, (s1, g1), (s2, g2) = model.trade(ri, rj)
+            assign[s1], assign[s2] = g2, g1
+            log.append((t, g1, g2))
+            comp[ri] = rj
+    return _cycles_from_assignment(assign, types), log
 
 
 def merge_cycles_mst(cycles) -> list[MoveCycle]:

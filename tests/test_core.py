@@ -191,6 +191,28 @@ def test_simulate_reports_the_earlier_of_a_bad_action_and_an_off_lattice_cell():
                     assert str(err.value) == f"step {min(off, act)}: {reason}"
 
 
+def test_simulate_reports_non_integer_cells_as_illegal_steps():
+    # a plan built in Python can hold any cell: one that is no integer is
+    # an illegal step at its index, unless an earlier step fails first
+    inst = gen_block_random(4, 3)
+    plan = sweep_cycles_ltr(inst)
+    last = len(plan) - 1
+    for bad in (1.5, 2.0, "3", None):
+        for at in (0, last // 2, last):
+            cells = list(plan.cells)
+            cells[at] = bad
+            with pytest.raises(IllegalStep) as err:
+                simulate(inst, Plan.from_columns(cells, plan.actions))
+            assert err.value.step_index == at
+            assert str(err.value) == f"step {at}: cell {bad!r} is not an integer"
+            if at:
+                actions = list(plan.actions)
+                actions[at - 1] = "hop"
+                with pytest.raises(IllegalStep) as err:
+                    simulate(inst, Plan.from_columns(cells, actions))
+                assert err.value.step_index == at - 1
+
+
 def test_reverse_plan_swap_fixed_ends_flipped():
     plan = P((1, "p"), (3, "s"), (4, "s"), (1, "l"))
     rev = reverse_plan(plan)

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from lattice_rearrange import (
+    CostModel,
     GoalPattern,
     LatticeDims,
     TypedInstance,
@@ -16,15 +17,16 @@ from lattice_rearrange import (
     simulate,
 )
 from lattice_rearrange.graphs import _find
-from lattice_rearrange.lattice2d import form_cycles_ptr, merge_cycles_ptr
+from lattice_rearrange.lattice2d import _DeltaTrades, form_cycles_ptr, merge_cycles_ptr
 from lattice_rearrange.por import (
     MoveCycle,
+    _GapTrades,
     _assignment_of,
     _cheapest_trade,
     _cycles_from_assignment,
     _pair_gap,
-    _splice,
     form_cycles,
+    fuse_cycles,
     greedy_plan,
     greedy_por,
     merge_cycles,
@@ -40,6 +42,11 @@ def typ1d(k, start, goal):
 
 def cyc(*edges, types):
     return MoveCycle(tuple(edges), tuple(types))
+
+
+def moves(c):
+    """A cycle's (move, type) pairs, as _cheapest_trade reads them."""
+    return list(zip(c.edges, c.edge_types))
 
 
 def total_distance(cycles):
@@ -236,16 +243,16 @@ def test_merge_scales_to_long_rows(seed):
 def test_cycle_distance_no_shared_type():
     a = cyc((1, 2), (2, 1), types=(1, 2))
     b = cyc((4, 5), (5, 4), types=(3, 4))
-    assert _cheapest_trade(a, b, _pair_gap) is None
+    assert _cheapest_trade(moves(a), moves(b), _pair_gap) is None
 
 
 def test_cycle_distance_gap_values():
     a = cyc((1, 2), (2, 1), types=(1, 1))
     # every pair of a with this cycle has gap 1; the leftmost sources win
     b = cyc((3, 4), (4, 3), types=(1, 1))
-    assert _cheapest_trade(a, b, _pair_gap) == (1.0, 1, (1, 2), (3, 4))
-    assert _cheapest_trade(a, cyc((4, 5), (5, 4), types=(1, 1)), _pair_gap)[0] == 2.0
-    assert _cheapest_trade(a, cyc((2, 3), (3, 2), types=(1, 1)), _pair_gap)[0] == 0.0
+    assert _cheapest_trade(moves(a), moves(b), _pair_gap) == (1.0, 1, (1, 2), (3, 4))
+    assert _cheapest_trade(moves(a), moves(cyc((4, 5), (5, 4), types=(1, 1))), _pair_gap)[0] == 2.0
+    assert _cheapest_trade(moves(a), moves(cyc((2, 3), (3, 2), types=(1, 1))), _pair_gap)[0] == 0.0
 
 
 # --- phase 3 ----------------------------------------------------------------
@@ -269,8 +276,8 @@ def test_mst_collinear_triple():
 
 
 def test_mst_rotates_cycles_that_do_not_start_at_their_minimum():
-    # fuse_cycles keys pairs and splices orbits by each cycle's first
-    # source; a hand-built cycle that starts elsewhere is rotated first
+    # fuse_cycles sorts its input by smallest source and reads its output
+    # off the assignment, so a hand-built cycle may start at any source
     late = cyc((2, 1), (1, 2), types=(1, 1))
     b = cyc((4, 5), (5, 4), types=(1, 1))
     merged = merge_cycles_mst([late, b])
@@ -308,11 +315,11 @@ def brute_min_added(cycles):
     """Cheapest total added distance over all fusion schedules."""
     best = math.inf
     finite = [(i, j) for i in range(len(cycles)) for j in range(i + 1, len(cycles))
-              if _cheapest_trade(cycles[i], cycles[j], _pair_gap) is not None]
+              if _cheapest_trade(moves(cycles[i]), moves(cycles[j]), _pair_gap) is not None]
     if not finite:
         return 0.0
     for i, j in finite:
-        d = _cheapest_trade(cycles[i], cycles[j], _pair_gap)[0]
+        d = _cheapest_trade(moves(cycles[i]), moves(cycles[j]), _pair_gap)[0]
         fused = merge_cycles_mst([cycles[i], cycles[j]])
         assert len(fused) == 1
         rest = [c for t, c in enumerate(cycles) if t not in (i, j)] + fused
@@ -423,35 +430,146 @@ def test_mst_matches_reference_on_workload_rows(inst):
         assert merged == reference_merge_cycles_mst(cycles)
 
 
-def random_cycles(rng, dim):
-    """Cycles of a random typed row (dim 1) or small grid (dim 2)."""
-    if dim == 1:
-        return form_cycles(random_typed(rng, rng.randint(4, 30), rng.randint(2, 4),
-                                        aggregated=rng.random() < 0.5))
-    m1, m2 = rng.randint(2, 7), rng.randint(2, 7)
-    goal = [rng.randint(1, 3) for _ in range(m1 * m2)]
-    start = goal[:]
-    rng.shuffle(start)
-    return form_cycles_ptr(TypedInstance(LatticeDims(m1, m2), 3, tuple(start), tuple(goal)))
+# --- fusion against the orbit splice ---------------------------------------
 
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_splice_matches_swap_destinations(dim):
-    # the in-place splice fuse_cycles makes against the whole-assignment
-    # rebuild it replaced, in both argument orders
-    rng = random.Random(109 + dim)
-    checked = 0
-    while checked < 1000:
-        cycles = random_cycles(rng, dim)
-        if len(cycles) < 2:
+def reference_fuse_cycles(cycles, trades):
+    """por.fuse_cycles as it was before it kept only the destination
+    assignment: it rotated each cycle min-first and spliced the two orbits
+    of every fusion.  trades(cycles) builds a model whose trade(ri, rj,
+    a, b) is also handed the orbits a and b."""
+    cycles = sorted(map(_reference_min_first, cycles), key=lambda c: c.min_cell)
+    n = len(cycles)
+    log: list[tuple[int, int, int]] = []
+    if n <= 1:
+        return cycles, log
+    model = trades(cycles)
+    comp = list(range(n))
+    current: dict[int, MoveCycle] = dict(enumerate(cycles))
+    for _, i, j in sorted(model.pair_weights()):
+        if len(current) == 1:
+            break
+        ri, rj = _find(comp, i), _find(comp, j)
+        if ri == rj:
             continue
-        a, b = rng.sample(cycles, 2)
-        e1, e2 = rng.choice(a.edges), rng.choice(b.edges)
-        fused = _swap_destinations([a, b], e1, e2)
-        assert len(fused) == 1
-        assert _splice(a, b, e1, e2) == fused[0], (a, b, e1, e2)
-        assert _splice(b, a, e2, e1) == fused[0], (a, b, e1, e2)
-        checked += 1
+        a, b = current.pop(ri), current[rj]
+        t, e1, e2 = model.trade(ri, rj, a, b)
+        log.append((t, e1[1], e2[1]))
+        current[rj] = _reference_splice(a, b, e1, e2)
+        comp[ri] = rj
+    return sorted(current.values(), key=lambda c: c.min_cell), log
+
+
+def _reference_splice(a: MoveCycle, b: MoveCycle, e1, e2) -> MoveCycle:
+    """The one cycle left by trading the destinations of e1 (in a) and e2
+    (in b), min-first like its parts: a up to e1, then e1 bent to g2, b
+    from g2 around to e2, e2 bent to g1, and the rest of a."""
+    if b.min_cell < a.min_cell:
+        a, b, e1, e2 = b, a, e2, e1
+    p, q = a.edges.index(e1), b.edges.index(e2)
+    edges = (a.edges[:p] + ((e1[0], e2[1]),) + b.edges[q + 1:] + b.edges[:q]
+             + ((e2[0], e1[1]),) + a.edges[p + 1:])
+    types = (a.edge_types[:p + 1] + b.edge_types[q + 1:] + b.edge_types[:q + 1]
+             + a.edge_types[p + 1:])
+    return MoveCycle(edges, types)
+
+
+def _reference_min_first(c: MoveCycle) -> MoveCycle:
+    """c rotated to start at its smallest source, as MoveCycle states."""
+    p = c.edges.index(min(c.edges))
+    if p == 0:
+        return c
+    return MoveCycle(c.edges[p:] + c.edges[:p], c.edge_types[p:] + c.edge_types[:p])
+
+
+class ReferenceGapTrades:
+    """The 1D trade model on orbits: pair weights by
+    reference_cycle_distance, each trade by reference_argmin_pair over the
+    two orbits it is handed."""
+
+    def __init__(self, cycles):
+        self.cycles = cycles
+
+    def pair_weights(self):
+        for i, j in itertools.combinations(range(len(self.cycles)), 2):
+            d = reference_cycle_distance(self.cycles[i], self.cycles[j])
+            if d < math.inf:
+                yield d, i, j
+
+    def trade(self, ri, rj, a, b):
+        _, e1, e2 = reference_argmin_pair(a, b)
+        return a.edge_types[a.edges.index(e1)], e1, e2
+
+
+class OrbitBlindTrades:
+    """A model with the orbit-taking trade(ri, rj, a, b) over one that
+    takes (ri, rj) only; the 2D model never read the orbits."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def pair_weights(self):
+        return self.model.pair_weights()
+
+    def trade(self, ri, rj, a, b):
+        return self.model.trade(ri, rj)
+
+
+def rotated(cycles, rng):
+    """Each cycle started at a random source, the list in random order."""
+    out = []
+    for c in cycles:
+        p = rng.randrange(len(c.edges))
+        out.append(MoveCycle(c.edges[p:] + c.edges[:p], c.edge_types[p:] + c.edge_types[:p]))
+    rng.shuffle(out)
+    return out
+
+
+def test_fusion_matches_reference_on_rows():
+    rng = random.Random(131)
+    fused = 0
+    for _ in range(300):
+        formed = form_cycles(random_typed(rng, rng.randint(4, 30), rng.randint(2, 4),
+                                          aggregated=rng.random() < 0.5))
+        for cycles in (formed, merge_cycles(formed), rotated(formed, rng), formed[::-1]):
+            got = fuse_cycles(cycles, _GapTrades)
+            assert got == reference_fuse_cycles(cycles, ReferenceGapTrades), cycles
+            fused += len(got[1]) > 0
+    assert fused > 300
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_fusion_matches_reference_on_grids(metric):
+    rng = random.Random(137)
+    model = CostModel(metric=metric)
+    fused = 0
+    for _ in range(60):
+        m1, m2 = rng.randint(2, 9), rng.randint(2, 9)
+        goal = [rng.randint(1, 3) for _ in range(m1 * m2)]
+        start = goal[:]
+        rng.shuffle(start)
+        dims = LatticeDims(m1, m2)
+        formed = form_cycles_ptr(TypedInstance(dims, 3, tuple(start), tuple(goal)), model)
+        for cycles in (formed, rotated(formed, rng), formed[::-1]):
+            got = fuse_cycles(cycles, functools.partial(_DeltaTrades, dims, metric))
+            want = reference_fuse_cycles(
+                cycles, lambda c: OrbitBlindTrades(_DeltaTrades(dims, metric, c)))
+            assert got == want, cycles
+            fused += len(got[1]) > 0
+    assert fused > 100
+
+
+def test_fusion_matches_reference_on_hand_built_cycles():
+    # cycles that start away from their smallest source, given in reverse
+    a = cyc((2, 1), (1, 2), types=(1, 1))
+    b = cyc((5, 4), (4, 5), types=(1, 1))
+    c = cyc((9, 7), (7, 8), (8, 9), types=(1, 2, 1))
+    d = cyc((12, 10), (10, 11), (11, 12), types=(2, 1, 2))
+    for cycles in ([d, c, b, a], [c, a], [b, a], [d], []):
+        want = reference_fuse_cycles(cycles, ReferenceGapTrades)
+        assert fuse_cycles(cycles, _GapTrades) == want
+        assert fuse_cycles(cycles[::-1], _GapTrades) == want
+    merged, log = fuse_cycles([d, c, b, a], _GapTrades)
+    assert len(merged) == 1 and len(log) == 3
 
 
 # --- full pipeline ----------------------------------------------------------
