@@ -21,9 +21,10 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import chain
-from operator import index, length_hint, sub
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from operator import add, index, length_hint, sub
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class RearrangeError(Exception):
@@ -114,13 +115,26 @@ def _manhattan_leg(dr: int, dc: int) -> float:
     return float(abs(dr) + abs(dc))
 
 
+def _cell_distance(dims: LatticeDims, model: CostModel) -> Callable[[int, int], float]:
+    """The function (a, b) -> distance(dims, a, b, model) for two cells on
+    the lattice, without the range checks.  The metric's leg is picked here,
+    once per caller, and each call decodes each cell with one divmod."""
+    m1 = dims.m1
+    leg = _manhattan_leg if model.metric == "manhattan" else math.hypot
+
+    def cell_distance(a: int, b: int) -> float:
+        col_a, row_a = divmod(a - 1, m1)
+        col_b, row_b = divmod(b - 1, m1)
+        return leg(row_a - row_b, col_a - col_b)
+    return cell_distance
+
+
 def distance(dims: LatticeDims, a: int, b: int, model: CostModel = DEFAULT_COST) -> float:
     """Metric distance between two cells given as indices."""
-    ra, ca = dims.rowcol(a)
-    rb, cb = dims.rowcol(b)
-    if model.metric == "manhattan":
-        return _manhattan_leg(ra - rb, ca - cb)
-    return math.hypot(ra - rb, ca - cb)
+    for cell in (a, b):
+        if not 1 <= cell <= dims.n:
+            raise ValueError(f"cell index {cell} out of range 1..{dims.n}")
+    return _cell_distance(dims, model)(a, b)
 
 
 @dataclass(frozen=True)
@@ -356,19 +370,12 @@ def _violation(n: int, cell: int, action: Action, held: Optional[int]) -> str:
 
 def _travel(dims: LatticeDims, rest: int, cells: tuple[int, ...], model: CostModel) -> float:
     """Length of the closed walk rest -> cells... -> rest under the metric."""
+    legs_from, legs_to = chain((rest,), cells), chain(cells, (rest,))
     if dims.m2 == 1:
         # hypot(d, 0) and _manhattan_leg(d, 0) are both float(abs(d))
-        return float(sum(map(abs, map(sub, chain((rest,), cells), chain(cells, (rest,))))))
-    m1 = dims.m1
-    # distance() inlined: each cell is decoded once
-    leg = _manhattan_leg if model.metric == "manhattan" else math.hypot
-    rest_col, rest_row = col, row = divmod(rest - 1, m1)
-    travel = 0.0
-    for cell in cells:
-        c, r = divmod(cell - 1, m1)
-        travel += leg(row - r, col - c)
-        col, row = c, r
-    return travel + leg(row - rest_row, col - rest_col)
+        return float(sum(map(abs, map(sub, legs_from, legs_to))))
+    # left to right: sum() of floats is compensated from Python 3.12 on
+    return reduce(add, map(_cell_distance(dims, model), legs_from, legs_to), 0.0)
 
 
 def is_solved(config: Sequence[Optional[int]], instance: Instance) -> bool:

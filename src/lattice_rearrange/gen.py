@@ -322,8 +322,8 @@ def gen_typed(dims, k: int, counts, goal: GoalPattern, seed: int) -> TypedInstan
 def gen_tsp_clusters(points, dims) -> LabeledInstance:
     """Two-cell swap gadget at each interior lattice point.
 
-    Each point (x1, x2) swaps the items of cells m1*(x2-1)+x1 and
-    m1*x2+x1, leaving everything else in place.  Points must be strictly
+    Each point (x1, x2) swaps the items of cells (x1, x2) and (x1, x2+1),
+    leaving everything else in place.  Points must be strictly
     interior and their cell pairs must not collide.  Each gadget is one
     2-cycle, so an optimal solver spends exactly 3 picks per point.
     """
@@ -335,8 +335,7 @@ def gen_tsp_clusters(points, dims) -> LabeledInstance:
         if not (1 < x1 < m1 and 1 < x2 < m2):
             raise PointOnBoundary(
                 f"point ({x1},{x2}) not interior to {m1}x{m2}")
-        a = m1 * (x2 - 1) + x1
-        b = m1 * x2 + x1
+        a, b = dims.index(x1, x2), dims.index(x1, x2 + 1)
         if a in used or b in used:
             raise ClusterOverlap(f"point ({x1},{x2}) reuses a claimed cell")
         used.update((a, b))

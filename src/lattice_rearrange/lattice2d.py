@@ -50,9 +50,8 @@ from .core import (
     LatticeDims,
     Plan,
     TypedInstance,
-    _manhattan_leg,
-    distance,
-    plan_cost,
+    _cell_distance,
+    _travel,
 )
 from .graphs import WeightedGraph, min_arborescence, min_cost_assignment, permutation_cycles
 from .lor import _dest_table, _emit_nested, _sweep
@@ -120,15 +119,8 @@ def cycle_edge_length(instance: LabeledInstance, model: CostModel = DEFAULT_COST
     This is exactly the within-cycle travel that any cycle-following plan
     must spend; planners differ only in travel between cycles.
     """
-    m1 = instance.dims.m1
-    leg = _manhattan_leg if model.metric == "manhattan" else math.hypot
-    legs = []
-    for cell, item in enumerate(instance.pi, start=1):
-        if item != cell:
-            # distance(), with each cell decoded once
-            col_a, row_a = divmod(cell - 1, m1)
-            col_b, row_b = divmod(item - 1, m1)
-            legs.append(leg(row_a - row_b, col_a - col_b))
+    d = _cell_distance(instance.dims, model)
+    legs = [d(cell, item) for cell, item in enumerate(instance.pi, start=1) if item != cell]
     # left to right: sum() of floats is compensated from Python 3.12 on
     return functools.reduce(operator.add, legs, 0)
 
@@ -253,8 +245,9 @@ def _schedule(dims: LatticeDims, cycle_cells, rest: int, model: CostModel, detou
     for u, v, w in tree:
         exit_cell, entry_cell = cells(u, v)
         (kids.setdefault(exit_cell, []) if u else roots).append(entry_cell)
+    d = _cell_distance(dims, model)
     for cell, entries in [(rest, roots), *kids.items()]:
-        entries.sort(key=lambda e: (distance(dims, cell, e, model), e))
+        entries.sort(key=lambda e: (d(cell, e), e))
     return roots, kids
 
 
@@ -286,7 +279,9 @@ def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST
     roots, kids = _schedule(dims, cycles, instance.rest, model, detour=True)
     switched = _emit_nested(roots, kids, dest)
     sweep = _sweep(cycles, dest)
-    if plan_cost(instance, switched, model).travel <= plan_cost(instance, sweep, model).travel:
+    # both plans are legal by construction, so only their travel is summed
+    rest = instance.rest
+    if _travel(dims, rest, switched.cells, model) <= _travel(dims, rest, sweep.cells, model):
         return switched
     return sweep
 

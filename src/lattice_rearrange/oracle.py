@@ -31,7 +31,7 @@ from .core import (
     Plan,
     PlanCost,
     RearrangeError,
-    distance,
+    _cell_distance,
 )
 from .graphs import _find, permutation_cycles
 
@@ -111,11 +111,9 @@ def oracle_optimal(instance: Instance,
     cp, ct = model.c_p, model.c_t
     pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
 
-    dist = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for a in range(1, n + 1):
-        row = dist[a]
-        for b in range(1, n + 1):
-            row[b] = distance(dims, a, b, model)
+    d = _cell_distance(dims, model)
+    # dist[a][b] for cells a and b; row 0 and column 0 pad the 1-based index
+    dist = [[0.0] * (n + 1)] + [[0.0] + [d(a, b) for b in dims.cells()] for a in dims.cells()]
     to_rest = [dist[c][rest] if c else 0.0 for c in range(n + 1)]
 
     # state = ((sum_i config[i] * base^i) * base + held) * n + (pos - 1)

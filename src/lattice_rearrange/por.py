@@ -45,7 +45,7 @@ from .core import (
     Instance,
     Plan,
     TypedInstance,
-    distance,
+    _cell_distance,
 )
 from .graphs import _find, _walk_orbits
 from .lor import _require_1d, follow_cycles
@@ -64,10 +64,6 @@ class MoveCycle:
 
     edges: tuple[tuple[int, int], ...]
     edge_types: tuple[int, ...]
-
-    @property
-    def types(self) -> frozenset:
-        return frozenset(self.edge_types)
 
     @property
     def min_cell(self) -> int:
@@ -345,6 +341,7 @@ def greedy_plan(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:
     ends after at most one pick and one deposit per cell.
     """
     dims = instance.dims
+    d = _cell_distance(dims, model)
     goal = list(instance.goal_config())
     config: list = list(instance.start_config())
     pos = instance.rest
@@ -355,7 +352,7 @@ def greedy_plan(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:
     at, act = cells.append, actions.append
 
     def nearest(candidates):
-        return min(candidates, key=lambda c: (distance(dims, pos, c, model), c))
+        return min(candidates, key=lambda c: (d(pos, c), c))
 
     while True:
         if held is None:

@@ -8,7 +8,11 @@ reference walk in test_walks and the single-group test in test_lor still
 read it.  reference_simulate is simulate as it stood before its loop was cut
 down to the hand exchange: one step at a time, range check, travel leg and
 precondition together; the differential tests in test_simulate compare the
-two bit for bit.
+two bit for bit.  reference_distance and reference_greedy_plan are
+distance() and greedy_plan as they stood before every scalar distance went
+through core._cell_distance: each cell decoded through LatticeDims.rowcol
+on every call.  test_core compares the floats bit for bit and test_por the
+greedy plans.
 """
 
 from __future__ import annotations
@@ -49,6 +53,63 @@ def leg_travel(dims: LatticeDims, cells: list[int], rest: int = 1, metric: str =
         else:
             total += math.hypot(ra - rb, ca - cb)
     return total
+
+
+def reference_distance(dims: LatticeDims, a: int, b: int, model: CostModel = DEFAULT_COST) -> float:
+    """Metric distance between two cells given as indices."""
+    ra, ca = dims.rowcol(a)
+    rb, cb = dims.rowcol(b)
+    if model.metric == "manhattan":
+        return _manhattan_leg(ra - rb, ca - cb)
+    return math.hypot(ra - rb, ca - cb)
+
+
+def reference_greedy_plan(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:
+    """Best-first baseline, usable on any instance kind or dimension.
+
+    Empty hand: pick the nearest misplaced item.  Holding an item: deposit
+    it at the nearest goal cell of its type that is not already correct
+    (Swap if occupied, Place if empty).  Distance ties break toward the
+    smaller cell index.  Every deposit fixes a cell for good, so the loop
+    ends after at most one pick and one deposit per cell.
+    """
+    dims = instance.dims
+    goal = list(instance.goal_config())
+    config: list = list(instance.start_config())
+    pos = instance.rest
+    held = None
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
+    cells: list[int] = []
+    actions: list[Action] = []
+    at, act = cells.append, actions.append
+
+    def nearest(candidates):
+        return min(candidates, key=lambda c: (reference_distance(dims, pos, c, model), c))
+
+    while True:
+        if held is None:
+            misplaced = [c for c in dims.cells()
+                         if config[c - 1] is not None and config[c - 1] != goal[c - 1]]
+            if not misplaced:
+                break
+            cell = nearest(misplaced)
+            at(cell)
+            act(pick)
+            held, config[cell - 1] = config[cell - 1], None
+        else:
+            targets = [c for c in dims.cells()
+                       if goal[c - 1] == held and config[c - 1] != held]
+            cell = nearest(targets)
+            if config[cell - 1] is None:
+                at(cell)
+                act(place)
+                config[cell - 1], held = held, None
+            else:
+                at(cell)
+                act(swap)
+                held, config[cell - 1] = config[cell - 1], held
+        pos = cell
+    return Plan.from_columns(cells, actions)
 
 
 def _group_max_per_cycle(cycles: tuple[tuple[int, ...], ...]) -> list[int]:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -20,6 +21,7 @@ from lattice_rearrange.core import (
     PlanStep,
     TypedInstance,
     TypeMismatch,
+    _cell_distance,
     distance,
     instance_from_dict,
     instance_to_dict,
@@ -42,7 +44,7 @@ from lattice_rearrange.gen import (
 from lattice_rearrange.lattice2d import sweep_cycles_ltr
 from lattice_rearrange.lor import opt_plan_lor
 from lattice_rearrange.oracle import oracle_optimal
-from conftest import dumps, leg_travel
+from conftest import dumps, leg_travel, reference_distance
 
 
 def P(*steps):
@@ -71,6 +73,28 @@ def test_distance_metrics():
     assert distance(dims, a, b, CostModel(metric="manhattan")) == 2.0
     line = LatticeDims(9, 1)
     assert distance(line, 2, 8) == 6.0
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("m1,m2", itertools.product(range(1, 6), range(1, 5)))
+def test_scalar_distance_matches_reference_bit_for_bit(m1, m2, metric):
+    # every ordered cell pair, 1 x m and m x 1 lattices included: distance()
+    # and the unchecked _cell_distance give the reference's floats exactly
+    dims, model = LatticeDims(m1, m2), CostModel(metric=metric)
+    pairs = list(itertools.product(dims.cells(), repeat=2))
+    want = [reference_distance(dims, a, b, model).hex() for a, b in pairs]
+    assert [distance(dims, a, b, model).hex() for a, b in pairs] == want
+    cell_distance = _cell_distance(dims, model)
+    assert [cell_distance(a, b).hex() for a, b in pairs] == want
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (7, 1), (1, 7), (-2, 3), (3, 13)])
+def test_distance_rejects_cells_off_the_lattice(a, b):
+    dims = LatticeDims(3, 2)
+    with pytest.raises(ValueError):
+        reference_distance(dims, a, b)
+    with pytest.raises(ValueError, match="out of range 1..6"):
+        distance(dims, a, b)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

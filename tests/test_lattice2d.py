@@ -529,7 +529,7 @@ def test_merge_ptr_block_layout_trades_stay_in_block():
 
 def reference_cycle_merge_cost(c1, c2, dims):
     """cycle_merge_cost as it was before the shared fusion engine."""
-    shared = c1.types & c2.types
+    shared = set(c1.edge_types) & set(c2.edge_types)
     if not shared:
         return math.inf
     best = math.inf

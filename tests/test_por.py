@@ -1,5 +1,6 @@
 """Tests for the typed 1D planner and its phases."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -12,7 +13,10 @@ from lattice_rearrange import (
     GoalPattern,
     LatticeDims,
     TypedInstance,
+    gen_block_random,
+    gen_column_random,
     gen_typed,
+    gen_uniform_permutation,
     gen_x_random,
     simulate,
 )
@@ -34,6 +38,7 @@ from lattice_rearrange.por import (
     opt_plan_por,
 )
 from lattice_rearrange.oracle import oracle_min_picks, oracle_optimal
+from conftest import reference_greedy_plan
 
 
 def typ1d(k, start, goal):
@@ -171,7 +176,7 @@ def merge_cycles_fixed_point(cycles):
         found = None
         for i in range(len(cycles)):
             for j in range(i + 1, len(cycles)):
-                shared = cycles[i].types & cycles[j].types
+                shared = set(cycles[i].edge_types) & set(cycles[j].edge_types)
                 if not shared:
                     continue
                 for (s1, g1), t1 in zip(cycles[i].edges, cycles[i].edge_types):
@@ -346,7 +351,7 @@ def test_mst_matches_brute_force_schedules():
 
 def reference_cycle_distance(c1, c2):
     """cycle_distance as it was before the shared fusion engine."""
-    shared = c1.types & c2.types
+    shared = set(c1.edge_types) & set(c2.edge_types)
     if not shared:
         return math.inf
     best = math.inf
@@ -644,3 +649,34 @@ def test_greedy_requires_1d():
     # the generic engine accepts the same instance
     sim = simulate(inst, greedy_plan(inst))
     assert sim.config == inst.goal_types
+
+
+def greedy_corpus():
+    """Seeded labeled and typed instances, rows and grids, all resting at
+    cell 1."""
+    for seed in range(1, 7):
+        yield gen_uniform_permutation(24 + seed, seed)
+        yield gen_x_random(30, 5, seed)
+        yield gen_typed(24, 3, (8, 8, 8), GoalPattern("explicit", tuple(range(1, 4)) * 8), seed)
+        yield gen_typed(20, 4, (2, 4, 6, 8),
+                        GoalPattern("explicit", (1,) * 2 + (2,) * 4 + (3,) * 6 + (4,) * 8), seed)
+        yield gen_block_random(9, seed)
+        yield gen_column_random(7, 5, seed)
+        yield gen_typed((6, 6), 4, (9, 9, 9, 9), GoalPattern("blocks"), seed)
+        yield gen_typed((5, 8), 8, (5,) * 8, GoalPattern("columns"), seed)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_greedy_matches_reference(metric):
+    model = CostModel(metric=metric)
+    rng = random.Random(metric)
+    # each instance also runs from an interior rest cell: off the row's
+    # ends, off the grid's border
+    for inst in greedy_corpus():
+        m1, m2 = inst.dims.m1, inst.dims.m2
+        if m2 == 1:
+            rest = rng.randint(2, m1 - 1)
+        else:
+            rest = inst.dims.index(rng.randint(2, m1 - 1), rng.randint(2, m2 - 1))
+        for case in (inst, dataclasses.replace(inst, rest=rest)):
+            assert greedy_plan(case, model) == reference_greedy_plan(case, model)
