@@ -15,7 +15,7 @@ from .core import (
     FORMAT_VERSION,
     CostModel,
     instance_from_dict,
-    instance_to_dict,
+    instance_to_json,
     is_solved,
     plan_cost,
     plan_from_dict,
@@ -137,8 +137,7 @@ def _cmd_gen(args) -> int:
             x1, x2 = chunk.split(",")
             points.append((int(x1), int(x2)))
         inst = gen_tsp_clusters(points, (args.m1, args.m2))
-    doc = {"format_version": FORMAT_VERSION, **instance_to_dict(inst)}
-    _write_text(args.output, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.output, instance_to_json(inst))
     return 0
 
 

@@ -184,9 +184,14 @@ class TypedInstance:
             raise ValueError(f"k must satisfy 1 <= k <= n, got k={self.k}, n={n}")
         if len(self.start_types) != n or len(self.goal_types) != n:
             raise TypeMismatch("start/goal arrays must cover every cell")
-        for t in self.start_types + self.goal_types:
-            if not 1 <= t <= self.k:
-                raise TypeMismatch(f"type id {t} outside 1..{self.k}")
+        try:
+            in_range = set(self.start_types).union(self.goal_types) <= set(range(1, self.k + 1))
+        except TypeError:  # an unhashable id: the loop names it as before
+            in_range = False
+        if not in_range:
+            for t in self.start_types + self.goal_types:
+                if not 1 <= t <= self.k:
+                    raise TypeMismatch(f"type id {t} outside 1..{self.k}")
         if sorted(self.start_types) != sorted(self.goal_types):
             raise TypeMismatch("start and goal type multisets differ")
         if not 1 <= self.rest <= n:
@@ -436,6 +441,25 @@ def instance_to_dict(instance: Instance) -> dict:
         d["goal_types"] = list(instance.goal_types)
     d["rest"] = instance.rest
     return d
+
+
+def instance_to_json(instance: Instance) -> str:
+    """The instance document of `instance`, byte for byte what
+    ``json.dumps({"format_version": FORMAT_VERSION, **instance_to_dict(instance)},
+    indent=2)`` writes, plus a newline.
+
+    As in plan_to_json, the long integer arrays are joined from f-strings
+    and the scalars go through ``json.dumps``.
+    """
+    doc = {"format_version": FORMAT_VERSION, **instance_to_dict(instance)}
+    fields = []
+    for key, value in doc.items():
+        if isinstance(value, list):  # never empty: dims, or one entry per cell
+            text = "[\n    " + ",\n    ".join([f"{v}" for v in value]) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        fields.append(f'  "{key}": {text}')
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def _ints(values, field: str) -> tuple[int, ...]:

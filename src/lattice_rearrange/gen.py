@@ -66,6 +66,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 def _mix(z: int) -> int:
     # SplitMix64 finalizer (Steele/Lea/Flood; also the xoshiro seeder).
+    # SplitMix64._shuffle_span repeats these three lines inline.
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -92,17 +93,47 @@ class SplitMix64:
         """Uniform integer in [0, bound)."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
+        draw = self.next_u64()
+        if draw >= (1 << 64) - bound:
+            draw = self._settle(draw, bound)
+        return draw % bound
+
+    def _settle(self, draw: int, bound: int) -> int:
+        """Finish a draw that landed at or above ``2**64 - bound``: redraw
+        until it falls below the exact rejection limit for bound.
+
+        That limit, ``2**64 - 2**64 % bound``, lies above ``2**64 - bound``,
+        so a draw below the cheap test is accepted without computing it.
+        """
+        limit = (1 << 64) - (1 << 64) % bound
+        while draw >= limit:
             draw = self.next_u64()
-            if draw < limit:
-                return draw % bound
+        return draw
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates shuffle: the draws of ``below(i + 1)`` for
+        i = len(items) - 1 down to 1, inlined."""
+        self._shuffle_span(items, 0, len(items))
+
+    def _shuffle_span(self, items: list, lo: int, hi: int) -> None:
+        """``shuffle`` applied to items[lo:hi] in place, same draws."""
+        state = self._state
+        # Every bound here is at most hi - lo, so a draw below this value
+        # lies below that bound's rejection limit too (see _settle).
+        safe = (1 << 64) - (hi - lo)
+        for i in range(hi - 1, lo, -1):
+            # next_u64 inlined: the state step, then _mix's three lines.
+            state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+            z ^= z >> 31
+            if z >= safe:
+                self._state = state
+                z = self._settle(z, i - lo + 1)
+                state = self._state
+            j = lo + z % (i - lo + 1)
             items[i], items[j] = items[j], items[i]
+        self._state = state
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -154,9 +185,7 @@ def gen_x_random(m: int, x: int, seed: int) -> LabeledInstance:
     rng = SplitMix64(seed)
     pi = list(range(1, m + 1))
     for lo in range(0, m, x):
-        block = pi[lo:lo + x]
-        rng.shuffle(block)
-        pi[lo:lo + x] = block
+        rng._shuffle_span(pi, lo, min(lo + x, m))
     return LabeledInstance(dims, tuple(pi))
 
 

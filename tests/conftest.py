@@ -12,7 +12,10 @@ two bit for bit.  reference_distance and reference_greedy_plan are
 distance() and greedy_plan as they stood before every scalar distance went
 through core._cell_distance: each cell decoded through LatticeDims.rowcol
 on every call.  test_core compares the floats bit for bit and test_por the
-greedy plans.
+greedy plans.  ReferenceSplitMix64 carries SplitMix64's below and shuffle
+as they stood before shuffle's draws were inlined: every draw one next_u64
+call, checked against the exact rejection limit; test_gen compares the
+streams, the shuffled lists and every generator's output against it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,29 @@ from lattice_rearrange.core import (
     SimResult,
     _manhattan_leg,
 )
+from lattice_rearrange.gen import SplitMix64
+
+
+class ReferenceSplitMix64(SplitMix64):
+    """SplitMix64 whose bounded draws and shuffle go through next_u64."""
+
+    __slots__ = ()
+
+    def below(self, bound: int) -> int:
+        """Uniform integer in [0, bound)."""
+        if bound <= 0:
+            raise ValueError(f"bound must be positive, got {bound}")
+        limit = (1 << 64) - ((1 << 64) % bound)
+        while True:
+            draw = self.next_u64()
+            if draw < limit:
+                return draw % bound
+
+    def shuffle(self, items: list) -> None:
+        """In-place Fisher-Yates shuffle."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1)
+            items[i], items[j] = items[j], items[i]
 
 
 def dumps(doc: dict) -> str:

@@ -13,7 +13,11 @@ import lattice_rearrange
 from lattice_rearrange import (
     CostModel,
     GoalPattern,
+    LabeledInstance,
+    LatticeDims,
+    TypedInstance,
     gen_block_random,
+    gen_tsp_clusters,
     gen_typed,
     gen_uniform_permutation,
     instance_to_dict,
@@ -21,6 +25,7 @@ from lattice_rearrange import (
     plan_to_dict,
 )
 from lattice_rearrange.cli import main, resolve_solver
+from lattice_rearrange.core import instance_to_json
 
 
 def run(capsys, *argv):
@@ -67,6 +72,24 @@ class TestGen:
             code, out, _ = run(capsys, *argv)
             assert code == 0, argv
             assert json.loads(out)["format_version"] == 1
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("inst", [
+        gen_uniform_permutation(200, 3),
+        dataclasses.replace(gen_uniform_permutation(200, 3), rest=77),
+        gen_block_random(9, 2),
+        gen_typed((4, 6), 4, (6, 6, 6, 6), GoalPattern("blocks"), 5),
+        dataclasses.replace(gen_typed((4, 6), 4, (6, 6, 6, 6), GoalPattern("blocks"), 5), rest=24),
+        gen_typed(7, 3, (3, 2, 2), GoalPattern("explicit", (1, 2, 3, 1, 2, 3, 1)), 1),
+        LabeledInstance(LatticeDims(1, 1), (1,)),
+        TypedInstance(LatticeDims(1, 1), 1, (1,), (1,)),
+        LabeledInstance(LatticeDims(5, 1), (2, 1, 3, 5, 4), rest=4),
+        LabeledInstance(LatticeDims(1, 5), (5, 4, 3, 2, 1), rest=5),
+        gen_tsp_clusters([(2, 2), (3, 4)], (5, 6)),
+    ])
+    def test_instance_json_is_the_indent_2_bytes(self, inst):
+        doc = {"format_version": 1, **instance_to_dict(inst)}
+        assert instance_to_json(inst) == json.dumps(doc, indent=2) + "\n"
 
     def test_same_seed_same_bytes(self, capsys):
         a = run(capsys, "gen", "uniform", "--m", "30", "--seed", "3")

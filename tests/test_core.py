@@ -276,6 +276,41 @@ def test_instance_validation():
         TypedInstance(LatticeDims(2, 1), 3, (1, 2), (2, 1))  # k beyond cell count
 
 
+def _reference_type_ids(start, goal, k):
+    """TypedInstance's type-id check as a loop over every id, as it stood
+    before the set test went first."""
+    for t in start + goal:
+        if not 1 <= t <= k:
+            raise TypeMismatch(f"type id {t} outside 1..{k}")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("start,goal", [
+    ((0, 1, 2), (1, 2, 0)),
+    ((1, 1, 2), (1, 2, 3)),
+    ((1, 3, 0), (0, 1, 3)),
+    ((2, -1, 1), (1, 2, -1)),
+    ((1, NAN, 2), (1, NAN, 2)),
+    ((1, 1.5, 2), (1, 1.5, 2)),
+    ((1, "a", 2), (1, 2, "a")),
+    ((3, "a", 2), (1, 2, "a")),
+    ((1, [2], 2), (1, 2, [2])),
+    ((1.0, True, 2), (1, 1, 2)),
+    ((2, 1, 1), (1, 2, 1)),
+])
+def test_type_ids_fail_as_the_loop_failed(start, goal):
+    try:
+        _reference_type_ids(start, goal, 2)
+    except (TypeMismatch, TypeError) as exc:
+        with pytest.raises(type(exc)) as got:
+            TypedInstance(LatticeDims(3, 1), 2, start, goal)
+        assert str(got.value) == str(exc)
+    else:
+        assert TypedInstance(LatticeDims(3, 1), 2, start, goal).k == 2
+
+
 def test_typed_simulation_tracks_types():
     inst = TypedInstance(LatticeDims(3, 1), 2, (2, 1, 1), (1, 1, 2))
     plan = P((1, "p"), (3, "s"), (1, "l"))

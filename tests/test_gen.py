@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+import math
 from collections import Counter
 
 import pytest
@@ -24,9 +25,12 @@ from lattice_rearrange.gen import (
     gen_x_random,
     pattern_block_of,
 )
-from lattice_rearrange.core import is_solved, plan_cost, simulate
+from lattice_rearrange.core import TypedInstance, is_solved, plan_cost, simulate
+from lattice_rearrange.gen import _GAMMA, _MASK, pattern_blocks_types, pattern_columns_types
 from lattice_rearrange.lattice2d import sweep_cycles_ltr
 from lattice_rearrange.oracle import oracle_min_picks
+
+from conftest import ReferenceSplitMix64
 
 
 class TestSplitMix64:
@@ -56,6 +60,152 @@ class TestSplitMix64:
         SplitMix64(5).shuffle(items)
         assert sorted(items) == list(range(40))
         assert items != list(range(40))
+
+
+def _unxorshift(z: int, s: int) -> int:
+    x = z
+    for _ in range(64 // s + 1):
+        x = z ^ (x >> s)
+    return x
+
+
+def _seed_with_first_draw(draw: int) -> int:
+    """The seed whose first next_u64 is draw: the finalizer inverted."""
+    z = _unxorshift(draw, 31)
+    z = _unxorshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK, 27)
+    z = _unxorshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK, 30)
+    return (z - _GAMMA) & _MASK
+
+
+def _same_shuffle(n: int, seed: int) -> bool:
+    """Whether shuffle and the reference give the same list of n items and
+    leave the stream at the same point."""
+    rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+    items, expected = list(range(n)), list(range(n))
+    rng.shuffle(items)
+    ref.shuffle(expected)
+    return items == expected and rng.next_u64() == ref.next_u64()
+
+
+SEEDS = (0, 1, 2**64 - 1)
+
+
+class TestInlinedDraws:
+    """shuffle inlines next_u64's state step and _mix's three lines, and
+    accepts a draw at once below 2**64 - len(items).  The reference draws
+    every value through next_u64, so these comparisons pin the inlined
+    lines against _mix and the cheap test against the exact limit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 255, 256, 257, 600, 10**5])
+    def test_shuffle_matches_reference(self, n, seed):
+        assert _same_shuffle(n, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_below_rejection_branch_matches_reference(self, seed):
+        # bound 2**63 + 1 rejects every draw at or above it: about half
+        bound = 2**63 + 1
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        draws = 300
+        assert [rng.below(bound) for _ in range(draws)] == [ref.below(bound) for _ in range(draws)]
+        assert rng.next_u64() == ref.next_u64()
+        used = ((rng._state - seed) * pow(_GAMMA, -1, 1 << 64)) & _MASK
+        assert used > draws + 100
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 7, 600, 2**32 + 5, 2**64 - 1, 2**64])
+    def test_below_matches_reference(self, bound):
+        rng, ref = SplitMix64(12), ReferenceSplitMix64(12)
+        assert [rng.below(bound) for _ in range(200)] == [ref.below(bound) for _ in range(200)]
+
+    def test_seed_with_first_draw_inverts_the_finalizer(self):
+        for draw in (0, 1, 2**63, 2**64 - 1, 0xE220A8397B1DCDAF):
+            assert SplitMix64(_seed_with_first_draw(draw)).next_u64() == draw
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 600])
+    def test_first_draw_above_the_cheap_bound(self, n):
+        # the draws at and around 2**64 - n, where shuffle settles a draw
+        # with the exact limit: accepted below it, redrawn at or above it
+        limit = (1 << 64) - (1 << 64) % n
+        for draw in sorted({2**64 - n - 1, 2**64 - n, limit - 1, limit, 2**64 - 1}):
+            seed = _seed_with_first_draw(draw)
+            assert _same_shuffle(n, seed)
+            assert gen_x_random(2 * n + 1, n, seed).pi == _reference_x_random(2 * n + 1, n, seed)
+
+    def test_cheap_bound_is_tight_where_n_divides_two_to_64_plus_1(self):
+        # 274177 divides 2**64 + 1, so the exact limit for this length is
+        # 2**64 - n + 1 and a first draw of exactly that value is redrawn
+        n = 274177
+        seed = _seed_with_first_draw(2**64 - n + 1)
+        assert _same_shuffle(n, seed)
+
+
+def _reference_x_random(m: int, x: int, seed: int) -> tuple[int, ...]:
+    rng = ReferenceSplitMix64(seed)
+    pi = list(range(1, m + 1))
+    for lo in range(0, m, x):
+        block = pi[lo:lo + x]
+        rng.shuffle(block)
+        pi[lo:lo + x] = block
+    return tuple(pi)
+
+
+def _reference_block_random(m: int, seed: int) -> tuple[int, ...]:
+    r = math.isqrt(m)
+    dims = LatticeDims(m, m)
+    rng = ReferenceSplitMix64(seed)
+    pi = list(range(1, dims.n + 1))
+    for bj in range(r):
+        for bi in range(r):
+            cells = [dims.index(bi * r + row, bj * r + col)
+                     for col in range(1, r + 1) for row in range(1, r + 1)]
+            block = [pi[c - 1] for c in cells]
+            rng.shuffle(block)
+            for c, label in zip(cells, block):
+                pi[c - 1] = label
+    return tuple(pi)
+
+
+def _reference_shuffled(items, seed: int) -> tuple:
+    items = list(items)
+    ReferenceSplitMix64(seed).shuffle(items)
+    return tuple(items)
+
+
+class TestGeneratorsMatchReference:
+    @pytest.mark.parametrize("seed", SEEDS + (7,))
+    def test_uniform(self, seed):
+        for m in (1, 2, 257, 1000):
+            assert gen_uniform_permutation(m, seed).pi == _reference_shuffled(range(1, m + 1), seed)
+
+    @pytest.mark.parametrize("seed", SEEDS + (7,))
+    def test_x_random(self, seed):
+        for m, x in ((1000, 7), (10, 3), (600, 256), (12, 1), (9, 9), (5, 8)):
+            assert gen_x_random(m, x, seed).pi == _reference_x_random(m, x, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS + (7,))
+    def test_column_random(self, seed):
+        for m1, m2 in ((7, 5), (1, 4), (6, 1), (12, 12)):
+            assert gen_column_random(m1, m2, seed).pi == _reference_x_random(m1 * m2, m1, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS + (7,))
+    def test_block_random(self, seed):
+        for m in (1, 4, 9, 16):
+            assert gen_block_random(m, seed).pi == _reference_block_random(m, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS + (7,))
+    def test_typed(self, seed):
+        dims = LatticeDims(4, 6)
+        explicit = tuple(c % 3 // 2 + 1 for c in range(24))
+        cases = [
+            (GoalPattern("blocks"), 4, pattern_blocks_types(dims, 4)[0]),
+            (GoalPattern("blocks"), 3, pattern_blocks_types(dims, 3)[0]),
+            (GoalPattern("columns"), 6, pattern_columns_types(dims, 6)),
+            (GoalPattern("explicit", explicit), 2, explicit),
+        ]
+        for goal, k, goal_types in cases:
+            counts = tuple(goal_types.count(t) for t in range(1, k + 1))
+            expected = TypedInstance(dims, k, _reference_shuffled(goal_types, seed), goal_types)
+            assert gen_typed(dims, k, counts, goal, seed) == expected
 
 
 class TestDeriveSeed:
