@@ -6,6 +6,12 @@ published reference outputs; the constants below are part of this package's
 compatibility contract and will not change.  Same inputs, same instance,
 byte for byte, on any platform.
 
+What is pinned is the stream, not the code.  Shuffles compute their draws
+in batches: the state steps by a constant, so one wide int holds a batch's
+states one per 128-bit lane and the finalizer runs over all lanes at once
+(broadword arithmetic, no numpy).  The lanes are read back little-endian
+whatever the host's byte order.
+
 Typed goals follow a GoalPattern, defined here with its layout helpers; the
 module imports only core, so drawing an instance loads no planner.
 """
@@ -14,7 +20,10 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import LabeledInstance, LatticeDims, RearrangeError, TypedInstance
 
@@ -66,10 +75,62 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 def _mix(z: int) -> int:
     # SplitMix64 finalizer (Steele/Lea/Flood; also the xoshiro seeder).
-    # SplitMix64._shuffle_span repeats these three lines inline.
+    # _outputs runs these three lines over every lane of a packed batch.
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+# A batch packs one 64-bit state per 128-bit lane of one int, lane k at bit
+# 128k, so a lane's product of two 64-bit values never reaches the next.
+_LANES = 2048
+
+
+def _packed(values) -> int:
+    """The int whose 128-bit lanes hold values, lane k at bit 128k."""
+    lanes = array("Q", bytes(16 * len(values)))
+    lanes[::2] = array("Q", values)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+_LOW = _packed([_MASK] * _LANES)  # the low 64 bits of every lane
+_ONES = _packed([1] * _LANES)
+_STEPS = (_packed(range(1, _LANES + 1)) * _GAMMA) & _LOW  # lane k: (k + 1) * gamma
+
+
+def _outputs(state: int, n: int) -> list[int]:
+    """The next n <= _LANES outputs of the stream at state, all at once:
+    lane k steps to state + (k + 1) * gamma and runs _mix's three lines,
+    each lane masked to 64 bits after every shift and multiply."""
+    if n < _LANES:
+        cut = (1 << 128 * n) - 1
+        low, ones, steps = _LOW & cut, _ONES & cut, _STEPS & cut
+    else:
+        low, ones, steps = _LOW, _ONES, _STEPS
+    z = (state * ones + steps) & low
+    z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+    z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+    z ^= z >> 31  # the low half of each lane is its output
+    lanes = array("Q")
+    lanes.frombytes(z.to_bytes(16 * n, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes[::2].tolist()
+
+
+def _settle(draw: int, bound: int, redraw) -> int:
+    """Finish a draw that landed at or above ``2**64 - bound``: redraw()
+    until it falls below the exact rejection limit for bound.
+
+    That limit, ``2**64 - 2**64 % bound``, lies above ``2**64 - bound``,
+    so a draw below the cheap test is accepted without computing it.
+    """
+    limit = (1 << 64) - (1 << 64) % bound
+    while draw >= limit:
+        draw = redraw()
+    return draw
 
 
 class SplitMix64:
@@ -91,49 +152,56 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must lie in 1..2**64, got {bound}")
         draw = self.next_u64()
         if draw >= (1 << 64) - bound:
-            draw = self._settle(draw, bound)
+            draw = _settle(draw, bound, self.next_u64)
         return draw % bound
-
-    def _settle(self, draw: int, bound: int) -> int:
-        """Finish a draw that landed at or above ``2**64 - bound``: redraw
-        until it falls below the exact rejection limit for bound.
-
-        That limit, ``2**64 - 2**64 % bound``, lies above ``2**64 - bound``,
-        so a draw below the cheap test is accepted without computing it.
-        """
-        limit = (1 << 64) - (1 << 64) % bound
-        while draw >= limit:
-            draw = self.next_u64()
-        return draw
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle: the draws of ``below(i + 1)`` for
-        i = len(items) - 1 down to 1, inlined."""
-        self._shuffle_span(items, 0, len(items))
+        i = len(items) - 1 down to 1."""
+        if items:
+            self._shuffle_spans(items, len(items))
 
-    def _shuffle_span(self, items: list, lo: int, hi: int) -> None:
-        """``shuffle`` applied to items[lo:hi] in place, same draws."""
-        state = self._state
-        # Every bound here is at most hi - lo, so a draw below this value
-        # lies below that bound's rejection limit too (see _settle).
-        safe = (1 << 64) - (hi - lo)
-        for i in range(hi - 1, lo, -1):
-            # next_u64 inlined: the state step, then _mix's three lines.
-            state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-            z ^= z >> 31
-            if z >= safe:
-                self._state = state
-                z = self._settle(z, i - lo + 1)
-                state = self._state
-            j = lo + z % (i - lo + 1)
-            items[i], items[j] = items[j], items[i]
-        self._state = state
+    def _shuffle_spans(self, items: list, width: int) -> None:
+        """``shuffle`` applied to each consecutive span of width items in
+        turn (the last may be shorter), in place, drawing from this one
+        stream.
+
+        Every bound is at most the longest span, so a draw below 2**64
+        minus its length is accepted at once (see _settle).  A draw at or
+        above it settles by the exact limit, and a redraw takes the
+        stream's next output, so later draws need no resync.
+        """
+        n = len(items)
+        starts = range(0, n, width)
+        safe = (1 << 64) - min(width, n)
+        # a span takes one draw per item after its first
+        draws = chain.from_iterable(self._batches(n - len(starts)))
+        for lo in starts:
+            hi = min(lo + width, n)
+            # the ranges lead the zip, so a span takes no draw past its own
+            for i, b, z in zip(range(hi - 1, lo, -1), range(hi - lo, 1, -1), draws):
+                if z >= safe:
+                    z = _settle(z, b, draws.__next__)
+                j = lo + z % b
+                items[i], items[j] = items[j], items[i]
+
+    def _batches(self, need: int):
+        """The stream's outputs as lists: batches of at most _LANES until
+        need outputs are out (the draws a shuffle takes when nothing is
+        redrawn), then one output at a time.  The state moves past each
+        list as it is handed out."""
+        while need > 0:
+            n = min(need, _LANES)
+            need -= n
+            batch = _outputs(self._state, n)
+            self._state = (self._state + n * _GAMMA) & _MASK
+            yield batch
+        while True:
+            yield [self.next_u64()]
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -182,10 +250,8 @@ def gen_x_random(m: int, x: int, seed: int) -> LabeledInstance:
     if x < 1:
         raise ValueError(f"block width must be at least 1, got {x}")
     dims = LatticeDims(m, 1)
-    rng = SplitMix64(seed)
     pi = list(range(1, m + 1))
-    for lo in range(0, m, x):
-        rng._shuffle_span(pi, lo, min(lo + x, m))
+    SplitMix64(seed)._shuffle_spans(pi, x)
     return LabeledInstance(dims, tuple(pi))
 
 
@@ -206,16 +272,19 @@ def gen_block_random(m: int, seed: int) -> LabeledInstance:
     if r * r != m:
         raise NotPerfectSquare(f"m must be a perfect square, got {m}")
     dims = LatticeDims(m, m)
-    rng = SplitMix64(seed)
-    pi = list(range(1, dims.n + 1))
+    # the tiles' cells gathered tile by tile, each tile column by column
+    # (cell (row, col) is (col - 1) * m + row); every item starts at home,
+    # so a cell's label is the cell itself
+    cells = []
     for bj in range(r):
         for bi in range(r):
-            cells = [dims.index(bi * r + row, bj * r + col)
-                     for col in range(1, r + 1) for row in range(1, r + 1)]
-            block = [pi[c - 1] for c in cells]
-            rng.shuffle(block)
-            for c, label in zip(cells, block):
-                pi[c - 1] = label
+            for col in range(bj * r, bj * r + r):
+                cells += range(col * m + bi * r + 1, col * m + bi * r + r + 1)
+    labels = list(cells)
+    SplitMix64(seed)._shuffle_spans(labels, m)
+    pi = [0] * dims.n
+    for c, label in zip(cells, labels):
+        pi[c - 1] = label
     return LabeledInstance(dims, tuple(pi))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import MalformedPermutation, RearrangeError
 
@@ -37,14 +37,17 @@ class CycleSet:
         return len(self.cycles)
 
 
-def _walk_orbits(pi: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+def _walk_orbits(pi: Sequence[int], starts: Iterable[int] | None = None
+                 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """(cycles, fixed points) of pi, which must be a permutation of
     1..len(pi): the one orbit walk behind every cycle decomposition.
 
     The check runs inside the walk, in linear time: with every value in
     range, pi is a permutation exactly when each orbit closes at its start
     before it meets a visited cell.  Anything else raises
-    MalformedPermutation.
+    MalformedPermutation.  starts, when given, lists in increasing order
+    the cells whose orbits are walked; no other cell is visited, and the
+    check covers only the orbits walked.
     """
     n = len(pi)
 
@@ -57,7 +60,7 @@ def _walk_orbits(pi: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     try:
         if n and not (1 <= min(pi) and max(pi) <= n):
             raise malformed()
-        for start in range(1, n + 1):
+        for start in range(1, n + 1) if starts is None else starts:
             if seen[start]:
                 continue
             seen[start] = True

@@ -73,12 +73,14 @@ class MoveCycle:
 def _cycles_from_assignment(assign: dict[int, int], types: dict[int, int]) -> list[MoveCycle]:
     """Decompose a destination assignment, a bijection on its sources that
     sends none to itself, into min-first move cycles: the orbit walk splits
-    it laid over the identity on 1..max(assign)."""
-    pi = list(range(1, max(assign, default=0) + 1))
+    it laid over the identity on 1..max(assign), starting only at the
+    moved cells, in increasing order."""
+    sources = sorted(assign)
+    pi = list(range(1, sources[-1] + 1)) if sources else []
     for s, g in assign.items():
         pi[s - 1] = g
     return [MoveCycle(tuple(zip(orbit, orbit[1:] + orbit[:1])), tuple(types[s] for s in orbit))
-            for orbit in _walk_orbits(pi)[0]]
+            for orbit in _walk_orbits(pi, sources)[0]]
 
 
 def _misplaced_by_type(instance: TypedInstance) -> tuple[dict[int, list[int]],

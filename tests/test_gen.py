@@ -26,7 +26,14 @@ from lattice_rearrange.gen import (
     pattern_block_of,
 )
 from lattice_rearrange.core import TypedInstance, is_solved, plan_cost, simulate
-from lattice_rearrange.gen import _GAMMA, _MASK, pattern_blocks_types, pattern_columns_types
+from lattice_rearrange.gen import (
+    _GAMMA,
+    _LANES,
+    _MASK,
+    _outputs,
+    pattern_blocks_types,
+    pattern_columns_types,
+)
 from lattice_rearrange.lattice2d import sweep_cycles_ltr
 from lattice_rearrange.oracle import oracle_min_picks
 
@@ -54,6 +61,12 @@ class TestSplitMix64:
     def test_below_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             SplitMix64(1).below(0)
+
+    def test_below_rejects_bound_past_two_to_64(self):
+        # its exact limit would be 0, so every draw would be redrawn
+        for bound in (2**64 + 1, 2**64 + 5, 2**65):
+            with pytest.raises(ValueError):
+                SplitMix64(1).below(bound)
 
     def test_shuffle_is_a_permutation(self):
         items = list(range(40))
@@ -91,10 +104,11 @@ SEEDS = (0, 1, 2**64 - 1)
 
 
 class TestInlinedDraws:
-    """shuffle inlines next_u64's state step and _mix's three lines, and
-    accepts a draw at once below 2**64 - len(items).  The reference draws
-    every value through next_u64, so these comparisons pin the inlined
-    lines against _mix and the cheap test against the exact limit."""
+    """shuffle computes its draws in lane-packed batches and accepts a
+    batch at once when every draw lies below 2**64 - len(items).  The
+    reference draws every value through next_u64, so these comparisons pin
+    the batched finalizer against _mix and the cheap test against the
+    exact limit."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 255, 256, 257, 600, 10**5])
@@ -206,6 +220,97 @@ class TestGeneratorsMatchReference:
             counts = tuple(goal_types.count(t) for t in range(1, k + 1))
             expected = TypedInstance(dims, k, _reference_shuffled(goal_types, seed), goal_types)
             assert gen_typed(dims, k, counts, goal, seed) == expected
+
+
+def _seed_with_draw_at(t: int, draw: int) -> int:
+    """The seed whose (t + 1)-th next_u64 is draw."""
+    return (_seed_with_first_draw(draw) - t * _GAMMA) & _MASK
+
+
+def _same_spans(n: int, width: int, seed: int) -> bool:
+    """Whether _shuffle_spans and per-span reference shuffles give the same
+    list of n items and leave the stream at the same point."""
+    rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+    items, expected = list(range(n)), list(range(n))
+    rng._shuffle_spans(items, width)
+    for lo in range(0, n, width):
+        block = expected[lo:lo + width]
+        ref.shuffle(block)
+        expected[lo:lo + width] = block
+    return items == expected and rng.next_u64() == ref.next_u64()
+
+
+class TestBatchedStream:
+    """The Fisher-Yates draws come from _outputs in batches of up to _LANES
+    outputs, sized to the draws needed.  A draw at or above 2**64 minus
+    the longest span is settled by its exact limit, and a redraw takes the
+    stream's next output, from a batch or, past the last, one at a time.
+    Seeds built by inverting the finalizer and stepping back t outputs put
+    a chosen value at draw t."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_outputs_are_next_u64s(self, seed):
+        for n in (1, 2, 3, 255, _LANES - 1, _LANES):
+            ref = ReferenceSplitMix64(seed)
+            assert _outputs(seed, n) == [ref.next_u64() for _ in range(n)]
+
+    def test_seed_with_draw_at(self):
+        for t in (0, 1, 2047, 2048, 2049):
+            rng = SplitMix64(_seed_with_draw_at(t, 2**64 - 1))
+            assert [rng.next_u64() for _ in range(t + 1)][-1] == 2**64 - 1
+
+    @pytest.mark.parametrize("t", [0, 1, _LANES - 1, _LANES, _LANES + 1])
+    def test_rejection_at_draw(self, t):
+        # a 5000-item shuffle draws 4999 times, in batches of 2048, 2048 and
+        # 903; draw t has bound 5000 - t.  Draws at the largest value and at
+        # the exact limit are redrawn, the one below the limit is kept after
+        # the exact test, and the one below the cheap bound passes at once.
+        n = 5000
+        bound = n - t
+        limit = (1 << 64) - (1 << 64) % bound
+        for draw in (2**64 - 1, limit, limit - 1, 2**64 - n - 1):
+            assert _same_shuffle(n, _seed_with_draw_at(t, draw))
+
+    @pytest.mark.parametrize("n", [2, 3, _LANES + 1, _LANES + 2, 2 * _LANES + 1])
+    def test_rejection_at_the_last_draw(self, n):
+        # the redraw lies past the computed draws: next_u64 supplies it
+        assert _same_shuffle(n, _seed_with_draw_at(n - 2, 2**64 - 1))
+
+    def test_rejections_in_every_batch(self):
+        n = 3 * _LANES
+        for t in (5, _LANES + 5, 2 * _LANES + 5):
+            assert _same_shuffle(n, _seed_with_draw_at(t, 2**64 - 1))
+
+    @pytest.mark.parametrize("t", [3, _LANES - 1, _LANES, 3000])
+    def test_rejection_inside_a_later_span(self, t):
+        # x = 7: each block takes six draws, bounds 7, 6, 5, 4, 3, 2; a
+        # bound of 4 or 2 divides 2**64 and never redraws
+        m, x = 20000, 7
+        for draw in (2**64 - 1, 2**64 - 5):
+            seed = _seed_with_draw_at(t, draw)
+            assert gen_x_random(m, x, seed).pi == _reference_x_random(m, x, seed)
+            assert _same_spans(m, x, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS + (7,))
+    def test_span_shuffles_leave_the_reference_state(self, seed):
+        for n, width in ((0, 1), (1, 1), (10, 1), (10, 10), (10, 20), (10, 3),
+                         (5000, _LANES + 1), (5000, 2500), (5000, 50), (5001, 2)):
+            assert _same_spans(n, width, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS + (7,))
+    def test_generators_across_the_batch_size(self, seed):
+        for m in (_LANES, _LANES + 1, _LANES + 2, 2 * _LANES + 1, 5000):
+            assert gen_uniform_permutation(m, seed).pi == _reference_shuffled(range(1, m + 1), seed)
+        for m, x in ((20000, 7), (5000, _LANES + 1), (4100, _LANES)):
+            assert gen_x_random(m, x, seed).pi == _reference_x_random(m, x, seed)
+        for m1, m2 in ((60, 60), (_LANES + 1, 2)):
+            assert gen_column_random(m1, m2, seed).pi == _reference_x_random(m1 * m2, m1, seed)
+        assert gen_block_random(64, seed).pi == _reference_block_random(64, seed)
+        dims = LatticeDims(60, 60)
+        for goal, k in ((GoalPattern("blocks"), 4), (GoalPattern("columns"), 60)):
+            goal_types = goal.resolve(dims, k)[0]
+            expected = TypedInstance(dims, k, _reference_shuffled(goal_types, seed), goal_types)
+            assert gen_typed(dims, k, (3600 // k,) * k, goal, seed) == expected
 
 
 class TestDeriveSeed:

@@ -33,7 +33,7 @@ from lattice_rearrange.gen import (
     gen_uniform_permutation,
     gen_x_random,
 )
-from lattice_rearrange.graphs import permutation_cycles
+from lattice_rearrange.graphs import _walk_orbits, permutation_cycles
 from lattice_rearrange.lattice2d import (
     _schedule,
     form_cycles_ptr,
@@ -324,6 +324,19 @@ def test_typed_assignments_decompose_like_reference(dims_of):
 
 def test_empty_assignment_has_no_cycles():
     assert _cycles_from_assignment({}, {}) == reference_cycles_from_assignment({}, {}) == []
+
+
+def test_sparse_assignment_walks_only_its_cells():
+    # five moved cells among 900, listed out of cell order
+    assign = {900: 7, 7: 300, 300: 900, 50: 40, 40: 50}
+    types = {900: 1, 7: 2, 300: 1, 50: 3, 40: 3}
+    assert _cycles_from_assignment(assign, types) == \
+        reference_cycles_from_assignment(assign, types)
+    pi = list(range(1, 901))
+    for s, g in assign.items():
+        pi[s - 1] = g
+    assert _walk_orbits(pi, sorted(assign)) == ([(7, 300, 900), (40, 50)], [])
+    assert _walk_orbits(pi)[0] == [(7, 300, 900), (40, 50)]
 
 
 # --- nested emission along a schedule ---------------------------------------
