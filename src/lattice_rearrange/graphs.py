@@ -309,6 +309,13 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.n
 # reduced cost up to which a pair counts as tight (zero)
 _TIGHT = 1e-9
 
+# entries in one slab of a dense matrix computation, whatever the instance
+# size: a slab's intp index and float64 buffers (16 bytes an entry) take at
+# most 4 MiB together, about a last-level cache, so a slab is still warm
+# when its reductions read it back and peak memory does not grow with the
+# largest cycle or type
+_SLAB_ENTRIES = 1 << 18
+
 
 def _lex_smallest_tight(cost: np.ndarray, col_of_row: list[int], u: np.ndarray,
                         v: np.ndarray) -> tuple[int, ...]:
@@ -317,16 +324,22 @@ def _lex_smallest_tight(cost: np.ndarray, col_of_row: list[int], u: np.ndarray,
 
     Rows are fixed in order.  Row i may take a smaller column j when the row
     r holding j can pass its column down a chain that ends at i, where r -> r2
-    means r is tight with r2's column; the chain is then rotated.
+    means r is tight with r2's column; the chain is then rotated.  The tight
+    pairs are found in row slabs of at most _SLAB_ENTRIES entries (or one
+    row, if a row holds more).
     """
     import numpy as np
     s = len(cost)
-    tight = cost - u[:, None] - v <= _TIGHT
     cols_of = [[] for _ in range(s)]
     rows_of = [[] for _ in range(s)]
-    for i, j in zip(*(a.tolist() for a in np.nonzero(tight))):
-        cols_of[i].append(j)
-        rows_of[j].append(i)
+    step = max(1, _SLAB_ENTRIES // s)
+    for lo in range(0, s, step):
+        reduced = cost[lo:lo + step] - u[lo:lo + step, None]
+        reduced -= v
+        rows, cols = np.nonzero(reduced <= _TIGHT)
+        for i, j in zip((rows + lo).tolist(), cols.tolist()):
+            cols_of[i].append(j)
+            rows_of[j].append(i)
     col_of_row = list(col_of_row)
     row_of_col = [0] * s
     for i, j in enumerate(col_of_row):

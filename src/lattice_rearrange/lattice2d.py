@@ -29,7 +29,11 @@ Arc weights, assignment costs and trade deltas read every distance off
 one table of lattice offsets per call, holding distance()'s floats.  Arc
 weights are found source by source, in row slabs that reuse two buffers,
 and fill k x k matrices of weights and exit and entry cells; the schedule
-turns back into cells only the arcs of its tree.  The normalized
+turns back into cells only the arcs of its tree.  Every slab here, and the
+assignment's tight mask in graphs, holds at most graphs._SLAB_ENTRIES
+entries: a fixed budget the size of a cache, not of the instance, so a
+slab is still cached when its reductions read it back, and a large cycle
+costs more slabs rather than more memory.  The normalized
 displacement statistic used by the benchmarks lives here too; goal-type
 layouts live in gen.  numpy is imported only inside the functions that run
 numpy code: the table, `_arcs`, `form_cycles_ptr` and the 2D trade model.
@@ -53,7 +57,13 @@ from .core import (
     _cell_distance,
     _travel,
 )
-from .graphs import WeightedGraph, min_arborescence, min_cost_assignment, permutation_cycles
+from .graphs import (
+    _SLAB_ENTRIES,
+    WeightedGraph,
+    min_arborescence,
+    min_cost_assignment,
+    permutation_cycles,
+)
 from .lor import _dest_table, _emit_nested, _sweep
 from .por import (
     MoveCycle,
@@ -65,9 +75,6 @@ from .por import (
 )
 
 _INF = math.inf
-
-# cap on the number of matrix entries in one slab of cell-pair distances
-_SLAB_ENTRIES = 4_000_000
 
 
 def _require_2d(instance: Instance) -> None:
@@ -96,19 +103,6 @@ def _codes(dims: LatticeDims, cells) -> np.ndarray:
     import numpy as np
     col, row = np.divmod(np.asarray(cells, dtype=np.intp) - 1, dims.m1)
     return col * (2 * dims.m1 - 1) + row
-
-
-def _segment_mins(block: np.ndarray, starts: np.ndarray, seg: np.ndarray, cols: np.ndarray):
-    """Least entry of each column segment block[:, starts[b]:starts[b+1]],
-    with the row and the column of its earliest occurrence in row-major
-    order.  seg[j] is the segment of column j and cols is
-    arange(block.shape[1]); callers hoist both out of their slab loops."""
-    import numpy as np
-    per_row = np.minimum.reduceat(block, starts, axis=1)
-    least = per_row.min(axis=0)
-    ia = (per_row == least).argmax(axis=0)
-    hit = np.where(block[ia[seg], cols] == least[seg], cols, len(cols))
-    return least, ia, np.minimum.reduceat(hit, starts)
 
 
 # --- displacement statistic -------------------------------------------------
@@ -154,14 +148,21 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
 
     Each source gets its own matrix of distances from its cells (plus the
     wrapped next cell) to the cells of all other vertices, read off the
-    offset table in row slabs of at most about _SLAB_ENTRIES entries; every
-    target's minimum comes from one segmented reduction per slab.  Ties go
-    to the earliest (source cell, target cell) pair in row-major order, and
-    an earlier slab wins a tie with a later one.  The weights and the
-    indices of exit and entry cells fill k x k matrices, so only the arcs
-    the caller asks cells(a, b) for are turned back into cells.  Every slab
-    is written into one index buffer and one distance buffer, allocated
-    once for the largest slab.
+    offset table in row slabs of at most _SLAB_ENTRIES entries (a row wider
+    than that is a slab of its own).  One segmented reduction per slab
+    gives every target's least entry and the earliest row holding it, and
+    an earlier slab wins a tie with a later one; the entry cell is then
+    found in that one row, computed again.  So ties go to the earliest
+    (source cell, target cell) pair in row-major order.  The weights and
+    the indices of exit and entry cells fill k x k matrices, so only the
+    arcs the caller asks cells(a, b) for are turned back into cells.
+
+    Every slab is written into one index buffer and one distance buffer,
+    allocated once for the largest slab.  The budget is fixed and
+    cache-sized, not sized by the cycles: at 16 bytes an entry both
+    buffers fit in 4 MiB, so the index slab is still cached when take()
+    reads it and the distance slab when the reduction does, and a long
+    source cycle only takes more slabs.
     """
     import numpy as np
     vertices = [(rest,), *cycle_cells]
@@ -184,8 +185,12 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
     seg2 = np.repeat(np.arange(2 * k), np.tile(lengths, 2))
     starts2 = np.concatenate((starts, starts + n))
     cols = np.arange(n)
-    step = max(1, _SLAB_ENTRIES // n)
-    size = int(((np.minimum(lengths, step) + detour) * (n - lengths)).max())
+    # rows per slab of each source: at least one, and at most as many as
+    # keep the slab, a detour slab's extra row included, within
+    # _SLAB_ENTRIES entries
+    widths = n - lengths
+    steps = np.maximum(1, _SLAB_ENTRIES // np.maximum(widths, 1) - detour)
+    size = int(((np.minimum(lengths, steps) + detour) * widths).max())
     index_buf = np.empty(size, dtype=np.intp)
     dist_buf = np.empty(size)
     weight = np.full((k, k), _INF)
@@ -193,8 +198,10 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
     entries = np.zeros((k, k), dtype=np.intp)
     for a in range(k):
         at, end = int(starts[a]), int(ends[a])
-        n_a = end - at
-        width = n - n_a
+        n_a, width, step = end - at, int(widths[a]), int(steps[a])
+        # a's codes, then its first code again; row r of a slab is a's
+        # r-th cell, and with detour=True the leg from it to row r + 1
+        source, source_legs = ring[at + a:end + a + 1], legs[at + a:end + a]
         others = code2[end:at + n]
         seg = seg2[end:at + n] - (a + 1)
         seg_starts = starts2[a + 1:a + k] - end
@@ -204,18 +211,30 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
             rows = hi - lo + detour
             index = index_buf[:rows * width].reshape(rows, width)
             block = dist_buf[:rows * width].reshape(rows, width)
-            np.subtract(ring[at + a + lo:at + a + lo + rows, None], others, out=index)
+            np.subtract(source[lo:lo + rows, None], others, out=index)
             np.take(table, index, out=block, mode="wrap")
             if detour:
                 block[:-1] += block[1:]
                 block = block[:-1]
-                block -= legs[at + a + lo:at + a + hi, None]
-            sw, sia, sib = _segment_mins(block, seg_starts, seg, cols[:width])
+                block -= source_legs[lo:hi, None]
+            # each target's least entry and the earliest row holding it; a
+            # later slab takes over only on a strictly smaller entry
+            per_row = np.minimum.reduceat(block, seg_starts, axis=1)
+            least = per_row.min(axis=0)
+            row = (per_row == least).argmax(axis=0) + lo
             if lo:
-                better = sw < w
-                w[better], ia[better], ib[better] = sw[better], sia[better] + lo, sib[better]
+                better = least < w
+                w[better], ia[better] = least[better], row[better]
             else:
-                w, ia, ib = sw, sia, sib
+                w, ia = least, row
+        # the earliest entry cell in each target's row: that row computed
+        # again, one per target, with the slab's float operations
+        pick = ia[seg]
+        again = table[source[pick] - others]
+        if detour:
+            again += table[source[pick + 1] - others]
+            again -= source_legs[pick]
+        ib = np.minimum.reduceat(np.where(again == w[seg], cols[:width], width), seg_starts)
         targets = vid2[a + 1:a + k]
         weight[a, targets] = w
         exits[a, targets] = ia + at

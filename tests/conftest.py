@@ -47,8 +47,8 @@ class ReferenceSplitMix64(SplitMix64):
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must lie in 1..2**64, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             draw = self.next_u64()

@@ -40,6 +40,24 @@ from lattice_rearrange.oracle import oracle_min_picks
 from conftest import ReferenceSplitMix64
 
 
+def _draw_limited(cls, seed: int, draws: int):
+    """A cls stream whose next_u64 fails the running test after `draws`
+    outputs, so that a rejection loop that never ends fails fast."""
+
+    class DrawLimited(cls):
+        __slots__ = ("_left",)
+
+        def next_u64(self) -> int:
+            self._left -= 1
+            if self._left < 0:
+                pytest.fail(f"more than {draws} draws")
+            return super().next_u64()
+
+    rng = DrawLimited(seed)
+    rng._left = draws
+    return rng
+
+
 class TestSplitMix64:
     def test_reference_stream_for_seed_zero(self):
         # published reference outputs for this algorithm; the generator is
@@ -63,10 +81,16 @@ class TestSplitMix64:
             SplitMix64(1).below(0)
 
     def test_below_rejects_bound_past_two_to_64(self):
-        # its exact limit would be 0, so every draw would be redrawn
+        # its exact limit would be 0, so every draw would be redrawn: the
+        # draw source fails the test before a missing check could spin
         for bound in (2**64 + 1, 2**64 + 5, 2**65):
             with pytest.raises(ValueError):
-                SplitMix64(1).below(bound)
+                _draw_limited(SplitMix64, 1, 64).below(bound)
+
+    def test_reference_below_rejects_bound_past_two_to_64(self):
+        for bound in (2**64 + 1, 2**64 + 5, 2**65):
+            with pytest.raises(ValueError):
+                _draw_limited(ReferenceSplitMix64, 1, 64).below(bound)
 
     def test_shuffle_is_a_permutation(self):
         items = list(range(40))

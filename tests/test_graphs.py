@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from lattice_rearrange.core import CostModel, MalformedPermutation, distance
 from lattice_rearrange.gen import GoalPattern, gen_typed
+from lattice_rearrange import graphs
 from lattice_rearrange.graphs import (
     CycleSet,
     Edge,
     Unreachable,
     _find,
+    _lex_smallest_tight,
     WeightedGraph,
     linear_sum_assignment,
     min_arborescence,
@@ -589,6 +591,79 @@ def test_linear_sum_assignment_matches_numpy_walk_back_reference():
         ref_cols, ref_u, ref_v = reference_linear_sum_assignment(mat)
         assert cols == ref_cols
         assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+
+
+def reference_lex_smallest_tight(cost, col_of_row, u, v):
+    """The former _lex_smallest_tight, kept verbatim as the reference: it
+    builds the whole s x s tight mask at once.
+
+    Lexicographically smallest perfect matching among the tight pairs,
+    starting from the perfect matching col_of_row inside them.
+
+    Rows are fixed in order.  Row i may take a smaller column j when the row
+    r holding j can pass its column down a chain that ends at i, where r -> r2
+    means r is tight with r2's column; the chain is then rotated.
+    """
+    s = len(cost)
+    tight = cost - u[:, None] - v <= graphs._TIGHT
+    cols_of = [[] for _ in range(s)]
+    rows_of = [[] for _ in range(s)]
+    for i, j in zip(*(a.tolist() for a in np.nonzero(tight))):
+        cols_of[i].append(j)
+        rows_of[j].append(i)
+    col_of_row = list(col_of_row)
+    row_of_col = [0] * s
+    for i, j in enumerate(col_of_row):
+        row_of_col[j] = i
+    done = [False] * s
+    for i in range(s):
+        smaller = [j for j in cols_of[i] if j < col_of_row[i] and not done[row_of_col[j]]]
+        if smaller:
+            toward = {i: i}     # row -> the next row of its chain to i
+            queue = [i]
+            for r2 in queue:
+                for r in rows_of[col_of_row[r2]]:
+                    if not done[r] and r not in toward:
+                        toward[r] = r2
+                        queue.append(r)
+            for j in smaller:
+                r = row_of_col[j]
+                if r in toward:
+                    while r != i:
+                        r2 = toward[r]
+                        col_of_row[r] = col_of_row[r2]
+                        row_of_col[col_of_row[r]] = r
+                        r = r2
+                    col_of_row[i] = j
+                    row_of_col[j] = i
+                    break
+        done[i] = True
+    return tuple(col_of_row)
+
+
+def wide_tie_matrices():
+    # up to 60 rows of few distinct values, plus constant matrices, where
+    # every pair is tight: the slabs then split long tight rows
+    rng = random.Random(23)
+    for s in (10, 17, 33, 60):
+        for hi in (0, 1, 2):
+            yield [[float(rng.randint(0, hi)) for _ in range(s)] for _ in range(s)]
+
+
+@pytest.mark.parametrize("slab", [None, 64, 1])
+def test_slab_tight_mask_matches_whole_mask_reference(slab, monkeypatch):
+    # slab=64 cuts a 9 x 9 matrix into slabs of 7 rows and a 60 x 60 one
+    # into single rows; slab=1 gives every matrix one row per slab
+    if slab is not None:
+        monkeypatch.setattr(graphs, "_SLAB_ENTRIES", slab)
+    corpus = [*tie_heavy_matrices(), *wide_tie_matrices(),
+              *typed_cost_matrices("euclidean"), *typed_cost_matrices("manhattan")]
+    for cost in corpus:
+        mat = np.asarray(cost, dtype=float)
+        if not mat.size:
+            continue
+        cols, u, v = linear_sum_assignment(mat)
+        assert _lex_smallest_tight(mat, cols, u, v) == reference_lex_smallest_tight(mat, cols, u, v)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])

@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,6 +453,30 @@ def test_slab_arcs_match_per_pair_reference(metric, detour, slab, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(lattice2d, "_arcs", reference_arcs_lookup)
                 assert _schedule(inst.dims, cycles, rest, model, detour) == got
+
+
+# an arc slab's index and distance buffers take 16 bytes an entry: 4 MiB
+# at the 2**18-entry budget
+SLAB_BUFFERS = 16 * (1 << 18)
+
+
+@pytest.mark.parametrize("detour", [True, False])
+def test_arc_slabs_stay_within_budget_on_a_large_cycle(detour):
+    # x-random 60 x 60 (the benchmark's grid shape): cycles of 300-350
+    # cells against about 3,300 others, where slabs sized by the whole
+    # cycle peaked near 18 MB; the peak is the two buffers plus the
+    # per-cell and k x k arrays around them
+    assert 16 * lattice2d._SLAB_ENTRIES <= SLAB_BUFFERS
+    inst = LabeledInstance(LatticeDims(60, 60), gen_x_random(3600, 360, 1).pi)
+    cycles = permutation_cycles(inst.pi).cycles
+    assert max(map(len, cycles)) > 300
+    tracemalloc.start()
+    try:
+        _arcs(inst.dims, cycles, 1, "euclidean", detour)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * SLAB_BUFFERS
 
 
 # --- typed phase 2 ----------------------------------------------------------
