@@ -85,23 +85,28 @@ def _require_2d(instance: Instance) -> None:
 # --- geometry helpers -------------------------------------------------------
 
 def _offset_table(dims: LatticeDims, metric: str) -> np.ndarray:
-    """Distance of every offset |dr| < m1, |dc| < m2, at its code difference
-    (see _codes) modulo the table size: d(a, b) = table[code(a) - code(b)],
-    a negative difference reading from the end.  The < 4n entries are
-    np.sqrt of the exact integer dr*dr + dc*dc, which rounds as math.hypot
-    does in distance() (or |dr| + |dc|)."""
+    """Distance of every offset |dr| < m1, |dc| < m2, centred: d(a, b) =
+    table[_codes(dims, a, source=True) - _codes(dims, b)], always an index
+    in range.  The < 4n entries are np.sqrt of the exact integer
+    dr*dr + dc*dc, which rounds as math.hypot does in distance() (or
+    |dr| + |dc|)."""
     import numpy as np
     dr = np.arange(1 - dims.m1, dims.m1)
     dc = np.arange(1 - dims.m2, dims.m2)[:, None]
     table = np.abs(dc) + np.abs(dr) if metric == "manhattan" else np.sqrt(dc * dc + dr * dr)
-    return np.roll(table.astype(float).ravel(), -(table.size // 2))
+    return table.astype(float).ravel()
 
 
-def _codes(dims: LatticeDims, cells) -> np.ndarray:
+def _codes(dims: LatticeDims, cells, source: bool = False) -> np.ndarray:
     """intp code col*(2*m1 - 1) + row of each cell: the code difference of
-    two cells, dc*(2*m1 - 1) + dr, is distinct for every offset."""
+    two cells, dc*(2*m1 - 1) + dr, is distinct for every offset.  A source
+    code also holds the offset table's centre, the index of offset 0, so a
+    source code minus a code is the offset's index in the table."""
     import numpy as np
     col, row = np.divmod(np.asarray(cells, dtype=np.intp) - 1, dims.m1)
+    if source:
+        col += dims.m2 - 1
+        row += dims.m1 - 1
     return col * (2 * dims.m1 - 1) + row
 
 
@@ -173,11 +178,14 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
     ends = np.cumsum(lengths)
     starts = ends - lengths
     table = _offset_table(dims, metric)
-    code = _codes(dims, flat)
-    # each vertex's codes, then its first code again: the cell of vertex a
-    # at flat index i sits at i + a, followed by the next cell of its leg
-    ring = np.insert(code, ends, code[starts])
-    legs = table[ring[:-1] - ring[1:]]
+    cells = np.asarray(flat)
+    code = _codes(dims, cells)
+    # each vertex's cells, then its first cell again: the cell of vertex a
+    # at flat index i sits at i + a, followed by the next cell of its leg.
+    # ring holds them as source codes: the rows of every slab
+    ring_cells = np.insert(cells, ends, cells[starts])
+    ring = _codes(dims, ring_cells, source=True)
+    legs = table[ring[:-1] - _codes(dims, ring_cells[1:])]
     # the vertices after a, then those before it: one slice [ends[a],
     # starts[a] + n) of the doubled layout holds the cells of all others
     code2 = np.tile(code, 2)
@@ -212,7 +220,7 @@ def _arcs(dims: LatticeDims, cycle_cells, rest: int, metric: str, detour: bool):
             index = index_buf[:rows * width].reshape(rows, width)
             block = dist_buf[:rows * width].reshape(rows, width)
             np.subtract(source[lo:lo + rows, None], others, out=index)
-            np.take(table, index, out=block, mode="wrap")
+            np.take(table, index, out=block, mode="clip")
             if detour:
                 block[:-1] += block[1:]
                 block = block[:-1]
@@ -322,7 +330,7 @@ def form_cycles_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) ->
     for t, srcs in sorted(sources.items()):
         dsts = goals[t]
         # distance()'s floats: ties and the tie-break are unchanged
-        cost = table[_codes(dims, srcs)[:, None] - _codes(dims, dsts)]
+        cost = table[_codes(dims, srcs, source=True)[:, None] - _codes(dims, dsts)]
         chosen, _ = min_cost_assignment(cost)
         for s, j in zip(srcs, chosen):
             assign[s] = dsts[j]
@@ -374,7 +382,7 @@ class _DeltaTrades:
         self.src = [s for _, s, _ in flat]
         self.goal = [g for _, _, g in flat]
         self.table = _offset_table(dims, metric)
-        self.moves = np.column_stack([_codes(dims, self.src), _codes(dims, self.goal)])
+        self.moves = np.column_stack([_codes(dims, self.src, source=True), _codes(dims, self.goal)])
         self.length = self.table[self.moves[:, 0] - self.moves[:, 1]]
         # each component's moves, under the root fuse_cycles gives it
         by_cycle = np.argsort(self.cyc, kind="stable")
@@ -414,7 +422,7 @@ class _DeltaTrades:
         w = np.minimum.reduceat(w[order], first)
         return zip(w.tolist(), i[order[first]].tolist(), j[order[first]].tolist())
 
-    def trade(self, ri, rj):
+    def trade(self, ri, rj, i, j):
         import numpy as np
         x, y = self.members[ri], self.members[rj]
         step = max(1, self.budget // len(y))

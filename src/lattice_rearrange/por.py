@@ -1,30 +1,26 @@
 """Planner for partially labeled (typed) 1D instances.
 
 Items of the same type are interchangeable, so the planner first decides
-which item goes to which goal cell and only then plans motion.  Four phases:
+which item goes to which goal cell and only then plans motion.  Three
+phases:
 
 1. form_cycles: match each misplaced item to the leftmost free goal cell of
    its type.  In 1D this in-order pairing minimizes summed move distance per
    type, and the chosen moves close into displacement cycles.
-2. merge_cycles: while two cycles contain same-type moves that can trade
-   destinations without changing total distance, trade them.  Each trade
-   fuses two cycles into one, saving one operation for free.  One
-   left-to-right sweep over the sources finds every such trade in order,
-   with a union-find tracking which cycles have fused.
-3. merge_cycles_mst: remaining fusions cost travel.  The cheapest fusion of
-   two cycles trades the pair of same-type moves with the smallest span gap
-   and costs twice that gap.  A minimum spanning forest over these gap
-   weights gives the cheapest schedule that reaches the minimum possible
-   cycle count.  The forest is built by fuse_cycles, which asks a
-   TradeModel two questions, the weight of every cycle pair and the
-   cheapest trade between two components.  Each fusion swaps two
-   destinations of one assignment, and the fused cycles are read off it
-   once at the end.  TradeModel states the tie rule every model follows.
-   Here the model scans move pairs in pure Python, so the 1D planners
-   never load numpy; the typed 2D planner (lattice2d.merge_cycles_ptr)
-   runs the same loop with a model that answers from per-type numpy
-   matrices of the travel a trade adds.
-4. group_sweep_cycles_por: walk the final cycles with the labeled 1D
+2. merge_cycles_mst: fuse cycles, each fusion saving one operation, by
+   trading the destinations of two same-type moves of different cycles.
+   The trade adds twice the gap between the moves' spans [min(s, g),
+   max(s, g)], so a minimum spanning forest over these gaps reaches the
+   fewest cycles at the least added travel.  Overlapping spans trade for
+   free: their fusions are the forest's weight-0 prefix, which
+   merge_cycles runs alone.  fuse_cycles builds the forest, Kruskal's loop
+   over the cycle pairs a TradeModel offers, swapping two destinations of
+   one assignment per fusion.  The 1D model offers one candidate per
+   move, per type each span paired with the earlier span reaching farthest
+   right, and runs in pure Python, so the 1D planners never load numpy;
+   the typed 2D planner (lattice2d.merge_cycles_ptr) runs the same loop
+   with a model that answers from per-type numpy matrices.
+3. group_sweep_cycles_por: walk the final cycles with the labeled 1D
    planner's single pass, lor.follow_cycles (nested entries, parking, and
    the hand-off at the farthest cell entered so far).
 
@@ -35,6 +31,7 @@ A best-first greedy baseline is included for benchmark comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol
 
@@ -51,9 +48,6 @@ from .graphs import _find, _walk_orbits
 from .lor import _require_1d, follow_cycles
 
 Edge = tuple[int, int]
-
-# cost(e1, e2) of trading the destinations of two same-type moves
-TradeCost = Callable[[Edge, Edge], float]
 
 
 @dataclass(frozen=True)
@@ -124,71 +118,16 @@ def _assignment_of(cycles) -> tuple[dict[int, int], dict[int, int]]:
     return assign, types
 
 
-def _pair_gap(e1: tuple[int, int], e2: tuple[int, int]) -> float:
-    """Half the distance added by trading the two edges' destinations."""
-    (s1, g1), (s2, g2) = e1, e2
-    delta = abs(s1 - g2) + abs(s2 - g1) - abs(s1 - g1) - abs(s2 - g2)
-    return max(0.0, delta / 2.0)
-
-
 def merge_cycles(cycles) -> list[MoveCycle]:
-    """Phase 2: perform every free fusion.
+    """Phase 2 up to its first paid fusion: perform every free fusion.
 
-    Two same-type moves can trade destinations at zero distance cost when
-    both sources sit on the same side of both destinations; the trade links
-    their cycles.  Trades to a fixed point, always taking the eligible pair
-    with the leftmost (smaller source, larger source), so reruns produce
-    identical output.  One left-to-right sweep over the sources finds them
-    in that order: source a trades with its leftmost free partner b > a in
-    another cycle until it has none.  Destinations are traded in place and
-    the cycles rebuilt once.
-
-    Precondition: each type's moves are the in-order pairing of its sources
-    and goals, as form_cycles produces.  The bounded partner scans rely on
-    it; on other input (say, two same-type moves that cross) the sweep still
-    makes only trades of delta <= 0, but it can pick other trades than the
-    fixed-point rule or stop before it.
+    Two cycles fuse for free when same-type moves of theirs have
+    overlapping spans.  This is the weight-0 prefix of merge_cycles_mst's
+    forest, so all cycles linked by a chain of overlapping same-type spans
+    end up fused.  On form_cycles output the trades that do it cost
+    nothing (_GapTrades), so every type keeps its minimal total distance.
     """
-    cycles = list(cycles)
-    assign, types = _assignment_of(cycles)
-    cycle_of = {s: i for i, cyc in enumerate(cycles) for s, _ in cyc.edges}
-    parent = list(range(len(cycles)))
-    order = sorted(assign)
-    by_type: dict[int, list[int]] = {}
-    for s in order:
-        by_type.setdefault(types[s], []).append(s)
-    rank = {s: i for srcs in by_type.values() for i, s in enumerate(srcs)}
-    left = len(cycles)
-    # Free trades keep every type's total distance, so the in-order pairing
-    # of form_cycles stays per-type optimal and no trade has delta < 0.
-    # Hence, for same-type sources a < b: if a moves right, b is free
-    # exactly when b < g_a; if a moves left, b is free exactly when
-    # g_b < a, and no such b lies past a source moving right.  Both bound
-    # the scan.  A trade at (a, b) only swaps g_a and g_b and joins their
-    # cycles, so no source left of a gains a partner: the sweep resumes
-    # at a instead of restarting.
-
-    def partner(a: int):
-        ga, ra = assign[a], _find(parent, cycle_of[a])
-        srcs = by_type[types[a]]
-        for j in range(rank[a] + 1, len(srcs)):
-            b = srcs[j]
-            gb = assign[b]
-            if (b > ga) if ga > a else (gb > b):
-                return None
-            if (abs(a - gb) + abs(b - ga) <= abs(a - ga) + abs(b - gb)
-                    and _find(parent, cycle_of[b]) != ra):
-                return b
-        return None
-
-    for a in order:
-        while left > 1 and (b := partner(a)) is not None:
-            assign[a], assign[b] = assign[b], assign[a]
-            parent[_find(parent, cycle_of[a])] = _find(parent, cycle_of[b])
-            left -= 1
-    if left == len(cycles):
-        return cycles
-    return _cycles_from_assignment(assign, types)
+    return fuse_cycles(cycles, _GapTrades, _cap=0)[0]
 
 
 class TradeModel(Protocol):
@@ -196,79 +135,103 @@ class TradeModel(Protocol):
 
     A trade exchanges the destinations of two same-type moves e1 = (s1, g1)
     and e2 = (s2, g2) of different cycles, which fuses the cycles into one.
-    The cheapest trade between two cycles, or two fused components, has
-    the least key (cost, min(s1, s2), max(s1, s2)).  Sources are distinct,
-    so ties in cost go to the smallest source pair and the key names one
-    trade.  Every model answers by this rule.
+    The 1D model trades a pair that costs the weight of the cycle pair
+    being joined; the 2D model the cheapest pair between the two
+    components, with the least key (cost, min(s1, s2), max(s1, s2)).
     """
 
     def pair_weights(self) -> Iterable[tuple[float, int, int]]:
-        """(cost of the cheapest trade, i, j) for each pair i < j of the
-        model's cycles that shares a type."""
+        """(weight, i, j), at most once per pair i < j of the model's
+        cycles: enough pairs for Kruskal to find a minimum spanning forest
+        over the cheapest trade of every pair that shares a type."""
 
-    def trade(self, ri: int, rj: int) -> tuple[int, Edge, Edge]:
-        """(type, e1, e2): the cheapest trade between the components rooted
-        at ri and rj, e1 a move of ri's and e2 of rj's as they were.  The
-        model makes the trade on its own moves; ri's component joins rj's."""
-
-
-def _cheapest_trade(m1, m2, cost: TradeCost):
-    """The same-type move pair (e1 of m1, e2 of m2) whose destination trade
-    has the least cost(e1, e2), as (cost, type, e1, e2), by TradeModel's
-    tie rule.  m1 and m2 list (move, type) pairs.  None when they share no
-    type."""
-    shared = {t for _, t in m1} & {t for _, t in m2}
-    if not shared:
-        return None
-    best = None
-    for e1, t in m1:
-        if t not in shared:
-            continue
-        for e2, t2 in m2:
-            if t2 == t:
-                key = (cost(e1, e2), min(e1[0], e2[0]), max(e1[0], e2[0]))
-                if best is None or key < best[0]:
-                    best = (key, t, e1, e2)
-    key, t, e1, e2 = best
-    return key[0], t, e1, e2
+    def trade(self, ri: int, rj: int, i: int, j: int) -> tuple[int, Edge, Edge]:
+        """(type, e1, e2): a trade between the components rooted at ri and
+        rj, joined by the pair (i, j), e1 a move of ri's and e2 of rj's as
+        they were.  The model makes the trade on its own moves; ri's
+        component joins rj's."""
 
 
 class _GapTrades:
-    """1D trade model: _pair_gap, scanned move pair by move pair.  Each
-    component's (move, type) pairs are one list under its root."""
+    """1D trade model: a trade costs the gap between the two moves' spans
+    [min(s, g), max(s, g)], half the distance it adds, or 0 where they
+    overlap.
+
+    Candidates: per type, the spans sorted by left end, each span K paired
+    with the earlier span J reaching farthest right.  For any other
+    earlier span I, d(K, J) <= d(K, I) and d(I, J) <= d(I, K), so a
+    minimum spanning forest never needs (I, K) (Kruskal, Proc. AMS 7,
+    1956).  A cycle pair keeps its lightest candidate and the two cells it
+    names: J's right end and K's left end.
+
+    A trade swaps the destinations of the moves now holding those cells,
+    as source or as goal.  A source keeps its move and a goal changes
+    hands only inside a component, so the two moves lie in the two
+    components.  They need not be J and K: (1, 2) and (5, 6) trade into
+    (1, 6) and (5, 2), and [2, 5] no longer reaches cell 6.  But they cover
+    the two cells, so a paid trade costs at most its weight.  On
+    form_cycles output each type's moves are its in-order pairing, so a
+    weight-0 candidate joins two adjacent moves that overlap and point the
+    same way; each component holds a contiguous stretch of that run with
+    its own goals, and both moves traded reach across K's left end, so the
+    trade is free.  The tests check that every trade there costs exactly
+    its weight.  On other input every candidate still fuses its two
+    components, but a trade may cost more or less than its weight.
+    """
 
     def __init__(self, cycles):
-        self.members = [list(zip(c.edges, c.edge_types)) for c in cycles]
+        self.goal: dict[int, int] = {}
+        self.owner: dict[int, int] = {}
+        spans: dict[int, list] = {}
+        for c, cyc in enumerate(cycles):
+            for (s, g), t in zip(cyc.edges, cyc.edge_types):
+                self.goal[s] = g
+                self.owner[g] = s
+                # each end as (cell, holder key): s for a source, -g for a
+                # goal, whose holder is its owner
+                lo, hi = sorted(((s, s), (g, -g)))
+                spans.setdefault(t, []).append((lo, hi, c))
+        self.best: dict[tuple[int, int], tuple] = {}
+        for t, row in spans.items():
+            row.sort()
+            _, far, c_far = row[0]
+            for lo, hi, c in row[1:]:
+                if c != c_far:
+                    gap = max(0, lo[0] - far[0])
+                    pair, ends = (c_far, c), (far[1], lo[1])
+                    if c < c_far:
+                        pair, ends = pair[::-1], ends[::-1]
+                    if pair not in self.best or gap < self.best[pair][0]:
+                        self.best[pair] = gap, t, *ends
+                if hi[0] > far[0]:
+                    far, c_far = hi, c
 
     def pair_weights(self):
-        members = self.members
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                trade = _cheapest_trade(members[i], members[j], _pair_gap)
-                if trade is not None:
-                    yield trade[0], i, j
+        return ((w, i, j) for (i, j), (w, *_) in self.best.items())
 
-    def trade(self, ri, rj):
-        x, y = self.members[ri], self.members[rj]
-        _, t, (s1, g1), (s2, g2) = _cheapest_trade(x, y, _pair_gap)
-        x[x.index(((s1, g1), t))] = (s1, g2), t
-        y[y.index(((s2, g2), t))] = (s2, g1), t
-        self.members[rj] = x + y
+    def trade(self, ri, rj, i, j):
+        _, t, h1, h2 = self.best[i, j]
+        s1 = h1 if h1 > 0 else self.owner[-h1]
+        s2 = h2 if h2 > 0 else self.owner[-h2]
+        g1, g2 = self.goal[s1], self.goal[s2]
+        self.goal[s1], self.goal[s2] = g2, g1
+        self.owner[g1], self.owner[g2] = s2, s1
         return t, (s1, g1), (s2, g2)
 
 
-def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel]):
+def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel], _cap: float = math.inf):
     """Fuse cycles along a minimum spanning forest of trade costs.
 
     trades(cycles) builds the TradeModel over the cycles sorted by smallest
-    source, so index order is min-cell order.  Each pair of cycles sharing
-    a type weighs its cheapest trade; pairs are fused in ascending (weight,
-    i, j) order, each fusion swapping the destinations of the model's
-    cheapest trade between the two components in one assignment, the only
-    state kept.  The fused cycles are read off it once, min-first and in
-    min-cell order, whatever source a hand-built input cycle starts at.
-    Returns (cycles, log), where each log entry is (type, goal_cell_1,
-    goal_cell_2): the two goals that exchanged owners.
+    source, so index order is min-cell order.  Its pairs are fused in
+    ascending (weight, i, j) order, up to weight _cap, each fusion swapping
+    the destinations of the model's trade between the two components in
+    one assignment, the only state kept.  With the 1D model each trade
+    costs its pair's weight (_GapTrades), so the fusions add exactly the
+    forest weight.  The fused cycles are read off the assignment once,
+    min-first and in min-cell order, whatever source a hand-built input
+    cycle starts at.  Returns (cycles, log), where each log entry is
+    (type, goal_cell_1, goal_cell_2): the two goals that exchanged owners.
     """
     cycles = sorted(cycles, key=lambda c: min(c.edges))
     assign, types = _assignment_of(cycles)
@@ -276,13 +239,13 @@ def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel]):
     if len(cycles) > 1:
         model = trades(cycles)
         comp = list(range(len(cycles)))
-        for _, i, j in sorted(model.pair_weights()):
-            if len(log) == len(cycles) - 1:
+        for w, i, j in sorted(model.pair_weights()):
+            if w > _cap or len(log) == len(cycles) - 1:
                 break
             ri, rj = _find(comp, i), _find(comp, j)
             if ri == rj:
                 continue
-            t, (s1, g1), (s2, g2) = model.trade(ri, rj)
+            t, (s1, g1), (s2, g2) = model.trade(ri, rj, i, j)
             assign[s1], assign[s2] = g2, g1
             log.append((t, g1, g2))
             comp[ri] = rj
@@ -290,13 +253,15 @@ def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel]):
 
 
 def merge_cycles_mst(cycles) -> list[MoveCycle]:
-    """Phase 3: fuse remaining cycles along a minimum spanning forest.
+    """Phase 2: fuse cycles along a minimum spanning forest.
 
-    Pair weights are the smallest destination-trade gap over shared types
-    (_pair_gap); fusing two cycles adds twice that gap in travel.  Fusions
-    happen in ascending weight order, which makes every realized gap equal
-    its forest edge weight, so total added travel is exactly twice the
-    forest weight, the minimum over all fusion schedules.
+    A pair of cycles weighs the least gap between the spans of their
+    same-type moves, and fusing them adds twice that gap in travel.  Pairs
+    are joined in ascending weight, free fusions first.  On form_cycles
+    output each trade costs exactly its forest edge's weight: the moves
+    traded cover the candidate's two cells (_GapTrades), and Kruskal order
+    has already joined every lighter pair.  So the total added travel is
+    twice the forest weight, the minimum over all fusion schedules.
     """
     return fuse_cycles(cycles, _GapTrades)[0]
 
@@ -310,7 +275,7 @@ def _orbits(cycles) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
 
 
 def group_sweep_cycles_por(cycles) -> Plan:
-    """Phase 4: emit the walk with the labeled 1D planner's engine."""
+    """Phase 3: emit the walk with the labeled 1D planner's engine."""
     cells, dest = _orbits(cycles)
     return follow_cycles(cells, dest)
 
@@ -318,17 +283,14 @@ def group_sweep_cycles_por(cycles) -> Plan:
 def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
     """Minimum-operation, minimum-travel plan for a typed 1D instance.
 
-    Runs the four phases in order.  Every cycle fusion the instance admits
+    Runs the three phases in order.  Every cycle fusion the instance admits
     is performed, which is what makes the operation count minimal.
 
     Travel is minimal only for rest = 1: the walk enters each cycle at its
     leftmost cell, so with another rest cell it can travel more than the
     optimum (ROADMAP item 2).
     """
-    cycles = form_cycles(instance)
-    cycles = merge_cycles(cycles)
-    cycles = merge_cycles_mst(cycles)
-    return group_sweep_cycles_por(cycles)
+    return group_sweep_cycles_por(merge_cycles_mst(form_cycles(instance)))
 
 
 # --- greedy baseline --------------------------------------------------------

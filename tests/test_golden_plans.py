@@ -5,7 +5,10 @@ the compact `plan_to_dict` JSON (sha256).  The digests were recorded from
 the planners before plan steps became named tuples; any change to step
 order, cells or action strings shows up here.  The three Manhattan
 `plan-ptr` digests were recorded again when the typed 2D assignment and
-fusion began to read the cost model's metric.  Cases cover labeled and
+fusion began to read the cost model's metric.  The two `opt-por/row-typed`
+digests were recorded again when 1D fusion moved to span candidates, whose
+trades break ties between equal-cost pairs another way: picks (42) and
+travel (770) stayed the same.  Cases cover labeled and
 typed instances, 1D and 2D lattices, both metrics and interior rest cells.
 The oracle's plan reconstruction is pinned the same way on tiny instances.
 """
@@ -99,9 +102,9 @@ GOLDEN = {
     "opt-lor/row-xrandom/manhattan":
         "deecaed34169474089824183d02f89bd075000d8c0975b89429244f250cc6c3b",
     "opt-por/row-typed/euclidean":
-        "49260ffc61ff494662722859dbd4fedb84ad7001f8d5e806d15d27d9740b10f7",
+        "2074d60323c06a75b61e95b6cb49d582df7026ea78c9a0305ca1e6aa7c5deabe",
     "opt-por/row-typed/manhattan":
-        "49260ffc61ff494662722859dbd4fedb84ad7001f8d5e806d15d27d9740b10f7",
+        "2074d60323c06a75b61e95b6cb49d582df7026ea78c9a0305ca1e6aa7c5deabe",
     "opt-por/row-typed-rest/euclidean":
         "a339ea799d0582fdcded6e835d335c2781f6d51a8aa019606675db5da0cf1cba",
     "opt-por/row-typed-rest/manhattan":

@@ -5,8 +5,10 @@ import functools
 import itertools
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattice_rearrange import (
     CostModel,
@@ -26,13 +28,12 @@ from lattice_rearrange.por import (
     MoveCycle,
     _GapTrades,
     _assignment_of,
-    _cheapest_trade,
     _cycles_from_assignment,
-    _pair_gap,
     form_cycles,
     fuse_cycles,
     greedy_plan,
     greedy_por,
+    group_sweep_cycles_por,
     merge_cycles,
     merge_cycles_mst,
     opt_plan_por,
@@ -50,7 +51,7 @@ def cyc(*edges, types):
 
 
 def moves(c):
-    """A cycle's (move, type) pairs, as _cheapest_trade reads them."""
+    """A cycle's (move, type) pairs, as reference_cheapest_trade reads them."""
     return list(zip(c.edges, c.edge_types))
 
 
@@ -76,6 +77,160 @@ def random_typed(rng, m, k, aggregated):
             rng.shuffle(goal)
         if start != goal:
             return typ1d(k, start, goal)
+
+
+# --- the all-pairs fusion, before the span candidates ----------------------
+#
+# reference_merge_cycles is merge_cycles as it was before free fusion became
+# the weight-0 prefix of fuse_cycles: one left-to-right sweep over the
+# sources.  reference_cheapest_trade and AllPairsGapTrades are the 1D trade
+# model as it was before the span candidates: every pair of cycles weighed
+# by scanning both cycles' moves with _pair_gap, ties to the smallest
+# source pair.  Their bodies are verbatim.
+
+def _pair_gap(e1: tuple[int, int], e2: tuple[int, int]) -> float:
+    """Half the distance added by trading the two edges' destinations."""
+    (s1, g1), (s2, g2) = e1, e2
+    delta = abs(s1 - g2) + abs(s2 - g1) - abs(s1 - g1) - abs(s2 - g2)
+    return max(0.0, delta / 2.0)
+
+
+def reference_merge_cycles(cycles) -> list[MoveCycle]:
+    """Phase 2: perform every free fusion.
+
+    Two same-type moves can trade destinations at zero distance cost when
+    both sources sit on the same side of both destinations; the trade links
+    their cycles.  Trades to a fixed point, always taking the eligible pair
+    with the leftmost (smaller source, larger source), so reruns produce
+    identical output.  One left-to-right sweep over the sources finds them
+    in that order: source a trades with its leftmost free partner b > a in
+    another cycle until it has none.  Destinations are traded in place and
+    the cycles rebuilt once.
+
+    Precondition: each type's moves are the in-order pairing of its sources
+    and goals, as form_cycles produces.  The bounded partner scans rely on
+    it; on other input (say, two same-type moves that cross) the sweep still
+    makes only trades of delta <= 0, but it can pick other trades than the
+    fixed-point rule or stop before it.
+    """
+    cycles = list(cycles)
+    assign, types = _assignment_of(cycles)
+    cycle_of = {s: i for i, cyc in enumerate(cycles) for s, _ in cyc.edges}
+    parent = list(range(len(cycles)))
+    order = sorted(assign)
+    by_type: dict[int, list[int]] = {}
+    for s in order:
+        by_type.setdefault(types[s], []).append(s)
+    rank = {s: i for srcs in by_type.values() for i, s in enumerate(srcs)}
+    left = len(cycles)
+    # Free trades keep every type's total distance, so the in-order pairing
+    # of form_cycles stays per-type optimal and no trade has delta < 0.
+    # Hence, for same-type sources a < b: if a moves right, b is free
+    # exactly when b < g_a; if a moves left, b is free exactly when
+    # g_b < a, and no such b lies past a source moving right.  Both bound
+    # the scan.  A trade at (a, b) only swaps g_a and g_b and joins their
+    # cycles, so no source left of a gains a partner: the sweep resumes
+    # at a instead of restarting.
+
+    def partner(a: int):
+        ga, ra = assign[a], _find(parent, cycle_of[a])
+        srcs = by_type[types[a]]
+        for j in range(rank[a] + 1, len(srcs)):
+            b = srcs[j]
+            gb = assign[b]
+            if (b > ga) if ga > a else (gb > b):
+                return None
+            if (abs(a - gb) + abs(b - ga) <= abs(a - ga) + abs(b - gb)
+                    and _find(parent, cycle_of[b]) != ra):
+                return b
+        return None
+
+    for a in order:
+        while left > 1 and (b := partner(a)) is not None:
+            assign[a], assign[b] = assign[b], assign[a]
+            parent[_find(parent, cycle_of[a])] = _find(parent, cycle_of[b])
+            left -= 1
+    if left == len(cycles):
+        return cycles
+    return _cycles_from_assignment(assign, types)
+
+
+def reference_cheapest_trade(m1, m2, cost):
+    """The same-type move pair (e1 of m1, e2 of m2) whose destination trade
+    has the least cost(e1, e2), as (cost, type, e1, e2), by TradeModel's
+    tie rule.  m1 and m2 list (move, type) pairs.  None when they share no
+    type."""
+    shared = {t for _, t in m1} & {t for _, t in m2}
+    if not shared:
+        return None
+    best = None
+    for e1, t in m1:
+        if t not in shared:
+            continue
+        for e2, t2 in m2:
+            if t2 == t:
+                key = (cost(e1, e2), min(e1[0], e2[0]), max(e1[0], e2[0]))
+                if best is None or key < best[0]:
+                    best = (key, t, e1, e2)
+    key, t, e1, e2 = best
+    return key[0], t, e1, e2
+
+
+class AllPairsGapTrades:
+    """1D trade model: _pair_gap, scanned move pair by move pair.  Each
+    component's (move, type) pairs are one list under its root."""
+
+    def __init__(self, cycles):
+        self.members = [list(zip(c.edges, c.edge_types)) for c in cycles]
+
+    def pair_weights(self):
+        members = self.members
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                trade = reference_cheapest_trade(members[i], members[j], _pair_gap)
+                if trade is not None:
+                    yield trade[0], i, j
+
+    def trade(self, ri, rj):
+        x, y = self.members[ri], self.members[rj]
+        _, t, (s1, g1), (s2, g2) = reference_cheapest_trade(x, y, _pair_gap)
+        x[x.index(((s1, g1), t))] = (s1, g2), t
+        y[y.index(((s2, g2), t))] = (s2, g1), t
+        self.members[rj] = x + y
+        return t, (s1, g1), (s2, g2)
+
+
+class EdgeBlindTrades(AllPairsGapTrades):
+    """AllPairsGapTrades under fuse_cycles' trade(ri, rj, i, j); it finds
+    the cheapest trade from the two components alone."""
+
+    def trade(self, ri, rj, i, j):
+        return super().trade(ri, rj)
+
+
+def reference_fusion(cycles):
+    """merge_cycles_mst(merge_cycles(cycles)) as it was: the sweep, then
+    fuse_cycles over every cycle pair."""
+    return fuse_cycles(reference_merge_cycles(cycles), EdgeBlindTrades)[0]
+
+
+def reference_forest_weight(cycles):
+    """Weight of a minimum spanning forest over every cycle pair's cheapest
+    trade gap."""
+    members = [moves(c) for c in cycles]
+    edges = []
+    for i, j in itertools.combinations(range(len(cycles)), 2):
+        trade = reference_cheapest_trade(members[i], members[j], _pair_gap)
+        if trade is not None:
+            edges.append((trade[0], i, j))
+    comp = list(range(len(cycles)))
+    total = 0.0
+    for w, i, j in sorted(edges):
+        ri, rj = _find(comp, i), _find(comp, j)
+        if ri != rj:
+            comp[ri] = rj
+            total += w
+    return total
 
 
 # --- phase 1 ----------------------------------------------------------------
@@ -194,6 +349,24 @@ def merge_cycles_fixed_point(cycles):
         cycles = _swap_destinations(cycles, found[1], found[2])
 
 
+def zero_gap_trade_left(cycles) -> bool:
+    """Whether two same-type moves of different cycles still trade for free."""
+    by_type: dict[int, list] = {}
+    for c, cyc_ in enumerate(cycles):
+        for e, t in zip(cyc_.edges, cyc_.edge_types):
+            by_type.setdefault(t, []).append((c, e))
+    return any(c1 != c2 and _pair_gap(e1, e2) == 0.0
+               for moves_ in by_type.values()
+               for (c1, e1), (c2, e2) in itertools.combinations(moves_, 2))
+
+
+def assert_fuses_like(got, want):
+    """got fuses into as many cycles as want and moves as far; trades of
+    equal cost may have gone another way."""
+    assert len(got) == len(want)
+    assert total_distance(got) == total_distance(want)
+
+
 def typed_runs(m, k, seed):
     """gen_typed row whose goal is k contiguous runs of m/k cells."""
     goal = tuple(c // (m // k) + 1 for c in range(m))
@@ -220,7 +393,8 @@ def test_merge_matches_fixed_point_on_random_rows():
         rng.shuffle(start)
         cycles = form_cycles(typ1d(k, start, goal))
         merged = merge_cycles(cycles)
-        assert merged == merge_cycles_fixed_point(cycles), (start, goal)
+        assert_fuses_like(merged, merge_cycles_fixed_point(cycles))
+        assert not zero_gap_trade_left(merged), (start, goal)
         fused += len(merged) < len(cycles)
     assert fused > 500
 
@@ -231,7 +405,8 @@ def test_merge_matches_fixed_point_on_workload_rows(inst):
     cycles = form_cycles(inst)
     merged = merge_cycles(cycles)
     assert len(merged) < len(cycles)
-    assert merged == merge_cycles_fixed_point(cycles)
+    assert_fuses_like(merged, merge_cycles_fixed_point(cycles))
+    assert not zero_gap_trade_left(merged)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -248,16 +423,20 @@ def test_merge_scales_to_long_rows(seed):
 def test_cycle_distance_no_shared_type():
     a = cyc((1, 2), (2, 1), types=(1, 2))
     b = cyc((4, 5), (5, 4), types=(3, 4))
-    assert _cheapest_trade(moves(a), moves(b), _pair_gap) is None
+    assert list(_GapTrades([a, b]).pair_weights()) == []
 
 
 def test_cycle_distance_gap_values():
-    a = cyc((1, 2), (2, 1), types=(1, 1))
-    # every pair of a with this cycle has gap 1; the leftmost sources win
-    b = cyc((3, 4), (4, 3), types=(1, 1))
-    assert _cheapest_trade(moves(a), moves(b), _pair_gap) == (1.0, 1, (1, 2), (3, 4))
-    assert _cheapest_trade(moves(a), moves(cyc((4, 5), (5, 4), types=(1, 1))), _pair_gap)[0] == 2.0
-    assert _cheapest_trade(moves(a), moves(cyc((2, 3), (3, 2), types=(1, 1))), _pair_gap)[0] == 0.0
+    # a pair weighs the gap between its nearest same-type spans, 0 where
+    # they overlap, and its trade costs that gap
+    for a, b, gap in ((cyc((1, 2), (2, 1), types=(1, 1)), cyc((3, 4), (4, 3), types=(1, 1)), 1),
+                      (cyc((1, 2), (2, 1), types=(1, 1)), cyc((4, 5), (5, 4), types=(1, 1)), 2),
+                      (cyc((1, 3), (3, 1), types=(1, 1)), cyc((2, 4), (4, 2), types=(1, 1)), 0)):
+        model = _GapTrades([a, b])
+        assert list(model.pair_weights()) == [(gap, 0, 1)]
+        t, e1, e2 = model.trade(0, 1, 0, 1)
+        assert (t, _pair_gap(e1, e2)) == (1, gap)
+        assert e1 in a.edges and e2 in b.edges
 
 
 # --- phase 3 ----------------------------------------------------------------
@@ -287,7 +466,9 @@ def test_mst_rotates_cycles_that_do_not_start_at_their_minimum():
     b = cyc((4, 5), (5, 4), types=(1, 1))
     merged = merge_cycles_mst([late, b])
     assert merged == merge_cycles_mst([cyc((1, 2), (2, 1), types=(1, 1)), b])
-    assert merged == [cyc((1, 5), (5, 4), (4, 2), (2, 1), types=(1, 1, 1, 1))]
+    # the moves holding cell 2, the right end of [1, 2], and cell 4, the
+    # left end of [4, 5], trade: (2, 1) and (5, 4), 2 apart
+    assert merged == [cyc((1, 2), (2, 4), (4, 5), (5, 1), types=(1, 1, 1, 1))]
     lone = cyc((3, 1), (1, 2), (2, 3), types=(1, 2, 1))
     assert merge_cycles_mst([lone]) == [cyc((1, 2), (2, 3), (3, 1), types=(2, 1, 1))]
 
@@ -320,11 +501,12 @@ def brute_min_added(cycles):
     """Cheapest total added distance over all fusion schedules."""
     best = math.inf
     finite = [(i, j) for i in range(len(cycles)) for j in range(i + 1, len(cycles))
-              if _cheapest_trade(moves(cycles[i]), moves(cycles[j]), _pair_gap) is not None]
+              if reference_cheapest_trade(moves(cycles[i]), moves(cycles[j]), _pair_gap)
+              is not None]
     if not finite:
         return 0.0
     for i, j in finite:
-        d = _cheapest_trade(moves(cycles[i]), moves(cycles[j]), _pair_gap)[0]
+        d = reference_cheapest_trade(moves(cycles[i]), moves(cycles[j]), _pair_gap)[0]
         fused = merge_cycles_mst([cycles[i], cycles[j]])
         assert len(fused) == 1
         rest = [c for t, c in enumerate(cycles) if t not in (i, j)] + fused
@@ -420,7 +602,7 @@ def test_mst_matches_reference_on_random_rows():
         formed = form_cycles(typ1d(k, start, goal))
         for cycles in (formed, merge_cycles(formed)):
             merged = merge_cycles_mst(cycles)
-            assert merged == reference_merge_cycles_mst(cycles), (start, goal)
+            assert_fuses_like(merged, reference_merge_cycles_mst(cycles))
             fused += len(merged) < len(cycles)
     assert fused > 500
 
@@ -432,7 +614,7 @@ def test_mst_matches_reference_on_workload_rows(inst):
     for cycles in (formed, merge_cycles(formed)):
         merged = merge_cycles_mst(cycles)
         assert len(merged) < len(cycles) or len(cycles) == 1
-        assert merged == reference_merge_cycles_mst(cycles)
+        assert_fuses_like(merged, reference_merge_cycles_mst(cycles))
 
 
 # --- fusion against the orbit splice ---------------------------------------
@@ -507,7 +689,8 @@ class ReferenceGapTrades:
 
 class OrbitBlindTrades:
     """A model with the orbit-taking trade(ri, rj, a, b) over one that
-    takes (ri, rj) only; the 2D model never read the orbits."""
+    takes (ri, rj, i, j); the 2D model reads neither the orbits nor the
+    pair (i, j)."""
 
     def __init__(self, model):
         self.model = model
@@ -516,7 +699,7 @@ class OrbitBlindTrades:
         return self.model.pair_weights()
 
     def trade(self, ri, rj, a, b):
-        return self.model.trade(ri, rj)
+        return self.model.trade(ri, rj, None, None)
 
 
 def rotated(cycles, rng):
@@ -536,7 +719,7 @@ def test_fusion_matches_reference_on_rows():
         formed = form_cycles(random_typed(rng, rng.randint(4, 30), rng.randint(2, 4),
                                           aggregated=rng.random() < 0.5))
         for cycles in (formed, merge_cycles(formed), rotated(formed, rng), formed[::-1]):
-            got = fuse_cycles(cycles, _GapTrades)
+            got = fuse_cycles(cycles, EdgeBlindTrades)
             assert got == reference_fuse_cycles(cycles, ReferenceGapTrades), cycles
             fused += len(got[1]) > 0
     assert fused > 300
@@ -571,10 +754,77 @@ def test_fusion_matches_reference_on_hand_built_cycles():
     d = cyc((12, 10), (10, 11), (11, 12), types=(2, 1, 2))
     for cycles in ([d, c, b, a], [c, a], [b, a], [d], []):
         want = reference_fuse_cycles(cycles, ReferenceGapTrades)
-        assert fuse_cycles(cycles, _GapTrades) == want
-        assert fuse_cycles(cycles[::-1], _GapTrades) == want
+        assert fuse_cycles(cycles, EdgeBlindTrades) == want
+        assert fuse_cycles(cycles[::-1], EdgeBlindTrades) == want
     merged, log = fuse_cycles([d, c, b, a], _GapTrades)
     assert len(merged) == 1 and len(log) == 3
+
+
+# --- span candidates against the all-pairs model ---------------------------
+
+class CheckedGapTrades(_GapTrades):
+    """_GapTrades that checks each trade costs its forest edge's weight."""
+
+    def trade(self, ri, rj, i, j):
+        t, e1, e2 = super().trade(ri, rj, i, j)
+        assert _pair_gap(e1, e2) == self.best[i, j][0], (e1, e2)
+        return t, e1, e2
+
+
+def assert_fusion_matches_all_pairs(inst):
+    """One fuse_cycles pass on form_cycles output against the sweep and
+    the all-pairs model: each trade costs its weight, the fusions add twice
+    the all-pairs forest weight, and the cycles, picks and travel match."""
+    formed = form_cycles(inst)
+    fused, _ = fuse_cycles(formed, CheckedGapTrades)
+    assert fused == merge_cycles_mst(formed)
+    assert total_distance(fused) - total_distance(formed) == 2 * reference_forest_weight(formed)
+    assert len(merge_cycles(formed)) == len(reference_merge_cycles(formed))
+    want = reference_fusion(formed)
+    assert len(fused) == len(want)
+    got = simulate(inst, opt_plan_por(inst)).cost
+    ref = simulate(inst, group_sweep_cycles_por(want)).cost
+    assert (got.picks, got.travel) == (ref.picks, ref.travel)
+
+
+@st.composite
+def typed_rows(draw):
+    """Typed rows of at most 40 cells and 5 types, resting at cell 1."""
+    m = draw(st.integers(2, 40))
+    k = draw(st.integers(1, min(5, m)))
+    goal = draw(st.lists(st.integers(1, k), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        goal.sort()
+    return typ1d(k, draw(st.permutations(goal)), goal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(typed_rows())
+def test_span_fusion_matches_all_pairs_on_random_rows(inst):
+    assert_fusion_matches_all_pairs(inst)
+
+
+@pytest.mark.parametrize("inst", [typed_runs(600, 4, seed) for seed in (1, 2, 3)]
+                         + [typed_local(256, 16, 24, seed) for seed in range(1, 5)]
+                         + [typed_local(4000, 4, 8, seed) for seed in (1, 2)])
+def test_span_fusion_matches_all_pairs_on_workload_rows(inst):
+    assert_fusion_matches_all_pairs(inst)
+
+
+def test_fusion_scales_to_a_local_row_of_100000_cells():
+    # no two of the 12,336 cycles left after free fusion share a type; the
+    # all-pairs model spent over a minute weighing their pairs
+    inst = typed_local(100_000, 4, 8, 1)
+    began = time.perf_counter()
+    plan = opt_plan_por(inst)
+    assert time.perf_counter() - began < 10
+    sim = simulate(inst, plan)
+    assert sim.config == inst.goal_types
+    assert sim.cost.picks == oracle_min_picks(inst)
+    began = time.perf_counter()
+    free = merge_cycles(form_cycles(inst))
+    assert time.perf_counter() - began < 10
+    assert len(free) == 12_336
 
 
 # --- full pipeline ----------------------------------------------------------
