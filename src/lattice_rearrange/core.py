@@ -132,9 +132,36 @@ def _cell_distance(dims: LatticeDims, model: CostModel) -> Callable[[int, int], 
 def distance(dims: LatticeDims, a: int, b: int, model: CostModel = DEFAULT_COST) -> float:
     """Metric distance between two cells given as indices."""
     for cell in (a, b):
-        if not 1 <= cell <= dims.n:
-            raise ValueError(f"cell index {cell} out of range 1..{dims.n}")
+        _require_cell(dims.n, cell, "cell index", f"out of range 1..{dims.n}")
     return _cell_distance(dims, model)(a, b)
+
+
+def _is_permutation(pi: Sequence[int], n: int) -> bool:
+    """Whether pi lists each of 1..n exactly once, in one pass over n + 1
+    bytes.  Indexing the bytearray applies operator.index, so an entry that
+    is not an integer fails here as it does in permutation_cycles; bools and
+    numpy ints pass."""
+    if len(pi) != n:
+        return False
+    seen = bytearray(n + 1)
+    try:
+        for v in pi:
+            # seen[v] raises IndexError above n; a negative v reads from
+            # the end, and v < 1 turns it away with 0
+            if seen[v] or v < 1:
+                return False
+            seen[v] = 1
+    except (TypeError, IndexError):
+        return False
+    return True
+
+
+def _require_cell(n: int, cell, name: str, outside: str) -> None:
+    """Raise ValueError with _cell_fault's reason unless cell is one of the
+    lattice cells 1..n."""
+    fault = _cell_fault(n, cell, name, outside)
+    if fault is not None:
+        raise ValueError(fault)
 
 
 @dataclass(frozen=True)
@@ -148,11 +175,10 @@ class LabeledInstance:
 
     def __post_init__(self):
         n = self.dims.n
-        if len(self.pi) != n or sorted(self.pi) != list(range(1, n + 1)):
+        if not _is_permutation(self.pi, n):
             raise MalformedPermutation(
                 f"arrangement is not a permutation of 1..{n}: {self.pi!r}")
-        if not 1 <= self.rest <= n:
-            raise ValueError(f"rest cell {self.rest} out of range")
+        _require_cell(n, self.rest, "rest cell", "out of range")
 
     @property
     def kind(self) -> str:
@@ -194,8 +220,7 @@ class TypedInstance:
                     raise TypeMismatch(f"type id {t} outside 1..{self.k}")
         if sorted(self.start_types) != sorted(self.goal_types):
             raise TypeMismatch("start and goal type multisets differ")
-        if not 1 <= self.rest <= n:
-            raise ValueError(f"rest cell {self.rest} out of range")
+        _require_cell(n, self.rest, "rest cell", "out of range")
 
     @property
     def kind(self) -> str:
@@ -345,14 +370,17 @@ def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) ->
     return SimResult(tuple(config[1:]), cost)
 
 
-def _cell_fault(n: int, cell) -> Optional[str]:
-    """Why cell is not one of the lattice cells 1..n, or None."""
+def _cell_fault(n: int, cell, name: str = "cell",
+                outside: str = "outside lattice") -> Optional[str]:
+    """Why cell is not one of the lattice cells 1..n, or None: either
+    "{name} {cell} {outside}" or "{name} {cell!r} is not an integer".  This
+    is the one cell test: simulate, distance and the rest cell use it."""
     try:
         if not 1 <= cell <= n:
-            return f"cell {cell} outside lattice"
+            return f"{name} {cell} {outside}"
         index(cell)
     except TypeError:
-        return f"cell {cell!r} is not an integer"
+        return f"{name} {cell!r} is not an integer"
     return None
 
 

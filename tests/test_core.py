@@ -1,10 +1,13 @@
 import copy
 import dataclasses
 import itertools
+import json
 import math
 import pickle
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,6 +28,7 @@ from lattice_rearrange.core import (
     distance,
     instance_from_dict,
     instance_to_dict,
+    instance_to_json,
     is_solved,
     plan_cost,
     plan_from_dict,
@@ -41,6 +45,7 @@ from lattice_rearrange.gen import (
     gen_typed,
     gen_uniform_permutation,
 )
+from lattice_rearrange.graphs import permutation_cycles
 from lattice_rearrange.lattice2d import sweep_cycles_ltr
 from lattice_rearrange.lor import opt_plan_lor
 from lattice_rearrange.oracle import oracle_optimal
@@ -94,6 +99,14 @@ def test_distance_rejects_cells_off_the_lattice(a, b):
     with pytest.raises(ValueError):
         reference_distance(dims, a, b)
     with pytest.raises(ValueError, match="out of range 1..6"):
+        distance(dims, a, b)
+
+
+@pytest.mark.parametrize("a,b", [(1.5, 4), (4, 1.5), (2.0, 4), ("a", 4), (None, 4), ([1], 4)])
+def test_distance_rejects_non_integer_cells(a, b):
+    # the reference compared against the range only, so 1.5 passed it
+    dims = LatticeDims(3, 3)
+    with pytest.raises(ValueError, match="is not an integer"):
         distance(dims, a, b)
 
 
@@ -274,6 +287,144 @@ def test_instance_validation():
         TypedInstance(LatticeDims(3, 1), 2, (1, 1, 3), (3, 1, 1))
     with pytest.raises(ValueError):
         TypedInstance(LatticeDims(2, 1), 3, (1, 2), (2, 1))  # k beyond cell count
+
+
+def _reference_is_permutation(pi, n):
+    """LabeledInstance's check as it stood before the one-pass bytearray:
+    the length, then a sort."""
+    return not (len(pi) != n or sorted(pi) != list(range(1, n + 1)))
+
+
+def _accepts(pi, dims):
+    try:
+        LabeledInstance(dims, pi)
+    except MalformedPermutation as err:
+        assert str(err) == f"arrangement is not a permutation of 1..{dims.n}: {pi!r}"
+        return False
+    return True
+
+
+def _integer_corpus(seed):
+    """Integer sequences around 1..n: every tuple over -1..n+1 for n <= 4,
+    wrong lengths, bools, numpy ints, and seeded long rows spoiled by a
+    duplicate, a 0, a negative or n + 1."""
+    for n in range(1, 5):
+        for length in (n - 1, n, n + 1):
+            for pi in itertools.product(range(-1, n + 2), repeat=length):
+                yield pi, n
+    yield (True, 2), 2
+    yield (2, True), 2
+    yield (True, True), 2
+    yield (False, 1), 2
+    yield (2, 1, False), 3
+    rng = random.Random(seed)
+    for n in (1, 2, 7, 64, 1000):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        yield tuple(perm), n
+        yield tuple(np.array(perm)), n
+        yield tuple(np.array(perm, dtype=np.int32)), n
+        for bad in (0, -1, -n, -n - 1, n + 1, 2 * n, perm[rng.randrange(n)]):
+            spoiled = list(perm)
+            spoiled[rng.randrange(n)] = bad
+            yield tuple(spoiled), n
+            yield tuple(np.array(spoiled)), n
+        yield tuple(perm[1:]), n
+        yield tuple(perm + [n + 1]), n
+
+
+def test_labeled_check_agrees_with_the_sort_on_integer_sequences():
+    seen = {True: 0, False: 0}
+    for pi, n in _integer_corpus(24):
+        want = _reference_is_permutation(pi, n)
+        assert _accepts(pi, LatticeDims(n, 1)) == want, (pi, n)
+        seen[want] += 1
+    assert min(seen.values()) > 20
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_labeled_check_agrees_with_the_sort_hypothesis(m1, m2, data):
+    n = m1 * m2
+    values = st.integers(-n - 2, n + 2) | st.booleans()
+    pi = tuple(data.draw(st.one_of(
+        st.permutations(range(1, n + 1)),
+        st.lists(values, min_size=n, max_size=n),
+        st.lists(values, max_size=n + 2))))
+    if data.draw(st.booleans()):
+        pi = tuple(np.array(pi, dtype=np.int64))
+    assert _accepts(pi, LatticeDims(m1, m2)) == _reference_is_permutation(pi, n)
+
+
+@pytest.mark.parametrize("pi,before", [
+    ((2.0, 1.0, 3.0), True),
+    ((1.5, 2, 3), False),
+    ((math.nan, 2, 3), False),
+    ((2, 1, math.nan), False),
+    (("a", 2, 3), TypeError),
+    ((None, 2, 3), TypeError),
+    (([1], 2, 3), TypeError),
+])
+def test_labeled_check_rejects_non_integer_entries_as_the_walk_does(pi, before):
+    # the sort accepted the float permutation and raised TypeError on
+    # entries that do not compare with ints; permutation_cycles, which
+    # every planner's walk runs, has always rejected all of these
+    if before is TypeError:
+        with pytest.raises(TypeError):
+            _reference_is_permutation(pi, 3)
+    else:
+        assert _reference_is_permutation(pi, 3) == before
+    with pytest.raises(MalformedPermutation):
+        permutation_cycles(pi)
+    with pytest.raises(MalformedPermutation):
+        LabeledInstance(LatticeDims(3, 1), pi)
+
+
+def test_labeled_check_peaks_under_one_megabyte():
+    # the sort's list and the range list peaked at 4.57 MB here
+    pi = gen_uniform_permutation(10**5, 3).pi
+    dims = LatticeDims(10**5, 1)
+    tracemalloc.start()
+    try:
+        LabeledInstance(dims, pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+_LABELED = (LatticeDims(4, 1), (2, 1, 4, 3))
+_TYPED = (LatticeDims(4, 1), 2, (2, 1, 2, 1), (1, 1, 2, 2))
+
+
+@pytest.mark.parametrize("rest,message", [
+    (1.5, "rest cell 1.5 is not an integer"),
+    (2.0, "rest cell 2.0 is not an integer"),
+    ("a", "rest cell 'a' is not an integer"),
+    (None, "rest cell None is not an integer"),
+    (0, "rest cell 0 out of range"),
+    (5, "rest cell 5 out of range"),
+    (-1, "rest cell -1 out of range"),
+    (7.5, "rest cell 7.5 out of range"),
+    (math.nan, "rest cell nan out of range"),
+])
+def test_rest_must_be_a_lattice_cell(rest, message):
+    with pytest.raises(ValueError) as labeled:
+        LabeledInstance(*_LABELED, rest=rest)
+    with pytest.raises(ValueError) as typed:
+        TypedInstance(*_TYPED, rest=rest)
+    assert str(labeled.value) == str(typed.value) == message
+
+
+def test_rest_json_round_trips_for_every_cell():
+    # a rest such as 1.5 was accepted, planned with fractional travel and
+    # written as "rest": 1.5, which the reader refuses; every rest an
+    # instance can now carry reads back as written
+    for rest in range(1, 5):
+        for inst in (LabeledInstance(*_LABELED, rest=rest), TypedInstance(*_TYPED, rest=rest)):
+            assert instance_from_dict(json.loads(instance_to_json(inst))) == inst
+    doc = instance_to_dict(LabeledInstance(*_LABELED))
+    with pytest.raises(JsonFormatError):
+        instance_from_dict({**doc, "rest": 1.5})
 
 
 def _reference_type_ids(start, goal, k):
