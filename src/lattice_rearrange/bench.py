@@ -13,9 +13,16 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass, field
 
-from .core import FORMAT_VERSION, LabeledInstance, LatticeDims, TypedInstance, plan_cost
+from .core import (
+    FORMAT_VERSION,
+    LabeledInstance,
+    LatticeDims,
+    TypedInstance,
+    _Value,
+    _store,
+    plan_cost,
+)
 from .gen import (
     GoalPattern,
     _even_counts,
@@ -74,39 +81,44 @@ EXPERIMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(_Value):
     """What to run: experiment id, sizes, trials per size, distribution, seed."""
 
+    __slots__ = ("experiment", "sizes", "trials", "distribution", "seed")
     experiment: str
     sizes: tuple
-    trials: int = 100
-    distribution: str | None = None
-    seed: int = 0
+    trials: int
+    distribution: str
+    seed: int
 
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        if not self.sizes or any(s < 1 for s in self.sizes):
-            raise ValueError(f"sizes must be positive, got {self.sizes!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        allowed, default, _ = EXPERIMENTS[self.experiment]
-        dist = self.distribution if self.distribution is not None else default
+    def __init__(self, experiment: str, sizes: tuple, trials: int = 100,
+                 distribution: str | None = None, seed: int = 0):
+        if experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {experiment!r}")
+        sizes = tuple(sizes)
+        if not sizes or any(s < 1 for s in sizes):
+            raise ValueError(f"sizes must be positive, got {sizes!r}")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        allowed, default, _ = EXPERIMENTS[experiment]
+        dist = distribution if distribution is not None else default
         if dist not in allowed:
             raise ValueError(
-                f"distribution {dist!r} not valid for {self.experiment!r} "
+                f"distribution {dist!r} not valid for {experiment!r} "
                 f"(allowed: {', '.join(allowed)})")
-        object.__setattr__(self, "distribution", dist)
+        _store(self, "experiment", experiment)
+        _store(self, "sizes", sizes)
+        _store(self, "trials", trials)
+        _store(self, "distribution", dist)
+        _store(self, "seed", seed)
 
     @property
     def statistics(self) -> tuple:
         return EXPERIMENTS[self.experiment][2]
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(_Value):
+    __slots__ = ("size", "statistic", "mean", "std", "trials", "seed")
     size: int
     statistic: str
     mean: float
@@ -114,20 +126,39 @@ class ReportRow:
     trials: int
     seed: int
 
+    def __init__(self, size: int, statistic: str, mean: float, std: float,
+                 trials: int, seed: int):
+        _store(self, "size", size)
+        _store(self, "statistic", statistic)
+        _store(self, "mean", mean)
+        _store(self, "std", std)
+        _store(self, "trials", trials)
+        _store(self, "seed", seed)
 
-@dataclass(frozen=True)
-class ExperimentReport:
+
+class ExperimentReport(_Value):
     """Aggregated rows, per-trial failures, and a wall-clock runtime.
 
     The runtime is informational only: it is excluded from equality and
-    from both emitted formats, so identical (spec, seed) runs still emit
-    identical bytes.
+    hashing and from both emitted formats, so identical (spec, seed) runs
+    still emit identical bytes.
     """
 
+    __slots__ = ("spec", "rows", "failures", "runtime_seconds")
     spec: ExperimentSpec
     rows: tuple
-    failures: tuple = ()
-    runtime_seconds: float = field(default=0.0, compare=False)
+    failures: tuple
+    runtime_seconds: float
+
+    def __init__(self, spec: ExperimentSpec, rows: tuple, failures: tuple = (),
+                 runtime_seconds: float = 0.0):
+        _store(self, "spec", spec)
+        _store(self, "rows", rows)
+        _store(self, "failures", failures)
+        _store(self, "runtime_seconds", runtime_seconds)
+
+    def _key(self) -> tuple:
+        return self.spec, self.rows, self.failures
 
 
 def _typed_quarters(dims: LatticeDims, seed: int) -> TypedInstance:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import chain
@@ -62,16 +61,71 @@ class Action(str, Enum):
     PLACE = "place"
 
 
-@dataclass(frozen=True)
-class LatticeDims:
+# how a value class stores each field, once, in its __init__
+_store = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields, in constructor order, as __slots__ and
+    stores each one in __init__ with _store.  Instances compare equal only
+    within one class, on the field tuple that _key returns; the hash is that
+    tuple's hash, and the repr is "Name(field=value, ...)" over every field.
+    Assigning or deleting an attribute raises AttributeError.  Pickling and
+    copying restore the stored fields without calling __init__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    _key = _values
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._values()
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self._fields, state):
+            _store(self, name, value)
+
+
+class LatticeDims(_Value):
     """Lattice extents: m1 rows, m2 columns.  1D lattices use m2 = 1."""
 
+    __slots__ = ("m1", "m2")
     m1: int
     m2: int
 
-    def __post_init__(self):
-        if self.m1 < 1 or self.m2 < 1:
-            raise ValueError(f"lattice dims must be positive, got {self.m1}x{self.m2}")
+    def __init__(self, m1: int, m2: int):
+        if m1 < 1 or m2 < 1:
+            raise ValueError(f"lattice dims must be positive, got {m1}x{m2}")
+        _store(self, "m1", m1)
+        _store(self, "m2", m2)
 
     @property
     def n(self) -> int:
@@ -93,19 +147,22 @@ class LatticeDims:
         return range(1, self.n + 1)
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(_Value):
     """Cost coefficients: c_p per pick-n-swap, c_t per travel unit."""
 
-    c_p: float = 1.0
-    c_t: float = 1.0
-    metric: str = "euclidean"
+    __slots__ = ("c_p", "c_t", "metric")
+    c_p: float
+    c_t: float
+    metric: str
 
-    def __post_init__(self):
-        if self.metric not in ("euclidean", "manhattan"):
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if not all(math.isfinite(c) and c >= 0 for c in (self.c_p, self.c_t)):
+    def __init__(self, c_p: float = 1.0, c_t: float = 1.0, metric: str = "euclidean"):
+        if metric not in ("euclidean", "manhattan"):
+            raise ValueError(f"unknown metric {metric!r}")
+        if not all(math.isfinite(c) and c >= 0 for c in (c_p, c_t)):
             raise ValueError("cost coefficients must be finite and nonnegative")
+        _store(self, "c_p", c_p)
+        _store(self, "c_t", c_t)
+        _store(self, "metric", metric)
 
 
 DEFAULT_COST = CostModel()
@@ -164,21 +221,24 @@ def _require_cell(n: int, cell, name: str, outside: str) -> None:
         raise ValueError(fault)
 
 
-@dataclass(frozen=True)
-class LabeledInstance:
+class LabeledInstance(_Value):
     """Fully labeled instance: cell i initially holds item pi[i-1]; item x
     belongs at cell x.  Solved when every cell i holds item i."""
 
+    __slots__ = ("dims", "pi", "rest")
     dims: LatticeDims
     pi: tuple[int, ...]
-    rest: int = 1
+    rest: int
 
-    def __post_init__(self):
-        n = self.dims.n
-        if not _is_permutation(self.pi, n):
+    def __init__(self, dims: LatticeDims, pi: tuple[int, ...], rest: int = 1):
+        n = dims.n
+        if not _is_permutation(pi, n):
             raise MalformedPermutation(
-                f"arrangement is not a permutation of 1..{n}: {self.pi!r}")
-        _require_cell(n, self.rest, "rest cell", "out of range")
+                f"arrangement is not a permutation of 1..{n}: {pi!r}")
+        _require_cell(n, rest, "rest cell", "out of range")
+        _store(self, "dims", dims)
+        _store(self, "pi", pi)
+        _store(self, "rest", index(rest))
 
     @property
     def kind(self) -> str:
@@ -191,36 +251,46 @@ class LabeledInstance:
         return tuple(range(1, self.dims.n + 1))
 
 
-@dataclass(frozen=True)
-class TypedInstance:
+class TypedInstance(_Value):
     """Partially labeled instance over k interchangeable item types.
 
     start_types[i-1] / goal_types[i-1] give the type occupying / wanted at
     cell i.  Any item of the right type satisfies a goal cell."""
 
+    __slots__ = ("dims", "k", "start_types", "goal_types", "rest")
     dims: LatticeDims
     k: int
     start_types: tuple[int, ...]
     goal_types: tuple[int, ...]
-    rest: int = 1
+    rest: int
 
-    def __post_init__(self):
-        n = self.dims.n
-        if not 1 <= self.k <= n:
-            raise ValueError(f"k must satisfy 1 <= k <= n, got k={self.k}, n={n}")
-        if len(self.start_types) != n or len(self.goal_types) != n:
+    def __init__(self, dims: LatticeDims, k: int, start_types: tuple[int, ...],
+                 goal_types: tuple[int, ...], rest: int = 1):
+        n = dims.n
+        try:
+            k = index(k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {k!r}") from None
+        if not 1 <= k <= n:
+            raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+        if len(start_types) != n or len(goal_types) != n:
             raise TypeMismatch("start/goal arrays must cover every cell")
         try:
-            in_range = set(self.start_types).union(self.goal_types) <= set(range(1, self.k + 1))
+            in_range = set(start_types).union(goal_types) <= set(range(1, k + 1))
         except TypeError:  # an unhashable id: the loop names it as before
             in_range = False
         if not in_range:
-            for t in self.start_types + self.goal_types:
-                if not 1 <= t <= self.k:
-                    raise TypeMismatch(f"type id {t} outside 1..{self.k}")
-        if sorted(self.start_types) != sorted(self.goal_types):
+            for t in start_types + goal_types:
+                if not 1 <= t <= k:
+                    raise TypeMismatch(f"type id {t} outside 1..{k}")
+        if sorted(start_types) != sorted(goal_types):
             raise TypeMismatch("start and goal type multisets differ")
-        _require_cell(n, self.rest, "rest cell", "out of range")
+        _require_cell(n, rest, "rest cell", "out of range")
+        _store(self, "dims", dims)
+        _store(self, "k", k)
+        _store(self, "start_types", start_types)
+        _store(self, "goal_types", goal_types)
+        _store(self, "rest", index(rest))
 
     @property
     def kind(self) -> str:
@@ -243,8 +313,7 @@ class PlanStep(NamedTuple):
     action: Action
 
 
-@dataclass(frozen=True, init=False)
-class Plan:
+class Plan(_Value):
     """A plan as two columns: step i acts `actions[i]` at cell `cells[i]`.
 
     The columns are the only stored form.  Plan(steps) takes any iterable
@@ -255,6 +324,7 @@ class Plan:
     Length, equality and hashing follow the columns.
     """
 
+    __slots__ = ("cells", "actions")
     cells: tuple[int, ...]
     actions: tuple[Action, ...]
 
@@ -272,8 +342,8 @@ class Plan:
     def _fill(self, cells: tuple[int, ...], actions: tuple[Action, ...]) -> None:
         if len(cells) != len(actions):
             raise ValueError(f"{len(cells)} cells but {len(actions)} actions")
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "actions", actions)
+        _store(self, "cells", cells)
+        _store(self, "actions", actions)
 
     @property
     def steps(self) -> tuple[PlanStep, ...]:
@@ -290,17 +360,26 @@ class Plan:
         return len(self.cells)
 
 
-@dataclass(frozen=True)
-class PlanCost:
+class PlanCost(_Value):
+    __slots__ = ("picks", "travel", "total")
     picks: int
     travel: float
     total: float
 
+    def __init__(self, picks: int, travel: float, total: float):
+        _store(self, "picks", picks)
+        _store(self, "travel", travel)
+        _store(self, "total", total)
 
-@dataclass(frozen=True)
-class SimResult:
+
+class SimResult(_Value):
+    __slots__ = ("config", "cost")
     config: tuple[Optional[int], ...]
     cost: PlanCost
+
+    def __init__(self, config: tuple[Optional[int], ...], cost: PlanCost):
+        _store(self, "config", config)
+        _store(self, "cost", cost)
 
 
 def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) -> SimResult:
@@ -460,13 +539,17 @@ FORMAT_VERSION = 1
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    d: dict = {"dims": [instance.dims.m1, instance.dims.m2], "kind": instance.kind}
+    """The instance document's fields.  Each array entry passes through
+    operator.index, so a bool or a numpy int that the constructor accepted
+    is written as the JSON integer it stands for."""
+    d: dict = {"dims": [index(instance.dims.m1), index(instance.dims.m2)],
+               "kind": instance.kind}
     if isinstance(instance, LabeledInstance):
-        d["pi"] = list(instance.pi)
+        d["pi"] = list(map(index, instance.pi))
     else:
         d["k"] = instance.k
-        d["start_types"] = list(instance.start_types)
-        d["goal_types"] = list(instance.goal_types)
+        d["start_types"] = list(map(index, instance.start_types))
+        d["goal_types"] = list(map(index, instance.goal_types))
     d["rest"] = instance.rest
     return d
 

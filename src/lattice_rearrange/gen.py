@@ -18,16 +18,12 @@ module imports only core, so drawing an instance loads no planner.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import chain
 
-from .core import LabeledInstance, LatticeDims, RearrangeError, TypedInstance
-
-logger = logging.getLogger(__name__)
+from .core import LabeledInstance, LatticeDims, RearrangeError, TypedInstance, _Value, _store
 
 __all__ = [
     "BadCounts",
@@ -290,8 +286,7 @@ def gen_block_random(m: int, seed: int) -> LabeledInstance:
 
 # --- goal-type layouts ------------------------------------------------------
 
-@dataclass(frozen=True)
-class GoalPattern:
+class GoalPattern(_Value):
     """Recipe for a typed goal layout.
 
     kind "blocks": types tile the lattice in square blocks (side sqrt(k)),
@@ -300,14 +295,17 @@ class GoalPattern:
     given verbatim.
     """
 
+    __slots__ = ("kind", "goal_types")
     kind: str
-    goal_types: tuple[int, ...] | None = None
+    goal_types: tuple[int, ...] | None
 
-    def __post_init__(self):
-        if self.kind not in ("blocks", "columns", "explicit"):
-            raise ValueError(f"unknown goal pattern kind {self.kind!r}")
-        if (self.kind == "explicit") != (self.goal_types is not None):
+    def __init__(self, kind: str, goal_types: tuple[int, ...] | None = None):
+        if kind not in ("blocks", "columns", "explicit"):
+            raise ValueError(f"unknown goal pattern kind {kind!r}")
+        if (kind == "explicit") != (goal_types is not None):
             raise ValueError("explicit patterns carry goal_types; others must not")
+        _store(self, "kind", kind)
+        _store(self, "goal_types", goal_types)
 
     def resolve(self, dims: LatticeDims, k: int) -> tuple[tuple[int, ...], bool]:
         """Concrete goal types for a lattice; the flag reports whether the
@@ -408,7 +406,9 @@ def gen_typed(dims, k: int, counts, goal: GoalPattern, seed: int) -> TypedInstan
         except ValueError as exc:
             raise PatternInfeasible(str(exc)) from exc
         if fallback:
-            logger.warning(
+            # the one warning the package logs: logging loads only here
+            import logging
+            logging.getLogger(__name__).warning(
                 "blocks pattern fell back to contiguous index runs for "
                 "%dx%d, k=%d (no square tiling fits)", dims.m1, dims.m2, k)
 

@@ -12,24 +12,27 @@ module (and the package) does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import MalformedPermutation, RearrangeError
+from .core import MalformedPermutation, RearrangeError, _Value, _store
 
 
 class Unreachable(RearrangeError):
     """The arborescence root cannot reach every vertex."""
 
 
-@dataclass(frozen=True)
-class CycleSet:
+class CycleSet(_Value):
     """Cycles of a permutation: each cycle is the orbit of its minimum cell
     under i -> pi_i, listed starting from that minimum; cycles are ordered by
     minimum cell.  Length-1 orbits are reported separately as fixed points."""
 
+    __slots__ = ("cycles", "fixed_points")
     cycles: tuple[tuple[int, ...], ...]
     fixed_points: tuple[int, ...]
+
+    def __init__(self, cycles: tuple[tuple[int, ...], ...], fixed_points: tuple[int, ...]):
+        _store(self, "cycles", cycles)
+        _store(self, "fixed_points", fixed_points)
 
     @property
     def count(self) -> int:
@@ -100,12 +103,16 @@ def _find(parent: list[int], x: int) -> int:
 Edge = tuple[int, int, float]
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(_Value):
     """Vertices with weighted edges; directedness is up to the consumer."""
 
+    __slots__ = ("vertices", "edges")
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
+
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[Edge, ...]):
+        _store(self, "vertices", vertices)
+        _store(self, "edges", edges)
 
 
 def min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from .core import (
     Action,
@@ -31,7 +30,9 @@ from .core import (
     Plan,
     PlanCost,
     RearrangeError,
+    _Value,
     _cell_distance,
+    _store,
 )
 from .graphs import _find, permutation_cycles
 
@@ -43,10 +44,14 @@ class TooLarge(RearrangeError):
     """The instance's state space exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Value):
+    __slots__ = ("plan", "cost")
     plan: Plan
     cost: PlanCost
+
+    def __init__(self, plan: Plan, cost: PlanCost):
+        _store(self, "plan", plan)
+        _store(self, "cost", cost)
 
 
 def state_space_estimate(instance: Instance) -> int:

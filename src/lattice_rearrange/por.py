@@ -32,7 +32,6 @@ A best-first greedy baseline is included for benchmark comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol
 
 from .core import (
@@ -42,7 +41,9 @@ from .core import (
     Instance,
     Plan,
     TypedInstance,
+    _Value,
     _cell_distance,
+    _store,
 )
 from .graphs import _find, _walk_orbits
 from .lor import _require_1d, follow_cycles
@@ -50,14 +51,18 @@ from .lor import _require_1d, follow_cycles
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class MoveCycle:
+class MoveCycle(_Value):
     """A closed chain of item moves: each move's destination is the next
     move's source.  edge_types[j] is the type carried by edges[j].  The
     chain starts at its smallest source cell, min_cell."""
 
+    __slots__ = ("edges", "edge_types")
     edges: tuple[tuple[int, int], ...]
     edge_types: tuple[int, ...]
+
+    def __init__(self, edges: tuple[tuple[int, int], ...], edge_types: tuple[int, ...]):
+        _store(self, "edges", edges)
+        _store(self, "edge_types", edge_types)
 
     @property
     def min_cell(self) -> int:

@@ -31,10 +31,12 @@ from lattice_rearrange.core import (
     HandNotEmptyAtEnd,
     IllegalStep,
     Instance,
+    LabeledInstance,
     LatticeDims,
     Plan,
     PlanCost,
     SimResult,
+    TypedInstance,
     _manhattan_leg,
 )
 from lattice_rearrange.gen import SplitMix64
@@ -60,6 +62,13 @@ class ReferenceSplitMix64(SplitMix64):
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def with_rest(inst: Instance, rest: int) -> Instance:
+    """inst with the arm resting at `rest`, built by its constructor."""
+    if inst.kind == "labeled":
+        return LabeledInstance(inst.dims, inst.pi, rest)
+    return TypedInstance(inst.dims, inst.k, inst.start_types, inst.goal_types, rest)
 
 
 def dumps(doc: dict) -> str:

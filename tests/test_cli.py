@@ -1,6 +1,5 @@
 """CLI tests driven through main(argv): exit codes, JSON shapes, pipes."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -26,6 +25,7 @@ from lattice_rearrange import (
 )
 from lattice_rearrange.cli import main, resolve_solver
 from lattice_rearrange.core import instance_to_json
+from conftest import with_rest
 
 
 def run(capsys, *argv):
@@ -76,10 +76,10 @@ class TestGen:
 
     @pytest.mark.parametrize("inst", [
         gen_uniform_permutation(200, 3),
-        dataclasses.replace(gen_uniform_permutation(200, 3), rest=77),
+        with_rest(gen_uniform_permutation(200, 3), 77),
         gen_block_random(9, 2),
         gen_typed((4, 6), 4, (6, 6, 6, 6), GoalPattern("blocks"), 5),
-        dataclasses.replace(gen_typed((4, 6), 4, (6, 6, 6, 6), GoalPattern("blocks"), 5), rest=24),
+        with_rest(gen_typed((4, 6), 4, (6, 6, 6, 6), GoalPattern("blocks"), 5), 24),
         gen_typed(7, 3, (3, 2, 2), GoalPattern("explicit", (1, 2, 3, 1, 2, 3, 1)), 1),
         LabeledInstance(LatticeDims(1, 1), (1,)),
         TypedInstance(LatticeDims(1, 1), 1, (1,), (1,)),
@@ -329,18 +329,25 @@ class TestTopLevel:
         assert code == 2
 
 
+_LIBRARY = ("bench", "core", "gen", "graphs", "lattice2d", "lor", "oracle", "por")
+
+
 @pytest.mark.parametrize("module,loads", [
     ("lattice_rearrange", ["lattice_rearrange"]),
     ("lattice_rearrange.cli", ["lattice_rearrange", "lattice_rearrange.cli", "lattice_rearrange.core"]),
-], ids=["lattice_rearrange", "lattice_rearrange.cli"])
+    (", ".join(f"lattice_rearrange.{m}" for m in _LIBRARY),
+     ["lattice_rearrange", *(f"lattice_rearrange.{m}" for m in _LIBRARY)]),
+], ids=["lattice_rearrange", "lattice_rearrange.cli", "every-library-module"])
 def test_import_loads_no_scipy(module, loads):
     # every CLI process pays for what the package imports: the package
     # itself loads no submodule, cli only core, and neither scipy (the
-    # assignment solver is in-repo) nor numpy
+    # assignment solver is in-repo) nor numpy; no module loads dataclasses
+    # (the value classes are slotted), or logging (gen loads it to warn)
     src = str(Path(lattice_rearrange.__file__).resolve().parents[1])
     code = (f"import sys, {module}; "
             "print(*sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('lattice_rearrange', 'numpy', 'scipy')))")
+            "if m.split('.')[0] in ('lattice_rearrange', 'numpy', 'scipy') "
+            "or m in ('dataclasses', 'logging')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     assert done.stdout.split() == loads
@@ -357,32 +364,45 @@ def test_module_entry_point_warns_nothing():
     assert json.loads(done.stdout)["kind"] == "labeled"
 
 
-def _loaded_after(argv) -> tuple[int, list[str]]:
-    """Run main(argv) in a fresh interpreter: its exit status and the package
-    modules, logging and numpy it has loaded at exit."""
+def _loaded_after(argv) -> tuple[int, list[str], str]:
+    """Run main(argv) in a fresh interpreter: its exit status, the package
+    modules, dataclasses, logging and numpy it has loaded at exit, and what
+    it wrote to stderr."""
     code = "\n".join([
         "import sys",
         "from lattice_rearrange.cli import main",
         f"status = main({argv!r})",
         "print(status, *sorted(m for m in sys.modules if m.split('.')[0] == 'lattice_rearrange'",
-        "                      or m in ('logging', 'numpy')))",
+        "                      or m in ('dataclasses', 'logging', 'numpy')))",
     ])
     src = str(Path(lattice_rearrange.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     status, *modules = done.stdout.split()
-    return int(status), modules
+    return int(status), modules, done.stderr
 
 
-# a gen process loads the generators and nothing of the planners or numpy
+# a gen process loads the generators and nothing of the planners, numpy or
+# dataclasses
 GEN_MODULES = ["lattice_rearrange", "lattice_rearrange.cli", "lattice_rearrange.core",
-               "lattice_rearrange.gen", "logging"]
+               "lattice_rearrange.gen"]
+_FALLBACK = "blocks pattern fell back to contiguous index runs for {} (no square tiling fits)\n"
+# gen arguments -> what the process writes to stderr.  The blocks layout
+# falls back to index runs, with a warning, when no square tiling fits (on a
+# row with k > 1, or on 4x4 with k = 2); gen loads logging only to warn.
+GEN_STDERR = {
+    ("typed", "--m", "12", "--k", "3"): _FALLBACK.format("12x1, k=3"),
+    ("typed", "--m1", "4", "--m2", "4", "--k", "2"): _FALLBACK.format("4x4, k=2"),
+    ("typed", "--m1", "4", "--m2", "4", "--k", "4"): "",
+    ("uniform", "--m", "12"): "",
+    ("block-random", "--m", "16"): "",
+}
 _1D = ("cli", "core", "graphs", "lor")
 _TYPED = _1D + ("por",)
 _2D = _TYPED + ("lattice2d",)
 # solver -> (gen arguments of its instance, the package modules a solve
 # process ends with, whether the solve runs numpy code); no solve loads
-# bench, gen, oracle or logging
+# bench, gen, oracle, dataclasses or logging
 SOLVE_CASES = {
     "opt-lor": (["uniform", "--m", "12"], _1D, False),
     "sweep-lor": (["uniform", "--m", "12"], _1D, False),
@@ -402,9 +422,10 @@ def test_numpy_loads_only_for_2d_scheduling_and_assignment(solver, tmp_path):
     # the arborescence and the assignment; gen loads exactly GEN_MODULES
     gen_args, modules, loads = SOLVE_CASES[solver]
     inst = str(tmp_path / "inst.json")
-    status, loaded = _loaded_after(["gen", *gen_args, "--seed", "5", "-o", inst])
-    assert status == 0 and loaded == GEN_MODULES
-    status, loaded = _loaded_after(
+    status, loaded, err = _loaded_after(["gen", *gen_args, "--seed", "5", "-o", inst])
+    assert status == 0 and err == GEN_STDERR[tuple(gen_args)]
+    assert loaded == GEN_MODULES + ["logging"] * bool(err)
+    status, loaded, _ = _loaded_after(
         ["solve", "--solver", solver, "-i", inst, "-o", str(tmp_path / "plan.json")])
     assert status == 0
     expected = {"lattice_rearrange", *(f"lattice_rearrange.{m}" for m in modules)}
@@ -445,17 +466,32 @@ def test_all_lists_every_public_name():
         assert not name.startswith("_") and name in vars(home)
 
 
+@pytest.mark.parametrize("gen_args", sorted(GEN_STDERR))
+def test_gen_loads_logging_only_to_warn(gen_args, tmp_path):
+    out = tmp_path / "inst.json"
+    status, loaded, err = _loaded_after(["gen", *gen_args, "--seed", "7", "-o", str(out)])
+    assert status == 0 and json.loads(out.read_text(encoding="utf-8"))
+    assert err == GEN_STDERR[gen_args]
+    assert loaded == GEN_MODULES + ["logging"] * bool(err)
+
+
 @pytest.mark.parametrize("argv,loads", [
     (["gen", "typed", "--m", "12", "--k", "3"], "gen"),
     (["oracle", "-i", "{inst}"], "oracle"),
     (["bench", "--experiment", "lor_ratio", "--sizes", "8", "--trials", "2"], "bench"),
+    (["validate", "--instance", "{inst}", "--plan", "{plan}"], "core"),
 ])
 def test_other_subcommands_import_what_they_run(argv, loads, tmp_path):
-    # gen, oracle and bench import their modules inside the command
+    # gen, oracle and bench import their modules inside the command; no
+    # subcommand loads dataclasses, and only gen loads logging, to warn that
+    # the blocks layout fell back
     inst = write_instance(tmp_path, "inst.json", CYCLE_INSTANCE)
-    argv = [a.format(inst=inst) for a in argv] + ["-o", str(tmp_path / "out")]
-    status, modules = _loaded_after(argv)
+    plan = write_instance(tmp_path, "plan.json", CYCLE_PLAN)
+    argv = [a.format(inst=inst, plan=plan) for a in argv] + ["-o", str(tmp_path / "out")]
+    status, modules, err = _loaded_after(argv)
     assert status == 0 and f"lattice_rearrange.{loads}" in modules
+    assert "dataclasses" not in modules
+    assert ("logging" in modules) == bool(err) == (argv[0] == "gen")
     assert (tmp_path / "out").read_text(encoding="utf-8")
 
 
@@ -496,8 +532,8 @@ class TestLazyExports:
 
 def _solved(inst):
     if inst.kind == "labeled":
-        return dataclasses.replace(inst, pi=tuple(range(1, inst.dims.n + 1)))
-    return dataclasses.replace(inst, start_types=inst.goal_types)
+        return LabeledInstance(inst.dims, tuple(range(1, inst.dims.n + 1)), inst.rest)
+    return TypedInstance(inst.dims, inst.k, inst.goal_types, inst.goal_types, inst.rest)
 
 
 def _typed(dims, k, seed):
@@ -526,7 +562,7 @@ def test_solve_writes_the_indent_2_json_bytes(solver, metric, costs, tmp_path, c
     model = CostModel(float(costs[0]), float(costs[1]), metric)
     base = WRITER_CASES[solver]()
     solved = _solved(base)
-    for inst in (base, dataclasses.replace(base, rest=base.dims.n // 2 + 1), solved):
+    for inst in (base, with_rest(base, base.dims.n // 2 + 1), solved):
         path = write_instance(tmp_path, "inst.json", instance_to_dict(inst))
         code, out, _ = run(capsys, "solve", "--solver", solver, "-i", path,
                            "--metric", metric, "--cp", costs[0], "--ct", costs[1])

@@ -13,7 +13,6 @@ typed instances, 1D and 2D lattices, both metrics and interior rest cells.
 The oracle's plan reconstruction is pinned the same way on tiny instances.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -37,11 +36,7 @@ from lattice_rearrange.gen import (
     gen_x_random,
 )
 from lattice_rearrange.oracle import oracle_optimal
-from conftest import dumps
-
-
-def _rest(inst, rest):
-    return dataclasses.replace(inst, rest=rest)
+from conftest import dumps, with_rest
 
 
 def _typed(dims, k, pattern, seed):
@@ -51,16 +46,16 @@ def _typed(dims, k, pattern, seed):
 
 INSTANCES = {
     "row-uniform": lambda: gen_uniform_permutation(40, 3),
-    "row-uniform-rest": lambda: _rest(gen_uniform_permutation(40, 4), 17),
+    "row-uniform-rest": lambda: with_rest(gen_uniform_permutation(40, 4), 17),
     "row-xrandom": lambda: gen_x_random(60, 7, 5),
     "row-typed": lambda: _typed(48, 4, "blocks", 6),
-    "row-typed-rest": lambda: _rest(_typed(48, 3, "blocks", 7), 30),
+    "row-typed-rest": lambda: with_rest(_typed(48, 3, "blocks", 7), 30),
     "grid-column": lambda: gen_column_random(6, 5, 8),
     "grid-block": lambda: gen_block_random(9, 9),
-    "grid-block-rest": lambda: _rest(gen_block_random(9, 10), 41),
+    "grid-block-rest": lambda: with_rest(gen_block_random(9, 10), 41),
     "grid-typed-blocks": lambda: _typed((8, 8), 4, "blocks", 11),
     "grid-typed-columns": lambda: _typed((6, 6), 6, "columns", 12),
-    "grid-typed-rest": lambda: _rest(_typed((6, 8), 4, "blocks", 13), 20),
+    "grid-typed-rest": lambda: with_rest(_typed((6, 8), 4, "blocks", 13), 20),
 }
 
 CASES = {
@@ -192,7 +187,7 @@ def test_solver_plan_digest(solver, name, metric):
 
 
 ORACLE_INSTANCES = {
-    "oracle-row": lambda: _rest(gen_uniform_permutation(5, 21), 3),
+    "oracle-row": lambda: with_rest(gen_uniform_permutation(5, 21), 3),
     "oracle-grid": lambda: gen_column_random(2, 3, 22),
     "oracle-typed": lambda: _typed((3, 2), 2, "columns", 23),
 }

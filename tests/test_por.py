@@ -1,6 +1,5 @@
 """Tests for the typed 1D planner and its phases."""
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -39,7 +38,7 @@ from lattice_rearrange.por import (
     opt_plan_por,
 )
 from lattice_rearrange.oracle import oracle_min_picks, oracle_optimal
-from conftest import reference_greedy_plan
+from conftest import reference_greedy_plan, with_rest
 
 
 def typ1d(k, start, goal):
@@ -928,5 +927,5 @@ def test_greedy_matches_reference(metric):
             rest = rng.randint(2, m1 - 1)
         else:
             rest = inst.dims.index(rng.randint(2, m1 - 1), rng.randint(2, m2 - 1))
-        for case in (inst, dataclasses.replace(inst, rest=rest)):
+        for case in (inst, with_rest(inst, rest)):
             assert greedy_plan(case, model) == reference_greedy_plan(case, model)

@@ -8,7 +8,6 @@ step sequences on small lattices.  A cell that is not an integer is an
 illegal step for simulate, reported at its index.
 """
 
-import dataclasses
 import math
 import random
 
@@ -32,7 +31,7 @@ from lattice_rearrange.gen import (
     gen_typed,
     gen_uniform_permutation,
 )
-from conftest import reference_simulate
+from conftest import reference_simulate, with_rest
 
 _ACTIONS = (Action.PICK, Action.SWAP, Action.PLACE)
 _MODELS = [CostModel(c_p=2.5, c_t=0.3, metric=metric) for metric in ("euclidean", "manhattan")]
@@ -50,20 +49,16 @@ def assert_same(inst, plan, model):
     assert outcome(simulate, inst, plan, model) == outcome(reference_simulate, inst, plan, model)
 
 
-def _rest(inst, rest):
-    return dataclasses.replace(inst, rest=rest)
-
-
 def _typed(dims, k, seed):
     n = dims if isinstance(dims, int) else dims[0] * dims[1]
     return gen_typed(dims, k, (n // k,) * k, GoalPattern("blocks"), seed)
 
 
-_LABELED_ROWS = [lambda s: _rest(gen_uniform_permutation(40, s), 17)]
-_TYPED_ROWS = [lambda s: _rest(_typed(24, 3, s), 9)]
-_LABELED_GRIDS = [lambda s: _rest(gen_block_random(16, s), 50),
-                  lambda s: _rest(gen_column_random(6, 4, s), 8)]
-_TYPED_GRIDS = [lambda s: _rest(_typed((6, 6), 4, s), 15)]
+_LABELED_ROWS = [lambda s: with_rest(gen_uniform_permutation(40, s), 17)]
+_TYPED_ROWS = [lambda s: with_rest(_typed(24, 3, s), 9)]
+_LABELED_GRIDS = [lambda s: with_rest(gen_block_random(16, s), 50),
+                  lambda s: with_rest(gen_column_random(6, 4, s), 8)]
+_TYPED_GRIDS = [lambda s: with_rest(_typed((6, 6), 4, s), 15)]
 _CASES = {
     "sweep-lor": _LABELED_ROWS, "opt-lor": _LABELED_ROWS,
     "opt-por": _TYPED_ROWS, "greedy-por": _TYPED_ROWS,
