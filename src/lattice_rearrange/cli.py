@@ -184,11 +184,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import oracle_optimal
+    from .oracle import DEFAULT_STATE_CAP, oracle_optimal
 
     inst = _load_instance(_read_text(args.input))
     objective = "lexicographic" if args.objective == "lex" else "total"
-    result = oracle_optimal(inst, _cost_model(args), objective, cap=args.cap)
+    cap = DEFAULT_STATE_CAP if args.cap is None else args.cap
+    result = oracle_optimal(inst, _cost_model(args), objective, cap=cap)
     cost = result.cost
     doc = {
         "format_version": FORMAT_VERSION,
@@ -276,8 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle", help="exhaustive optimum for small instances")
     oracle.add_argument("--objective", choices=("lex", "total"),
                         default="lex")
-    oracle.add_argument("--cap", type=int, default=50_000_000,
-                        help="state-expansion budget")
+    oracle.add_argument("--cap", type=int,
+                        help="most search states to store (default: oracle.DEFAULT_STATE_CAP)")
     _add_cost_flags(oracle)
     _add_io(oracle)
     oracle.set_defaults(func=_cmd_oracle)

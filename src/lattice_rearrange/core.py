@@ -122,6 +122,10 @@ class LatticeDims(_Value):
     m2: int
 
     def __init__(self, m1: int, m2: int):
+        try:
+            m1, m2 = index(m1), index(m2)
+        except TypeError:
+            raise ValueError(f"lattice dims must be integers, got {m1!r}x{m2!r}") from None
         if m1 < 1 or m2 < 1:
             raise ValueError(f"lattice dims must be positive, got {m1}x{m2}")
         _store(self, "m1", m1)
@@ -255,7 +259,8 @@ class TypedInstance(_Value):
     """Partially labeled instance over k interchangeable item types.
 
     start_types[i-1] / goal_types[i-1] give the type occupying / wanted at
-    cell i.  Any item of the right type satisfies a goal cell."""
+    cell i.  Any item of the right type satisfies a goal cell.  Ids pass
+    through operator.index and are stored as ints."""
 
     __slots__ = ("dims", "k", "start_types", "goal_types", "rest")
     dims: LatticeDims
@@ -276,10 +281,17 @@ class TypedInstance(_Value):
         if len(start_types) != n or len(goal_types) != n:
             raise TypeMismatch("start/goal arrays must cover every cell")
         try:
-            in_range = set(start_types).union(goal_types) <= set(range(1, k + 1))
-        except TypeError:  # an unhashable id: the loop names it as before
-            in_range = False
-        if not in_range:
+            start_types = tuple(map(index, start_types))
+            goal_types = tuple(map(index, goal_types))
+        except TypeError:
+            for side, types in (("start", start_types), ("goal", goal_types)):
+                for cell, t in enumerate(types, 1):
+                    try:
+                        index(t)
+                    except TypeError:
+                        raise TypeMismatch(f"type id {t!r} at {side} cell {cell} "
+                                           f"is not an integer") from None
+        if not set(start_types).union(goal_types) <= set(range(1, k + 1)):
             for t in start_types + goal_types:
                 if not 1 <= t <= k:
                     raise TypeMismatch(f"type id {t} outside 1..{k}")
@@ -539,17 +551,16 @@ FORMAT_VERSION = 1
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    """The instance document's fields.  Each array entry passes through
+    """The instance document's fields.  Each entry of pi passes through
     operator.index, so a bool or a numpy int that the constructor accepted
     is written as the JSON integer it stands for."""
-    d: dict = {"dims": [index(instance.dims.m1), index(instance.dims.m2)],
-               "kind": instance.kind}
+    d: dict = {"dims": [instance.dims.m1, instance.dims.m2], "kind": instance.kind}
     if isinstance(instance, LabeledInstance):
         d["pi"] = list(map(index, instance.pi))
     else:
         d["k"] = instance.k
-        d["start_types"] = list(map(index, instance.start_types))
-        d["goal_types"] = list(map(index, instance.goal_types))
+        d["start_types"] = list(instance.start_types)
+        d["goal_types"] = list(instance.goal_types)
     d["rest"] = instance.rest
     return d
 

@@ -391,10 +391,13 @@ def gen_typed(dims, k: int, counts, goal: GoalPattern, seed: int) -> TypedInstan
             raise BadCounts(
                 f"explicit goal covers {len(goal_types)} cells, lattice has {n}")
         have = [0] * k
-        for t in goal_types:
-            if not 1 <= t <= k:
-                raise BadCounts(f"goal type {t} outside 1..{k}")
-            have[t - 1] += 1
+        try:  # indexing `have` applies operator.index: a float id fails
+            for t in goal_types:
+                if not 1 <= t <= k:
+                    raise BadCounts(f"goal type {t} outside 1..{k}")
+                have[t - 1] += 1
+        except TypeError:
+            raise BadCounts(f"goal type {t!r} is not an integer") from None
         if tuple(have) != counts:
             raise BadCounts("explicit goal multiset disagrees with counts")
     else:

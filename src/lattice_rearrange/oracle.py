@@ -14,12 +14,17 @@ mismatch count changes by at most one per unit pick cost, and the
 distance-to-rest term obeys the triangle inequality.  Frontier ties break on
 the packed state integer, so reruns explore in the same order and return
 byte-identical plans.
+
+One table holds each reached state's best cost and the step that reached
+it, and `cap` bounds its entries.  By consistency an expanded state's entry
+never improves by more than the quantum, so every later path to it fails
+the dominance test.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
+from operator import mul, ne
 
 from .core import (
     Action,
@@ -36,12 +41,12 @@ from .core import (
 )
 from .graphs import _find, permutation_cycles
 
-DEFAULT_STATE_CAP = 50_000_000
+DEFAULT_STATE_CAP = 1_000_000  # table entries; about 350 bytes of RSS each
 _Q = 1e-9  # travel comparison quantum
 
 
 class TooLarge(RearrangeError):
-    """The instance's state space exceeds the configured cap."""
+    """The search would store more states than the configured cap."""
 
 
 class OracleResult(_Value):
@@ -52,16 +57,6 @@ class OracleResult(_Value):
     def __init__(self, plan: Plan, cost: PlanCost):
         _store(self, "plan", plan)
         _store(self, "cost", cost)
-
-
-def state_space_estimate(instance: Instance) -> int:
-    """Upper-bound estimate: arrangements x (n+1) held options x n positions."""
-    n = instance.dims.n
-    arrangements = math.factorial(n)
-    if not isinstance(instance, LabeledInstance):
-        for t in range(1, instance.k + 1):
-            arrangements //= math.factorial(instance.start_types.count(t))
-    return arrangements * (n + 1) * n
 
 
 def oracle_min_picks(instance: Instance) -> int:
@@ -96,15 +91,12 @@ def oracle_optimal(instance: Instance,
                    heuristic: bool = True) -> OracleResult:
     """Optimal plan by exhaustive state-space search.
 
-    Raises TooLarge when the state-space estimate exceeds `cap`.  The
-    `heuristic` knob lets tests cross-check A* against plain uniform-cost
-    search; both must return the same cost.
+    Raises TooLarge when the search would store more than `cap` states.
+    The `heuristic` knob lets tests cross-check A* against plain
+    uniform-cost search; both must return the same cost.
     """
     if objective not in ("lexicographic", "total"):
         raise ValueError(f"unknown objective {objective!r}")
-    estimate = state_space_estimate(instance)
-    if estimate > cap:
-        raise TooLarge(f"state space estimate {estimate} exceeds cap {cap}")
 
     dims = instance.dims
     n = dims.n
@@ -119,16 +111,10 @@ def oracle_optimal(instance: Instance,
     d = _cell_distance(dims, model)
     # dist[a][b] for cells a and b; row 0 and column 0 pad the 1-based index
     dist = [[0.0] * (n + 1)] + [[0.0] + [d(a, b) for b in dims.cells()] for a in dims.cells()]
-    to_rest = [dist[c][rest] if c else 0.0 for c in range(n + 1)]
+    to_rest = [row[rest] for row in dist]
 
     # state = ((sum_i config[i] * base^i) * base + held) * n + (pos - 1)
     digit_weight = [base ** i * base * n for i in range(n)]
-
-    def pack(config, held, pos):
-        code = 0
-        for x in reversed(config):
-            code = code * base + x
-        return (code * base + held) * n + (pos - 1)
 
     def unpack(state):
         state, p = divmod(state, n)
@@ -146,34 +132,30 @@ def oracle_optimal(instance: Instance,
             return picks + mism, round((travel + back) / _Q)
         return round((picks * cp + travel * ct + mism * cp + back * ct) / _Q)
 
-    use_h = heuristic
-    start_state = pack(start_config, 0, rest)
-    mism0 = sum(1 for c, g in zip(start_config, goal) if c != g)
-    k0 = priority(0, 0.0, mism0, to_rest[rest]) if use_h else priority(0, 0.0, 0, 0.0)
+    start_state = sum(map(mul, start_config, digit_weight)) + rest - 1
+    mism0 = sum(map(ne, start_config, goal))
+    k0 = priority(0, 0.0, mism0, to_rest[rest]) if heuristic else priority(0, 0.0, 0, 0.0)
     # heap entries: (key, state, picks, travel)
     heap = [(k0, start_state, 0, 0.0)]
-    best_g: dict[int, tuple[int, float]] = {start_state: (0, 0.0)}
-    parents: dict[int, tuple[int, int, Action]] = {}
-    closed: set[int] = set()
+    # table[state] = (picks, travel, parent state, cell, action) of the best
+    # path stored so far; the start state has no parent
+    table: dict[int, tuple] = {start_state: (0, 0.0, None, 0, None)}
 
     while heap:
         _, state, g_picks, g_travel = heapq.heappop(heap)
-        if state in closed:
-            continue
-        closed.add(state)
+        known = table[state]
+        if known[0] != g_picks or known[1] != g_travel:
+            continue  # stale: a cheaper path to state was stored since
         config, held, pos = unpack(state)
-        mism = 0
-        for c, g in zip(config, goal):
-            if c != g:
-                mism += 1
+        mism = sum(map(ne, config, goal))
         if held == 0 and mism == 0:
             travel = g_travel + to_rest[pos]
             cells, actions = [], []
-            s = state
-            while s in parents:
-                s, cell, act = parents[s]
+            _, _, s, cell, act = known
+            while s is not None:
                 cells.append(cell)
                 actions.append(act)
+                _, _, s, cell, act = table[s]
             return OracleResult(Plan.from_columns(reversed(cells), reversed(actions)),
                                 PlanCost(g_picks, travel, g_picks * cp + travel * ct))
         drow = dist[pos]
@@ -193,21 +175,20 @@ def oracle_optimal(instance: Instance,
                 new_held, new_occ = 0, held
             nstate = (state + (new_occ - occ) * digit_weight[cell - 1]
                       + (new_held - held) * n + (cell - pos))
-            if nstate in closed:
-                continue
             ng_travel = g_travel + drow[cell]
-            known = best_g.get(nstate)
-            if known is not None:
-                if lexicographic:
-                    if ng_picks > known[0] or (ng_picks == known[0]
-                                               and ng_travel >= known[1] - _Q):
-                        continue
-                elif ng_picks * cp + ng_travel * ct >= known[0] * cp + known[1] * ct - _Q:
+            known = table.get(nstate)
+            if known is None:
+                if len(table) >= cap:
+                    raise TooLarge(f"search would store more than {cap} states")
+            elif lexicographic:
+                if ng_picks > known[0] or (ng_picks == known[0]
+                                           and ng_travel >= known[1] - _Q):
                     continue
-            best_g[nstate] = (ng_picks, ng_travel)
-            parents[nstate] = (state, cell, act)
+            elif ng_picks * cp + ng_travel * ct >= known[0] * cp + known[1] * ct - _Q:
+                continue
+            table[nstate] = (ng_picks, ng_travel, state, cell, act)
             g_cell = goal[cell - 1]
-            if use_h:
+            if heuristic:
                 new_mism = mism - (occ != g_cell) + (new_occ != g_cell)
                 back = to_rest[cell]
             else:

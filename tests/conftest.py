@@ -16,10 +16,15 @@ greedy plans.  ReferenceSplitMix64 carries SplitMix64's below and shuffle
 as they stood before shuffle's draws were inlined: every draw one next_u64
 call, checked against the exact rejection limit; test_gen compares the
 streams, the shuffled lists and every generator's output against it.
+reference_oracle_optimal is oracle_optimal as it stood before its search
+moved into one state table counted by `cap`: best_g, parents and a closed
+set, behind an up-front n!-based refusal; test_oracle compares plans and
+costs with == on a corpus of small rows and grids.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from itertools import count
@@ -35,11 +40,14 @@ from lattice_rearrange.core import (
     LatticeDims,
     Plan,
     PlanCost,
+    RearrangeError,
     SimResult,
     TypedInstance,
+    _cell_distance,
     _manhattan_leg,
 )
 from lattice_rearrange.gen import SplitMix64
+from lattice_rearrange.oracle import _Q, OracleResult, TooLarge
 
 
 class ReferenceSplitMix64(SplitMix64):
@@ -239,3 +247,146 @@ def reference_simulate(instance: Instance, plan: Plan, model: CostModel = DEFAUL
     picks = len(plan)
     cost = PlanCost(picks, travel, picks * model.c_p + travel * model.c_t)
     return SimResult(tuple(config), cost)
+
+
+# oracle_optimal as it stood with three per-state structures (best_g,
+# parents, closed) and the n! state-space estimate as its size gate
+REFERENCE_STATE_CAP = 50_000_000
+
+
+def reference_state_space_estimate(instance: Instance) -> int:
+    """Upper-bound estimate: arrangements x (n+1) held options x n positions."""
+    n = instance.dims.n
+    arrangements = math.factorial(n)
+    if not isinstance(instance, LabeledInstance):
+        for t in range(1, instance.k + 1):
+            arrangements //= math.factorial(instance.start_types.count(t))
+    return arrangements * (n + 1) * n
+
+
+def reference_oracle_optimal(instance: Instance,
+                             model: CostModel = DEFAULT_COST,
+                             objective: str = "lexicographic",
+                             cap: int = REFERENCE_STATE_CAP,
+                             heuristic: bool = True) -> OracleResult:
+    """Optimal plan by exhaustive state-space search.
+
+    Raises TooLarge when the state-space estimate exceeds `cap`.  The
+    `heuristic` knob lets tests cross-check A* against plain uniform-cost
+    search; both must return the same cost.
+    """
+    if objective not in ("lexicographic", "total"):
+        raise ValueError(f"unknown objective {objective!r}")
+    estimate = reference_state_space_estimate(instance)
+    if estimate > cap:
+        raise TooLarge(f"state space estimate {estimate} exceeds cap {cap}")
+
+    dims = instance.dims
+    n = dims.n
+    rest = instance.rest
+    goal = list(instance.goal_config())
+    start_config = list(instance.start_config())
+    base = max(start_config) + 1  # digit base for packing occupants
+    lexicographic = objective == "lexicographic"
+    cp, ct = model.c_p, model.c_t
+    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
+
+    d = _cell_distance(dims, model)
+    # dist[a][b] for cells a and b; row 0 and column 0 pad the 1-based index
+    dist = [[0.0] * (n + 1)] + [[0.0] + [d(a, b) for b in dims.cells()] for a in dims.cells()]
+    to_rest = [dist[c][rest] if c else 0.0 for c in range(n + 1)]
+
+    # state = ((sum_i config[i] * base^i) * base + held) * n + (pos - 1)
+    digit_weight = [base ** i * base * n for i in range(n)]
+
+    def pack(config, held, pos):
+        code = 0
+        for x in reversed(config):
+            code = code * base + x
+        return (code * base + held) * n + (pos - 1)
+
+    def unpack(state):
+        state, p = divmod(state, n)
+        state, held = divmod(state, base)
+        config = []
+        for _ in range(n):
+            state, d = divmod(state, base)
+            config.append(d)
+        return config, held, p + 1
+
+    def priority(picks, travel, mism, back):
+        # cost so far plus the heuristic's rest of it, rounded to _Q; the
+        # total objective's key stays a bare int, which the heap compares faster
+        if lexicographic:
+            return picks + mism, round((travel + back) / _Q)
+        return round((picks * cp + travel * ct + mism * cp + back * ct) / _Q)
+
+    use_h = heuristic
+    start_state = pack(start_config, 0, rest)
+    mism0 = sum(1 for c, g in zip(start_config, goal) if c != g)
+    k0 = priority(0, 0.0, mism0, to_rest[rest]) if use_h else priority(0, 0.0, 0, 0.0)
+    # heap entries: (key, state, picks, travel)
+    heap = [(k0, start_state, 0, 0.0)]
+    best_g: dict[int, tuple[int, float]] = {start_state: (0, 0.0)}
+    parents: dict[int, tuple[int, int, Action]] = {}
+    closed: set[int] = set()
+
+    while heap:
+        _, state, g_picks, g_travel = heapq.heappop(heap)
+        if state in closed:
+            continue
+        closed.add(state)
+        config, held, pos = unpack(state)
+        mism = 0
+        for c, g in zip(config, goal):
+            if c != g:
+                mism += 1
+        if held == 0 and mism == 0:
+            travel = g_travel + to_rest[pos]
+            cells, actions = [], []
+            s = state
+            while s in parents:
+                s, cell, act = parents[s]
+                cells.append(cell)
+                actions.append(act)
+            return OracleResult(Plan.from_columns(reversed(cells), reversed(actions)),
+                                PlanCost(g_picks, travel, g_picks * cp + travel * ct))
+        drow = dist[pos]
+        ng_picks = g_picks + 1
+        for cell in range(1, n + 1):
+            occ = config[cell - 1]
+            if held == 0:
+                if occ == 0:
+                    continue
+                act = pick
+                new_held, new_occ = occ, 0
+            elif occ != 0:
+                act = swap
+                new_held, new_occ = occ, held
+            else:
+                act = place
+                new_held, new_occ = 0, held
+            nstate = (state + (new_occ - occ) * digit_weight[cell - 1]
+                      + (new_held - held) * n + (cell - pos))
+            if nstate in closed:
+                continue
+            ng_travel = g_travel + drow[cell]
+            known = best_g.get(nstate)
+            if known is not None:
+                if lexicographic:
+                    if ng_picks > known[0] or (ng_picks == known[0]
+                                               and ng_travel >= known[1] - _Q):
+                        continue
+                elif ng_picks * cp + ng_travel * ct >= known[0] * cp + known[1] * ct - _Q:
+                    continue
+            best_g[nstate] = (ng_picks, ng_travel)
+            parents[nstate] = (state, cell, act)
+            g_cell = goal[cell - 1]
+            if use_h:
+                new_mism = mism - (occ != g_cell) + (new_occ != g_cell)
+                back = to_rest[cell]
+            else:
+                new_mism, back = 0, 0.0
+            heapq.heappush(heap, (priority(ng_picks, ng_travel, new_mism, back),
+                                  nstate, ng_picks, ng_travel))
+    raise RearrangeError("search exhausted without reaching the goal")

@@ -467,12 +467,43 @@ def test_typed_k_takes_bools_and_numpy_ints_as_their_integer():
         TypedInstance(LatticeDims(4, 1), False, (1, 1, 1, 1), (1, 1, 1, 1))
 
 
+def test_type_ids_are_stored_as_ints():
+    inst = TypedInstance(LatticeDims(3, 1), 2, (True, np.int64(2), 2), [2, 1, np.int32(2)])
+    assert inst.start_types == (1, 2, 2) and inst.goal_types == (2, 1, 2)
+    assert {type(t) for t in inst.start_types + inst.goal_types} == {int}
+    assert instance_from_dict(json.loads(instance_to_json(inst))) == inst
+
+
+@pytest.mark.parametrize("m1", [2.5, 2.0, "2", None])
+def test_lattice_dims_must_be_integers(m1):
+    with pytest.raises(ValueError, match="lattice dims must be integers"):
+        LatticeDims(m1, 1)
+    with pytest.raises(ValueError, match=f"got 1x{m1!r}"):
+        LatticeDims(1, m1)
+
+
+def test_lattice_dims_store_bools_and_numpy_ints_as_ints():
+    for m1, m2, want in ((True, 2, (1, 2)), (np.int64(3), np.int32(2), (3, 2))):
+        dims = LatticeDims(m1, m2)
+        assert (dims.m1, dims.m2) == want
+        assert type(dims.m1) is int and type(dims.m2) is int
+        assert list(dims.cells()) == list(range(1, want[0] * want[1] + 1))
+
+
 def _reference_type_ids(start, goal, k):
     """TypedInstance's type-id check as a loop over every id, as it stood
     before the set test went first."""
     for t in start + goal:
         if not 1 <= t <= k:
             raise TypeMismatch(f"type id {t} outside 1..{k}")
+
+
+def _first_non_integer_id(start, goal):
+    for side, types in (("start", start), ("goal", goal)):
+        for cell, t in enumerate(types, 1):
+            if not isinstance(t, int):
+                return f"type id {t!r} at {side} cell {cell} is not an integer"
+    return None
 
 
 NAN = float("nan")
@@ -490,8 +521,18 @@ NAN = float("nan")
     ((1, [2], 2), (1, 2, [2])),
     ((1.0, True, 2), (1, 1, 2)),
     ((2, 1, 1), (1, 2, 1)),
+    ((1, 2.0, 2), (1, 2, 2)),
+    ((1, 2, 2), (2, 1, NAN)),
 ])
 def test_type_ids_fail_as_the_loop_failed(start, goal):
+    # a non-integer id is refused by name at its first cell, start before
+    # goal; integer ids fail as the reference loop fails
+    bad = _first_non_integer_id(start, goal)
+    if bad is not None:
+        with pytest.raises(TypeMismatch) as got:
+            TypedInstance(LatticeDims(3, 1), 2, start, goal)
+        assert str(got.value) == bad
+        return
     try:
         _reference_type_ids(start, goal, 2)
     except (TypeMismatch, TypeError) as exc:

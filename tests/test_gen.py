@@ -487,6 +487,12 @@ class TestTyped:
         with pytest.raises(BadCounts):
             gen_typed(4, 2, (3, 1), GoalPattern("explicit", (2, 1, 1, 2)), 0)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2", None])
+    def test_explicit_goal_ids_must_be_integers(self, bad):
+        # the count loop indexes a list, which refuses a non-integer id
+        with pytest.raises(BadCounts, match=f"goal type {bad!r} is not an integer"):
+            gen_typed(4, 2, (2, 2), GoalPattern("explicit", (1, bad, 2, 2)), 1)
+
     def test_pattern_infeasible(self):
         # structured patterns demand equal counts; columns also needs k
         # to equal the column count

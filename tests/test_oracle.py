@@ -18,14 +18,14 @@ from lattice_rearrange import (
     TypedInstance,
     simulate,
 )
+from lattice_rearrange.lor import opt_plan_lor
 from lattice_rearrange.oracle import (
     TooLarge,
     oracle_min_picks,
     oracle_optimal,
-    state_space_estimate,
 )
 
-from conftest import apply_plan_by_hand
+from conftest import apply_plan_by_hand, reference_oracle_optimal
 
 
 def lab1d(*pi, rest=1):
@@ -267,16 +267,85 @@ def test_manhattan_metric_2d():
     assert man.cost.travel == pytest.approx(4.0)
 
 
+# --- one state table against the three-structure search --------------------
+
+MODELS = (CostModel(), CostModel(metric="manhattan"), CostModel(c_p=0.3, c_t=2.0))
+OBJECTIVES = ("lexicographic", "total")
+
+
+def _assert_same_as_reference(inst, models=MODELS, heuristics=(True, False)):
+    for model in models:
+        for objective in OBJECTIVES:
+            for heuristic in heuristics:
+                got = oracle_optimal(inst, model, objective, heuristic=heuristic)
+                want = reference_oracle_optimal(inst, model, objective, heuristic=heuristic)
+                assert got.plan == want.plan, (inst, model, objective, heuristic)
+                assert got.cost == want.cost, (inst, model, objective, heuristic)
+
+
+def test_rows_match_the_reference_search():
+    # every labeled row with n <= 4 at every rest cell
+    for n in range(1, 5):
+        for pi in itertools.permutations(range(1, n + 1)):
+            for rest in range(1, n + 1):
+                _assert_same_as_reference(lab1d(*pi, rest=rest))
+
+
+def test_grids_match_the_reference_search():
+    # seeded 2x3 grids at random rest cells; uniform-cost search on a
+    # labeled grid is the slow case, so it runs under the default model only
+    rng = random.Random(26)
+    dims = LatticeDims(2, 3)
+    for _ in range(6):
+        pi = list(range(1, 7))
+        rng.shuffle(pi)
+        labeled = LabeledInstance(dims, tuple(pi), rng.randint(1, 6))
+        goal = [rng.randint(1, 3) for _ in range(6)]
+        start = goal[:]
+        rng.shuffle(start)
+        typed = TypedInstance(dims, max(goal), tuple(start), tuple(goal), rng.randint(1, 6))
+        for inst in (labeled, typed):
+            _assert_same_as_reference(inst, heuristics=(True,))
+            _assert_same_as_reference(inst, models=MODELS[:1], heuristics=(False,))
+
+
+def test_ten_cell_rows_solve_under_the_default_cap():
+    # these searches store at most about 10^5 states, a tenth of the cap
+    rng = random.Random(10)
+    for _ in range(8):
+        pi = list(range(1, 11))
+        rng.shuffle(pi)
+        inst = lab1d(*pi)
+        res = oracle_optimal(inst)
+        opt = simulate(inst, opt_plan_lor(inst)).cost
+        assert (res.cost.picks, res.cost.travel) == (opt.picks, opt.travel), pi
+
+
 # --- guard rails ------------------------------------------------------------
-
-def test_state_space_estimate():
-    assert state_space_estimate(lab1d(2, 1, 3)) == 6 * 4 * 3
-    assert state_space_estimate(typ1d(2, (1, 1, 2), (1, 2, 1))) == 3 * 4 * 3
-
 
 def test_cap_raises_too_large():
     with pytest.raises(TooLarge):
         oracle_optimal(lab1d(2, 1, 3), cap=10)
+
+
+def _solves(inst, cap):
+    try:
+        oracle_optimal(inst, cap=cap)
+    except TooLarge:
+        return False
+    return True
+
+
+def test_cap_counts_stored_states():
+    # on (2, 1) the search pops five states before the goal and stores ten:
+    # the start, two picks, four swaps and three places (traced by hand).
+    # Expansion order is fixed, so exactly that cap separates refusal from
+    # a solve.
+    inst = lab1d(2, 1)
+    assert not any(_solves(inst, cap) for cap in range(10))
+    with pytest.raises(TooLarge, match="more than 9 states"):
+        oracle_optimal(inst, cap=9)
+    assert oracle_optimal(inst, cap=10) == oracle_optimal(inst)
 
 
 def test_unknown_objective_rejected():
