@@ -45,40 +45,91 @@ from .lattice2d import (
 from .lor import opt_plan_lor, sweep_cycles_lor
 from .por import greedy_por, opt_plan_por
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentReport",
-    "ExperimentSpec",
-    "ReportRow",
-    "report_to_csv",
-    "report_to_json",
-    "run_experiment",
-]
 
-# experiment id -> (allowed distributions, default distribution, statistics)
-EXPERIMENTS = {
-    "lor_ratio": (
-        ("uniform", "10-random", "sqrt-random"), "uniform",
-        ("opt_travel_over_m_squared",)),
-    "lor_greedy_vs_opt": (
-        ("uniform", "10-random", "sqrt-random"), "uniform",
-        ("sweep_over_opt_travel",)),
-    "ltr_cycle_dist": (
-        ("uniform", "column-random", "block-random"), "uniform",
-        ("cycle_distance_stat",)),
-    "ltr_total_vs_cycles": (
-        ("uniform", "column-random", "block-random"), "uniform",
-        ("sweep_total_over_cycle_edges", "switch_total_over_cycle_edges")),
-    "por_ratios": (
-        ("typed-k4",), "typed-k4",
-        ("greedy_over_opt_travel", "greedy_over_opt_picks")),
-    "ptr_ratios": (
-        ("typed-k4", "pattern-a", "pattern-b"), "pattern-a",
-        ("greedy_over_plan_travel", "greedy_over_plan_picks")),
-    "cycle_stats": (
-        ("uniform", "10-random", "sqrt-random"), "uniform",
-        ("cycle_count", "opt_picks", "opt_travel")),
+def _typed_quarters(dims: LatticeDims, seed: int) -> TypedInstance:
+    # k=4, contiguous index runs as the (aggregated) goal
+    counts = _even_counts(dims, 4)
+    goal = tuple(t + 1 for t in range(4) for _ in range(counts[t]))
+    return gen_typed(dims, 4, counts, GoalPattern("explicit", goal), seed)
+
+
+def _square_types(pattern: str):
+    # size types of size items on a size x size grid, goal laid out by pattern
+    return lambda size, seed: gen_typed(
+        LatticeDims(size, size), size, (size,) * size, GoalPattern(pattern), seed)
+
+
+def _ratio(num: float, den: float) -> float:
+    # a pair of zero-cost plans counts as a perfect tie
+    return 1.0 if den == 0 else num / den
+
+
+def _travel(inst, planner) -> float:
+    return plan_cost(inst, planner(inst)).travel
+
+
+def _ratios(greedy, planner):
+    # greedy's travel and picks over planner's
+    def trial(inst) -> tuple:
+        base, planned = plan_cost(inst, greedy(inst)), plan_cost(inst, planner(inst))
+        return _ratio(base.travel, planned.travel), _ratio(base.picks, planned.picks)
+    return trial
+
+
+def _total_vs_cycles(inst) -> tuple:
+    edges = cycle_edge_length(inst)
+    return (_ratio(_travel(inst, sweep_cycles_ltr), edges),
+            _ratio(_travel(inst, switch_cycles_ltr), edges))
+
+
+def _cycle_stats(inst) -> tuple:
+    cs = permutation_cycles(inst.pi)
+    cost = plan_cost(inst, opt_plan_lor(inst))
+    return float(len(cs.cycles) + len(cs.fixed_points)), float(cost.picks), cost.travel
+
+
+# the labeled distributions over size-cell rows and size x size grids
+_ROWS = {
+    "uniform": gen_uniform_permutation,
+    "10-random": lambda size, seed: gen_x_random(size, 10, seed),
+    "sqrt-random": lambda size, seed: gen_x_random(size, max(1, math.isqrt(size)), seed),
 }
+_GRIDS = {
+    "uniform": lambda size, seed: LabeledInstance(
+        LatticeDims(size, size), gen_uniform_permutation(size * size, seed).pi),
+    "column-random": lambda size, seed: gen_column_random(size, size, seed),
+    "block-random": gen_block_random,
+}
+
+# experiment id -> (distributions, statistics, trial).  distributions maps
+# each allowed name to a (size, seed) -> instance maker, the default first;
+# trial maps an instance to one value per statistic.
+EXPERIMENTS = {
+    "lor_ratio": (_ROWS, ("opt_travel_over_m_squared",),
+                  lambda inst: (_travel(inst, opt_plan_lor) / inst.dims.n ** 2,)),
+    "lor_greedy_vs_opt": (_ROWS, ("sweep_over_opt_travel",), lambda inst: (
+        _ratio(_travel(inst, sweep_cycles_lor), _travel(inst, opt_plan_lor)),)),
+    "ltr_cycle_dist": (_GRIDS, ("cycle_distance_stat",),
+                       lambda inst: (cycle_distance_statistic(inst),)),
+    "ltr_total_vs_cycles": (
+        _GRIDS, ("sweep_total_over_cycle_edges", "switch_total_over_cycle_edges"),
+        _total_vs_cycles),
+    "por_ratios": (
+        {"typed-k4": lambda size, seed: _typed_quarters(LatticeDims(size, 1), seed)},
+        ("greedy_over_opt_travel", "greedy_over_opt_picks"), _ratios(greedy_por, opt_plan_por)),
+    "ptr_ratios": (
+        {"pattern-a": _square_types("blocks"), "pattern-b": _square_types("columns"),
+         "typed-k4": lambda size, seed: _typed_quarters(LatticeDims(size, size), seed)},
+        ("greedy_over_plan_travel", "greedy_over_plan_picks"), _ratios(greedy_2d, plan_ptr)),
+    "cycle_stats": (_ROWS, ("cycle_count", "opt_picks", "opt_travel"), _cycle_stats),
+}
+
+
+def _int(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: expected an integer, got {value!r}") from None
 
 
 class ExperimentSpec(_Value):
@@ -95,26 +146,27 @@ class ExperimentSpec(_Value):
                  distribution: str | None = None, seed: int = 0):
         if experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {experiment!r}")
-        sizes = tuple(sizes)
+        sizes = tuple(_int("sizes", s) for s in sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError(f"sizes must be positive, got {sizes!r}")
+        trials = _int("trials", trials)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        allowed, default, _ = EXPERIMENTS[experiment]
-        dist = distribution if distribution is not None else default
-        if dist not in allowed:
+        distributions = EXPERIMENTS[experiment][0]
+        dist = next(iter(distributions)) if distribution is None else distribution
+        if dist not in distributions:
             raise ValueError(
                 f"distribution {dist!r} not valid for {experiment!r} "
-                f"(allowed: {', '.join(allowed)})")
+                f"(allowed: {', '.join(distributions)})")
         _store(self, "experiment", experiment)
         _store(self, "sizes", sizes)
         _store(self, "trials", trials)
         _store(self, "distribution", dist)
-        _store(self, "seed", seed)
+        _store(self, "seed", _int("seed", seed))
 
     @property
     def statistics(self) -> tuple:
-        return EXPERIMENTS[self.experiment][2]
+        return EXPERIMENTS[self.experiment][1]
 
 
 class ReportRow(_Value):
@@ -161,73 +213,12 @@ class ExperimentReport(_Value):
         return self.spec, self.rows, self.failures
 
 
-def _typed_quarters(dims: LatticeDims, seed: int) -> TypedInstance:
-    # k=4, contiguous index runs as the (aggregated) goal
-    counts = _even_counts(dims, 4)
-    goal = tuple(t + 1 for t in range(4) for _ in range(counts[t]))
-    return gen_typed(dims, 4, counts, GoalPattern("explicit", goal), seed)
-
-
 def _make_instance(spec: ExperimentSpec, size: int, seed: int):
-    dist = spec.distribution
-    if spec.experiment in ("lor_ratio", "lor_greedy_vs_opt", "cycle_stats"):
-        if dist == "uniform":
-            return gen_uniform_permutation(size, seed)
-        if dist == "10-random":
-            return gen_x_random(size, 10, seed)
-        return gen_x_random(size, max(1, math.isqrt(size)), seed)
-    if spec.experiment in ("ltr_cycle_dist", "ltr_total_vs_cycles"):
-        if dist == "uniform":
-            return LabeledInstance(LatticeDims(size, size),
-                                   gen_uniform_permutation(size * size, seed).pi)
-        if dist == "column-random":
-            return gen_column_random(size, size, seed)
-        return gen_block_random(size, seed)
-    if spec.experiment == "por_ratios":
-        return _typed_quarters(LatticeDims(size, 1), seed)
-    # ptr_ratios
-    dims = LatticeDims(size, size)
-    if dist == "typed-k4":
-        return _typed_quarters(dims, seed)
-    pattern = GoalPattern("blocks" if dist == "pattern-a" else "columns")
-    return gen_typed(dims, size, (size,) * size, pattern, seed)
-
-
-def _ratio(num: float, den: float) -> float:
-    # a pair of zero-cost plans counts as a perfect tie
-    return 1.0 if den == 0 else num / den
+    return EXPERIMENTS[spec.experiment][0][spec.distribution](size, seed)
 
 
 def _trial_values(spec: ExperimentSpec, inst) -> tuple:
-    exp = spec.experiment
-    if exp == "lor_ratio":
-        travel = plan_cost(inst, opt_plan_lor(inst)).travel
-        return (travel / (inst.dims.n ** 2),)
-    if exp == "lor_greedy_vs_opt":
-        sweep = plan_cost(inst, sweep_cycles_lor(inst)).travel
-        opt = plan_cost(inst, opt_plan_lor(inst)).travel
-        return (_ratio(sweep, opt),)
-    if exp == "ltr_cycle_dist":
-        return (cycle_distance_statistic(inst),)
-    if exp == "ltr_total_vs_cycles":
-        edges = cycle_edge_length(inst)
-        sweep = plan_cost(inst, sweep_cycles_ltr(inst)).travel
-        switch = plan_cost(inst, switch_cycles_ltr(inst)).travel
-        return (_ratio(sweep, edges), _ratio(switch, edges))
-    if exp == "por_ratios":
-        greedy = plan_cost(inst, greedy_por(inst))
-        opt = plan_cost(inst, opt_plan_por(inst))
-        return (_ratio(greedy.travel, opt.travel), _ratio(greedy.picks, opt.picks))
-    if exp == "ptr_ratios":
-        greedy = plan_cost(inst, greedy_2d(inst))
-        planned = plan_cost(inst, plan_ptr(inst))
-        return (_ratio(greedy.travel, planned.travel),
-                _ratio(greedy.picks, planned.picks))
-    # cycle_stats
-    cs = permutation_cycles(inst.pi)
-    count = len(cs.cycles) + len(cs.fixed_points)
-    cost = plan_cost(inst, opt_plan_lor(inst))
-    return (float(count), float(cost.picks), cost.travel)
+    return EXPERIMENTS[spec.experiment][2](inst)
 
 
 def _mean_std(values) -> tuple:
@@ -244,28 +235,23 @@ def _mean_std(values) -> tuple:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run every (size, trial) cell and aggregate by fixed trial order."""
     t0 = time.perf_counter()
-    rows = []
-    failures = []
+    rows, failures = [], []
     names = spec.statistics
     for size in spec.sizes:
         samples = [[] for _ in names]
         for trial in range(spec.trials):
             trial_seed = derive_seed(spec.seed, spec.experiment, size, trial)
             try:
-                inst = _make_instance(spec, size, trial_seed)
-                values = _trial_values(spec, inst)
+                values = _trial_values(spec, _make_instance(spec, size, trial_seed))
             except Exception as exc:  # record and keep going
                 failures.append((size, trial, f"{type(exc).__name__}: {exc}"))
                 continue
             for bucket, value in zip(samples, values):
                 bucket.append(value)
         for name, bucket in zip(names, samples):
-            if not bucket:
-                continue
-            mean, std = _mean_std(bucket)
-            rows.append(ReportRow(size, name, mean, std, len(bucket), spec.seed))
-    return ExperimentReport(spec, tuple(rows), tuple(failures),
-                            time.perf_counter() - t0)
+            if bucket:
+                rows.append(ReportRow(size, name, *_mean_std(bucket), len(bucket), spec.seed))
+    return ExperimentReport(spec, tuple(rows), tuple(failures), time.perf_counter() - t0)
 
 
 def report_to_csv(report: ExperimentReport) -> str:
@@ -285,11 +271,7 @@ def report_to_json(report: ExperimentReport) -> str:
         "sizes": list(spec.sizes),
         "trials": spec.trials,
         "seed": spec.seed,
-        "rows": [
-            {"size": r.size, "statistic": r.statistic, "mean": r.mean,
-             "std": r.std, "trials": r.trials, "seed": r.seed}
-            for r in report.rows
-        ],
+        "rows": [dict(zip(r._fields, r._values())) for r in report.rows],
         "failures": [
             {"size": s, "trial": t, "error": msg}
             for s, t, msg in report.failures

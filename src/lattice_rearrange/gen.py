@@ -22,27 +22,9 @@ import math
 import sys
 from array import array
 from itertools import chain
+from operator import index
 
 from .core import LabeledInstance, LatticeDims, RearrangeError, TypedInstance, _Value, _store
-
-__all__ = [
-    "BadCounts",
-    "ClusterOverlap",
-    "GoalPattern",
-    "NotPerfectSquare",
-    "PatternInfeasible",
-    "PointOnBoundary",
-    "SplitMix64",
-    "derive_seed",
-    "gen_block_random",
-    "gen_column_random",
-    "gen_tsp_clusters",
-    "gen_typed",
-    "gen_uniform_permutation",
-    "gen_x_random",
-    "pattern_blocks_types",
-    "pattern_columns_types",
-]
 
 
 class NotPerfectSquare(RearrangeError):
@@ -204,7 +186,9 @@ def derive_seed(seed: int, *parts) -> int:
     """Fold labeled parts (ints or strings) into a child seed.
 
     Lets one master seed drive many independent streams: each distinct
-    (seed, parts) tuple lands on its own SplitMix64 starting point.
+    (seed, parts) tuple lands on its own SplitMix64 starting point.  Int
+    parts pass through operator.index, so a float part raises TypeError
+    instead of sharing the stream of the int it truncates to.
     """
     x = seed & _MASK
     for part in parts:
@@ -215,7 +199,7 @@ def derive_seed(seed: int, *parts) -> int:
                 chunk = int.from_bytes(data[off:off + 8], "little")
                 x = _mix(((x ^ chunk) + _GAMMA) & _MASK)
         else:
-            x = _mix(((x ^ (int(part) & _MASK)) + _GAMMA) & _MASK)
+            x = _mix(((x ^ (index(part) & _MASK)) + _GAMMA) & _MASK)
     return x
 
 

@@ -35,6 +35,15 @@ class TestSpecValidation:
             ExperimentSpec("lor_ratio", (0,))
         with pytest.raises(ValueError):
             ExperimentSpec("lor_ratio", (10,), trials=0)
+        # sizes, trials and seed must be integers; the error names the field
+        for field, kwargs in (("sizes", {"sizes": (2.5,)}), ("sizes", {"sizes": ("4",)}),
+                              ("trials", {"trials": 2.5}), ("seed", {"seed": 1.5})):
+            with pytest.raises(ValueError, match=field):
+                ExperimentSpec("lor_ratio", **{"sizes": (10,), **kwargs})
+        # an int-like value is stored as the plain int it stands for
+        spec = ExperimentSpec("lor_ratio", (True,), trials=True, seed=False)
+        assert spec.sizes == (1,) and type(spec.trials) is int and type(spec.seed) is int
+        assert '"trials": 1,' in report_to_json(run_experiment(spec))
 
     def test_distribution_must_fit_experiment(self):
         with pytest.raises(ValueError):
@@ -43,9 +52,22 @@ class TestSpecValidation:
             ExperimentSpec("por_ratios", (10,), distribution="uniform")
 
     def test_defaults_resolve(self):
-        assert ExperimentSpec("lor_ratio", (10,)).distribution == "uniform"
-        assert ExperimentSpec("ptr_ratios", (4,)).distribution == "pattern-a"
-        assert ExperimentSpec("por_ratios", (8,)).distribution == "typed-k4"
+        # the default distribution is each experiment's first
+        expected = {
+            "lor_ratio": ("uniform", ("opt_travel_over_m_squared",)),
+            "lor_greedy_vs_opt": ("uniform", ("sweep_over_opt_travel",)),
+            "ltr_cycle_dist": ("uniform", ("cycle_distance_stat",)),
+            "ltr_total_vs_cycles": (
+                "uniform", ("sweep_total_over_cycle_edges", "switch_total_over_cycle_edges")),
+            "por_ratios": ("typed-k4", ("greedy_over_opt_travel", "greedy_over_opt_picks")),
+            "ptr_ratios": ("pattern-a", ("greedy_over_plan_travel", "greedy_over_plan_picks")),
+            "cycle_stats": ("uniform", ("cycle_count", "opt_picks", "opt_travel")),
+        }
+        assert list(expected) == list(EXPERIMENTS)
+        for experiment, (default, statistics) in expected.items():
+            spec = ExperimentSpec(experiment, (4,))
+            assert (spec.distribution, spec.statistics) == (default, statistics)
+            assert next(iter(EXPERIMENTS[experiment][0])) == default
 
 
 class TestStatisticBands:

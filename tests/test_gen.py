@@ -357,6 +357,14 @@ class TestDeriveSeed:
     def test_string_and_int_parts_differ(self):
         assert derive_seed(3, "1") != derive_seed(3, 1)
 
+    def test_float_part_raises(self):
+        # int() would truncate 2.5 to 2 and share that part's stream; ints
+        # in other types still give the int's seed
+        import numpy as np
+        with pytest.raises(TypeError):
+            derive_seed(7, 2.5)
+        assert derive_seed(7, True) == derive_seed(7, np.int64(1)) == derive_seed(7, 1)
+
 
 class TestUniformPermutation:
     def test_pinned_fixture(self):
