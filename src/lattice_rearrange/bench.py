@@ -53,10 +53,18 @@ def _typed_quarters(dims: LatticeDims, seed: int) -> TypedInstance:
     return gen_typed(dims, 4, counts, GoalPattern("explicit", goal), seed)
 
 
+@functools.lru_cache(maxsize=None)
+def _square_layout(pattern: str, size: int) -> GoalPattern:
+    # one draw per size lays out the goal, so a blocks layout that falls
+    # back to index runs warns once, not once per trial
+    return GoalPattern("explicit", gen_typed(
+        LatticeDims(size, size), size, (size,) * size, GoalPattern(pattern), 0).goal_types)
+
+
 def _square_types(pattern: str):
     # size types of size items on a size x size grid, goal laid out by pattern
     return lambda size, seed: gen_typed(
-        LatticeDims(size, size), size, (size,) * size, GoalPattern(pattern), seed)
+        LatticeDims(size, size), size, (size,) * size, _square_layout(pattern, size), seed)
 
 
 def _ratio(num: float, den: float) -> float:

@@ -41,9 +41,6 @@ SOLVERS = {
 EXPERIMENT_NAMES = ("lor_ratio", "lor_greedy_vs_opt", "ltr_cycle_dist", "ltr_total_vs_cycles",
                     "por_ratios", "ptr_ratios", "cycle_stats")
 
-DISTRIBUTIONS = ("uniform", "x-random", "column-random", "block-random",
-                 "typed", "tsp-clusters")
-
 
 class UsageError(Exception):
     """Bad flag combination; maps to exit status 2."""
@@ -89,55 +86,47 @@ def _load_instance(text: str):
 
 def _need(args, names: str):
     for name in names.split():
-        if getattr(args, name.replace("-", "_"), None) is None:
-            raise UsageError(
-                f"gen {args.distribution!r} requires --{name}")
+        if getattr(args, name) is None:
+            raise UsageError(f"gen {args.distribution!r} requires --{name}")
+
+
+def _typed_dims(args):
+    """typed's lattice: a row of --m cells, or --m1 rows by --m2 columns."""
+    if (args.m is None) == (args.m1 is None and args.m2 is None):
+        raise UsageError("gen 'typed' requires --m or --m1 with --m2, not both")
+    if args.m is None:
+        _need(args, "m1 m2")
+    return (args.m1, args.m2) if args.m is None else args.m
+
+
+def _points(text: str) -> list:
+    """--points 'x1,x2;x1,x2;...' as (x1, x2) pairs."""
+    try:
+        return [(int(x1), int(x2)) for x1, x2 in (c.split(",") for c in text.split(";"))]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'x1,x2;x1,x2;...', got {text!r}") from None
+
+
+# distribution -> (the flags it requires, maker); a maker takes the gen
+# module, the parsed arguments and the seed, and returns the instance
+GENERATORS = {
+    "uniform": ("m", lambda gen, a, seed: gen.gen_uniform_permutation(a.m, seed)),
+    "x-random": ("m x", lambda gen, a, seed: gen.gen_x_random(a.m, a.x, seed)),
+    "column-random": ("m1 m2", lambda gen, a, seed: gen.gen_column_random(a.m1, a.m2, seed)),
+    "block-random": ("m", lambda gen, a, seed: gen.gen_block_random(a.m, seed)),
+    "typed": ("k", lambda gen, a, seed: gen.gen_typed(dims := _typed_dims(a), a.k,
+              gen._even_counts(dims, a.k), gen.GoalPattern(a.pattern), seed)),
+    "tsp-clusters": ("m1 m2 points",
+                     lambda gen, a, seed: gen.gen_tsp_clusters(a.points, (a.m1, a.m2))),
+}
 
 
 def _cmd_gen(args) -> int:
-    from .gen import (
-        GoalPattern,
-        _even_counts,
-        gen_block_random,
-        gen_column_random,
-        gen_tsp_clusters,
-        gen_typed,
-        gen_uniform_permutation,
-        gen_x_random,
-    )
+    from . import gen
 
-    seed = _resolve_seed(args.seed)
-    dist = args.distribution
-    if dist == "uniform":
-        _need(args, "m")
-        inst = gen_uniform_permutation(args.m, seed)
-    elif dist == "x-random":
-        _need(args, "m x")
-        inst = gen_x_random(args.m, args.x, seed)
-    elif dist == "column-random":
-        _need(args, "m1 m2")
-        inst = gen_column_random(args.m1, args.m2, seed)
-    elif dist == "block-random":
-        _need(args, "m")
-        inst = gen_block_random(args.m, seed)
-    elif dist == "typed":
-        _need(args, "k")
-        if args.m1 is not None or args.m2 is not None:
-            _need(args, "m1 m2")
-            dims = (args.m1, args.m2)
-        else:
-            _need(args, "m")
-            dims = args.m
-        counts = _even_counts(dims, args.k)
-        inst = gen_typed(dims, args.k, counts, GoalPattern(args.pattern), seed)
-    else:  # tsp-clusters
-        _need(args, "m1 m2 points")
-        points = []
-        for chunk in args.points.split(";"):
-            x1, x2 = chunk.split(",")
-            points.append((int(x1), int(x2)))
-        inst = gen_tsp_clusters(points, (args.m1, args.m2))
-    _write_text(args.output, instance_to_json(inst))
+    flags, make = GENERATORS[args.distribution]
+    _need(args, flags)
+    _write_text(args.output, instance_to_json(make(gen, args, _resolve_seed(args.seed))))
     return 0
 
 
@@ -169,6 +158,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.instance == args.plan == "-":
+        raise UsageError("--instance and --plan cannot both read stdin")
     inst = _load_instance(_read_text(args.instance))
     plan = plan_from_dict(json.loads(_read_text(args.plan)))
     model = _cost_model(args)
@@ -245,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = commands.add_parser(
         "gen", help="generate a seeded instance",
-        description="Distributions: " + ", ".join(DISTRIBUTIONS))
-    gen.add_argument("distribution", choices=DISTRIBUTIONS)
+        description="Distributions: " + ", ".join(GENERATORS))
+    gen.add_argument("distribution", choices=tuple(GENERATORS))
     gen.add_argument("--m", type=int, help="1D length or square side")
     gen.add_argument("--m1", type=int, help="rows")
     gen.add_argument("--m2", type=int, help="columns")
@@ -254,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--x", type=int, help="shuffle block width")
     gen.add_argument("--pattern", choices=("blocks", "columns"),
                      default="blocks", help="typed goal layout")
-    gen.add_argument("--points",
+    gen.add_argument("--points", type=_points,
                      help="cluster points as 'x1,x2;x1,x2;...'")
     gen.add_argument("--seed", type=int, default=None,
                      help="falls back to $LATTICE_REARRANGE_SEED, then 0")

@@ -248,10 +248,10 @@ def gen_column_random(m1: int, m2: int, seed: int) -> LabeledInstance:
 
 def gen_block_random(m: int, seed: int) -> LabeledInstance:
     """Shuffle within sqrt(m) x sqrt(m) tiles of an m x m lattice."""
+    dims = LatticeDims(m, m)
     r = math.isqrt(m)
     if r * r != m:
         raise NotPerfectSquare(f"m must be a perfect square, got {m}")
-    dims = LatticeDims(m, m)
     # the tiles' cells gathered tile by tile, each tile column by column
     # (cell (row, col) is (col - 1) * m + row); every item starts at home,
     # so a cell's label is the cell itself

@@ -1,6 +1,7 @@
 """Benchmark harness tests: spec validation, bands, determinism, emission."""
 
 import hashlib
+import logging
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from lattice_rearrange.bench import (
     ExperimentReport,
     ExperimentSpec,
     _mean_std,
+    _square_layout,
     report_to_csv,
     report_to_json,
     run_experiment,
@@ -131,6 +133,16 @@ class TestDeterminismAndFailures:
         assert report.rows == ()
         assert len(report.failures) == 3
         assert all("NotPerfectSquare" in msg for _, _, msg in report.failures)
+
+    def test_fallback_layout_warns_once_per_size(self, caplog):
+        # 6x6 with k = 6 has no square tiling, 9x9 with k = 9 has one; the
+        # layout is drawn once per size, not once per trial
+        _square_layout.cache_clear()
+        with caplog.at_level(logging.WARNING, logger="lattice_rearrange.gen"):
+            run_experiment(ExperimentSpec("ptr_ratios", (6, 9), 3, "pattern-a", seed=4))
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "blocks pattern fell back to contiguous index runs for 6x6, k=6 "
+            "(no square tiling fits)"]
 
     def test_runtime_recorded_but_not_emitted(self):
         report = run_experiment(ExperimentSpec("lor_ratio", (10,), 2, seed=0))

@@ -1,5 +1,6 @@
 """CLI tests driven through main(argv): exit codes, JSON shapes, pipes."""
 
+import io
 import json
 import os
 import subprocess
@@ -23,7 +24,7 @@ from lattice_rearrange import (
     plan_cost,
     plan_to_dict,
 )
-from lattice_rearrange.cli import main, resolve_solver
+from lattice_rearrange.cli import GENERATORS, main, resolve_solver
 from lattice_rearrange.core import instance_to_json
 from conftest import with_rest
 
@@ -48,6 +49,20 @@ CYCLE_PLAN = {"steps": [{"cell": 1, "action": "pick"},
                         {"cell": 1, "action": "place"}]}
 
 
+# one happy path per gen invocation form; together they cover every
+# distribution in GENERATORS
+GEN_HAPPY_PATHS = [
+    ("gen", "uniform", "--m", "6"),
+    ("gen", "x-random", "--m", "12", "--x", "3"),
+    ("gen", "column-random", "--m1", "3", "--m2", "4"),
+    ("gen", "block-random", "--m", "4"),
+    ("gen", "typed", "--m1", "4", "--m2", "4", "--k", "4"),
+    ("gen", "typed", "--m1", "3", "--m2", "3", "--k", "3", "--pattern", "columns"),
+    ("gen", "typed", "--m", "12", "--k", "4"),
+    ("gen", "tsp-clusters", "--m1", "5", "--m2", "5", "--points", "2,2;2,4"),
+]
+
+
 class TestGen:
     def test_uniform_writes_versioned_instance(self, capsys):
         code, out, _ = run(capsys, "gen", "uniform", "--m", "8", "--seed", "5")
@@ -57,22 +72,48 @@ class TestGen:
         assert doc["kind"] == "labeled" and sorted(doc["pi"]) == list(range(1, 9))
 
     def test_every_distribution_has_a_happy_path(self, capsys):
-        invocations = [
-            ("gen", "uniform", "--m", "6"),
-            ("gen", "x-random", "--m", "12", "--x", "3"),
-            ("gen", "column-random", "--m1", "3", "--m2", "4"),
-            ("gen", "block-random", "--m", "4"),
-            ("gen", "typed", "--m1", "4", "--m2", "4", "--k", "4"),
-            ("gen", "typed", "--m1", "3", "--m2", "3", "--k", "3",
-             "--pattern", "columns"),
-            ("gen", "tsp-clusters", "--m1", "5", "--m2", "5",
-             "--points", "2,2;2,4"),
-        ]
-        for argv in invocations:
+        assert {argv[1] for argv in GEN_HAPPY_PATHS} == set(GENERATORS)
+        for argv in GEN_HAPPY_PATHS:
             code, out, _ = run(capsys, *argv)
             assert code == 0, argv
             assert json.loads(out)["format_version"] == 1
             assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_help_lists_the_distributions_in_table_order(self, capsys):
+        assert tuple(GENERATORS) == ("uniform", "x-random", "column-random",
+                                     "block-random", "typed", "tsp-clusters")
+        code, out, _ = run(capsys, "gen", "--help")
+        assert code == 0 and "{" + ",".join(GENERATORS) + "}" in out
+
+    @pytest.mark.parametrize("argv,flag", [
+        (argv, flag) for argv in GEN_HAPPY_PATHS
+        for flag in GENERATORS[argv[1]][0].split()])
+    def test_each_required_flag_is_a_usage_error_when_missing(self, capsys, argv, flag):
+        at = argv.index(f"--{flag}")
+        code, out, err = run(capsys, *argv[:at], *argv[at + 2:])
+        assert code == 2 and out == ""
+        assert err == f"usage error: gen {argv[1]!r} requires --{flag}\n"
+
+    @pytest.mark.parametrize("dims", [
+        ("--m", "12", "--m1", "3", "--m2", "4"),
+        ("--m", "12", "--m2", "4"),
+        (),
+    ], ids=["both-forms", "m-and-m2", "neither-form"])
+    def test_typed_takes_one_form_of_dims(self, capsys, dims):
+        code, out, err = run(capsys, "gen", "typed", *dims, "--k", "3")
+        assert code == 2 and out == ""
+        assert err == "usage error: gen 'typed' requires --m or --m1 with --m2, not both\n"
+
+    def test_typed_grid_needs_both_sides(self, capsys):
+        code, _, err = run(capsys, "gen", "typed", "--m1", "3", "--k", "3")
+        assert code == 2 and err == "usage error: gen 'typed' requires --m2\n"
+
+    @pytest.mark.parametrize("points", ["2,2;2", "2,2;", "2,2,2", "", "a,b", "2;2"])
+    def test_malformed_points_are_usage_errors(self, capsys, points):
+        code, out, err = run(capsys, "gen", "tsp-clusters", "--m1", "5", "--m2", "5",
+                             "--points", points)
+        assert code == 2 and out == ""
+        assert "argument --points" in err and repr(points) in err
 
     @pytest.mark.parametrize("inst", [
         gen_uniform_permutation(200, 3),
@@ -203,6 +244,14 @@ class TestSolveAndValidate:
         cost = plan_cost(inst, plan)
         assert out == json.dumps({"format_version": 1, "solved": True, "picks": cost.picks,
                                   "travel": cost.travel, "total": cost.total}, indent=2) + "\n"
+
+    def test_validate_refuses_two_documents_on_stdin(self, capsys, monkeypatch):
+        # stdin holds one document: reading it as both would parse the plan
+        # as the instance
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(CYCLE_PLAN)))
+        code, out, err = run(capsys, "validate", "--instance", "-", "--plan", "-")
+        assert code == 2 and out == ""
+        assert err == "usage error: --instance and --plan cannot both read stdin\n"
 
     def test_validate_flags_illegal_step(self, capsys, tmp_path):
         inst = write_instance(tmp_path, "i.json", CYCLE_INSTANCE)

@@ -457,6 +457,10 @@ class TestBlockRandom:
         with pytest.raises(NotPerfectSquare):
             gen_block_random(5, 1)
 
+    def test_rejects_negative_side_as_bad_dims(self):
+        with pytest.raises(ValueError, match="lattice dims must be positive, got -4x-4"):
+            gen_block_random(-4, 1)
+
 
 class TestTyped:
     def test_blocks_goal_and_shuffled_start(self):
