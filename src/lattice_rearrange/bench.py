@@ -20,7 +20,6 @@ from .core import (
     LatticeDims,
     TypedInstance,
     _Value,
-    _store,
     plan_cost,
 )
 from .gen import (
@@ -166,11 +165,7 @@ class ExperimentSpec(_Value):
             raise ValueError(
                 f"distribution {dist!r} not valid for {experiment!r} "
                 f"(allowed: {', '.join(distributions)})")
-        _store(self, "experiment", experiment)
-        _store(self, "sizes", sizes)
-        _store(self, "trials", trials)
-        _store(self, "distribution", dist)
-        _store(self, "seed", _int("seed", seed))
+        super().__init__(experiment, sizes, trials, dist, _int("seed", seed))
 
     @property
     def statistics(self) -> tuple:
@@ -186,15 +181,6 @@ class ReportRow(_Value):
     trials: int
     seed: int
 
-    def __init__(self, size: int, statistic: str, mean: float, std: float,
-                 trials: int, seed: int):
-        _store(self, "size", size)
-        _store(self, "statistic", statistic)
-        _store(self, "mean", mean)
-        _store(self, "std", std)
-        _store(self, "trials", trials)
-        _store(self, "seed", seed)
-
 
 class ExperimentReport(_Value):
     """Aggregated rows, per-trial failures, and a wall-clock runtime.
@@ -209,13 +195,7 @@ class ExperimentReport(_Value):
     rows: tuple
     failures: tuple
     runtime_seconds: float
-
-    def __init__(self, spec: ExperimentSpec, rows: tuple, failures: tuple = (),
-                 runtime_seconds: float = 0.0):
-        _store(self, "spec", spec)
-        _store(self, "rows", rows)
-        _store(self, "failures", failures)
-        _store(self, "runtime_seconds", runtime_seconds)
+    _defaults = {"failures": (), "runtime_seconds": 0.0}
 
     def _key(self) -> tuple:
         return self.spec, self.rows, self.failures

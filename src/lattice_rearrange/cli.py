@@ -194,8 +194,11 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import ExperimentSpec, report_to_csv, report_to_json, run_experiment
 
-    spec = ExperimentSpec(args.experiment, tuple(args.sizes), args.trials,
-                          args.distribution, _resolve_seed(args.seed))
+    try:
+        spec = ExperimentSpec(args.experiment, tuple(args.sizes), args.trials,
+                              args.distribution, _resolve_seed(args.seed))
+    except ValueError as exc:
+        raise UsageError(f"bench: {exc}") from None
     report = run_experiment(spec)
     text = report_to_csv(report) if args.format == "csv" \
         else report_to_json(report)
@@ -203,15 +206,17 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_io(sub, instance_plan=False):
-    if instance_plan:
-        sub.add_argument("--instance", required=True,
-                         help="instance JSON path ('-' for stdin)")
-        sub.add_argument("--plan", required=True,
-                         help="plan JSON path ('-' for stdin)")
-    else:
-        sub.add_argument("--input", "-i", default="-",
-                         help="instance JSON path (default: stdin)")
+def _add_io(sub, *reads: str):
+    """--output, and a path flag for each document the subcommand reads:
+    "input" is one instance, from stdin by default; any other name is a
+    required path."""
+    for name in reads:
+        if name == "input":
+            sub.add_argument("--input", "-i", default="-",
+                             help="instance JSON path (default: stdin)")
+        else:
+            sub.add_argument(f"--{name}", required=True,
+                             help=f"{name} JSON path ('-' for stdin)")
     sub.add_argument("--output", "-o", default="-",
                      help="output path (default: stdout)")
 
@@ -255,13 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = commands.add_parser("solve", help="plan a rearrangement")
     solve.add_argument("--solver", required=True, choices=tuple(SOLVERS))
     _add_cost_flags(solve)
-    _add_io(solve)
+    _add_io(solve, "input")
     solve.set_defaults(func=_cmd_solve)
 
     validate = commands.add_parser(
         "validate", help="check a plan against an instance")
     _add_cost_flags(validate)
-    _add_io(validate, instance_plan=True)
+    _add_io(validate, "instance", "plan")
     validate.set_defaults(func=_cmd_validate)
 
     oracle = commands.add_parser(
@@ -271,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--cap", type=int,
                         help="most search states to store (default: oracle.DEFAULT_STATE_CAP)")
     _add_cost_flags(oracle)
-    _add_io(oracle)
+    _add_io(oracle, "input")
     oracle.set_defaults(func=_cmd_oracle)
 
     bench = commands.add_parser("bench", help="run a seeded experiment")
@@ -283,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=None,
                        help="falls back to $LATTICE_REARRANGE_SEED, then 0")
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
-    bench.add_argument("--output", "-o", default="-")
+    _add_io(bench)
     bench.set_defaults(func=_cmd_bench)
     return parser
 

@@ -61,27 +61,55 @@ class Action(str, Enum):
     PLACE = "place"
 
 
-# how a value class stores each field, once, in its __init__
+# how _Value.__init__ and Plan._fill store a field past the read-only __setattr__
 _store = object.__setattr__
 
 
 class _Value:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields, in constructor order, as __slots__ and
-    stores each one in __init__ with _store.  Instances compare equal only
-    within one class, on the field tuple that _key returns; the hash is that
-    tuple's hash, and the repr is "Name(field=value, ...)" over every field.
-    Assigning or deleting an attribute raises AttributeError.  Pickling and
-    copying restore the stored fields without calling __init__.
+    A subclass names its fields, in constructor order, as __slots__, and
+    any keyword defaults in _defaults.  _Value.__init__ is the one
+    constructor that stores fields: it binds positional arguments, then
+    keyword arguments, then _defaults, raising TypeError on a missing,
+    unknown or repeated field.  A subclass that checks its arguments keeps
+    its own signature and ends in super().__init__(...).  Instances compare
+    equal only within one class, on the field tuple that _key returns; the
+    hash is that tuple's hash, and the repr is "Name(field=value, ...)"
+    over every field.  Assigning or deleting an attribute raises
+    AttributeError.  Pickling and copying restore the stored fields
+    through the same store loop.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            _store(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values of any other call."""
+        fields, name = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        bound = dict(zip(fields, args))
+        for field in kwargs:
+            if field in bound or field not in fields:
+                what = "a second value for" if field in bound else "an unknown"
+                raise TypeError(f"{name}() got {what} argument {field!r}")
+        bound = {**self._defaults, **bound, **kwargs}
+        for field in fields:
+            if field not in bound:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        return [bound[field] for field in fields]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -110,8 +138,7 @@ class _Value:
         return self._values()
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self._fields, state):
-            _store(self, name, value)
+        _Value.__init__(self, *state)
 
 
 class LatticeDims(_Value):
@@ -128,8 +155,7 @@ class LatticeDims(_Value):
             raise ValueError(f"lattice dims must be integers, got {m1!r}x{m2!r}") from None
         if m1 < 1 or m2 < 1:
             raise ValueError(f"lattice dims must be positive, got {m1}x{m2}")
-        _store(self, "m1", m1)
-        _store(self, "m2", m2)
+        super().__init__(m1, m2)
 
     @property
     def n(self) -> int:
@@ -164,9 +190,7 @@ class CostModel(_Value):
             raise ValueError(f"unknown metric {metric!r}")
         if not all(math.isfinite(c) and c >= 0 for c in (c_p, c_t)):
             raise ValueError("cost coefficients must be finite and nonnegative")
-        _store(self, "c_p", c_p)
-        _store(self, "c_t", c_t)
-        _store(self, "metric", metric)
+        super().__init__(c_p, c_t, metric)
 
 
 DEFAULT_COST = CostModel()
@@ -240,9 +264,7 @@ class LabeledInstance(_Value):
             raise MalformedPermutation(
                 f"arrangement is not a permutation of 1..{n}: {pi!r}")
         _require_cell(n, rest, "rest cell", "out of range")
-        _store(self, "dims", dims)
-        _store(self, "pi", pi)
-        _store(self, "rest", index(rest))
+        super().__init__(dims, pi, index(rest))
 
     @property
     def kind(self) -> str:
@@ -298,11 +320,7 @@ class TypedInstance(_Value):
         if sorted(start_types) != sorted(goal_types):
             raise TypeMismatch("start and goal type multisets differ")
         _require_cell(n, rest, "rest cell", "out of range")
-        _store(self, "dims", dims)
-        _store(self, "k", k)
-        _store(self, "start_types", start_types)
-        _store(self, "goal_types", goal_types)
-        _store(self, "rest", index(rest))
+        super().__init__(dims, k, start_types, goal_types, index(rest))
 
     @property
     def kind(self) -> str:
@@ -378,20 +396,11 @@ class PlanCost(_Value):
     travel: float
     total: float
 
-    def __init__(self, picks: int, travel: float, total: float):
-        _store(self, "picks", picks)
-        _store(self, "travel", travel)
-        _store(self, "total", total)
-
 
 class SimResult(_Value):
     __slots__ = ("config", "cost")
     config: tuple[Optional[int], ...]
     cost: PlanCost
-
-    def __init__(self, config: tuple[Optional[int], ...], cost: PlanCost):
-        _store(self, "config", config)
-        _store(self, "cost", cost)
 
 
 def simulate(instance: Instance, plan: Plan, model: CostModel = DEFAULT_COST) -> SimResult:

@@ -24,7 +24,7 @@ from array import array
 from itertools import chain
 from operator import index
 
-from .core import LabeledInstance, LatticeDims, RearrangeError, TypedInstance, _Value, _store
+from .core import LabeledInstance, LatticeDims, RearrangeError, TypedInstance, _Value
 
 
 class NotPerfectSquare(RearrangeError):
@@ -288,8 +288,7 @@ class GoalPattern(_Value):
             raise ValueError(f"unknown goal pattern kind {kind!r}")
         if (kind == "explicit") != (goal_types is not None):
             raise ValueError("explicit patterns carry goal_types; others must not")
-        _store(self, "kind", kind)
-        _store(self, "goal_types", goal_types)
+        super().__init__(kind, goal_types)
 
     def resolve(self, dims: LatticeDims, k: int) -> tuple[tuple[int, ...], bool]:
         """Concrete goal types for a lattice; the flag reports whether the

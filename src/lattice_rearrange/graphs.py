@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .core import MalformedPermutation, RearrangeError, _Value, _store
+from .core import MalformedPermutation, RearrangeError, _Value
 
 
 class Unreachable(RearrangeError):
@@ -29,10 +29,6 @@ class CycleSet(_Value):
     __slots__ = ("cycles", "fixed_points")
     cycles: tuple[tuple[int, ...], ...]
     fixed_points: tuple[int, ...]
-
-    def __init__(self, cycles: tuple[tuple[int, ...], ...], fixed_points: tuple[int, ...]):
-        _store(self, "cycles", cycles)
-        _store(self, "fixed_points", fixed_points)
 
     @property
     def count(self) -> int:
@@ -109,10 +105,6 @@ class WeightedGraph(_Value):
     __slots__ = ("vertices", "edges")
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
-
-    def __init__(self, vertices: tuple[int, ...], edges: tuple[Edge, ...]):
-        _store(self, "vertices", vertices)
-        _store(self, "edges", edges)
 
 
 def min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:

@@ -37,7 +37,6 @@ from .core import (
     RearrangeError,
     _Value,
     _cell_distance,
-    _store,
 )
 from .graphs import _find, permutation_cycles
 
@@ -53,10 +52,6 @@ class OracleResult(_Value):
     __slots__ = ("plan", "cost")
     plan: Plan
     cost: PlanCost
-
-    def __init__(self, plan: Plan, cost: PlanCost):
-        _store(self, "plan", plan)
-        _store(self, "cost", cost)
 
 
 def oracle_min_picks(instance: Instance) -> int:

@@ -43,7 +43,6 @@ from .core import (
     TypedInstance,
     _Value,
     _cell_distance,
-    _store,
 )
 from .graphs import _find, _walk_orbits
 from .lor import _require_1d, follow_cycles
@@ -53,33 +52,34 @@ Edge = tuple[int, int]
 
 class MoveCycle(_Value):
     """A closed chain of item moves: each move's destination is the next
-    move's source.  edge_types[j] is the type carried by edges[j].  The
-    chain starts at its smallest source cell, min_cell."""
+    move's source.  edge_types[j] is the type carried by edges[j].  Every
+    phase reads a chain only as its moves, whatever source it starts at."""
 
     __slots__ = ("edges", "edge_types")
     edges: tuple[tuple[int, int], ...]
     edge_types: tuple[int, ...]
 
-    def __init__(self, edges: tuple[tuple[int, int], ...], edge_types: tuple[int, ...]):
-        _store(self, "edges", edges)
-        _store(self, "edge_types", edge_types)
-
     @property
     def min_cell(self) -> int:
-        return self.edges[0][0]
+        return min(self.edges)[0]
 
 
-def _cycles_from_assignment(assign: dict[int, int], types: dict[int, int]) -> list[MoveCycle]:
-    """Decompose a destination assignment, a bijection on its sources that
-    sends none to itself, into min-first move cycles: the orbit walk splits
-    it laid over the identity on 1..max(assign), starting only at the
-    moved cells, in increasing order."""
+def _assignment_orbits(assign: dict[int, int]) -> list[tuple[int, ...]]:
+    """The cycles of a destination assignment, a bijection on its sources
+    that sends none to itself, min-first and in min-cell order: the orbit
+    walk splits it laid over the identity on 1..max(assign), starting only
+    at the moved cells, in increasing order."""
     sources = sorted(assign)
     pi = list(range(1, sources[-1] + 1)) if sources else []
     for s, g in assign.items():
         pi[s - 1] = g
+    return _walk_orbits(pi, sources)[0]
+
+
+def _cycles_from_assignment(assign: dict[int, int], types: dict[int, int]) -> list[MoveCycle]:
+    """Decompose a destination assignment into min-first move cycles."""
     return [MoveCycle(tuple(zip(orbit, orbit[1:] + orbit[:1])), tuple(types[s] for s in orbit))
-            for orbit in _walk_orbits(pi, sources)[0]]
+            for orbit in _assignment_orbits(assign)]
 
 
 def _misplaced_by_type(instance: TypedInstance) -> tuple[dict[int, list[int]],
@@ -238,7 +238,7 @@ def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel], _cap: f
     cycle starts at.  Returns (cycles, log), where each log entry is
     (type, goal_cell_1, goal_cell_2): the two goals that exchanged owners.
     """
-    cycles = sorted(cycles, key=lambda c: min(c.edges))
+    cycles = sorted(cycles, key=lambda c: c.min_cell)
     assign, types = _assignment_of(cycles)
     log: list[tuple[int, int, int]] = []
     if len(cycles) > 1:
@@ -271,12 +271,11 @@ def merge_cycles_mst(cycles) -> list[MoveCycle]:
     return fuse_cycles(cycles, _GapTrades)[0]
 
 
-def _orbits(cycles) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-    """(cells, dest): each cycle's source cells, cycles in min-cell order,
-    and the destination of every source, as the walk emitters read them."""
-    cycles = sorted(cycles, key=lambda c: c.min_cell)
+def _orbits(cycles) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+    """(cells, dest): the destination of every source, and its cycles as
+    the walk emitters read them, min-first and in min-cell order."""
     dest = {s: g for cyc in cycles for s, g in cyc.edges}
-    return tuple(tuple(s for s, _ in cyc.edges) for cyc in cycles), dest
+    return _assignment_orbits(dest), dest
 
 
 def group_sweep_cycles_por(cycles) -> Plan:

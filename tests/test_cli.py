@@ -153,6 +153,14 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "uniform", "--m", "5", "--bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--input", "-i"])
+    def test_gen_reads_no_input(self, capsys, flag):
+        code, out, err = run(capsys, "gen", "uniform", "--m", "4", flag, "x.json")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+        _, usage, _ = run(capsys, "gen", "--help")
+        assert "--input" not in usage and "--output" in usage
+
     def test_infeasible_pattern_is_domain_error(self, capsys):
         code, _, err = run(capsys, "gen", "typed", "--m1", "4", "--m2", "4",
                            "--k", "3", "--pattern", "columns")
@@ -357,11 +365,19 @@ class TestBench:
         assert doc["format_version"] == 1
         assert {r["size"] for r in doc["rows"]} == {30, 40}
 
-    def test_bad_distribution_is_domain_error(self, capsys):
-        code, _, err = run(capsys, "bench", "--experiment", "lor_ratio",
-                           "--sizes", "10", "--distribution", "pattern-a")
-        assert code == 1
-        assert json.loads(err)["error"] == "ValueError"
+    def test_bad_distribution_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bench", "--experiment", "lor_ratio",
+                             "--sizes", "10", "--distribution", "pattern-a")
+        assert code == 2 and out == ""
+        assert err == ("usage error: bench: distribution 'pattern-a' not valid for 'lor_ratio' "
+                       "(allowed: uniform, 10-random, sqrt-random)\n")
+
+    @pytest.mark.parametrize("counts", [("--sizes", "0"), ("--sizes", "10", "--trials", "0")],
+                             ids=["sizes", "trials"])
+    def test_nonpositive_count_is_usage_error(self, capsys, counts):
+        code, out, err = run(capsys, "bench", "--experiment", "lor_ratio", *counts)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: bench: ") and "must be" in err
 
 
 class TestTopLevel:

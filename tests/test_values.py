@@ -124,3 +124,38 @@ def test_report_equality_and_hash_ignore_runtime():
     assert fast == slow and hash(fast) == hash(slow)
     assert repr(fast) != repr(slow) and pickle.loads(pickle.dumps(slow)).runtime_seconds == 2.5
     assert fast != ExperimentReport(spec, rows, failures=("trial 0",), runtime_seconds=0.5)
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_constructor_binds_fields_as_a_signature_would(cls):
+    kwargs = CASES[cls][0]
+    value = cls(**kwargs())
+    positional = cls(*kwargs().values())
+    assert positional == value and repr(positional) == repr(value)
+
+    with pytest.raises(TypeError):
+        cls(**kwargs(), no_such_field=1)
+    if kwargs():
+        first, *_ = kwargs()
+        # a missing field, where the class has no default for it
+        if cls is not Plan:
+            with pytest.raises(TypeError):
+                cls(**{name: v for name, v in kwargs().items() if name != first})
+        # the same field given by position and by keyword
+        with pytest.raises(TypeError):
+            cls(*kwargs().values(), **{first: kwargs()[first]})
+
+
+def test_store_only_constructor_rejects_surplus_and_fills_defaults():
+    with pytest.raises(TypeError, match="takes 3 arguments but 4 were given"):
+        PlanCost(1, 2.0, 3.0, 4.0)
+    with pytest.raises(TypeError, match="missing argument 'total'"):
+        PlanCost(1, travel=2.0)
+    with pytest.raises(TypeError, match="an unknown argument 'cost'"):
+        PlanCost(1, 2.0, 3.0, cost=1)
+    with pytest.raises(TypeError, match="a second value for argument 'picks'"):
+        PlanCost(1, 2.0, 3.0, picks=1)
+    spec, rows = ExperimentSpec(**_SPEC), (ReportRow(**_ROW),)
+    assert ExperimentReport(spec, rows) == ExperimentReport(spec, rows=rows, failures=())
+    assert ExperimentReport(spec, rows).runtime_seconds == 0.0
+    assert PlanCost(1, total=3.0, travel=2.0) == PlanCost(1, 2.0, 3.0)

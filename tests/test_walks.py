@@ -22,6 +22,7 @@ from lattice_rearrange import (
     LatticeDims,
     Plan,
     PlanStep,
+    TypedInstance,
     plan_cost,
 )
 from lattice_rearrange.gen import (
@@ -55,6 +56,7 @@ from lattice_rearrange.por import (
     _misplaced_by_type,
     _orbits,
     form_cycles,
+    group_sweep_cycles_por,
     merge_cycles,
     merge_cycles_mst,
     opt_plan_por,
@@ -425,3 +427,42 @@ def test_single_pass_walk_matches_reference_on_typed_rows():
         plan = reference_follow_cycles(cells, dest)
         assert follow_cycles(cells, dest) == plan
         assert opt_plan_por(inst) == plan
+
+
+# --- walks over hand-built cycles -------------------------------------------
+
+def rotated(cycles, rng) -> list[MoveCycle]:
+    """The same moves, each cycle starting at a random one of them, the
+    cycles in random order."""
+    out = []
+    for cyc in cycles:
+        j = rng.randrange(len(cyc.edges))
+        out.append(MoveCycle(cyc.edges[j:] + cyc.edges[:j],
+                             cyc.edge_types[j:] + cyc.edge_types[:j]))
+    rng.shuffle(out)
+    return out
+
+
+def test_typed_row_walk_reads_a_cycle_from_any_move():
+    inst = TypedInstance(LatticeDims(6, 1), 4, (1, 2, 2, 3, 4, 1), (1, 2, 1, 4, 3, 2))
+    cycles = [MoveCycle(((6, 3), (3, 6)), (1, 2)), MoveCycle(((5, 4), (4, 5)), (4, 3))]
+    plan = group_sweep_cycles_por(cycles)
+    assert plan == opt_plan_por(inst)
+    cost = plan_cost(inst, plan)
+    assert (cost.picks, cost.travel) == (6, 12.0)
+    assert [c.min_cell for c in cycles] == [3, 4]
+
+
+def test_walk_phases_ignore_cycle_starts_and_order():
+    rng = random.Random(18)
+    for inst in typed_instances(lambda rng: LatticeDims(rng.randint(4, 30), 1)):
+        cycles = merge_cycles_mst(form_cycles(inst))
+        plan = group_sweep_cycles_por(cycles)
+        for _ in range(4):
+            assert group_sweep_cycles_por(rotated(cycles, rng)) == plan
+    for inst in typed_instances(lambda rng: LatticeDims(rng.randint(2, 8), rng.randint(2, 8))):
+        cycles = merge_cycles_ptr(form_cycles_ptr(inst), inst.dims)
+        rest = interior_rest(inst.dims, rng)
+        plan = sweep_cycles_ptr(cycles, inst.dims, rest)
+        for _ in range(4):
+            assert sweep_cycles_ptr(rotated(cycles, rng), inst.dims, rest) == plan
