@@ -31,7 +31,7 @@ class RearrangeError(Exception):
 
 
 class MalformedPermutation(RearrangeError):
-    """A labeled arrangement is not a permutation of 1..n."""
+    """A labeled arrangement, or the moves of given MoveCycles, is not a permutation."""
 
 
 class TypeMismatch(RearrangeError):

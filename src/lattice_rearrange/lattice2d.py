@@ -16,14 +16,15 @@ detours happen to lose to the plain sweep, the sweep plan is returned, so
 the switching planner never travels farther than the sweep.  Every walk
 is emitted by lor._emit_nested, the sweep being the one with no detours.
 
-Typed instances run a three-phase pipeline: per-type minimum-cost
-assignment of misplaced items to free goal cells (cycle formation), a
-single spanning-forest round of destination trades that fuses every pair
-of fusable cycles (fewest operations; the 1D planner's engine,
-por.fuse_cycles, weighing each trade by the travel it adds, read off
-per-type trade-delta matrices), and an arborescence-guided walk that
-resolves the surviving cycles with the same parking mechanism.  Every
-phase measures distance under the cost model's metric.
+Typed instances run por's pipeline on one destination assignment:
+per-type minimum-cost assignment of misplaced items to free goal cells
+(cycle formation), a single spanning-forest round of destination trades
+that fuses every pair of fusable cycles (fewest operations; the 1D
+planner's engine, por.fuse_cycles, weighing each trade by the travel it
+adds, read off per-type trade-delta matrices), and an arborescence-guided
+walk that resolves the surviving cycles with the same parking mechanism.
+Only the public phase functions build MoveCycles.  Every phase measures
+distance under the cost model's metric.
 
 Arc weights, assignment costs and trade deltas read every distance off
 one table of lattice offsets per call, holding distance()'s floats.  Arc
@@ -67,9 +68,11 @@ from .graphs import (
 from .lor import _dest_table, _emit_nested, _sweep
 from .por import (
     MoveCycle,
-    _cycles_from_assignment,
-    _misplaced_by_type,
-    _orbits,
+    _assignment_of,
+    _assignment_orbits,
+    _form,
+    _fused,
+    _move_cycles,
     fuse_cycles,
     greedy_plan,
 )
@@ -265,6 +268,8 @@ def _schedule(dims: LatticeDims, cycle_cells, rest: int, model: CostModel, detou
     the leg that leaves it.  Each list is sorted by (distance from the cell
     it leaves, entry cell).
     """
+    if not cycle_cells:
+        return [], {}
     edges, cells = _arcs(dims, cycle_cells, rest, model.metric, detour)
     tree = min_arborescence(WeightedGraph(tuple(range(len(cycle_cells) + 1)), edges), root=0)
     roots: list[int] = []
@@ -299,8 +304,6 @@ def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST
     """
     _require_2d(instance)
     cycles = permutation_cycles(instance.pi).cycles
-    if not cycles:
-        return Plan()
     dims = instance.dims
     dest = _dest_table(instance)
     roots, kids = _schedule(dims, cycles, instance.rest, model, detour=True)
@@ -315,6 +318,18 @@ def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST
 
 # --- typed pipeline ---------------------------------------------------------
 
+def _form_ptr(instance: TypedInstance, model: CostModel):
+    """por._form, each type paired by min_cost_assignment under model.metric."""
+    dims = instance.dims
+    table = _offset_table(dims, model.metric)
+
+    def pair(srcs, dsts):
+        # distance()'s floats: ties and the tie-break are unchanged
+        cost = table[_codes(dims, srcs, source=True)[:, None] - _codes(dims, dsts)]
+        return [dsts[j] for j in min_cost_assignment(cost)[0]]
+    return _form(instance, pair)
+
+
 def form_cycles_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> list[MoveCycle]:
     """Phase 1: per-type minimum-cost assignment of items to goal cells.
 
@@ -322,20 +337,8 @@ def form_cycles_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) ->
     t so the summed distance under model.metric is minimal; the chosen
     moves close into displacement cycles.
     """
-    dims = instance.dims
-    sources, goals = _misplaced_by_type(instance)
-    assign: dict[int, int] = {}
-    types: dict[int, int] = {}
-    table = _offset_table(dims, model.metric)
-    for t, srcs in sorted(sources.items()):
-        dsts = goals[t]
-        # distance()'s floats: ties and the tie-break are unchanged
-        cost = table[_codes(dims, srcs, source=True)[:, None] - _codes(dims, dsts)]
-        chosen, _ = min_cost_assignment(cost)
-        for s, j in zip(srcs, chosen):
-            assign[s] = dsts[j]
-            types[s] = t
-    return _cycles_from_assignment(assign, types)
+    assign, types = _form_ptr(instance, model)
+    return _move_cycles(_assignment_orbits(assign), types)
 
 
 def _trade_deltas(table, m1, l1, m2, l2) -> np.ndarray:
@@ -364,12 +367,12 @@ class _DeltaTrades:
     cycle never trade and are left out.
     """
 
-    def __init__(self, dims: LatticeDims, metric: str, cycles):
+    def __init__(self, dims: LatticeDims, metric: str, orbits, assign, types):
         import numpy as np
         moves: dict[int, list] = {}
-        for c, cyc in enumerate(cycles):
-            for (s, g), t in zip(cyc.edges, cyc.edge_types):
-                moves.setdefault(t, []).append((c, s, g))
+        for c, orbit in enumerate(orbits):
+            for s in orbit:
+                moves.setdefault(types[s], []).append((c, s, assign[s]))
         runs = [(t, m) for t, m in sorted(moves.items()) if m[0][0] != m[-1][0]]
         flat = [move for _, m in runs for move in m]
         self.types = [t for t, _ in runs]
@@ -386,7 +389,7 @@ class _DeltaTrades:
         self.length = self.table[self.moves[:, 0] - self.moves[:, 1]]
         # each component's moves, under the root fuse_cycles gives it
         by_cycle = np.argsort(self.cyc, kind="stable")
-        self.members = np.split(by_cycle, np.cumsum(np.bincount(self.cyc, minlength=len(cycles)))[:-1])
+        self.members = np.split(by_cycle, np.cumsum(np.bincount(self.cyc, minlength=len(orbits)))[:-1])
 
     def pair_weights(self):
         import numpy as np
@@ -460,7 +463,7 @@ def _merge_cycles_ptr_logged(cycles, dims: LatticeDims, model: CostModel = DEFAU
     The log exists so tests can check how far trades reach; the public
     wrapper drops it.
     """
-    return fuse_cycles(cycles, functools.partial(_DeltaTrades, dims, model.metric))
+    return _fused(cycles, functools.partial(_DeltaTrades, dims, model.metric))
 
 
 def merge_cycles_ptr(cycles, dims: LatticeDims,
@@ -485,11 +488,9 @@ def sweep_cycles_ptr(cycles, dims: LatticeDims, rest: int = 1,
     cell); the walk serves each cycle on first entry with parking, so
     travel between cycles stays within twice the arborescence weight.
     """
-    cells, nxt = _orbits(cycles)
-    if not cells:
-        return Plan()
-    roots, kids = _schedule(dims, cells, rest, model, detour=False)
-    return _emit_nested(roots, kids, nxt)
+    assign, _ = _assignment_of(cycles)
+    orbits = _assignment_orbits(assign)
+    return _emit_nested(*_schedule(dims, orbits, rest, model, detour=False), assign)
 
 
 def plan_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
@@ -501,9 +502,10 @@ def plan_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
     phases weigh distance under `model.metric`.
     """
     _require_2d(instance)
-    cycles = form_cycles_ptr(instance, model)
-    cycles = merge_cycles_ptr(cycles, instance.dims, model)
-    return sweep_cycles_ptr(cycles, instance.dims, instance.rest, model)
+    dims = instance.dims
+    assign, types = _form_ptr(instance, model)
+    orbits, _ = fuse_cycles(assign, types, functools.partial(_DeltaTrades, dims, model.metric))
+    return _emit_nested(*_schedule(dims, orbits, instance.rest, model, detour=False), assign)
 
 
 def greedy_2d(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:

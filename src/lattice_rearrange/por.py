@@ -2,11 +2,11 @@
 
 Items of the same type are interchangeable, so the planner first decides
 which item goes to which goal cell and only then plans motion.  Three
-phases:
+phases pass one destination assignment (source -> goal) and its orbits:
 
 1. form_cycles: match each misplaced item to the leftmost free goal cell of
    its type.  In 1D this in-order pairing minimizes summed move distance per
-   type, and the chosen moves close into displacement cycles.
+   type; _form forms the assignment for both typed planners.
 2. merge_cycles_mst: fuse cycles, each fusion saving one operation, by
    trading the destinations of two same-type moves of different cycles.
    The trade adds twice the gap between the moves' spans [min(s, g),
@@ -15,14 +15,17 @@ phases:
    free: their fusions are the forest's weight-0 prefix, which
    merge_cycles runs alone.  fuse_cycles builds the forest, Kruskal's loop
    over the cycle pairs a TradeModel offers, swapping two destinations of
-   one assignment per fusion.  The 1D model offers one candidate per
-   move, per type each span paired with the earlier span reaching farthest
-   right, and runs in pure Python, so the 1D planners never load numpy;
-   the typed 2D planner (lattice2d.merge_cycles_ptr) runs the same loop
+   the assignment in place per fusion.  The 1D model offers one candidate
+   per move, per type each span paired with the earlier span reaching
+   farthest right, and runs in pure Python, so the 1D planners never load
+   numpy; the typed 2D planner (lattice2d.plan_ptr) runs the same loop
    with a model that answers from per-type numpy matrices.
 3. group_sweep_cycles_por: walk the final cycles with the labeled 1D
    planner's single pass, lor.follow_cycles (nested entries, parking, and
    the hand-off at the farthest cell entered so far).
+
+MoveCycles exist only at the public phase functions; cycles passed in
+enter through one check, _assignment_of.
 
 The resulting plan has the fewest operations achievable, and, when the
 arm rests at cell 1, the least travel among such plans (ROADMAP item 2).
@@ -39,6 +42,7 @@ from .core import (
     CostModel,
     DEFAULT_COST,
     Instance,
+    MalformedPermutation,
     Plan,
     TypedInstance,
     _Value,
@@ -59,10 +63,6 @@ class MoveCycle(_Value):
     edges: tuple[tuple[int, int], ...]
     edge_types: tuple[int, ...]
 
-    @property
-    def min_cell(self) -> int:
-        return min(self.edges)[0]
-
 
 def _assignment_orbits(assign: dict[int, int]) -> list[tuple[int, ...]]:
     """The cycles of a destination assignment, a bijection on its sources
@@ -76,23 +76,46 @@ def _assignment_orbits(assign: dict[int, int]) -> list[tuple[int, ...]]:
     return _walk_orbits(pi, sources)[0]
 
 
-def _cycles_from_assignment(assign: dict[int, int], types: dict[int, int]) -> list[MoveCycle]:
-    """Decompose a destination assignment into min-first move cycles."""
+def _move_cycles(orbits, types: dict[int, int]) -> list[MoveCycle]:
+    """The MoveCycle of each orbit of an assignment: a public phase's output."""
     return [MoveCycle(tuple(zip(orbit, orbit[1:] + orbit[:1])), tuple(types[s] for s in orbit))
-            for orbit in _assignment_orbits(assign)]
+            for orbit in orbits]
 
 
-def _misplaced_by_type(instance: TypedInstance) -> tuple[dict[int, list[int]],
-                                                         dict[int, list[int]]]:
-    """(sources, goals): per type, the misplaced cells holding it and the
-    misplaced cells wanting it, each in cell order."""
+def _assignment_of(cycles) -> tuple[dict[int, int], dict[int, int]]:
+    """(assign, types) of caller-supplied cycles.  MalformedPermutation names
+    the first cycle that repeats a source (its own or an earlier cycle's),
+    whose goals are not its sources, or whose edge_types differ in length."""
+    assign: dict[int, int] = {}
+    types: dict[int, int] = {}
+    for cyc in cycles:
+        sources = {s for s, _ in cyc.edges}
+        if (len(sources) < len(cyc.edges) or not assign.keys().isdisjoint(sources)
+                or sources != {g for _, g in cyc.edges} or len(cyc.edge_types) != len(cyc.edges)):
+            raise MalformedPermutation(f"not a cycle of moves from unused sources: {cyc!r}")
+        for (s, g), t in zip(cyc.edges, cyc.edge_types):
+            assign[s] = g
+            types[s] = t
+    return assign, types
+
+
+def _form(instance: TypedInstance, pair=lambda sources, goals: goals):
+    """Phase 1 of both typed planners: (assign, types).  Per type, pair gets
+    the misplaced cells holding it and those wanting it, each in cell order,
+    and reorders the latter so the i-th source goes to the i-th goal."""
     sources: dict[int, list[int]] = {}
     goals: dict[int, list[int]] = {}
     for cell, (have, want) in enumerate(zip(instance.start_types, instance.goal_types), start=1):
         if have != want:
             sources.setdefault(have, []).append(cell)
             goals.setdefault(want, []).append(cell)
-    return sources, goals
+    assign: dict[int, int] = {}
+    types: dict[int, int] = {}
+    for t, srcs in sorted(sources.items()):
+        for s, g in zip(srcs, pair(srcs, goals[t])):
+            assign[s] = g
+            types[s] = t
+    return assign, types
 
 
 def form_cycles(instance: TypedInstance) -> list[MoveCycle]:
@@ -103,24 +126,15 @@ def form_cycles(instance: TypedInstance) -> list[MoveCycle]:
     the per-type total distance minimal in 1D.
     """
     _require_1d(instance)
-    sources, goals = _misplaced_by_type(instance)
-    assign: dict[int, int] = {}
-    types: dict[int, int] = {}
-    for t, srcs in sources.items():
-        for s, g in zip(srcs, goals[t]):
-            assign[s] = g
-            types[s] = t
-    return _cycles_from_assignment(assign, types)
+    assign, types = _form(instance)
+    return _move_cycles(_assignment_orbits(assign), types)
 
 
-def _assignment_of(cycles) -> tuple[dict[int, int], dict[int, int]]:
-    assign: dict[int, int] = {}
-    types: dict[int, int] = {}
-    for cyc in cycles:
-        for (s, g), t in zip(cyc.edges, cyc.edge_types):
-            assign[s] = g
-            types[s] = t
-    return assign, types
+def _fused(cycles, trades, _cap: float = math.inf) -> tuple[list[MoveCycle], list]:
+    """fuse_cycles over caller-supplied cycles: (fused MoveCycles, log)."""
+    assign, types = _assignment_of(cycles)
+    orbits, log = fuse_cycles(assign, types, trades, _cap)
+    return _move_cycles(orbits, types), log
 
 
 def merge_cycles(cycles) -> list[MoveCycle]:
@@ -129,10 +143,11 @@ def merge_cycles(cycles) -> list[MoveCycle]:
     Two cycles fuse for free when same-type moves of theirs have
     overlapping spans.  This is the weight-0 prefix of merge_cycles_mst's
     forest, so all cycles linked by a chain of overlapping same-type spans
-    end up fused.  On form_cycles output the trades that do it cost
-    nothing (_GapTrades), so every type keeps its minimal total distance.
+    end up fused.  Input contract: the trades cost nothing when each type's
+    moves are its in-order pairing, as on form_cycles output (_GapTrades);
+    on other cycles one may cost travel, but the fusion is still legal.
     """
-    return fuse_cycles(cycles, _GapTrades, _cap=0)[0]
+    return _fused(cycles, _GapTrades, _cap=0)[0]
 
 
 class TradeModel(Protocol):
@@ -143,6 +158,7 @@ class TradeModel(Protocol):
     The 1D model trades a pair that costs the weight of the cycle pair
     being joined; the 2D model the cheapest pair between the two
     components, with the least key (cost, min(s1, s2), max(s1, s2)).
+    A model is built from (orbits, assign, types); cycle i is orbits[i].
     """
 
     def pair_weights(self) -> Iterable[tuple[float, int, int]]:
@@ -153,8 +169,8 @@ class TradeModel(Protocol):
     def trade(self, ri: int, rj: int, i: int, j: int) -> tuple[int, Edge, Edge]:
         """(type, e1, e2): a trade between the components rooted at ri and
         rj, joined by the pair (i, j), e1 a move of ri's and e2 of rj's as
-        they were.  The model makes the trade on its own moves; ri's
-        component joins rj's."""
+        they were.  fuse_cycles then swaps the two destinations in the
+        assignment; ri's component joins rj's."""
 
 
 class _GapTrades:
@@ -184,18 +200,18 @@ class _GapTrades:
     components, but a trade may cost more or less than its weight.
     """
 
-    def __init__(self, cycles):
-        self.goal: dict[int, int] = {}
-        self.owner: dict[int, int] = {}
+    def __init__(self, orbits, assign: dict[int, int], types: dict[int, int]):
+        # the assignment fuse_cycles swaps in place after each trade
+        self.goal = assign
+        self.owner = {g: s for s, g in assign.items()}
         spans: dict[int, list] = {}
-        for c, cyc in enumerate(cycles):
-            for (s, g), t in zip(cyc.edges, cyc.edge_types):
-                self.goal[s] = g
-                self.owner[g] = s
+        for c, orbit in enumerate(orbits):
+            for s in orbit:
+                g = assign[s]
                 # each end as (cell, holder key): s for a source, -g for a
                 # goal, whose holder is its owner
                 lo, hi = sorted(((s, s), (g, -g)))
-                spans.setdefault(t, []).append((lo, hi, c))
+                spans.setdefault(types[s], []).append((lo, hi, c))
         self.best: dict[tuple[int, int], tuple] = {}
         for t, row in spans.items():
             row.sort()
@@ -219,33 +235,29 @@ class _GapTrades:
         s1 = h1 if h1 > 0 else self.owner[-h1]
         s2 = h2 if h2 > 0 else self.owner[-h2]
         g1, g2 = self.goal[s1], self.goal[s2]
-        self.goal[s1], self.goal[s2] = g2, g1
         self.owner[g1], self.owner[g2] = s2, s1
         return t, (s1, g1), (s2, g2)
 
 
-def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel], _cap: float = math.inf):
-    """Fuse cycles along a minimum spanning forest of trade costs.
+def fuse_cycles(assign, types, trades: Callable[..., TradeModel], _cap: float = math.inf):
+    """Fuse the cycles of assign along a minimum spanning forest of trade costs.
 
-    trades(cycles) builds the TradeModel over the cycles sorted by smallest
-    source, so index order is min-cell order.  Its pairs are fused in
-    ascending (weight, i, j) order, up to weight _cap, each fusion swapping
-    the destinations of the model's trade between the two components in
-    one assignment, the only state kept.  With the 1D model each trade
-    costs its pair's weight (_GapTrades), so the fusions add exactly the
-    forest weight.  The fused cycles are read off the assignment once,
-    min-first and in min-cell order, whatever source a hand-built input
-    cycle starts at.  Returns (cycles, log), where each log entry is
-    (type, goal_cell_1, goal_cell_2): the two goals that exchanged owners.
+    trades(orbits, assign, types) builds the TradeModel over the orbits,
+    min-first and in min-cell order.  Its pairs are fused in ascending
+    (weight, i, j) order, up to weight _cap, each fusion swapping in place
+    the destinations of the model's trade between the two components.
+    With the 1D model each trade costs its pair's weight (_GapTrades), so
+    the fusions add exactly the forest weight.  Returns (orbits, log): the
+    fused cycles, walked again only if a trade was made, and per fusion
+    (type, goal_cell_1, goal_cell_2), the two goals that exchanged owners.
     """
-    cycles = sorted(cycles, key=lambda c: c.min_cell)
-    assign, types = _assignment_of(cycles)
+    orbits = _assignment_orbits(assign)
     log: list[tuple[int, int, int]] = []
-    if len(cycles) > 1:
-        model = trades(cycles)
-        comp = list(range(len(cycles)))
+    if len(orbits) > 1:
+        model = trades(orbits, assign, types)
+        comp = list(range(len(orbits)))
         for w, i, j in sorted(model.pair_weights()):
-            if w > _cap or len(log) == len(cycles) - 1:
+            if w > _cap or len(log) == len(orbits) - 1:
                 break
             ri, rj = _find(comp, i), _find(comp, j)
             if ri == rj:
@@ -254,7 +266,7 @@ def fuse_cycles(cycles, trades: Callable[[list[MoveCycle]], TradeModel], _cap: f
             assign[s1], assign[s2] = g2, g1
             log.append((t, g1, g2))
             comp[ri] = rj
-    return _cycles_from_assignment(assign, types), log
+    return (_assignment_orbits(assign) if log else orbits), log
 
 
 def merge_cycles_mst(cycles) -> list[MoveCycle]:
@@ -267,21 +279,16 @@ def merge_cycles_mst(cycles) -> list[MoveCycle]:
     traded cover the candidate's two cells (_GapTrades), and Kruskal order
     has already joined every lighter pair.  So the total added travel is
     twice the forest weight, the minimum over all fusion schedules.
+    Input contract: on cycles that are not each type's in-order pairing, a
+    paid trade can cost more than the forest weight; the fusion is legal.
     """
-    return fuse_cycles(cycles, _GapTrades)[0]
-
-
-def _orbits(cycles) -> tuple[list[tuple[int, ...]], dict[int, int]]:
-    """(cells, dest): the destination of every source, and its cycles as
-    the walk emitters read them, min-first and in min-cell order."""
-    dest = {s: g for cyc in cycles for s, g in cyc.edges}
-    return _assignment_orbits(dest), dest
+    return _fused(cycles, _GapTrades)[0]
 
 
 def group_sweep_cycles_por(cycles) -> Plan:
     """Phase 3: emit the walk with the labeled 1D planner's engine."""
-    cells, dest = _orbits(cycles)
-    return follow_cycles(cells, dest)
+    assign, _ = _assignment_of(cycles)
+    return follow_cycles(_assignment_orbits(assign), assign)
 
 
 def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
@@ -294,7 +301,10 @@ def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Pl
     leftmost cell, so with another rest cell it can travel more than the
     optimum (ROADMAP item 2).
     """
-    return group_sweep_cycles_por(merge_cycles_mst(form_cycles(instance)))
+    _require_1d(instance)
+    assign, types = _form(instance)
+    orbits, _ = fuse_cycles(assign, types, _GapTrades)
+    return follow_cycles(orbits, assign)
 
 
 # --- greedy baseline --------------------------------------------------------

@@ -19,7 +19,8 @@ streams, the shuffled lists and every generator's output against it.
 reference_oracle_optimal is oracle_optimal as it stood before its search
 moved into one state table counted by `cap`: best_g, parents and a closed
 set, behind an up-front n!-based refusal; test_oracle compares plans and
-costs with == on a corpus of small rows and grids.
+costs with == on a corpus of small rows and grids.  model_input gives a
+trade model the (orbits, assign, types) that por.fuse_cycles hands it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from lattice_rearrange.core import (
 )
 from lattice_rearrange.gen import SplitMix64
 from lattice_rearrange.oracle import _Q, OracleResult, TooLarge
+from lattice_rearrange.por import _assignment_of, _assignment_orbits
 
 
 class ReferenceSplitMix64(SplitMix64):
@@ -70,6 +72,13 @@ class ReferenceSplitMix64(SplitMix64):
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def model_input(cycles):
+    """(orbits, assign, types) of MoveCycles, as fuse_cycles builds a
+    trade model from their assignment."""
+    assign, types = _assignment_of(cycles)
+    return _assignment_orbits(assign), assign, types
 
 
 def with_rest(inst: Instance, rest: int) -> Instance:

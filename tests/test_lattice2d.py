@@ -55,9 +55,8 @@ from lattice_rearrange.lattice2d import (
     switch_cycles_ltr,
 )
 from lattice_rearrange.oracle import oracle_min_picks, oracle_optimal
-from lattice_rearrange.por import _misplaced_by_type
 
-from conftest import leg_travel
+from conftest import leg_travel, model_input
 from test_por import _swap_destinations
 
 
@@ -314,7 +313,11 @@ def test_form_cycles_ptr_assignment_is_minimal_under_metric(metric):
         for cyc in form_cycles_ptr(inst, model):
             for (s, g), t in zip(cyc.edges, cyc.edge_types):
                 by_type.setdefault(t, []).append(distance(inst.dims, s, g, model))
-        sources, goals = _misplaced_by_type(inst)
+        sources, goals = {}, {}
+        for cell, (have, want) in enumerate(zip(inst.start_types, inst.goal_types), start=1):
+            if have != want:
+                sources.setdefault(have, []).append(cell)
+                goals.setdefault(want, []).append(cell)
         for t, srcs in sources.items():
             if len(srcs) > 7:
                 continue
@@ -505,7 +508,7 @@ def test_merge_cost_collinear_pair():
     dims = LatticeDims(1, 6)
     c1 = typ_cycle((1, 2), (2, 1), types=(1, 1))
     c2 = typ_cycle((4, 5), (5, 4), types=(1, 2))
-    assert list(_DeltaTrades(dims, "euclidean", [c1, c2]).pair_weights()) == [(4.0, 0, 1)]
+    assert list(_DeltaTrades(dims, "euclidean", *model_input([c1, c2])).pair_weights()) == [(4.0, 0, 1)]
     merged = merge_cycles_ptr([c1, c2], dims)
     assert len(merged) == 1
     added = cycle_length(merged[0], dims) - cycle_length(c1, dims) - cycle_length(c2, dims)
@@ -526,7 +529,7 @@ def test_merge_ptr_rotates_cycles_that_do_not_start_at_their_minimum():
     b = typ_cycle((6, 9), (9, 6), types=(1, 1))
     merged = merge_cycles_ptr([late, b], dims)
     assert merged == merge_cycles_ptr([typ_cycle((1, 5), (5, 1), types=(1, 1)), b], dims)
-    assert len(merged) == 1 and merged[0].min_cell == 1
+    assert len(merged) == 1 and min(merged[0].edges)[0] == 1
 
 def test_merge_ptr_reaches_minimum_pick_count():
     rng = random.Random(71)
@@ -591,7 +594,7 @@ def reference_merge_cycles_ptr_logged(cycles, dims):
         for j in range(i + 1, n):
             w = reference_cycle_merge_cost(cycles[i], cycles[j], dims)
             if w < math.inf:
-                pair_edges.append((w, cycles[i].min_cell, cycles[j].min_cell, i, j))
+                pair_edges.append((w, min(cycles[i].edges)[0], min(cycles[j].edges)[0], i, j))
     pair_edges.sort()
     comp = list(range(n))
     current = dict(enumerate(cycles))
@@ -606,7 +609,7 @@ def reference_merge_cycles_ptr_logged(cycles, dims):
         comp[ri] = rj
         del current[ri]
         current[_find(comp, j)] = fused[0]
-    return sorted(current.values(), key=lambda c: c.min_cell), log
+    return sorted(current.values(), key=lambda c: min(c.edges)[0]), log
 
 
 def test_merge_ptr_matches_reference_on_random_grids():
@@ -682,18 +685,24 @@ def test_merge_ptr_matches_reference_on_large_grids(make, fewest, monkeypatch):
 
 @pytest.mark.parametrize("m1,m2", [(1, 64), (2, 3), (7, 13), (30, 17), (64, 64)])
 def test_trade_delta_matrix_matches_scalar_delta(m1, m2):
-    # every entry of the model's delta matrix against the scalar formula
+    # every entry of the model's delta matrix against the scalar formula,
+    # over 150 random two-cycles; one model's sources are distinct, so they
+    # come in batches of disjoint cell pairs, one model per batch
     rng = random.Random(m1 * 100 + m2)
     dims = LatticeDims(m1, m2)
     cells = list(dims.cells())
-    pairs = [rng.sample(cells, 2) for _ in range(150)]
-    cycles = [typ_cycle((a, b), (b, a), types=(1, 1)) for a, b in pairs]
-    model = _DeltaTrades(dims, "euclidean", cycles)
-    edges = list(zip(model.src, model.goal))
-    assert sorted(edges) == sorted(e for cyc in cycles for e in cyc.edges)
-    got = _trade_deltas(model.table, model.moves[:, None], model.length[:, None],
-                        model.moves[None, :], model.length[None, :])
-    assert got.tolist() == [[_trade_delta(dims, e1, e2) for e2 in edges] for e1 in edges]
+    left = 150
+    while left:
+        batch = min(left, len(cells) // 2)
+        left -= batch
+        picked = rng.sample(cells, 2 * batch)
+        cycles = [typ_cycle((a, b), (b, a), types=(1, 1)) for a, b in zip(picked[::2], picked[1::2])]
+        model = _DeltaTrades(dims, "euclidean", *model_input(cycles))
+        edges = list(zip(model.src, model.goal))
+        assert sorted(edges) == sorted(e for cyc in cycles for e in cyc.edges)
+        got = _trade_deltas(model.table, model.moves[:, None], model.length[:, None],
+                            model.moves[None, :], model.length[None, :])
+        assert got.tolist() == [[_trade_delta(dims, e1, e2) for e2 in edges] for e1 in edges]
 
 
 # --- typed phase 3 ----------------------------------------------------------

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from lattice_rearrange import (
     CostModel,
     GoalPattern,
     LatticeDims,
+    MalformedPermutation,
     TypedInstance,
     gen_block_random,
     gen_column_random,
@@ -22,12 +24,20 @@ from lattice_rearrange import (
     simulate,
 )
 from lattice_rearrange.graphs import _find
-from lattice_rearrange.lattice2d import _DeltaTrades, form_cycles_ptr, merge_cycles_ptr
+from lattice_rearrange import por
+from lattice_rearrange.lattice2d import (
+    _DeltaTrades,
+    form_cycles_ptr,
+    merge_cycles_ptr,
+    plan_ptr,
+    sweep_cycles_ptr,
+)
 from lattice_rearrange.por import (
     MoveCycle,
     _GapTrades,
     _assignment_of,
-    _cycles_from_assignment,
+    _assignment_orbits,
+    _move_cycles,
     form_cycles,
     fuse_cycles,
     greedy_plan,
@@ -38,7 +48,7 @@ from lattice_rearrange.por import (
     opt_plan_por,
 )
 from lattice_rearrange.oracle import oracle_min_picks, oracle_optimal
-from conftest import reference_greedy_plan, with_rest
+from conftest import model_input, reference_greedy_plan, with_rest
 
 
 def typ1d(k, start, goal):
@@ -62,7 +72,15 @@ def _swap_destinations(cycles, e1, e2) -> list[MoveCycle]:
     """Fuse two of the given cycles by trading the destinations of e1, e2."""
     assign, types = _assignment_of(cycles)
     assign[e1[0]], assign[e2[0]] = e2[1], e1[1]
-    return _cycles_from_assignment(assign, types)
+    return _move_cycles(_assignment_orbits(assign), types)
+
+
+def fuse(cycles, trades):
+    """fuse_cycles on the assignment of cycles: (fused cycles, log)."""
+    assign, types = _assignment_of(cycles)
+    orbits, log = fuse_cycles(assign, types, trades)
+    assert orbits == _assignment_orbits(assign)
+    return _move_cycles(orbits, types), log
 
 
 def random_typed(rng, m, k, aggregated):
@@ -151,7 +169,7 @@ def reference_merge_cycles(cycles) -> list[MoveCycle]:
             left -= 1
     if left == len(cycles):
         return cycles
-    return _cycles_from_assignment(assign, types)
+    return _move_cycles(_assignment_orbits(assign), types)
 
 
 def reference_cheapest_trade(m1, m2, cost):
@@ -179,8 +197,8 @@ class AllPairsGapTrades:
     """1D trade model: _pair_gap, scanned move pair by move pair.  Each
     component's (move, type) pairs are one list under its root."""
 
-    def __init__(self, cycles):
-        self.members = [list(zip(c.edges, c.edge_types)) for c in cycles]
+    def __init__(self, orbits, assign, types):
+        self.members = [[((s, assign[s]), types[s]) for s in orbit] for orbit in orbits]
 
     def pair_weights(self):
         members = self.members
@@ -210,7 +228,7 @@ class EdgeBlindTrades(AllPairsGapTrades):
 def reference_fusion(cycles):
     """merge_cycles_mst(merge_cycles(cycles)) as it was: the sweep, then
     fuse_cycles over every cycle pair."""
-    return fuse_cycles(reference_merge_cycles(cycles), EdgeBlindTrades)[0]
+    return fuse(reference_merge_cycles(cycles), EdgeBlindTrades)[0]
 
 
 def reference_forest_weight(cycles):
@@ -422,7 +440,7 @@ def test_merge_scales_to_long_rows(seed):
 def test_cycle_distance_no_shared_type():
     a = cyc((1, 2), (2, 1), types=(1, 2))
     b = cyc((4, 5), (5, 4), types=(3, 4))
-    assert list(_GapTrades([a, b]).pair_weights()) == []
+    assert list(_GapTrades(*model_input([a, b])).pair_weights()) == []
 
 
 def test_cycle_distance_gap_values():
@@ -431,7 +449,7 @@ def test_cycle_distance_gap_values():
     for a, b, gap in ((cyc((1, 2), (2, 1), types=(1, 1)), cyc((3, 4), (4, 3), types=(1, 1)), 1),
                       (cyc((1, 2), (2, 1), types=(1, 1)), cyc((4, 5), (5, 4), types=(1, 1)), 2),
                       (cyc((1, 3), (3, 1), types=(1, 1)), cyc((2, 4), (4, 2), types=(1, 1)), 0)):
-        model = _GapTrades([a, b])
+        model = _GapTrades(*model_input([a, b]))
         assert list(model.pair_weights()) == [(gap, 0, 1)]
         t, e1, e2 = model.trade(0, 1, 0, 1)
         assert (t, _pair_gap(e1, e2)) == (1, gap)
@@ -459,8 +477,8 @@ def test_mst_collinear_triple():
 
 
 def test_mst_rotates_cycles_that_do_not_start_at_their_minimum():
-    # fuse_cycles sorts its input by smallest source and reads its output
-    # off the assignment, so a hand-built cycle may start at any source
+    # fuse_cycles reads its input and its output off the assignment, so a
+    # hand-built cycle may start at any source
     late = cyc((2, 1), (1, 2), types=(1, 1))
     b = cyc((4, 5), (5, 4), types=(1, 1))
     merged = merge_cycles_mst([late, b])
@@ -473,8 +491,8 @@ def test_mst_rotates_cycles_that_do_not_start_at_their_minimum():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_fusion_does_not_depend_on_input_order(dim):
-    # fuse_cycles sorts by min cell before the trade model numbers the
-    # cycles, so both models fuse reversed input as they fuse sorted input
+    # the trade model numbers the assignment's orbits in min-cell order, so
+    # both models fuse reversed input as they fuse sorted input
     rng = random.Random(127 + dim)
     fused = 0
     for _ in range(200):
@@ -489,7 +507,7 @@ def test_fusion_does_not_depend_on_input_order(dim):
             inst = TypedInstance(dims, 3, tuple(start), tuple(goal))
             merge = functools.partial(merge_cycles_ptr, dims=dims)
         cycles = (form_cycles if dim == 1 else form_cycles_ptr)(inst)
-        assert [c.min_cell for c in cycles] == sorted(c.min_cell for c in cycles)
+        assert [min(c.edges)[0] for c in cycles] == sorted(min(c.edges)[0] for c in cycles)
         merged = merge(cycles)
         assert merge(cycles[::-1]) == merged
         fused += len(merged) < len(cycles)
@@ -570,7 +588,7 @@ def reference_merge_cycles_mst(cycles):
         for j in range(i + 1, n):
             d = reference_cycle_distance(cycles[i], cycles[j])
             if d < math.inf:
-                pair_edges.append((d, cycles[i].min_cell, cycles[j].min_cell, i, j))
+                pair_edges.append((d, min(cycles[i].edges)[0], min(cycles[j].edges)[0], i, j))
     pair_edges.sort()
     comp = list(range(n))
     current = dict(enumerate(cycles))
@@ -584,7 +602,7 @@ def reference_merge_cycles_mst(cycles):
         comp[ri] = rj
         del current[ri]
         current[_find(comp, j)] = fused[0]
-    return sorted(current.values(), key=lambda c: c.min_cell)
+    return sorted(current.values(), key=lambda c: min(c.edges)[0])
 
 
 def test_mst_matches_reference_on_random_rows():
@@ -623,7 +641,7 @@ def reference_fuse_cycles(cycles, trades):
     assignment: it rotated each cycle min-first and spliced the two orbits
     of every fusion.  trades(cycles) builds a model whose trade(ri, rj,
     a, b) is also handed the orbits a and b."""
-    cycles = sorted(map(_reference_min_first, cycles), key=lambda c: c.min_cell)
+    cycles = sorted(map(_reference_min_first, cycles), key=lambda c: min(c.edges)[0])
     n = len(cycles)
     log: list[tuple[int, int, int]] = []
     if n <= 1:
@@ -642,14 +660,14 @@ def reference_fuse_cycles(cycles, trades):
         log.append((t, e1[1], e2[1]))
         current[rj] = _reference_splice(a, b, e1, e2)
         comp[ri] = rj
-    return sorted(current.values(), key=lambda c: c.min_cell), log
+    return sorted(current.values(), key=lambda c: min(c.edges)[0]), log
 
 
 def _reference_splice(a: MoveCycle, b: MoveCycle, e1, e2) -> MoveCycle:
     """The one cycle left by trading the destinations of e1 (in a) and e2
     (in b), min-first like its parts: a up to e1, then e1 bent to g2, b
     from g2 around to e2, e2 bent to g1, and the rest of a."""
-    if b.min_cell < a.min_cell:
+    if min(b.edges)[0] < min(a.edges)[0]:
         a, b, e1, e2 = b, a, e2, e1
     p, q = a.edges.index(e1), b.edges.index(e2)
     edges = (a.edges[:p] + ((e1[0], e2[1]),) + b.edges[q + 1:] + b.edges[:q]
@@ -718,7 +736,7 @@ def test_fusion_matches_reference_on_rows():
         formed = form_cycles(random_typed(rng, rng.randint(4, 30), rng.randint(2, 4),
                                           aggregated=rng.random() < 0.5))
         for cycles in (formed, merge_cycles(formed), rotated(formed, rng), formed[::-1]):
-            got = fuse_cycles(cycles, EdgeBlindTrades)
+            got = fuse(cycles, EdgeBlindTrades)
             assert got == reference_fuse_cycles(cycles, ReferenceGapTrades), cycles
             fused += len(got[1]) > 0
     assert fused > 300
@@ -737,9 +755,9 @@ def test_fusion_matches_reference_on_grids(metric):
         dims = LatticeDims(m1, m2)
         formed = form_cycles_ptr(TypedInstance(dims, 3, tuple(start), tuple(goal)), model)
         for cycles in (formed, rotated(formed, rng), formed[::-1]):
-            got = fuse_cycles(cycles, functools.partial(_DeltaTrades, dims, metric))
+            got = fuse(cycles, functools.partial(_DeltaTrades, dims, metric))
             want = reference_fuse_cycles(
-                cycles, lambda c: OrbitBlindTrades(_DeltaTrades(dims, metric, c)))
+                cycles, lambda c: OrbitBlindTrades(_DeltaTrades(dims, metric, *model_input(c))))
             assert got == want, cycles
             fused += len(got[1]) > 0
     assert fused > 100
@@ -753,9 +771,9 @@ def test_fusion_matches_reference_on_hand_built_cycles():
     d = cyc((12, 10), (10, 11), (11, 12), types=(2, 1, 2))
     for cycles in ([d, c, b, a], [c, a], [b, a], [d], []):
         want = reference_fuse_cycles(cycles, ReferenceGapTrades)
-        assert fuse_cycles(cycles, EdgeBlindTrades) == want
-        assert fuse_cycles(cycles[::-1], EdgeBlindTrades) == want
-    merged, log = fuse_cycles([d, c, b, a], _GapTrades)
+        assert fuse(cycles, EdgeBlindTrades) == want
+        assert fuse(cycles[::-1], EdgeBlindTrades) == want
+    merged, log = fuse([d, c, b, a], _GapTrades)
     assert len(merged) == 1 and len(log) == 3
 
 
@@ -775,7 +793,7 @@ def assert_fusion_matches_all_pairs(inst):
     the all-pairs model: each trade costs its weight, the fusions add twice
     the all-pairs forest weight, and the cycles, picks and travel match."""
     formed = form_cycles(inst)
-    fused, _ = fuse_cycles(formed, CheckedGapTrades)
+    fused, _ = fuse(formed, CheckedGapTrades)
     assert fused == merge_cycles_mst(formed)
     assert total_distance(fused) - total_distance(formed) == 2 * reference_forest_weight(formed)
     assert len(merge_cycles(formed)) == len(reference_merge_cycles(formed))
@@ -871,6 +889,69 @@ def test_opt_plan_matches_oracle_rest_not_one():
     # the walk enters the cycle at its leftmost cell, not the one nearest rest
     inst = TypedInstance(LatticeDims(2, 1), 2, (2, 1), (1, 2), rest=2)
     assert simulate(inst, opt_plan_por(inst)).cost == oracle_optimal(inst).cost
+
+
+# --- one assignment through the pipeline ----------------------------------
+
+A = cyc((1, 2), (2, 1), types=(1, 1))
+SHARED = cyc((1, 3), (3, 1), types=(1, 1))
+OPEN = cyc((1, 2), (2, 3), types=(1, 1))
+INTO_A = cyc((3, 4), (4, 1), types=(1, 1))
+TWICE = cyc((1, 2), (2, 1), (1, 2), (2, 1), types=(1, 1, 1, 1))
+SHORT = cyc((1, 2), (2, 1), types=(1,))
+# id: (cycles, the cycle the error names)
+MALFORMED = {
+    "repeated-cycle": ([A, A], A),
+    "shared-source": ([A, SHARED], SHARED),
+    "open-chain": ([OPEN], OPEN),
+    "shared-goal": ([A, INTO_A], INTO_A),
+    "repeated-source": ([TWICE], TWICE),
+    "short-types": ([SHORT], SHORT),
+}
+GRID = LatticeDims(2, 2)
+TAKE_CYCLES = {
+    "merge_cycles": merge_cycles,
+    "merge_cycles_mst": merge_cycles_mst,
+    "group_sweep_cycles_por": group_sweep_cycles_por,
+    "merge_cycles_ptr": functools.partial(merge_cycles_ptr, dims=GRID),
+    "sweep_cycles_ptr": functools.partial(sweep_cycles_ptr, dims=GRID),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("phase", TAKE_CYCLES)
+def test_phases_refuse_malformed_cycles_naming_them(phase, case):
+    # no malformed list is read as a smaller set of moves, as [A, A] once
+    # was (merge_cycles_ptr returned [], dropping every move)
+    cycles, bad = MALFORMED[case]
+    with pytest.raises(MalformedPermutation, match=re.escape(repr(bad))):
+        TAKE_CYCLES[phase](cycles)
+
+
+@pytest.mark.parametrize("planner,inst", [
+    (opt_plan_por, typ1d(3, (2, 2, 1, 1, 3, 3), (1, 1, 2, 2, 3, 3))),
+    (plan_ptr, gen_typed((4, 4), 4, (4,) * 4, GoalPattern("columns"), 1)),
+], ids=["opt_plan_por", "plan_ptr"])
+def test_planners_pass_one_assignment(planner, inst, monkeypatch):
+    # the public phases, composed, plan the same steps through MoveCycles
+    dims, rest = inst.dims, inst.rest
+    if planner is opt_plan_por:
+        formed = form_cycles(inst)
+        fused = merge_cycles_mst(formed)
+        want = group_sweep_cycles_por(fused)
+    else:
+        formed = form_cycles_ptr(inst)
+        fused = merge_cycles_ptr(formed, dims)
+        want = sweep_cycles_ptr(fused, dims, rest)
+    assert len(fused) < len(formed)
+    walks, built = [], []
+    walk = por._assignment_orbits
+    monkeypatch.setattr(por, "_assignment_orbits", lambda assign: walks.append(1) or walk(assign))
+    init = MoveCycle.__init__
+    monkeypatch.setattr(MoveCycle, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    assert planner(inst) == want
+    assert (len(built), len(walks)) == (0, 2)
 
 
 # --- greedy baseline --------------------------------------------------------

@@ -1,7 +1,8 @@
 """The shared orbit walk and emitters against the loops they replaced.
 
 Four loops are kept here verbatim as references: the sweep branch of
-follow_cycles, por's own orbit loop in _cycles_from_assignment, the
+follow_cycles, por's own orbit loop behind the MoveCycles of an
+assignment (now _assignment_orbits and _move_cycles), the
 list-frame nested emitter lattice2d used to hold, and the single-pass
 follow_cycles as it read when it built one PlanStep per step.  Every
 planner built on their replacements must emit exactly what they did.
@@ -52,9 +53,10 @@ from lattice_rearrange.lor import (
 )
 from lattice_rearrange.por import (
     MoveCycle,
-    _cycles_from_assignment,
-    _misplaced_by_type,
-    _orbits,
+    _assignment_of,
+    _assignment_orbits,
+    _form,
+    _move_cycles,
     form_cycles,
     group_sweep_cycles_por,
     merge_cycles,
@@ -86,7 +88,9 @@ def reference_sweep(cycles, dest) -> Plan:
 
 
 def reference_cycles_from_assignment(assign, types):
-    """por._cycles_from_assignment with its own orbit loop."""
+    """por._move_cycles over por._assignment_orbits, as
+    por._cycles_from_assignment read before the two were split, with its
+    own orbit loop."""
     seen: set[int] = set()
     cycles = []
     for start in sorted(assign):
@@ -258,14 +262,9 @@ def typed_instances(dims_of):
         yield gen_typed(dims, k, counts, GoalPattern("explicit", goal), seed)
 
 
-def in_order_assignment(instance):
-    """form_cycles' matching: per type, the i-th source to the i-th goal."""
-    sources, goals = _misplaced_by_type(instance)
-    assign, types = {}, {}
-    for t, srcs in sources.items():
-        for s, g in zip(srcs, goals[t]):
-            assign[s], types[s] = g, t
-    return assign, types
+def cycles_from_assignment(assign, types) -> list[MoveCycle]:
+    """The MoveCycles a public phase reads off an assignment."""
+    return _move_cycles(_assignment_orbits(assign), types)
 
 
 def shuffled_assignment(n: int, rng):
@@ -313,26 +312,26 @@ def test_emitter_without_detours_is_the_reference_sweep():
                          ids=["1d", "2d"])
 def test_typed_assignments_decompose_like_reference(dims_of):
     for inst in typed_instances(dims_of):
-        assign, types = in_order_assignment(inst)
-        assert _cycles_from_assignment(assign, types) == \
+        assign, types = _form(inst)
+        assert cycles_from_assignment(assign, types) == \
             reference_cycles_from_assignment(assign, types)
     rng = random.Random(15)
     for _ in range(60):
         dims = dims_of(rng)
         assign, types = shuffled_assignment(dims.n, rng)
-        assert _cycles_from_assignment(assign, types) == \
+        assert cycles_from_assignment(assign, types) == \
             reference_cycles_from_assignment(assign, types)
 
 
 def test_empty_assignment_has_no_cycles():
-    assert _cycles_from_assignment({}, {}) == reference_cycles_from_assignment({}, {}) == []
+    assert cycles_from_assignment({}, {}) == reference_cycles_from_assignment({}, {}) == []
 
 
 def test_sparse_assignment_walks_only_its_cells():
     # five moved cells among 900, listed out of cell order
     assign = {900: 7, 7: 300, 300: 900, 50: 40, 40: 50}
     types = {900: 1, 7: 2, 300: 1, 50: 3, 40: 3}
-    assert _cycles_from_assignment(assign, types) == \
+    assert cycles_from_assignment(assign, types) == \
         reference_cycles_from_assignment(assign, types)
     pi = list(range(1, 901))
     for s, g in assign.items():
@@ -369,7 +368,8 @@ def test_typed_schedule_emits_like_reference(metric):
     rng = random.Random(16)
     for inst in typed_instances(lambda rng: LatticeDims(rng.randint(2, 8), rng.randint(2, 8))):
         cycles = merge_cycles_ptr(form_cycles_ptr(inst), inst.dims)
-        cells, nxt = _orbits(cycles)
+        nxt, _ = _assignment_of(cycles)
+        cells = _assignment_orbits(nxt)
         rest = interior_rest(inst.dims, rng)
         plan = sweep_cycles_ptr(cycles, inst.dims, rest, model)
         if not cells:
@@ -423,7 +423,8 @@ def test_single_pass_walk_matches_reference_on_long_xrandom_rows():
 
 def test_single_pass_walk_matches_reference_on_typed_rows():
     for inst in typed_instances(lambda rng: LatticeDims(rng.randint(2, 80), 1)):
-        cells, dest = _orbits(merge_cycles_mst(merge_cycles(form_cycles(inst))))
+        dest, _ = _assignment_of(merge_cycles_mst(merge_cycles(form_cycles(inst))))
+        cells = _assignment_orbits(dest)
         plan = reference_follow_cycles(cells, dest)
         assert follow_cycles(cells, dest) == plan
         assert opt_plan_por(inst) == plan
@@ -450,7 +451,7 @@ def test_typed_row_walk_reads_a_cycle_from_any_move():
     assert plan == opt_plan_por(inst)
     cost = plan_cost(inst, plan)
     assert (cost.picks, cost.travel) == (6, 12.0)
-    assert [c.min_cell for c in cycles] == [3, 4]
+    assert [min(c.edges)[0] for c in cycles] == [3, 4]
 
 
 def test_walk_phases_ignore_cycle_starts_and_order():
