@@ -1,5 +1,11 @@
 """Combinatorial substrate: permutation cycles, arborescence, matching.
 
+Cycles are read two ways.  _walk_orbits records every orbit; it backs
+permutation_cycles and the typed planners' assignments.  _cycle_spans
+records only each cycle's entry and far end, its smallest and largest
+cell, which is all the 1D single pass (lor.follow_cycles) and the sweeps
+read of a labeled row.
+
 Everything here is deterministic, ties included: the arborescence breaks
 ties toward the smallest edge id (position in the input edge list), and the
 assignment toward the lexicographically smallest assignment vector.
@@ -84,6 +90,38 @@ def permutation_cycles(pi: Sequence[int]) -> CycleSet:
     """The CycleSet of pi, checked as _walk_orbits does.  Only labeled
     arrangements come through here; por's assignments call the walk."""
     return CycleSet(*map(tuple, _walk_orbits(pi)))
+
+
+def _cycle_spans(dest: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(entries, tops) of a checked permutation given as a destination
+    table: dest[cell] is where the item at cell belongs, dest[0] padding.
+    Per nontrivial cycle, in entry order, its entry (smallest cell) and its
+    far end (largest cell).
+
+    One marking pass, recording no orbit: a cell is visited at most twice,
+    once as a candidate entry and once on its cycle's walk.  dest is not
+    checked again, so it must come from a LabeledInstance.
+    """
+    seen = bytearray(len(dest))
+    entries: list[int] = []
+    tops: list[int] = []
+    for start in range(1, len(dest)):
+        if seen[start]:
+            continue
+        g = dest[start]
+        if g == start:
+            continue
+        # start is the least cell of its cycle: every smaller cell's cycle
+        # was walked already, and marked it
+        top = start
+        while g != start:
+            seen[g] = 1
+            if g > top:
+                top = g
+            g = dest[g]
+        entries.append(start)
+        tops.append(top)
+    return entries, tops
 
 
 def _find(parent: list[int], x: int) -> int:

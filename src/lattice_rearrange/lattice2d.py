@@ -61,6 +61,7 @@ from .core import (
 from .graphs import (
     _SLAB_ENTRIES,
     WeightedGraph,
+    _cycle_spans,
     min_arborescence,
     min_cost_assignment,
     permutation_cycles,
@@ -293,7 +294,8 @@ def sweep_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST)
     cost.
     """
     _require_2d(instance)
-    return _sweep(permutation_cycles(instance.pi).cycles, _dest_table(instance))
+    dest = _dest_table(instance)
+    return _sweep(_cycle_spans(dest)[0], dest)
 
 
 def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST) -> Plan:
@@ -308,7 +310,7 @@ def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST
     dest = _dest_table(instance)
     roots, kids = _schedule(dims, cycles, instance.rest, model, detour=True)
     switched = _emit_nested(roots, kids, dest)
-    sweep = _sweep(cycles, dest)
+    sweep = _sweep([cyc[0] for cyc in cycles], dest)
     # both plans are legal by construction, so only their travel is summed
     rest = instance.rest
     if _travel(dims, rest, switched.cells, model) <= _travel(dims, rest, sweep.cells, model):
@@ -463,7 +465,7 @@ def _merge_cycles_ptr_logged(cycles, dims: LatticeDims, model: CostModel = DEFAU
     The log exists so tests can check how far trades reach; the public
     wrapper drops it.
     """
-    return _fused(cycles, functools.partial(_DeltaTrades, dims, model.metric))
+    return _fused(cycles, functools.partial(_DeltaTrades, dims, model.metric), n=dims.n)
 
 
 def merge_cycles_ptr(cycles, dims: LatticeDims,
@@ -488,7 +490,7 @@ def sweep_cycles_ptr(cycles, dims: LatticeDims, rest: int = 1,
     cell); the walk serves each cycle on first entry with parking, so
     travel between cycles stays within twice the arborescence weight.
     """
-    assign, _ = _assignment_of(cycles)
+    assign, _ = _assignment_of(cycles, dims.n)
     orbits = _assignment_orbits(assign)
     return _emit_nested(*_schedule(dims, orbits, rest, model, detour=False), assign)
 

@@ -28,9 +28,15 @@ end-effector makes a single sweep.  Two devices do the work:
 The result is provably best possible: fewest operations, and, when the
 arm rests at cell 1, the least travel among plans with fewest operations.
 
+Neither walk needs a cycle's orbit, only where it starts and how far it
+reaches: the orbit itself is followed through the destination table.  A
+cycle is read as its span, its entry (smallest cell) and its far end
+(largest cell); graphs._cycle_spans finds every span of a labeled row in
+one marking pass, without building orbit tuples.
+
 The module holds walk emission for every planner: follow_cycles (this
-single pass, also for por) and _emit_nested (detours lattice2d schedules;
-with none, the sweep of both sweep planners).
+single pass over spans, also for por) and _emit_nested (detours lattice2d
+schedules; with none, the sweep of both sweep planners, over entries).
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .core import (
     LabeledInstance,
     Plan,
 )
-from .graphs import permutation_cycles
+from .graphs import _cycle_spans
 
 
 def _require_1d(instance: Instance) -> None:
@@ -53,12 +59,13 @@ def _require_1d(instance: Instance) -> None:
         raise ValueError("this planner handles 1D instances only (m2 must be 1)")
 
 
-def follow_cycles(cycles, dest) -> Plan:
+def follow_cycles(entries, tops, dest) -> Plan:
     """Emit the 1D single-pass walk that resolves destination cycles.
 
-    `cycles` are tuples of cells, each beginning at its minimum cell and
-    ordered by that minimum; `dest` maps a cell to where the item currently
-    at that cell belongs (indexable by cell).  The walk parks and retrieves
+    Cycle i is given by its span: entries[i], its smallest cell, and
+    tops[i], its largest; entries increase.  `dest` maps a cell to where
+    the item currently at that cell belongs (indexable by cell), and the
+    walk follows each orbit through it.  The walk parks and retrieves
     items to resolve inner cycles en route (the sweep is _sweep).  A group
     hand-off is one such nested entry, triggered by the swap at the
     farthest cell of the cycles entered so far: the next cycle is entered
@@ -66,26 +73,24 @@ def follow_cycles(cycles, dest) -> Plan:
 
     The loop is iterative with an explicit frame stack; nesting depth can
     reach the cycle count, far past the recursion limit on large inputs.
+    Only cells are recorded: the actions are always one Pick, Swaps, and
+    one Place, so that column is built once at the end.
     """
-    if not cycles:
+    if not entries:
         return Plan()
-    pick, swap, place = Action.PICK, Action.SWAP, Action.PLACE
     cells: list[int] = []
-    actions: list[Action] = []
-    at, act = cells.append, actions.append
-    n_cycles = len(cycles)
+    at = cells.append
+    n_cycles = len(entries)
     # entries[ptr]: entry cell of the next cycle to start; the sentinel
     # lies past every cell, so the entry test needs no bounds check
-    entries = [cyc[0] for cyc in cycles]
-    entries.append(math.inf)
+    entries = [*entries, math.inf]
     # the innermost open cycle's frame is (entry, resume): its entry cell
     # and the destination to resume after closing it; the frames of the
     # cycles it is nested in wait on the stack.  top: the farthest cell of
     # the cycles entered so far
-    entry, resume, top = entries[0], 0, max(cycles[0])
+    entry, resume, top = entries[0], 0, tops[0]
     stack: list[tuple[int, int]] = []
     at(entry)
-    act(pick)
     g = dest[entry]
     ptr = 1
     handoff = False
@@ -97,14 +102,13 @@ def follow_cycles(cycles, dest) -> Plan:
             handoff = False
             stack.append((entry, resume))
             entry, resume = entries[ptr], g
-            top = max(top, max(cycles[ptr]))
+            if tops[ptr] > top:
+                top = tops[ptr]
             at(entry)
-            act(swap)
             g = dest[entry]
             ptr += 1
         at(g)
         if g != entry:
-            act(swap)
             # every entry left of g is entered, so g ends its group exactly
             # when it is top: hand the item acquired here to the next group
             handoff = g == top and ptr < n_cycles
@@ -112,14 +116,13 @@ def follow_cycles(cycles, dest) -> Plan:
         elif stack:
             # closing swap: deposit the cycle's last item, take back
             # whatever was parked here on entry
-            act(swap)
             g = resume
             entry, resume = stack.pop()
         else:
-            act(place)
             break
     assert ptr == n_cycles
-    return Plan.from_columns(cells, actions)
+    swaps = (Action.SWAP,) * (len(cells) - 2)
+    return Plan.from_columns(cells, (Action.PICK, *swaps, Action.PLACE))
 
 
 def _emit_nested(roots, kids, nxt) -> Plan:
@@ -171,9 +174,10 @@ def _emit_nested(roots, kids, nxt) -> Plan:
     return Plan.from_columns(cells, actions)
 
 
-def _sweep(cycles, dest) -> Plan:
-    """Each cycle on its own, in order: Pick, Swap around, Place."""
-    return _emit_nested([cyc[0] for cyc in cycles], {}, dest)
+def _sweep(entries, dest) -> Plan:
+    """Each cycle on its own, in order of its entry cell: Pick there, Swap
+    around, Place back there."""
+    return _emit_nested(entries, {}, dest)
 
 
 def _dest_table(instance: LabeledInstance) -> list[int]:
@@ -190,7 +194,8 @@ def sweep_cycles_lor(instance: LabeledInstance, model: CostModel = DEFAULT_COST)
     accepted for interface symmetry with the other planners.
     """
     _require_1d(instance)
-    return _sweep(permutation_cycles(instance.pi).cycles, _dest_table(instance))
+    dest = _dest_table(instance)
+    return _sweep(_cycle_spans(dest)[0], dest)
 
 
 def opt_plan_lor(instance: LabeledInstance, model: CostModel = DEFAULT_COST) -> Plan:
@@ -204,4 +209,5 @@ def opt_plan_lor(instance: LabeledInstance, model: CostModel = DEFAULT_COST) -> 
     optimum (ROADMAP item 2).
     """
     _require_1d(instance)
-    return follow_cycles(permutation_cycles(instance.pi).cycles, _dest_table(instance))
+    dest = _dest_table(instance)
+    return follow_cycles(*_cycle_spans(dest), dest)

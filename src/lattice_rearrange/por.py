@@ -22,7 +22,8 @@ phases pass one destination assignment (source -> goal) and its orbits:
    with a model that answers from per-type numpy matrices.
 3. group_sweep_cycles_por: walk the final cycles with the labeled 1D
    planner's single pass, lor.follow_cycles (nested entries, parking, and
-   the hand-off at the farthest cell entered so far).
+   the hand-off at the farthest cell entered so far), which reads each
+   orbit only as its first and largest cell.
 
 MoveCycles exist only at the public phase functions; cycles passed in
 enter through one check, _assignment_of.
@@ -82,10 +83,12 @@ def _move_cycles(orbits, types: dict[int, int]) -> list[MoveCycle]:
             for orbit in orbits]
 
 
-def _assignment_of(cycles) -> tuple[dict[int, int], dict[int, int]]:
+def _assignment_of(cycles, n: float = math.inf) -> tuple[dict[int, int], dict[int, int]]:
     """(assign, types) of caller-supplied cycles.  MalformedPermutation names
     the first cycle that repeats a source (its own or an earlier cycle's),
-    whose goals are not its sources, or whose edge_types differ in length."""
+    whose goals are not its sources, whose edge_types differ in length, or
+    with a cell outside 1..n (the 1D phases take no dims, so they check
+    only the lower end)."""
     assign: dict[int, int] = {}
     types: dict[int, int] = {}
     for cyc in cycles:
@@ -93,6 +96,9 @@ def _assignment_of(cycles) -> tuple[dict[int, int], dict[int, int]]:
         if (len(sources) < len(cyc.edges) or not assign.keys().isdisjoint(sources)
                 or sources != {g for _, g in cyc.edges} or len(cyc.edge_types) != len(cyc.edges)):
             raise MalformedPermutation(f"not a cycle of moves from unused sources: {cyc!r}")
+        # the goals are the sources, so checking the sources covers every cell
+        if sources and not (1 <= min(sources) and max(sources) <= n):
+            raise MalformedPermutation(f"a cycle with a cell off the lattice: {cyc!r}")
         for (s, g), t in zip(cyc.edges, cyc.edge_types):
             assign[s] = g
             types[s] = t
@@ -130,9 +136,11 @@ def form_cycles(instance: TypedInstance) -> list[MoveCycle]:
     return _move_cycles(_assignment_orbits(assign), types)
 
 
-def _fused(cycles, trades, _cap: float = math.inf) -> tuple[list[MoveCycle], list]:
-    """fuse_cycles over caller-supplied cycles: (fused MoveCycles, log)."""
-    assign, types = _assignment_of(cycles)
+def _fused(cycles, trades, _cap: float = math.inf,
+           n: float = math.inf) -> tuple[list[MoveCycle], list]:
+    """fuse_cycles over caller-supplied cycles with cells in 1..n:
+    (fused MoveCycles, log)."""
+    assign, types = _assignment_of(cycles, n)
     orbits, log = fuse_cycles(assign, types, trades, _cap)
     return _move_cycles(orbits, types), log
 
@@ -285,10 +293,16 @@ def merge_cycles_mst(cycles) -> list[MoveCycle]:
     return _fused(cycles, _GapTrades)[0]
 
 
+def _follow_orbits(orbits, assign: dict[int, int]) -> Plan:
+    """lor.follow_cycles over min-first orbits in min-cell order: each
+    orbit's span is its first and its largest cell."""
+    return follow_cycles([orbit[0] for orbit in orbits], list(map(max, orbits)), assign)
+
+
 def group_sweep_cycles_por(cycles) -> Plan:
     """Phase 3: emit the walk with the labeled 1D planner's engine."""
     assign, _ = _assignment_of(cycles)
-    return follow_cycles(_assignment_orbits(assign), assign)
+    return _follow_orbits(_assignment_orbits(assign), assign)
 
 
 def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
@@ -304,7 +318,7 @@ def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Pl
     _require_1d(instance)
     assign, types = _form(instance)
     orbits, _ = fuse_cycles(assign, types, _GapTrades)
-    return follow_cycles(orbits, assign)
+    return _follow_orbits(orbits, assign)
 
 
 # --- greedy baseline --------------------------------------------------------

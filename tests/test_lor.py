@@ -11,6 +11,7 @@ from lattice_rearrange import (
     LatticeDims,
     simulate,
 )
+from lattice_rearrange.gen import gen_uniform_permutation, gen_x_random
 from lattice_rearrange.graphs import permutation_cycles
 from lattice_rearrange.lor import opt_plan_lor, sweep_cycles_lor
 from lattice_rearrange.oracle import oracle_optimal
@@ -203,3 +204,54 @@ def test_large_instance_stays_iterative():
     plan, cost = run(opt_plan_lor, inst)
     assert cost.picks == m + m // 2
     assert cost.travel == pytest.approx(2.0 * (m - 1))
+
+
+# --- the crossing bound at scale --------------------------------------------
+
+def crossing_bound(pi) -> int:
+    """A lower bound on the travel of any plan for pi from rest 1.
+
+    Sum over gaps g (between cells g and g + 1) of 2 max(c_g, [a misplaced
+    cell lies right of g]), where c_g = #{i <= g < pi_i} items must cross
+    g rightward.  The arm carries one item at a time, and as many items
+    cross g leftward as rightward, so it crosses g at least 2 c_g times;
+    and it crosses g out and back at least once to reach a misplaced cell
+    beyond g.  O(n), through a difference array of the spans [i, pi_i).
+    """
+    n = len(pi)
+    starts = [0] * (n + 2)
+    last = 0
+    for i, p in enumerate(pi, start=1):
+        if p > i:
+            starts[i] += 1
+            starts[p] -= 1
+        if p != i:
+            last = i
+    total = crossing = 0
+    for g in range(1, n):
+        crossing += starts[g]
+        total += 2 * max(crossing, 1 if g < last else 0)
+    return total
+
+
+def test_crossing_bound_on_small_rows():
+    assert crossing_bound((1, 2, 3)) == 0
+    assert crossing_bound((3, 2, 1)) == 4         # 2 crossings of each gap
+    assert crossing_bound((2, 1, 4, 3)) == 6      # gap 2 only to reach cell 3
+    assert crossing_bound((1, 2, 4, 3)) == 6      # gaps 1 and 2 only to reach it
+    for pi in [(3, 2, 1), (2, 1, 4, 3), (1, 2, 4, 3), (4, 1, 2, 3)]:
+        assert crossing_bound(pi) == oracle_optimal(lab1d(*pi)).cost.travel
+
+
+@pytest.mark.parametrize("m", [2_000, 100_000])
+@pytest.mark.parametrize("make", [gen_uniform_permutation, lambda m, seed: gen_x_random(m, 8, seed)],
+                         ids=["uniform", "x-random"])
+def test_opt_travel_meets_crossing_bound_at_scale(make, m):
+    # the exact planner meets the bound at rest 1; the sweep, which returns
+    # to each cycle's entry before starting the next, exceeds it, so a
+    # planner that emitted the sweep's walk would fail here
+    for seed in range(3):
+        inst = make(m, seed)
+        bound = crossing_bound(inst.pi)
+        assert run(opt_plan_lor, inst)[1].travel == bound, seed
+        assert run(sweep_cycles_lor, inst)[1].travel > bound, seed

@@ -899,6 +899,7 @@ OPEN = cyc((1, 2), (2, 3), types=(1, 1))
 INTO_A = cyc((3, 4), (4, 1), types=(1, 1))
 TWICE = cyc((1, 2), (2, 1), (1, 2), (2, 1), types=(1, 1, 1, 1))
 SHORT = cyc((1, 2), (2, 1), types=(1,))
+CELL_ZERO = cyc((0, 1), (1, 0), types=(1, 1))
 # id: (cycles, the cycle the error names)
 MALFORMED = {
     "repeated-cycle": ([A, A], A),
@@ -907,8 +908,12 @@ MALFORMED = {
     "shared-goal": ([A, INTO_A], INTO_A),
     "repeated-source": ([TWICE], TWICE),
     "short-types": ([SHORT], SHORT),
+    "cell-zero": ([CELL_ZERO], CELL_ZERO),
 }
 GRID = LatticeDims(2, 2)
+# cycles through a cell past GRID's last, 4: just past it, where the
+# offset table still has an entry, and far past it, where it has none
+PAST_GRID = [cyc((4, 5), (5, 4), types=(1, 1)), cyc((7, 8), (8, 7), types=(1, 1))]
 TAKE_CYCLES = {
     "merge_cycles": merge_cycles,
     "merge_cycles_mst": merge_cycles_mst,
@@ -926,6 +931,13 @@ def test_phases_refuse_malformed_cycles_naming_them(phase, case):
     cycles, bad = MALFORMED[case]
     with pytest.raises(MalformedPermutation, match=re.escape(repr(bad))):
         TAKE_CYCLES[phase](cycles)
+
+
+@pytest.mark.parametrize("bad", PAST_GRID, ids=["just-past", "far-past"])
+@pytest.mark.parametrize("phase", ["merge_cycles_ptr", "sweep_cycles_ptr"])
+def test_2d_phases_refuse_cells_past_the_lattice(phase, bad):
+    with pytest.raises(MalformedPermutation, match=re.escape(repr(bad))):
+        TAKE_CYCLES[phase]([bad])
 
 
 @pytest.mark.parametrize("planner,inst", [

@@ -8,7 +8,8 @@ follow_cycles as it read when it built one PlanStep per step.  Every
 planner built on their replacements must emit exactly what they did.
 The nested reference reads cycle ids, which id_keyed derives from a
 schedule keyed by cells; the single-pass reference reads the span
-grouping kept in conftest.
+grouping kept in conftest.  The marking pass, _cycle_spans, is checked
+against the orbits whose entries and far ends it stands for.
 """
 
 import itertools
@@ -35,7 +36,7 @@ from lattice_rearrange.gen import (
     gen_uniform_permutation,
     gen_x_random,
 )
-from lattice_rearrange.graphs import _walk_orbits, permutation_cycles
+from lattice_rearrange.graphs import _cycle_spans, _walk_orbits, permutation_cycles
 from lattice_rearrange.lattice2d import (
     _schedule,
     form_cycles_ptr,
@@ -379,13 +380,41 @@ def test_typed_schedule_emits_like_reference(metric):
         assert plan == reference_emit_nested(*id_keyed(roots, kids, nxt), nxt)
 
 
+# --- the marking pass -------------------------------------------------------
+
+def spans(cycles) -> tuple[list[int], list[int]]:
+    """Entries and far ends of min-first cycles, read off their orbits:
+    what _cycle_spans returns and follow_cycles takes."""
+    return [cyc[0] for cyc in cycles], [max(cyc) for cyc in cycles]
+
+
+def test_cycle_spans_match_orbits_on_every_small_permutation():
+    for n in range(8):
+        for pi in itertools.permutations(range(1, n + 1)):
+            assert _cycle_spans([0, *pi]) == spans(permutation_cycles(pi).cycles)
+
+
+def test_cycle_spans_of_identity_are_empty():
+    assert _cycle_spans([0, *range(1, 1001)]) == ([], [])
+    assert _cycle_spans([0]) == ([], [])
+
+
+@pytest.mark.parametrize("make", [lambda seed: gen_uniform_permutation(100_000, seed),
+                                  lambda seed: gen_x_random(100_000, 8, seed)],
+                         ids=["uniform", "x-random"])
+def test_cycle_spans_match_orbits_on_long_rows(make):
+    for seed in range(2):
+        pi = make(seed).pi
+        assert _cycle_spans([0, *pi]) == spans(permutation_cycles(pi).cycles)
+
+
 # --- the single-pass walk ---------------------------------------------------
 
 def test_single_pass_walk_matches_reference_on_labeled_rows():
     for inst in labeled_rows():
         cycles = permutation_cycles(inst.pi).cycles
         plan = reference_follow_cycles(cycles, _dest_table(inst))
-        assert follow_cycles(cycles, _dest_table(inst)) == plan
+        assert follow_cycles(*spans(cycles), _dest_table(inst)) == plan
         assert opt_plan_lor(inst) == plan
 
 
@@ -394,7 +423,7 @@ def test_single_pass_walk_matches_reference_on_every_small_permutation():
         for pi in itertools.permutations(range(1, n + 1)):
             cycles = permutation_cycles(pi).cycles
             dest = [0, *pi]
-            assert follow_cycles(cycles, dest) == reference_follow_cycles(cycles, dest)
+            assert follow_cycles(*spans(cycles), dest) == reference_follow_cycles(cycles, dest)
 
 
 def nested_handoffs(cycles) -> int:
@@ -414,7 +443,7 @@ def test_single_pass_walk_matches_reference_on_long_xrandom_rows():
             cycles = permutation_cycles(inst.pi).cycles
             dest = _dest_table(inst)
             plan = reference_follow_cycles(cycles, dest)
-            assert follow_cycles(cycles, dest) == plan
+            assert follow_cycles(*spans(cycles), dest) == plan
             for rest in (1, rng.randint(2, inst.dims.m1 - 1)):
                 assert opt_plan_lor(LabeledInstance(inst.dims, inst.pi, rest)) == plan
             handoffs += nested_handoffs(cycles)
@@ -426,7 +455,7 @@ def test_single_pass_walk_matches_reference_on_typed_rows():
         dest, _ = _assignment_of(merge_cycles_mst(merge_cycles(form_cycles(inst))))
         cells = _assignment_orbits(dest)
         plan = reference_follow_cycles(cells, dest)
-        assert follow_cycles(cells, dest) == plan
+        assert follow_cycles(*spans(cells), dest) == plan
         assert opt_plan_por(inst) == plan
 
 
