@@ -73,7 +73,10 @@ def _resolve_seed(value) -> int:
     if value is not None:
         return value
     env = os.environ.get("LATTICE_REARRANGE_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise UsageError(f"$LATTICE_REARRANGE_SEED must be an integer, got {env!r}") from None
 
 
 def _cost_model(args) -> CostModel:

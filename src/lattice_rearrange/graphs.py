@@ -1,10 +1,13 @@
 """Combinatorial substrate: permutation cycles, arborescence, matching.
 
-Cycles are read two ways.  _walk_orbits records every orbit; it backs
-permutation_cycles and the typed planners' assignments.  _cycle_spans
+Every planner holds its permutation as one destination table, dest[cell]
+the cell the item at cell belongs at (dest[0] pads), checked once where it
+enters: core._is_permutation for an arrangement, por._assignment_of for
+hand-built cycles.  Two unchecked passes read it.  _walk_orbits records
+every orbit, for permutation_cycles and the typed planners.  _cycle_spans
 records only each cycle's entry and far end, its smallest and largest
 cell, which is all the 1D single pass (lor.follow_cycles) and the sweeps
-read of a labeled row.
+read.
 
 Everything here is deterministic, ties included: the arborescence breaks
 ties toward the smallest edge id (position in the input edge list), and the
@@ -18,9 +21,9 @@ module (and the package) does not load it.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import MalformedPermutation, RearrangeError, _Value
+from .core import MalformedPermutation, RearrangeError, _Value, _is_permutation
 
 
 class Unreachable(RearrangeError):
@@ -42,54 +45,37 @@ class CycleSet(_Value):
         return len(self.cycles)
 
 
-def _walk_orbits(pi: Sequence[int], starts: Iterable[int] | None = None
-                 ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """(cycles, fixed points) of pi, which must be a permutation of
-    1..len(pi): the one orbit walk behind every cycle decomposition.
-
-    The check runs inside the walk, in linear time: with every value in
-    range, pi is a permutation exactly when each orbit closes at its start
-    before it meets a visited cell.  Anything else raises
-    MalformedPermutation.  starts, when given, lists in increasing order
-    the cells whose orbits are walked; no other cell is visited, and the
-    check covers only the orbits walked.
-    """
-    n = len(pi)
-
-    def malformed():
-        return MalformedPermutation(f"not a permutation of 1..{n}: {tuple(pi)!r}")
-
-    seen = [False] * (n + 1)
+def _walk_orbits(dest: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(cycles, fixed points) of a checked permutation given as a
+    destination table, the input _cycle_spans reads: each cycle the orbit
+    of its smallest cell, listed from there, in order of that cell.  dest
+    is not checked again."""
+    seen = bytearray(len(dest))
     cycles = []
     fixed = []
-    try:
-        if n and not (1 <= min(pi) and max(pi) <= n):
-            raise malformed()
-        for start in range(1, n + 1) if starts is None else starts:
-            if seen[start]:
-                continue
-            seen[start] = True
-            orbit = [start]
-            g = pi[start - 1]
-            while g != start:
-                if seen[g]:  # a second cell maps to g
-                    raise malformed()
-                seen[g] = True
-                orbit.append(g)
-                g = pi[g - 1]
-            if len(orbit) == 1:
-                fixed.append(start)
-            else:
-                cycles.append(tuple(orbit))
-    except TypeError:  # a value that is not an integer
-        raise malformed() from None
+    for start in range(1, len(dest)):
+        if seen[start]:
+            continue
+        g = dest[start]
+        if g == start:
+            fixed.append(start)
+            continue
+        orbit = [start]
+        while g != start:
+            seen[g] = 1
+            orbit.append(g)
+            g = dest[g]
+        cycles.append(tuple(orbit))
     return cycles, fixed
 
 
 def permutation_cycles(pi: Sequence[int]) -> CycleSet:
-    """The CycleSet of pi, checked as _walk_orbits does.  Only labeled
-    arrangements come through here; por's assignments call the walk."""
-    return CycleSet(*map(tuple, _walk_orbits(pi)))
+    """The CycleSet of pi, a permutation of 1..len(pi), checked by
+    core._is_permutation: anything else raises MalformedPermutation."""
+    n = len(pi)
+    if not _is_permutation(pi, n):
+        raise MalformedPermutation(f"not a permutation of 1..{n}: {tuple(pi)!r}")
+    return CycleSet(*map(tuple, _walk_orbits([0, *pi])))
 
 
 def _cycle_spans(dest: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -100,7 +86,7 @@ def _cycle_spans(dest: Sequence[int]) -> tuple[list[int], list[int]]:
 
     One marking pass, recording no orbit: a cell is visited at most twice,
     once as a candidate entry and once on its cycle's walk.  dest is not
-    checked again, so it must come from a LabeledInstance.
+    checked again.
     """
     seen = bytearray(len(dest))
     entries: list[int] = []

@@ -16,15 +16,15 @@ detours happen to lose to the plain sweep, the sweep plan is returned, so
 the switching planner never travels farther than the sweep.  Every walk
 is emitted by lor._emit_nested, the sweep being the one with no detours.
 
-Typed instances run por's pipeline on one destination assignment:
+Typed instances run por's pipeline on one destination table (graphs):
 per-type minimum-cost assignment of misplaced items to free goal cells
 (cycle formation), a single spanning-forest round of destination trades
 that fuses every pair of fusable cycles (fewest operations; the 1D
 planner's engine, por.fuse_cycles, weighing each trade by the travel it
 adds, read off per-type trade-delta matrices), and an arborescence-guided
-walk that resolves the surviving cycles with the same parking mechanism.
-Only the public phase functions build MoveCycles.  Every phase measures
-distance under the cost model's metric.
+walk over the table's orbits that resolves the surviving cycles with the
+same parking mechanism.  Only the public phase functions build
+MoveCycles.  Every phase measures distance under the cost model's metric.
 
 Arc weights, assignment costs and trade deltas read every distance off
 one table of lattice offsets per call, holding distance()'s floats.  Arc
@@ -56,12 +56,14 @@ from .core import (
     Plan,
     TypedInstance,
     _cell_distance,
+    _require_cell,
     _travel,
 )
 from .graphs import (
     _SLAB_ENTRIES,
     WeightedGraph,
     _cycle_spans,
+    _walk_orbits,
     min_arborescence,
     min_cost_assignment,
     permutation_cycles,
@@ -70,7 +72,6 @@ from .lor import _dest_table, _emit_nested, _sweep
 from .por import (
     MoveCycle,
     _assignment_of,
-    _assignment_orbits,
     _form,
     _fused,
     _move_cycles,
@@ -339,8 +340,7 @@ def form_cycles_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) ->
     t so the summed distance under model.metric is minimal; the chosen
     moves close into displacement cycles.
     """
-    assign, types = _form_ptr(instance, model)
-    return _move_cycles(_assignment_orbits(assign), types)
+    return _move_cycles(*_form_ptr(instance, model))
 
 
 def _trade_deltas(table, m1, l1, m2, l2) -> np.ndarray:
@@ -369,12 +369,12 @@ class _DeltaTrades:
     cycle never trade and are left out.
     """
 
-    def __init__(self, dims: LatticeDims, metric: str, orbits, assign, types):
+    def __init__(self, dims: LatticeDims, metric: str, orbits, dest, types):
         import numpy as np
         moves: dict[int, list] = {}
         for c, orbit in enumerate(orbits):
             for s in orbit:
-                moves.setdefault(types[s], []).append((c, s, assign[s]))
+                moves.setdefault(types[s], []).append((c, s, dest[s]))
         runs = [(t, m) for t, m in sorted(moves.items()) if m[0][0] != m[-1][0]]
         flat = [move for _, m in runs for move in m]
         self.types = [t for t, _ in runs]
@@ -490,9 +490,9 @@ def sweep_cycles_ptr(cycles, dims: LatticeDims, rest: int = 1,
     cell); the walk serves each cycle on first entry with parking, so
     travel between cycles stays within twice the arborescence weight.
     """
-    assign, _ = _assignment_of(cycles, dims.n)
-    orbits = _assignment_orbits(assign)
-    return _emit_nested(*_schedule(dims, orbits, rest, model, detour=False), assign)
+    _require_cell(dims.n, rest, "rest cell", "out of range")
+    dest, _ = _assignment_of(cycles, dims.n)
+    return _emit_nested(*_schedule(dims, _walk_orbits(dest)[0], rest, model, detour=False), dest)
 
 
 def plan_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
@@ -505,9 +505,10 @@ def plan_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
     """
     _require_2d(instance)
     dims = instance.dims
-    assign, types = _form_ptr(instance, model)
-    orbits, _ = fuse_cycles(assign, types, functools.partial(_DeltaTrades, dims, model.metric))
-    return _emit_nested(*_schedule(dims, orbits, instance.rest, model, detour=False), assign)
+    dest, types = _form_ptr(instance, model)
+    fuse_cycles(dest, types, functools.partial(_DeltaTrades, dims, model.metric))
+    return _emit_nested(*_schedule(dims, _walk_orbits(dest)[0], instance.rest, model, detour=False),
+                        dest)
 
 
 def greedy_2d(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:

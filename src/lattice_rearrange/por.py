@@ -2,11 +2,11 @@
 
 Items of the same type are interchangeable, so the planner first decides
 which item goes to which goal cell and only then plans motion.  Three
-phases pass one destination assignment (source -> goal) and its orbits:
+phases pass one destination table: dest[cell], the goal of cell's item.
 
 1. form_cycles: match each misplaced item to the leftmost free goal cell of
    its type.  In 1D this in-order pairing minimizes summed move distance per
-   type; _form forms the assignment for both typed planners.
+   type; _form writes the table for both typed planners.
 2. merge_cycles_mst: fuse cycles, each fusion saving one operation, by
    trading the destinations of two same-type moves of different cycles.
    The trade adds twice the gap between the moves' spans [min(s, g),
@@ -15,7 +15,7 @@ phases pass one destination assignment (source -> goal) and its orbits:
    free: their fusions are the forest's weight-0 prefix, which
    merge_cycles runs alone.  fuse_cycles builds the forest, Kruskal's loop
    over the cycle pairs a TradeModel offers, swapping two destinations of
-   the assignment in place per fusion.  The 1D model offers one candidate
+   the table in place per fusion.  The 1D model offers one candidate
    per move, per type each span paired with the earlier span reaching
    farthest right, and runs in pure Python, so the 1D planners never load
    numpy; the typed 2D planner (lattice2d.plan_ptr) runs the same loop
@@ -23,10 +23,10 @@ phases pass one destination assignment (source -> goal) and its orbits:
 3. group_sweep_cycles_por: walk the final cycles with the labeled 1D
    planner's single pass, lor.follow_cycles (nested entries, parking, and
    the hand-off at the farthest cell entered so far), which reads each
-   orbit only as its first and largest cell.
+   cycle only as its first and largest cell.
 
 MoveCycles exist only at the public phase functions; cycles passed in
-enter through one check, _assignment_of.
+enter through one check, _assignment_of, which writes their table.
 
 The resulting plan has the fewest operations achievable, and, when the
 arm rests at cell 1, the least travel among such plans (ROADMAP item 2).
@@ -49,7 +49,7 @@ from .core import (
     _Value,
     _cell_distance,
 )
-from .graphs import _find, _walk_orbits
+from .graphs import _cycle_spans, _find, _walk_orbits
 from .lor import _require_1d, follow_cycles
 
 Edge = tuple[int, int]
@@ -65,63 +65,52 @@ class MoveCycle(_Value):
     edge_types: tuple[int, ...]
 
 
-def _assignment_orbits(assign: dict[int, int]) -> list[tuple[int, ...]]:
-    """The cycles of a destination assignment, a bijection on its sources
-    that sends none to itself, min-first and in min-cell order: the orbit
-    walk splits it laid over the identity on 1..max(assign), starting only
-    at the moved cells, in increasing order."""
-    sources = sorted(assign)
-    pi = list(range(1, sources[-1] + 1)) if sources else []
-    for s, g in assign.items():
-        pi[s - 1] = g
-    return _walk_orbits(pi, sources)[0]
-
-
-def _move_cycles(orbits, types: dict[int, int]) -> list[MoveCycle]:
-    """The MoveCycle of each orbit of an assignment: a public phase's output."""
+def _move_cycles(dest, types) -> list[MoveCycle]:
+    """The MoveCycle of each orbit of a table: a public phase's output."""
     return [MoveCycle(tuple(zip(orbit, orbit[1:] + orbit[:1])), tuple(types[s] for s in orbit))
-            for orbit in orbits]
+            for orbit in _walk_orbits(dest)[0]]
 
 
-def _assignment_of(cycles, n: float = math.inf) -> tuple[dict[int, int], dict[int, int]]:
-    """(assign, types) of caller-supplied cycles.  MalformedPermutation names
-    the first cycle that repeats a source (its own or an earlier cycle's),
+def _assignment_of(cycles, n: float = math.inf) -> tuple[list[int], list[int]]:
+    """(dest, types) of caller-supplied cycles, tables over 0..max cell in
+    which an unmoved cell maps to itself.  MalformedPermutation names the
+    first cycle that repeats a source (its own or an earlier cycle's),
     whose goals are not its sources, whose edge_types differ in length, or
     with a cell outside 1..n (the 1D phases take no dims, so they check
     only the lower end)."""
-    assign: dict[int, int] = {}
-    types: dict[int, int] = {}
+    moves: dict[int, tuple[int, int]] = {}
     for cyc in cycles:
         sources = {s for s, _ in cyc.edges}
-        if (len(sources) < len(cyc.edges) or not assign.keys().isdisjoint(sources)
+        if (len(sources) < len(cyc.edges) or not moves.keys().isdisjoint(sources)
                 or sources != {g for _, g in cyc.edges} or len(cyc.edge_types) != len(cyc.edges)):
             raise MalformedPermutation(f"not a cycle of moves from unused sources: {cyc!r}")
         # the goals are the sources, so checking the sources covers every cell
         if sources and not (1 <= min(sources) and max(sources) <= n):
             raise MalformedPermutation(f"a cycle with a cell off the lattice: {cyc!r}")
-        for (s, g), t in zip(cyc.edges, cyc.edge_types):
-            assign[s] = g
-            types[s] = t
-    return assign, types
+        moves.update((s, (g, t)) for (s, g), t in zip(cyc.edges, cyc.edge_types))
+    dest = list(range(max(moves, default=0) + 1))
+    types = [0] * len(dest)
+    for s, (g, t) in moves.items():
+        dest[s], types[s] = g, t
+    return dest, types
 
 
 def _form(instance: TypedInstance, pair=lambda sources, goals: goals):
-    """Phase 1 of both typed planners: (assign, types).  Per type, pair gets
-    the misplaced cells holding it and those wanting it, each in cell order,
-    and reorders the latter so the i-th source goes to the i-th goal."""
+    """Phase 1 of both typed planners: (dest, types), the paired goals
+    written into the identity on 0..n.  Per type, pair gets the misplaced
+    cells holding it and those wanting it, each in cell order, and reorders
+    the latter so the i-th source goes to the i-th goal."""
     sources: dict[int, list[int]] = {}
     goals: dict[int, list[int]] = {}
     for cell, (have, want) in enumerate(zip(instance.start_types, instance.goal_types), start=1):
         if have != want:
             sources.setdefault(have, []).append(cell)
             goals.setdefault(want, []).append(cell)
-    assign: dict[int, int] = {}
-    types: dict[int, int] = {}
-    for t, srcs in sorted(sources.items()):
+    dest = list(range(instance.dims.n + 1))
+    for t, srcs in sources.items():
         for s, g in zip(srcs, pair(srcs, goals[t])):
-            assign[s] = g
-            types[s] = t
-    return assign, types
+            dest[s] = g
+    return dest, (0, *instance.start_types)
 
 
 def form_cycles(instance: TypedInstance) -> list[MoveCycle]:
@@ -132,17 +121,16 @@ def form_cycles(instance: TypedInstance) -> list[MoveCycle]:
     the per-type total distance minimal in 1D.
     """
     _require_1d(instance)
-    assign, types = _form(instance)
-    return _move_cycles(_assignment_orbits(assign), types)
+    return _move_cycles(*_form(instance))
 
 
 def _fused(cycles, trades, _cap: float = math.inf,
            n: float = math.inf) -> tuple[list[MoveCycle], list]:
     """fuse_cycles over caller-supplied cycles with cells in 1..n:
     (fused MoveCycles, log)."""
-    assign, types = _assignment_of(cycles, n)
-    orbits, log = fuse_cycles(assign, types, trades, _cap)
-    return _move_cycles(orbits, types), log
+    dest, types = _assignment_of(cycles, n)
+    log = fuse_cycles(dest, types, trades, _cap)
+    return _move_cycles(dest, types), log
 
 
 def merge_cycles(cycles) -> list[MoveCycle]:
@@ -166,7 +154,7 @@ class TradeModel(Protocol):
     The 1D model trades a pair that costs the weight of the cycle pair
     being joined; the 2D model the cheapest pair between the two
     components, with the least key (cost, min(s1, s2), max(s1, s2)).
-    A model is built from (orbits, assign, types); cycle i is orbits[i].
+    A model is built from (orbits, dest, types); cycle i is orbits[i].
     """
 
     def pair_weights(self) -> Iterable[tuple[float, int, int]]:
@@ -178,7 +166,7 @@ class TradeModel(Protocol):
         """(type, e1, e2): a trade between the components rooted at ri and
         rj, joined by the pair (i, j), e1 a move of ri's and e2 of rj's as
         they were.  fuse_cycles then swaps the two destinations in the
-        assignment; ri's component joins rj's."""
+        table; ri's component joins rj's."""
 
 
 class _GapTrades:
@@ -208,14 +196,15 @@ class _GapTrades:
     components, but a trade may cost more or less than its weight.
     """
 
-    def __init__(self, orbits, assign: dict[int, int], types: dict[int, int]):
-        # the assignment fuse_cycles swaps in place after each trade
-        self.goal = assign
-        self.owner = {g: s for s, g in assign.items()}
+    def __init__(self, orbits, dest: list[int], types):
+        # the table fuse_cycles swaps in place after each trade
+        self.goal = dest
+        self.owner = [0] * len(dest)
         spans: dict[int, list] = {}
         for c, orbit in enumerate(orbits):
             for s in orbit:
-                g = assign[s]
+                g = dest[s]
+                self.owner[g] = s
                 # each end as (cell, holder key): s for a source, -g for a
                 # goal, whose holder is its owner
                 lo, hi = sorted(((s, s), (g, -g)))
@@ -247,22 +236,23 @@ class _GapTrades:
         return t, (s1, g1), (s2, g2)
 
 
-def fuse_cycles(assign, types, trades: Callable[..., TradeModel], _cap: float = math.inf):
-    """Fuse the cycles of assign along a minimum spanning forest of trade costs.
+def fuse_cycles(dest, types, trades: Callable[..., TradeModel], _cap: float = math.inf):
+    """Fuse the cycles of the table dest along a minimum spanning forest of
+    trade costs, in place.
 
-    trades(orbits, assign, types) builds the TradeModel over the orbits,
-    min-first and in min-cell order.  Its pairs are fused in ascending
-    (weight, i, j) order, up to weight _cap, each fusion swapping in place
-    the destinations of the model's trade between the two components.
-    With the 1D model each trade costs its pair's weight (_GapTrades), so
-    the fusions add exactly the forest weight.  Returns (orbits, log): the
-    fused cycles, walked again only if a trade was made, and per fusion
-    (type, goal_cell_1, goal_cell_2), the two goals that exchanged owners.
+    One orbit walk numbers the cycles, min-first and in min-cell order, and
+    trades(orbits, dest, types) builds the TradeModel over them.  Its pairs
+    are fused in ascending (weight, i, j) order, up to weight _cap, each
+    fusion swapping the destinations of the model's trade between the two
+    components.  With the 1D model each trade costs its pair's weight
+    (_GapTrades), so the fusions add exactly the forest weight.  Returns
+    the log: per fusion (type, goal_cell_1, goal_cell_2), the two goals
+    that exchanged owners.
     """
-    orbits = _assignment_orbits(assign)
+    orbits = _walk_orbits(dest)[0]
     log: list[tuple[int, int, int]] = []
     if len(orbits) > 1:
-        model = trades(orbits, assign, types)
+        model = trades(orbits, dest, types)
         comp = list(range(len(orbits)))
         for w, i, j in sorted(model.pair_weights()):
             if w > _cap or len(log) == len(orbits) - 1:
@@ -271,10 +261,10 @@ def fuse_cycles(assign, types, trades: Callable[..., TradeModel], _cap: float = 
             if ri == rj:
                 continue
             t, (s1, g1), (s2, g2) = model.trade(ri, rj, i, j)
-            assign[s1], assign[s2] = g2, g1
+            dest[s1], dest[s2] = g2, g1
             log.append((t, g1, g2))
             comp[ri] = rj
-    return (_assignment_orbits(assign) if log else orbits), log
+    return log
 
 
 def merge_cycles_mst(cycles) -> list[MoveCycle]:
@@ -293,16 +283,10 @@ def merge_cycles_mst(cycles) -> list[MoveCycle]:
     return _fused(cycles, _GapTrades)[0]
 
 
-def _follow_orbits(orbits, assign: dict[int, int]) -> Plan:
-    """lor.follow_cycles over min-first orbits in min-cell order: each
-    orbit's span is its first and its largest cell."""
-    return follow_cycles([orbit[0] for orbit in orbits], list(map(max, orbits)), assign)
-
-
 def group_sweep_cycles_por(cycles) -> Plan:
     """Phase 3: emit the walk with the labeled 1D planner's engine."""
-    assign, _ = _assignment_of(cycles)
-    return _follow_orbits(_assignment_orbits(assign), assign)
+    dest, _ = _assignment_of(cycles)
+    return follow_cycles(*_cycle_spans(dest), dest)
 
 
 def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
@@ -316,9 +300,9 @@ def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Pl
     optimum (ROADMAP item 2).
     """
     _require_1d(instance)
-    assign, types = _form(instance)
-    orbits, _ = fuse_cycles(assign, types, _GapTrades)
-    return _follow_orbits(orbits, assign)
+    dest, types = _form(instance)
+    fuse_cycles(dest, types, _GapTrades)
+    return follow_cycles(*_cycle_spans(dest), dest)
 
 
 # --- greedy baseline --------------------------------------------------------

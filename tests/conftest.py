@@ -20,7 +20,11 @@ reference_oracle_optimal is oracle_optimal as it stood before its search
 moved into one state table counted by `cap`: best_g, parents and a closed
 set, behind an up-front n!-based refusal; test_oracle compares plans and
 costs with == on a corpus of small rows and grids.  model_input gives a
-trade model the (orbits, assign, types) that por.fuse_cycles hands it.
+trade model the (orbits, dest, types) that por.fuse_cycles hands it.
+moves_of reads the moves off MoveCycles as dicts keyed by source, and
+reference_cycles_from_assignment is por's orbit loop over such dicts as
+it stood before the typed pipelines held one destination table; the
+references in test_por and test_walks rebuild cycles through it.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ from lattice_rearrange.core import (
 )
 from lattice_rearrange.gen import SplitMix64
 from lattice_rearrange.oracle import _Q, OracleResult, TooLarge
-from lattice_rearrange.por import _assignment_of, _assignment_orbits
+from lattice_rearrange.graphs import _walk_orbits
+from lattice_rearrange.por import MoveCycle, _assignment_of
 
 
 class ReferenceSplitMix64(SplitMix64):
@@ -75,10 +80,40 @@ class ReferenceSplitMix64(SplitMix64):
 
 
 def model_input(cycles):
-    """(orbits, assign, types) of MoveCycles, as fuse_cycles builds a
-    trade model from their assignment."""
-    assign, types = _assignment_of(cycles)
-    return _assignment_orbits(assign), assign, types
+    """(orbits, dest, types) of MoveCycles, as fuse_cycles builds a trade
+    model from their destination table."""
+    dest, types = _assignment_of(cycles)
+    return _walk_orbits(dest)[0], dest, types
+
+
+def moves_of(cycles) -> tuple[dict[int, int], dict[int, int]]:
+    """(assign, types) of MoveCycles: each move's source -> its goal, and
+    -> the type it carries."""
+    assign, types = {}, {}
+    for cyc in cycles:
+        for (s, g), t in zip(cyc.edges, cyc.edge_types):
+            assign[s], types[s] = g, t
+    return assign, types
+
+
+def reference_cycles_from_assignment(assign, types):
+    """The MoveCycles of a dict assignment, min-first in min-cell order, as
+    por._cycles_from_assignment read with its own orbit loop."""
+    seen: set[int] = set()
+    cycles = []
+    for start in sorted(assign):
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        cur = assign[start]
+        while cur != start:
+            orbit.append(cur)
+            seen.add(cur)
+            cur = assign[cur]
+        edges = tuple((orbit[i], orbit[(i + 1) % len(orbit)]) for i in range(len(orbit)))
+        cycles.append(MoveCycle(edges, tuple(types[s] for s, _ in edges)))
+    return cycles
 
 
 def with_rest(inst: Instance, rest: int) -> Instance:

@@ -145,6 +145,19 @@ class TestGen:
                               "--seed", "9")
         assert from_env == from_flag
 
+    @pytest.mark.parametrize("command", [["gen", "uniform", "--m", "5"],
+                                         ["bench", "--experiment", "lor_ratio", "--sizes", "5",
+                                          "--trials", "1"]])
+    def test_malformed_env_var_seed_is_usage_error(self, capsys, monkeypatch, command):
+        # it exited 1 with int()'s message, which named no variable
+        monkeypatch.setenv("LATTICE_REARRANGE_SEED", "abc")
+        code, out, err = run(capsys, *command)
+        assert code == 2 and out == ""
+        assert err == "usage error: $LATTICE_REARRANGE_SEED must be an integer, got 'abc'\n"
+        # a --seed flag is read first, so the variable is never parsed
+        code, _, _ = run(capsys, *command, "--seed", "3")
+        assert code == 0
+
     def test_missing_conditional_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "x-random", "--m", "12")
         assert code == 2 and "--x" in err

@@ -341,6 +341,25 @@ def test_labeled_check_agrees_with_the_sort_on_integer_sequences():
     assert min(seen.values()) > 20
 
 
+def test_permutation_cycles_accepts_what_labeled_instance_accepts():
+    # one check behind both: a row of len(pi) cells takes pi exactly when
+    # permutation_cycles walks it
+    seen = {True: 0, False: 0}
+    for pi, _ in _integer_corpus(25):
+        if not pi:
+            assert permutation_cycles(pi).count == 0
+            continue
+        try:
+            permutation_cycles(pi)
+            walked = True
+        except MalformedPermutation as err:
+            assert str(err) == f"not a permutation of 1..{len(pi)}: {pi!r}"
+            walked = False
+        assert _accepts(pi, LatticeDims(len(pi), 1)) == walked, pi
+        seen[walked] += 1
+    assert min(seen.values()) > 20
+
+
 @given(st.integers(1, 4), st.integers(1, 3), st.data())
 def test_labeled_check_agrees_with_the_sort_hypothesis(m1, m2, data):
     n = m1 * m2

@@ -41,8 +41,9 @@ def test_cycles_identity_and_validation():
 
 
 def test_cycles_reject_every_non_permutation():
-    # validation happens during the walk; it must agree with "sorted(pi) is
-    # 1..n" on every tuple over a value range wider than 1..n
+    # validation is core._is_permutation, before the walk; it must agree
+    # with "sorted(pi) is 1..n" on every tuple over a value range wider
+    # than 1..n
     for n in range(6):
         for pi in itertools.product(range(-1, n + 2), repeat=n):
             if sorted(pi) == list(range(1, n + 1)):

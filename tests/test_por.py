@@ -24,7 +24,7 @@ from lattice_rearrange import (
     simulate,
 )
 from lattice_rearrange.graphs import _find
-from lattice_rearrange import por
+from lattice_rearrange import lattice2d, por
 from lattice_rearrange.lattice2d import (
     _DeltaTrades,
     form_cycles_ptr,
@@ -35,11 +35,8 @@ from lattice_rearrange.lattice2d import (
 from lattice_rearrange.por import (
     MoveCycle,
     _GapTrades,
-    _assignment_of,
-    _assignment_orbits,
-    _move_cycles,
+    _fused,
     form_cycles,
-    fuse_cycles,
     greedy_plan,
     greedy_por,
     group_sweep_cycles_por,
@@ -48,7 +45,13 @@ from lattice_rearrange.por import (
     opt_plan_por,
 )
 from lattice_rearrange.oracle import oracle_min_picks, oracle_optimal
-from conftest import model_input, reference_greedy_plan, with_rest
+from conftest import (
+    model_input,
+    moves_of,
+    reference_cycles_from_assignment,
+    reference_greedy_plan,
+    with_rest,
+)
 
 
 def typ1d(k, start, goal):
@@ -70,17 +73,15 @@ def total_distance(cycles):
 
 def _swap_destinations(cycles, e1, e2) -> list[MoveCycle]:
     """Fuse two of the given cycles by trading the destinations of e1, e2."""
-    assign, types = _assignment_of(cycles)
+    assign, types = moves_of(cycles)
     assign[e1[0]], assign[e2[0]] = e2[1], e1[1]
-    return _move_cycles(_assignment_orbits(assign), types)
+    return reference_cycles_from_assignment(assign, types)
 
 
 def fuse(cycles, trades):
-    """fuse_cycles on the assignment of cycles: (fused cycles, log)."""
-    assign, types = _assignment_of(cycles)
-    orbits, log = fuse_cycles(assign, types, trades)
-    assert orbits == _assignment_orbits(assign)
-    return _move_cycles(orbits, types), log
+    """fuse_cycles on the destination table of cycles, as the public
+    phases run it: (fused cycles, log)."""
+    return _fused(cycles, trades)
 
 
 def random_typed(rng, m, k, aggregated):
@@ -131,7 +132,7 @@ def reference_merge_cycles(cycles) -> list[MoveCycle]:
     fixed-point rule or stop before it.
     """
     cycles = list(cycles)
-    assign, types = _assignment_of(cycles)
+    assign, types = moves_of(cycles)
     cycle_of = {s: i for i, cyc in enumerate(cycles) for s, _ in cyc.edges}
     parent = list(range(len(cycles)))
     order = sorted(assign)
@@ -169,7 +170,7 @@ def reference_merge_cycles(cycles) -> list[MoveCycle]:
             left -= 1
     if left == len(cycles):
         return cycles
-    return _move_cycles(_assignment_orbits(assign), types)
+    return reference_cycles_from_assignment(assign, types)
 
 
 def reference_cheapest_trade(m1, m2, cost):
@@ -940,11 +941,28 @@ def test_2d_phases_refuse_cells_past_the_lattice(phase, bad):
         TAKE_CYCLES[phase]([bad])
 
 
-@pytest.mark.parametrize("planner,inst", [
-    (opt_plan_por, typ1d(3, (2, 2, 1, 1, 3, 3), (1, 1, 2, 2, 3, 3))),
-    (plan_ptr, gen_typed((4, 4), 4, (4,) * 4, GoalPattern("columns"), 1)),
+# a 4x4 typed grid with a square blocks layout
+BLOCKS = gen_typed((4, 4), 4, (4,) * 4, GoalPattern("blocks"), 3)
+
+
+@pytest.mark.parametrize("rest", [0, -3, 1.5, 17, 10**6])
+def test_sweep_cycles_ptr_refuses_a_rest_cell_off_the_lattice(rest):
+    # 0, -3 and 1.5 once planned 13 steps, 17 and 10**6 raised IndexError
+    cycles = merge_cycles_ptr(form_cycles_ptr(BLOCKS), BLOCKS.dims)
+    with pytest.raises(ValueError) as instance:
+        with_rest(BLOCKS, rest)
+    with pytest.raises(ValueError) as phase:
+        sweep_cycles_ptr(cycles, BLOCKS.dims, rest)
+    assert str(phase.value) == str(instance.value)
+
+
+@pytest.mark.parametrize("planner,inst,walks", [
+    (opt_plan_por, typ1d(3, (2, 2, 1, 1, 3, 3), (1, 1, 2, 2, 3, 3)),
+     ["_walk_orbits", "_cycle_spans"]),
+    (plan_ptr, gen_typed((4, 4), 4, (4,) * 4, GoalPattern("columns"), 1),
+     ["_walk_orbits", "_walk_orbits"]),
 ], ids=["opt_plan_por", "plan_ptr"])
-def test_planners_pass_one_assignment(planner, inst, monkeypatch):
+def test_planners_pass_one_assignment(planner, inst, walks, monkeypatch):
     # the public phases, composed, plan the same steps through MoveCycles
     dims, rest = inst.dims, inst.rest
     if planner is opt_plan_por:
@@ -956,14 +974,18 @@ def test_planners_pass_one_assignment(planner, inst, monkeypatch):
         fused = merge_cycles_ptr(formed, dims)
         want = sweep_cycles_ptr(fused, dims, rest)
     assert len(fused) < len(formed)
-    walks, built = [], []
-    walk = por._assignment_orbits
-    monkeypatch.setattr(por, "_assignment_orbits", lambda assign: walks.append(1) or walk(assign))
+    # one table, read by the fusion's numbering walk and by the walk
+    # planning the steps
+    called, built = [], []
+    for module in (por, lattice2d):
+        for name in ("_walk_orbits", "_cycle_spans"):
+            monkeypatch.setattr(module, name, lambda dest, name=name, f=getattr(module, name):
+                                called.append(name) or f(dest))
     init = MoveCycle.__init__
     monkeypatch.setattr(MoveCycle, "__init__",
                         lambda self, *args: built.append(1) or init(self, *args))
     assert planner(inst) == want
-    assert (len(built), len(walks)) == (0, 2)
+    assert (called, built) == (walks, [])
 
 
 # --- greedy baseline --------------------------------------------------------

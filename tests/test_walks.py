@@ -1,17 +1,20 @@
 """The shared orbit walk and emitters against the loops they replaced.
 
-Four loops are kept here verbatim as references: the sweep branch of
-follow_cycles, por's own orbit loop behind the MoveCycles of an
-assignment (now _assignment_orbits and _move_cycles), the
-list-frame nested emitter lattice2d used to hold, and the single-pass
-follow_cycles as it read when it built one PlanStep per step.  Every
-planner built on their replacements must emit exactly what they did.
-The nested reference reads cycle ids, which id_keyed derives from a
-schedule keyed by cells; the single-pass reference reads the span
-grouping kept in conftest.  The marking pass, _cycle_spans, is checked
-against the orbits whose entries and far ends it stands for.
+Four loops are kept as references: the sweep branch of follow_cycles,
+por's own orbit loop behind the MoveCycles of an assignment (now
+graphs._walk_orbits over the destination table and _move_cycles; the
+loop is conftest's reference_cycles_from_assignment), the list-frame
+nested emitter lattice2d used to hold, and the single-pass follow_cycles
+as it read when it built one PlanStep per step.  Every planner built on
+their replacements must emit exactly what they did.  The nested reference
+reads cycle ids, which id_keyed derives from a schedule keyed by cells;
+the single-pass reference reads the span grouping kept in conftest.  The
+marking pass, _cycle_spans, is checked against the orbits whose entries
+and far ends it stands for, on labeled rows and on the typed planners'
+tables after formation and after fusion.
 """
 
+import functools
 import itertools
 import random
 
@@ -38,6 +41,8 @@ from lattice_rearrange.gen import (
 )
 from lattice_rearrange.graphs import _cycle_spans, _walk_orbits, permutation_cycles
 from lattice_rearrange.lattice2d import (
+    _DeltaTrades,
+    _form_ptr,
     _schedule,
     form_cycles_ptr,
     merge_cycles_ptr,
@@ -54,18 +59,19 @@ from lattice_rearrange.lor import (
 )
 from lattice_rearrange.por import (
     MoveCycle,
+    _GapTrades,
     _assignment_of,
-    _assignment_orbits,
     _form,
     _move_cycles,
     form_cycles,
+    fuse_cycles,
     group_sweep_cycles_por,
     merge_cycles,
     merge_cycles_mst,
     opt_plan_por,
 )
 
-from conftest import _group_max_per_cycle
+from conftest import _group_max_per_cycle, moves_of, reference_cycles_from_assignment
 
 
 # --- the replaced loops, verbatim -------------------------------------------
@@ -86,27 +92,6 @@ def reference_sweep(cycles, dest) -> Plan:
             g = dest[g]
         emit(PlanStep(entry, place))
     return Plan(tuple(steps))
-
-
-def reference_cycles_from_assignment(assign, types):
-    """por._move_cycles over por._assignment_orbits, as
-    por._cycles_from_assignment read before the two were split, with its
-    own orbit loop."""
-    seen: set[int] = set()
-    cycles = []
-    for start in sorted(assign):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        cur = assign[start]
-        while cur != start:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = assign[cur]
-        edges = tuple((orbit[i], orbit[(i + 1) % len(orbit)]) for i in range(len(orbit)))
-        cycles.append(MoveCycle(edges, tuple(types[s] for s, _ in edges)))
-    return cycles
 
 
 def reference_emit_nested(root_kids, kids, nxt) -> Plan:
@@ -263,26 +248,33 @@ def typed_instances(dims_of):
         yield gen_typed(dims, k, counts, GoalPattern("explicit", goal), seed)
 
 
-def cycles_from_assignment(assign, types) -> list[MoveCycle]:
-    """The MoveCycles a public phase reads off an assignment."""
-    return _move_cycles(_assignment_orbits(assign), types)
+def cycles_from_table(dest, types) -> list[MoveCycle]:
+    """The MoveCycles a public phase reads off a destination table."""
+    return _move_cycles(dest, types)
 
 
-def shuffled_assignment(n: int, rng):
-    """A random bijection on a random subset of 1..n, no cell mapped to
-    itself, with random types: orbits of length >= 2 cut from a shuffle."""
+def table_moves(dest, types) -> tuple[dict[int, int], dict[int, int]]:
+    """The moves of a destination table as dicts keyed by source."""
+    moved = [s for s in range(1, len(dest)) if dest[s] != s]
+    return {s: dest[s] for s in moved}, {s: types[s] for s in moved}
+
+
+def shuffled_cycles(n: int, rng) -> list[MoveCycle]:
+    """MoveCycles over a random subset of 1..n, no cell mapped to itself,
+    with random types: orbits of length >= 2 cut from a shuffle, each
+    starting at a random cell."""
     cells = rng.sample(range(1, n + 1), rng.randint(0, n))
-    assign, types = {}, {}
+    cycles = []
     at = 0
     while len(cells) - at >= 2:
         size = rng.randint(2, len(cells) - at)
         if len(cells) - at - size == 1:
             size += 1
         orbit = cells[at:at + size]
-        for s, g in zip(orbit, orbit[1:] + orbit[:1]):
-            assign[s], types[s] = g, rng.randint(1, 4)
+        cycles.append(MoveCycle(tuple(zip(orbit, orbit[1:] + orbit[:1])),
+                                tuple(rng.randint(1, 4) for _ in orbit)))
         at += size
-    return assign, types
+    return cycles
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -313,32 +305,63 @@ def test_emitter_without_detours_is_the_reference_sweep():
                          ids=["1d", "2d"])
 def test_typed_assignments_decompose_like_reference(dims_of):
     for inst in typed_instances(dims_of):
-        assign, types = _form(inst)
-        assert cycles_from_assignment(assign, types) == \
-            reference_cycles_from_assignment(assign, types)
+        dest, types = _form(inst)
+        assert cycles_from_table(dest, types) == \
+            reference_cycles_from_assignment(*table_moves(dest, types))
     rng = random.Random(15)
     for _ in range(60):
         dims = dims_of(rng)
-        assign, types = shuffled_assignment(dims.n, rng)
-        assert cycles_from_assignment(assign, types) == \
-            reference_cycles_from_assignment(assign, types)
+        cycles = shuffled_cycles(dims.n, rng)
+        assert cycles_from_table(*_assignment_of(cycles)) == \
+            reference_cycles_from_assignment(*moves_of(cycles))
 
 
 def test_empty_assignment_has_no_cycles():
-    assert cycles_from_assignment({}, {}) == reference_cycles_from_assignment({}, {}) == []
+    assert _assignment_of([]) == ([0], [0])
+    assert cycles_from_table(*_assignment_of([])) == reference_cycles_from_assignment({}, {}) == []
+
+
+# five moved cells among 900, listed out of cell order
+SPARSE = [MoveCycle(((900, 7), (7, 300), (300, 900)), (1, 2, 1)),
+          MoveCycle(((50, 40), (40, 50)), (3, 3))]
 
 
 def test_sparse_assignment_walks_only_its_cells():
-    # five moved cells among 900, listed out of cell order
-    assign = {900: 7, 7: 300, 300: 900, 50: 40, 40: 50}
-    types = {900: 1, 7: 2, 300: 1, 50: 3, 40: 3}
-    assert cycles_from_assignment(assign, types) == \
-        reference_cycles_from_assignment(assign, types)
-    pi = list(range(1, 901))
-    for s, g in assign.items():
-        pi[s - 1] = g
-    assert _walk_orbits(pi, sorted(assign)) == ([(7, 300, 900), (40, 50)], [])
-    assert _walk_orbits(pi)[0] == [(7, 300, 900), (40, 50)]
+    dest, types = _assignment_of(SPARSE)
+    assert len(dest) == len(types) == 901
+    assert cycles_from_table(dest, types) == reference_cycles_from_assignment(*moves_of(SPARSE))
+    assert _walk_orbits(dest)[0] == [(7, 300, 900), (40, 50)]
+
+
+def assert_spans_match_orbits(dest):
+    assert _cycle_spans(dest) == spans(_walk_orbits(dest)[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_typed_tables_span_like_their_orbits(dim):
+    # the table the typed planners hold, after formation and after fusion:
+    # the marking pass finds the first and largest cell of each orbit
+    rng = random.Random(19)
+    dims_of = ((lambda rng: LatticeDims(rng.randint(2, 80), 1)) if dim == 1
+               else (lambda rng: LatticeDims(rng.randint(2, 9), rng.randint(2, 9))))
+    fused = 0
+    for inst in typed_instances(dims_of):
+        if dim == 1:
+            dest, types = _form(inst)
+            trades = _GapTrades
+        else:
+            dest, types = _form_ptr(inst, CostModel())
+            trades = functools.partial(_DeltaTrades, inst.dims, "euclidean")
+        assert_spans_match_orbits(dest)
+        fused += len(fuse_cycles(dest, types, trades)) > 0
+        assert_spans_match_orbits(dest)
+    assert fused > 5
+    for cycles in [SPARSE, *(shuffled_cycles(rng.randint(2, 200), rng) for _ in range(40))]:
+        dest, types = _assignment_of(cycles)
+        assert_spans_match_orbits(dest)
+        fused += len(fuse_cycles(dest, types, _GapTrades)) > 0
+        assert_spans_match_orbits(dest)
+    assert fused > 25
 
 
 # --- nested emission along a schedule ---------------------------------------
@@ -370,7 +393,7 @@ def test_typed_schedule_emits_like_reference(metric):
     for inst in typed_instances(lambda rng: LatticeDims(rng.randint(2, 8), rng.randint(2, 8))):
         cycles = merge_cycles_ptr(form_cycles_ptr(inst), inst.dims)
         nxt, _ = _assignment_of(cycles)
-        cells = _assignment_orbits(nxt)
+        cells = _walk_orbits(nxt)[0]
         rest = interior_rest(inst.dims, rng)
         plan = sweep_cycles_ptr(cycles, inst.dims, rest, model)
         if not cells:
@@ -453,7 +476,7 @@ def test_single_pass_walk_matches_reference_on_long_xrandom_rows():
 def test_single_pass_walk_matches_reference_on_typed_rows():
     for inst in typed_instances(lambda rng: LatticeDims(rng.randint(2, 80), 1)):
         dest, _ = _assignment_of(merge_cycles_mst(merge_cycles(form_cycles(inst))))
-        cells = _assignment_orbits(dest)
+        cells = _walk_orbits(dest)[0]
         plan = reference_follow_cycles(cells, dest)
         assert follow_cycles(*spans(cells), dest) == plan
         assert opt_plan_por(inst) == plan
