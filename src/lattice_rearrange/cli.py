@@ -14,6 +14,7 @@ import sys
 from .core import (
     FORMAT_VERSION,
     CostModel,
+    _cost_fields,
     instance_from_dict,
     instance_to_json,
     is_solved,
@@ -170,10 +171,8 @@ def _cmd_validate(args) -> int:
     if not is_solved(result.config, inst):
         raise PlanDoesNotSolve("plan executes legally but the final "
                                "configuration is not the goal")
-    cost = result.cost
-    doc = {"format_version": FORMAT_VERSION, "solved": True, "picks": cost.picks,
-           "travel": cost.travel, "total": cost.total}
-    _write_text(args.output, json.dumps(doc, indent=2) + "\n")
+    doc = {"format_version": FORMAT_VERSION, "solved": True, **_cost_fields(result.cost)}
+    _write_text(args.output, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -184,13 +183,9 @@ def _cmd_oracle(args) -> int:
     objective = "lexicographic" if args.objective == "lex" else "total"
     cap = DEFAULT_STATE_CAP if args.cap is None else args.cap
     result = oracle_optimal(inst, _cost_model(args), objective, cap=cap)
-    cost = result.cost
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "picks": cost.picks, "travel": cost.travel, "total": cost.total,
-        "plan": plan_to_dict(result.plan),
-    }
-    _write_text(args.output, json.dumps(doc, indent=2) + "\n")
+    doc = {"format_version": FORMAT_VERSION, **_cost_fields(result.cost),
+           "plan": plan_to_dict(result.plan)}
+    _write_text(args.output, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0
 
 

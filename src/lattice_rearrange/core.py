@@ -249,9 +249,20 @@ def _require_cell(n: int, cell, name: str, outside: str) -> None:
         raise ValueError(fault)
 
 
+def _require_input(instance: Instance, kind: str, lattice: str) -> None:
+    """The planners' gate: ValueError unless instance is of the kind cli.SOLVERS
+    lists ("labeled", "typed" or "any") on the lattice ("1D": m2 = 1, or "2D")."""
+    if lattice == "1D" and instance.dims.m2 != 1:
+        raise ValueError("this planner handles 1D instances only (m2 must be 1)")
+    if lattice == "2D" and instance.dims.m2 == 1:
+        raise ValueError("this planner handles 2D instances only (use the 1D planners for m2 = 1)")
+    if kind != "any" and instance.kind != kind:
+        raise ValueError(f"this planner handles {kind} instances only, got a {instance.kind} one")
+
+
 class LabeledInstance(_Value):
-    """Fully labeled instance: cell i initially holds item pi[i-1]; item x
-    belongs at cell x.  Solved when every cell i holds item i."""
+    """Fully labeled instance: cell i initially holds item pi[i-1], pi stored
+    as a tuple; item x belongs at cell x.  Solved when every cell i holds item i."""
 
     __slots__ = ("dims", "pi", "rest")
     dims: LatticeDims
@@ -264,7 +275,7 @@ class LabeledInstance(_Value):
             raise MalformedPermutation(
                 f"arrangement is not a permutation of 1..{n}: {pi!r}")
         _require_cell(n, rest, "rest cell", "out of range")
-        super().__init__(dims, pi, index(rest))
+        super().__init__(dims, pi if type(pi) is tuple else tuple(pi), index(rest))
 
     @property
     def kind(self) -> str:
@@ -631,21 +642,32 @@ def plan_to_dict(plan: Plan) -> dict:
                       for cell, action in zip(plan.cells, plan.actions)]}
 
 
+def _cost_fields(cost: PlanCost) -> dict:
+    """The picks, travel and total of a cost document.  JSON holds no
+    infinity, so a scalar that is not finite (picks * c_p or travel * c_t
+    can overflow) raises ValueError naming it."""
+    fields = {"picks": cost.picks, "travel": cost.travel, "total": cost.total}
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"cost {name} is {value}, which JSON cannot hold")
+    return fields
+
+
 def plan_to_json(plan: Plan, cost: PlanCost) -> str:
     """The solve document of `plan` and its `cost`, byte for byte what
     ``json.dumps({"format_version": FORMAT_VERSION, **plan_to_dict(plan),
     "cost": ...}, indent=2)`` writes, plus a newline.
 
     The indenting encoder runs in pure Python, which on long plans costs more
-    than the solve; each step here is one f-string.  The cost scalars still
-    go through ``json.dumps``, so float formatting cannot drift.
+    than the solve; each step here is one f-string.  The cost scalars go
+    through _cost_fields and ``json.dumps``, so float formatting cannot drift.
     """
     text = _ACTION_TEXT
     steps = ",\n".join([
         f'    {{\n      "cell": {cell},\n      "action": "{text[action]}"\n    }}'
         for cell, action in zip(plan.cells, plan.actions)])
     steps = f"[\n{steps}\n  ]" if steps else "[]"
-    picks, travel, total = (json.dumps(v) for v in (cost.picks, cost.travel, cost.total))
+    picks, travel, total = (json.dumps(v, allow_nan=False) for v in _cost_fields(cost).values())
     return (f'{{\n  "format_version": {FORMAT_VERSION},\n  "steps": {steps},\n  "cost": {{\n'
             f'    "picks": {picks},\n    "travel": {travel},\n    "total": {total}\n'
             f'  }}\n}}\n')

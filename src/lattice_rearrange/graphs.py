@@ -3,11 +3,11 @@
 Every planner holds its permutation as one destination table, dest[cell]
 the cell the item at cell belongs at (dest[0] pads), checked once where it
 enters: core._is_permutation for an arrangement, por._assignment_of for
-hand-built cycles.  Two unchecked passes read it.  _walk_orbits records
-every orbit, for permutation_cycles and the typed planners.  _cycle_spans
-records only each cycle's entry and far end, its smallest and largest
-cell, which is all the 1D single pass (lor.follow_cycles) and the sweeps
-read.
+hand-built cycles.  One unchecked marking pass reads it: _cycle_spans
+records each cycle's entry and far end, its smallest and largest cell,
+which is all the 1D single pass (lor.follow_cycles) and the sweeps read.
+_walk_orbits follows the orbit of each entry it returns, for
+permutation_cycles and the typed planners.
 
 Everything here is deterministic, ties included: the arborescence breaks
 ties toward the smallest edge id (position in the input edge list), and the
@@ -45,39 +45,6 @@ class CycleSet(_Value):
         return len(self.cycles)
 
 
-def _walk_orbits(dest: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """(cycles, fixed points) of a checked permutation given as a
-    destination table, the input _cycle_spans reads: each cycle the orbit
-    of its smallest cell, listed from there, in order of that cell.  dest
-    is not checked again."""
-    seen = bytearray(len(dest))
-    cycles = []
-    fixed = []
-    for start in range(1, len(dest)):
-        if seen[start]:
-            continue
-        g = dest[start]
-        if g == start:
-            fixed.append(start)
-            continue
-        orbit = [start]
-        while g != start:
-            seen[g] = 1
-            orbit.append(g)
-            g = dest[g]
-        cycles.append(tuple(orbit))
-    return cycles, fixed
-
-
-def permutation_cycles(pi: Sequence[int]) -> CycleSet:
-    """The CycleSet of pi, a permutation of 1..len(pi), checked by
-    core._is_permutation: anything else raises MalformedPermutation."""
-    n = len(pi)
-    if not _is_permutation(pi, n):
-        raise MalformedPermutation(f"not a permutation of 1..{n}: {tuple(pi)!r}")
-    return CycleSet(*map(tuple, _walk_orbits([0, *pi])))
-
-
 def _cycle_spans(dest: Sequence[int]) -> tuple[list[int], list[int]]:
     """(entries, tops) of a checked permutation given as a destination
     table: dest[cell] is where the item at cell belongs, dest[0] padding.
@@ -108,6 +75,31 @@ def _cycle_spans(dest: Sequence[int]) -> tuple[list[int], list[int]]:
         entries.append(start)
         tops.append(top)
     return entries, tops
+
+
+def _walk_orbits(dest: Sequence[int]) -> list[tuple[int, ...]]:
+    """The nontrivial orbits of a checked destination table, the input
+    _cycle_spans reads: the orbit of each entry it returns, listed from
+    that smallest cell, in entry order.  dest is not checked again."""
+    orbits = []
+    for start in _cycle_spans(dest)[0]:
+        orbit = [start]
+        g = dest[start]
+        while g != start:
+            orbit.append(g)
+            g = dest[g]
+        orbits.append(tuple(orbit))
+    return orbits
+
+
+def permutation_cycles(pi: Sequence[int]) -> CycleSet:
+    """The CycleSet of pi, a permutation of 1..len(pi), checked by
+    core._is_permutation: anything else raises MalformedPermutation."""
+    n = len(pi)
+    if not _is_permutation(pi, n):
+        raise MalformedPermutation(f"not a permutation of 1..{n}: {tuple(pi)!r}")
+    dest = [0, *pi]
+    return CycleSet(tuple(_walk_orbits(dest)), tuple([c for c in range(1, n + 1) if dest[c] == c]))
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -179,7 +171,6 @@ def min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:
         if v != r and best_e[v] == no_edge:
             raise Unreachable(f"vertex {labels[v]} has no incoming path from root {root}")
     slot_of = list(range(nv))       # vertex id -> its matrix slot
-    vid_at = list(range(nv))        # matrix slot -> the vertex id holding it
     rep = list(range(nv))           # vertex id -> the supernode that absorbed it
 
     # 2: reaches the root along best edges; 1: on the path being walked
@@ -212,8 +203,8 @@ def min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:
             break
 
         # contract the cycle into supernode `sup` in the slot of its first
-        # member.  The vertices before `start` still reach the root, so the
-        # next scan resumes at `start`.
+        # member, whose union-find root it becomes; the next scan resumes at
+        # `start`, since the vertices before it still reach the root.
         cyc = [slot_of[v] for v in cycle]
         into, into_e = W[:, cyc] - [best_w[v] for v in cycle], E[:, cyc]
         into[cyc], into_e[cyc] = math.inf, no_edge
@@ -241,11 +232,10 @@ def min_arborescence(g: WeightedGraph, root: int) -> list[Edge]:
         rep.append(sup)
         color.append(0)
         slot_of.append(s)
-        vid_at[s] = sup
         t = int(np.where(in_w == in_w.min(), in_e, no_edge).argmin())
         best_w.append(float(in_w[t]))
         best_e.append(int(in_e[t]))
-        parent.append(vid_at[t])
+        parent.append(t)
         if best_e[sup] == no_edge:
             # supernodes are labelled past the largest vertex, in order
             label = max(labels) + len(records)

@@ -57,6 +57,7 @@ from .core import (
     TypedInstance,
     _cell_distance,
     _require_cell,
+    _require_input,
     _travel,
 )
 from .graphs import (
@@ -80,11 +81,6 @@ from .por import (
 )
 
 _INF = math.inf
-
-
-def _require_2d(instance: Instance) -> None:
-    if instance.dims.m2 == 1:
-        raise ValueError("this planner handles 2D instances only (use the 1D planners for m2 = 1)")
 
 
 # --- geometry helpers -------------------------------------------------------
@@ -294,7 +290,7 @@ def sweep_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST)
     cycle); travel between cycles is whatever the index order happens to
     cost.
     """
-    _require_2d(instance)
+    _require_input(instance, "labeled", "2D")
     dest = _dest_table(instance)
     return _sweep(_cycle_spans(dest)[0], dest)
 
@@ -305,15 +301,14 @@ def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST
     Same operation count as the sweep.  Travel never exceeds the sweep's:
     the arborescence schedule is kept only when it actually wins.
     """
-    _require_2d(instance)
+    _require_input(instance, "labeled", "2D")
     cycles = permutation_cycles(instance.pi).cycles
-    dims = instance.dims
+    dims, rest = instance.dims, instance.rest
     dest = _dest_table(instance)
-    roots, kids = _schedule(dims, cycles, instance.rest, model, detour=True)
+    roots, kids = _schedule(dims, cycles, rest, model, detour=True)
     switched = _emit_nested(roots, kids, dest)
     sweep = _sweep([cyc[0] for cyc in cycles], dest)
     # both plans are legal by construction, so only their travel is summed
-    rest = instance.rest
     if _travel(dims, rest, switched.cells, model) <= _travel(dims, rest, sweep.cells, model):
         return switched
     return sweep
@@ -492,7 +487,7 @@ def sweep_cycles_ptr(cycles, dims: LatticeDims, rest: int = 1,
     """
     _require_cell(dims.n, rest, "rest cell", "out of range")
     dest, _ = _assignment_of(cycles, dims.n)
-    return _emit_nested(*_schedule(dims, _walk_orbits(dest)[0], rest, model, detour=False), dest)
+    return _emit_nested(*_schedule(dims, _walk_orbits(dest), rest, model, detour=False), dest)
 
 
 def plan_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
@@ -503,17 +498,16 @@ def plan_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
     distance, and the later phases add comparatively little.  All three
     phases weigh distance under `model.metric`.
     """
-    _require_2d(instance)
-    dims = instance.dims
+    _require_input(instance, "typed", "2D")
+    dims, rest = instance.dims, instance.rest
     dest, types = _form_ptr(instance, model)
     fuse_cycles(dest, types, functools.partial(_DeltaTrades, dims, model.metric))
-    return _emit_nested(*_schedule(dims, _walk_orbits(dest)[0], instance.rest, model, detour=False),
-                        dest)
+    return _emit_nested(*_schedule(dims, _walk_orbits(dest), rest, model, detour=False), dest)
 
 
 def greedy_2d(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:
     """Best-first baseline for labeled or typed 2D instances."""
-    _require_2d(instance)
+    _require_input(instance, "any", "2D")
     return greedy_plan(instance, model)
 
 

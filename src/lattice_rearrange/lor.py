@@ -47,16 +47,11 @@ from .core import (
     Action,
     CostModel,
     DEFAULT_COST,
-    Instance,
     LabeledInstance,
     Plan,
+    _require_input,
 )
 from .graphs import _cycle_spans
-
-
-def _require_1d(instance: Instance) -> None:
-    if instance.dims.m2 != 1:
-        raise ValueError("this planner handles 1D instances only (m2 must be 1)")
 
 
 def follow_cycles(entries, tops, dest) -> Plan:
@@ -193,7 +188,7 @@ def sweep_cycles_lor(instance: LabeledInstance, model: CostModel = DEFAULT_COST)
     the emitted steps (1D travel is metric-independent); the parameter is
     accepted for interface symmetry with the other planners.
     """
-    _require_1d(instance)
+    _require_input(instance, "labeled", "1D")
     dest = _dest_table(instance)
     return _sweep(_cycle_spans(dest)[0], dest)
 
@@ -208,6 +203,6 @@ def opt_plan_lor(instance: LabeledInstance, model: CostModel = DEFAULT_COST) -> 
     leftmost cell, so with another rest cell it can travel more than the
     optimum (ROADMAP item 2).
     """
-    _require_1d(instance)
+    _require_input(instance, "labeled", "1D")
     dest = _dest_table(instance)
     return follow_cycles(*_cycle_spans(dest), dest)

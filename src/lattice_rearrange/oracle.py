@@ -38,7 +38,7 @@ from .core import (
     _Value,
     _cell_distance,
 )
-from .graphs import _find, permutation_cycles
+from .graphs import _cycle_spans, _find
 
 DEFAULT_STATE_CAP = 1_000_000  # table entries; about 350 bytes of RSS each
 _Q = 1e-9  # travel comparison quantum
@@ -65,12 +65,9 @@ def oracle_min_picks(instance: Instance) -> int:
     sharing a type can always be merged into one, and walks in different
     components never can.
     """
-    start = instance.start_config()
-    goal = instance.goal_config()
+    edges = [(a, b) for a, b in zip(instance.start_config(), instance.goal_config()) if a != b]
     if isinstance(instance, LabeledInstance):
-        misplaced = sum(1 for a, b in zip(start, goal) if a != b)
-        return misplaced + permutation_cycles(instance.pi).count
-    edges = [(a, b) for a, b in zip(start, goal) if a != b]
+        return len(edges) + len(_cycle_spans([0, *instance.pi])[0])
     parent = list(range(instance.k + 1))    # type ids are 1..k
     for a, b in edges:
         parent[_find(parent, a)] = _find(parent, b)
@@ -158,8 +155,7 @@ def oracle_optimal(instance: Instance,
         for cell in range(1, n + 1):
             occ = config[cell - 1]
             if held == 0:
-                if occ == 0:
-                    continue
+                # with an empty hand all n items sit on the n cells
                 act = pick
                 new_held, new_occ = occ, 0
             elif occ != 0:

@@ -36,6 +36,7 @@ A best-first greedy baseline is included for benchmark comparisons.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Callable, Iterable, Protocol
 
 from .core import (
@@ -48,9 +49,10 @@ from .core import (
     TypedInstance,
     _Value,
     _cell_distance,
+    _require_input,
 )
 from .graphs import _cycle_spans, _find, _walk_orbits
-from .lor import _require_1d, follow_cycles
+from .lor import follow_cycles
 
 Edge = tuple[int, int]
 
@@ -68,26 +70,30 @@ class MoveCycle(_Value):
 def _move_cycles(dest, types) -> list[MoveCycle]:
     """The MoveCycle of each orbit of a table: a public phase's output."""
     return [MoveCycle(tuple(zip(orbit, orbit[1:] + orbit[:1])), tuple(types[s] for s in orbit))
-            for orbit in _walk_orbits(dest)[0]]
+            for orbit in _walk_orbits(dest)]
 
 
 def _assignment_of(cycles, n: float = math.inf) -> tuple[list[int], list[int]]:
     """(dest, types) of caller-supplied cycles, tables over 0..max cell in
     which an unmoved cell maps to itself.  MalformedPermutation names the
-    first cycle that repeats a source (its own or an earlier cycle's),
-    whose goals are not its sources, whose edge_types differ in length, or
-    with a cell outside 1..n (the 1D phases take no dims, so they check
-    only the lower end)."""
+    first cycle with a cell operator.index refuses, that repeats a source
+    (its own or an earlier cycle's), whose goals are not its sources, whose
+    edge_types differ in length, or with a cell outside 1..n (the 1D phases
+    take no dims, so they check only the lower end)."""
     moves: dict[int, tuple[int, int]] = {}
     for cyc in cycles:
-        sources = {s for s, _ in cyc.edges}
-        if (len(sources) < len(cyc.edges) or not moves.keys().isdisjoint(sources)
-                or sources != {g for _, g in cyc.edges} or len(cyc.edge_types) != len(cyc.edges)):
+        try:
+            edges = [(index(s), index(g)) for s, g in cyc.edges]
+        except TypeError:
+            raise MalformedPermutation(f"a cycle with a non-integer cell: {cyc!r}") from None
+        sources = {s for s, _ in edges}
+        if (len(sources) < len(edges) or not moves.keys().isdisjoint(sources)
+                or sources != {g for _, g in edges} or len(cyc.edge_types) != len(edges)):
             raise MalformedPermutation(f"not a cycle of moves from unused sources: {cyc!r}")
         # the goals are the sources, so checking the sources covers every cell
         if sources and not (1 <= min(sources) and max(sources) <= n):
             raise MalformedPermutation(f"a cycle with a cell off the lattice: {cyc!r}")
-        moves.update((s, (g, t)) for (s, g), t in zip(cyc.edges, cyc.edge_types))
+        moves.update((s, (g, t)) for (s, g), t in zip(edges, cyc.edge_types))
     dest = list(range(max(moves, default=0) + 1))
     types = [0] * len(dest)
     for s, (g, t) in moves.items():
@@ -120,7 +126,7 @@ def form_cycles(instance: TypedInstance) -> list[MoveCycle]:
     goal cell from the left.  In-order pairing never crosses, which makes
     the per-type total distance minimal in 1D.
     """
-    _require_1d(instance)
+    _require_input(instance, "typed", "1D")
     return _move_cycles(*_form(instance))
 
 
@@ -249,7 +255,7 @@ def fuse_cycles(dest, types, trades: Callable[..., TradeModel], _cap: float = ma
     the log: per fusion (type, goal_cell_1, goal_cell_2), the two goals
     that exchanged owners.
     """
-    orbits = _walk_orbits(dest)[0]
+    orbits = _walk_orbits(dest)
     log: list[tuple[int, int, int]] = []
     if len(orbits) > 1:
         model = trades(orbits, dest, types)
@@ -299,7 +305,7 @@ def opt_plan_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Pl
     leftmost cell, so with another rest cell it can travel more than the
     optimum (ROADMAP item 2).
     """
-    _require_1d(instance)
+    _require_input(instance, "typed", "1D")
     dest, types = _form(instance)
     fuse_cycles(dest, types, _GapTrades)
     return follow_cycles(*_cycle_spans(dest), dest)
@@ -358,5 +364,5 @@ def greedy_plan(instance: Instance, model: CostModel = DEFAULT_COST) -> Plan:
 
 def greedy_por(instance: TypedInstance, model: CostModel = DEFAULT_COST) -> Plan:
     """Greedy best-first baseline for typed 1D instances."""
-    _require_1d(instance)
+    _require_input(instance, "typed", "1D")
     return greedy_plan(instance, model)

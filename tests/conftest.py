@@ -83,7 +83,7 @@ def model_input(cycles):
     """(orbits, dest, types) of MoveCycles, as fuse_cycles builds a trade
     model from their destination table."""
     dest, types = _assignment_of(cycles)
-    return _walk_orbits(dest)[0], dest, types
+    return _walk_orbits(dest), dest, types
 
 
 def moves_of(cycles) -> tuple[dict[int, int], dict[int, int]]:

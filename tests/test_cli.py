@@ -24,8 +24,8 @@ from lattice_rearrange import (
     plan_cost,
     plan_to_dict,
 )
-from lattice_rearrange.cli import GENERATORS, main, resolve_solver
-from lattice_rearrange.core import instance_to_json
+from lattice_rearrange.cli import GENERATORS, SOLVERS, main, resolve_solver
+from lattice_rearrange.core import JsonFormatError, instance_from_dict, instance_to_json, simulate
 from conftest import with_rest
 
 
@@ -320,6 +320,88 @@ class TestSolveAndValidate:
                            "-i", str(bad))
         assert code == 1
         assert "error" in json.loads(err)
+
+
+# a document per instance_from_dict fault -> the JsonFormatError message
+_BAD_DOCS = {
+    "no-dims": ({"kind": "labeled", "pi": [1]}, "bad instance document: 'dims'"),
+    "no-kind": ({"dims": [1, 1], "pi": [1]}, "bad instance document: 'kind'"),
+    "no-pi": ({"dims": [1, 1], "kind": "labeled"}, "bad instance document: 'pi'"),
+    "no-k": ({"dims": [1, 1], "kind": "typed", "start_types": [1], "goal_types": [1]},
+             "bad instance document: 'k'"),
+    "list": ([[1, 1], "labeled", [1]],
+             "bad instance document: list indices must be integers or slices, not str"),
+    "null": (None, "bad instance document: 'NoneType' object is not subscriptable"),
+    "unknown-kind": ({"dims": [1, 1], "kind": "partial", "pi": [1]},
+                     "unknown instance kind 'partial'"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_DOCS)
+def test_malformed_instance_documents_are_format_errors(capsys, tmp_path, case):
+    doc, detail = _BAD_DOCS[case]
+    with pytest.raises(JsonFormatError) as err:
+        instance_from_dict(doc)
+    assert str(err.value) == detail
+    code, out, err = run(capsys, "solve", "--solver", "opt-lor",
+                         "-i", write_instance(tmp_path, "i.json", doc))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"format_version": 1, "error": "JsonFormatError", "detail": detail}
+
+
+@pytest.mark.parametrize("flag", ["--cp", "--ct"])
+@pytest.mark.parametrize("command", ["solve", "validate", "oracle"])
+def test_overflowing_cost_total_is_domain_error(capsys, tmp_path, command, flag):
+    # a finite coefficient whose total overflows would print Infinity,
+    # which is not JSON: no document is written
+    inst = str(tmp_path / "six.json")
+    plan = str(tmp_path / "plan.json")
+    assert run(capsys, "gen", "uniform", "--m", "6", "--seed", "3", "-o", inst)[0] == 0
+    assert run(capsys, "solve", "--solver", "opt-lor", "-i", inst, "-o", plan)[0] == 0
+    out_path = tmp_path / "out.json"
+    argv = {"solve": ("solve", "--solver", "opt-lor", "-i", inst),
+            "validate": ("validate", "--instance", inst, "--plan", plan),
+            "oracle": ("oracle", "-i", inst)}[command]
+    for output in ("-", str(out_path)):
+        code, out, err = run(capsys, *argv, flag, "1e308", "-o", output)
+        assert code == 1 and out == "" and not out_path.exists()
+        assert json.loads(err) == {"format_version": 1, "error": "ValueError",
+                                   "detail": "cost total is inf, which JSON cannot hold"}
+
+
+# one instance per kind and lattice, each with something to move
+_KIND_CASES = {
+    ("labeled", "1D"): LabeledInstance(LatticeDims(4, 1), (3, 2, 4, 1)),
+    ("typed", "1D"): TypedInstance(LatticeDims(6, 1), 2, (2, 1, 2, 1, 1, 2), (1, 1, 1, 2, 2, 2)),
+    ("labeled", "2D"): LabeledInstance(LatticeDims(2, 2), (2, 1, 4, 3)),
+    ("typed", "2D"): TypedInstance(LatticeDims(2, 2), 2, (2, 1, 1, 2), (1, 2, 2, 1)),
+}
+_LATTICE_FAULTS = {
+    "1D": "this planner handles 1D instances only (m2 must be 1)",
+    "2D": "this planner handles 2D instances only (use the 1D planners for m2 = 1)",
+}
+
+
+@pytest.mark.parametrize("case", _KIND_CASES, ids="-".join)
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_planners_refuse_the_kinds_cli_solvers_do_not_list(solver, case):
+    # the library planner checks what the CLI checks: a wrong lattice keeps
+    # its message, and a wrong kind names the one SOLVERS lists
+    kind, lattice = case
+    inst = _KIND_CASES[case]
+    planner = resolve_solver(solver)
+    wants = SOLVERS[solver][1]
+    planner_lattice = "2D" if planner.__module__.endswith("lattice2d") else "1D"
+    if lattice != planner_lattice:
+        with pytest.raises(ValueError) as err:
+            planner(inst)
+        assert str(err.value) == _LATTICE_FAULTS[planner_lattice]
+    elif wants in ("any", kind):
+        assert simulate(inst, planner(inst)).config == inst.goal_config()
+    else:
+        with pytest.raises(ValueError) as err:
+            planner(inst)
+        assert str(err.value) == f"this planner handles {wants} instances only, got a {kind} one"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

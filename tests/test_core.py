@@ -288,6 +288,40 @@ def test_instance_validation():
         TypedInstance(LatticeDims(2, 1), 3, (1, 2), (2, 1))  # k beyond cell count
 
 
+@pytest.mark.parametrize("make", [list, np.array, tuple], ids=["list", "array", "tuple"])
+def test_labeled_instance_stores_pi_as_a_tuple(make):
+    # a list or an array was once stored as given: unhashable, unequal to
+    # the tuple-built instance, and open to change after the check
+    pi = make([2, 1, 3])
+    inst = LabeledInstance(LatticeDims(3, 1), pi)
+    same = LabeledInstance(LatticeDims(3, 1), (2, 1, 3))
+    assert type(inst.pi) is tuple and inst.pi == (2, 1, 3)
+    assert inst == same and hash(inst) == hash(same)
+    if make is tuple:
+        assert inst.pi is pi  # a tuple is not copied
+    else:
+        pi[0] = 3
+        assert inst.pi == (2, 1, 3) and inst == same
+
+
+@pytest.mark.parametrize("start,goal", [((1, 2), (2, 1, 1)), ((1, 2, 1), (2, 1)),
+                                        ((1, 2, 1, 1), (1, 1, 2, 1))])
+def test_typed_arrays_must_cover_every_cell(start, goal):
+    with pytest.raises(TypeMismatch) as err:
+        TypedInstance(LatticeDims(3, 1), 2, start, goal)
+    assert str(err.value) == "start/goal arrays must cover every cell"
+
+
+def test_unknown_metric_and_cell_outside_the_lattice():
+    with pytest.raises(ValueError) as err:
+        CostModel(metric="chebyshev")
+    assert str(err.value) == "unknown metric 'chebyshev'"
+    for row, col in ((3, 1), (1, 3), (0, 1)):
+        with pytest.raises(ValueError) as err:
+            LatticeDims(2, 2).index(row, col)
+        assert str(err.value) == f"cell ({row},{col}) outside 2x2"
+
+
 def _reference_is_permutation(pi, n):
     """LabeledInstance's check as it stood before the one-pass bytearray:
     the length, then a sort."""

@@ -499,6 +499,17 @@ class TestTyped:
         with pytest.raises(BadCounts):
             gen_typed(4, 2, (3, 1), GoalPattern("explicit", (2, 1, 1, 2)), 0)
 
+    @pytest.mark.parametrize("goal,message", [
+        ((1, 2, 1), "explicit goal covers 3 cells, lattice has 4"),
+        ((1, 2, 1, 2, 2), "explicit goal covers 5 cells, lattice has 4"),
+        ((1, 2, 3, 1), "goal type 3 outside 1..2"),
+        ((1, 0, 2, 2), "goal type 0 outside 1..2"),
+    ])
+    def test_explicit_goal_must_cover_the_lattice_with_ids_in_range(self, goal, message):
+        with pytest.raises(BadCounts) as err:
+            gen_typed(4, 2, (2, 2), GoalPattern("explicit", goal), 1)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("bad", [1.5, 2.0, "2", None])
     def test_explicit_goal_ids_must_be_integers(self, bad):
         # the count loop indexes a list, which refuses a non-integer id

@@ -901,6 +901,10 @@ INTO_A = cyc((3, 4), (4, 1), types=(1, 1))
 TWICE = cyc((1, 2), (2, 1), (1, 2), (2, 1), types=(1, 1, 1, 1))
 SHORT = cyc((1, 2), (2, 1), types=(1,))
 CELL_ZERO = cyc((0, 1), (1, 0), types=(1, 1))
+# cells operator.index refuses, once a bare TypeError from the table
+FLOAT_CELL = MoveCycle(((1.5, 2), (2, 1.5)), (1, 1))
+STR_CELL = cyc((1, "2"), ("2", 1), types=(1, 1))
+NONE_CELL = cyc((1, None), (None, 1), types=(1, 1))
 # id: (cycles, the cycle the error names)
 MALFORMED = {
     "repeated-cycle": ([A, A], A),
@@ -910,6 +914,9 @@ MALFORMED = {
     "repeated-source": ([TWICE], TWICE),
     "short-types": ([SHORT], SHORT),
     "cell-zero": ([CELL_ZERO], CELL_ZERO),
+    "float-cell": ([FLOAT_CELL], FLOAT_CELL),
+    "str-cell": ([STR_CELL], STR_CELL),
+    "none-cell": ([NONE_CELL], NONE_CELL),
 }
 GRID = LatticeDims(2, 2)
 # cycles through a cell past GRID's last, 4: just past it, where the
@@ -939,6 +946,13 @@ def test_phases_refuse_malformed_cycles_naming_them(phase, case):
 def test_2d_phases_refuse_cells_past_the_lattice(phase, bad):
     with pytest.raises(MalformedPermutation, match=re.escape(repr(bad))):
         TAKE_CYCLES[phase]([bad])
+
+
+@pytest.mark.parametrize("phase", TAKE_CYCLES)
+def test_phases_read_bool_cells_as_their_integers(phase):
+    # True is cell 1, as operator.index reads it
+    assert TAKE_CYCLES[phase]([cyc((True, 2), (2, True), types=(1, 1))]) == \
+        TAKE_CYCLES[phase]([cyc((1, 2), (2, 1), types=(1, 1))])
 
 
 # a 4x4 typed grid with a square blocks layout

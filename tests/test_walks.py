@@ -1,16 +1,18 @@
 """The shared orbit walk and emitters against the loops they replaced.
 
-Four loops are kept as references: the sweep branch of follow_cycles,
+Five loops are kept as references: the sweep branch of follow_cycles,
 por's own orbit loop behind the MoveCycles of an assignment (now
 graphs._walk_orbits over the destination table and _move_cycles; the
-loop is conftest's reference_cycles_from_assignment), the list-frame
-nested emitter lattice2d used to hold, and the single-pass follow_cycles
-as it read when it built one PlanStep per step.  Every planner built on
-their replacements must emit exactly what they did.  The nested reference
+loop is conftest's reference_cycles_from_assignment), graphs._walk_orbits
+as it read with a seen-marking loop of its own, the list-frame nested
+emitter lattice2d used to hold, and the single-pass follow_cycles as it
+read when it built one PlanStep per step.  Every planner built on their
+replacements must emit exactly what they did.  The nested reference
 reads cycle ids, which id_keyed derives from a schedule keyed by cells;
 the single-pass reference reads the span grouping kept in conftest.  The
 marking pass, _cycle_spans, is checked against the orbits whose entries
-and far ends it stands for, on labeled rows and on the typed planners'
+and far ends it stands for, and the orbit walk that follows its entries
+against its own former loop, on labeled rows and on the typed planners'
 tables after formation and after fusion.
 """
 
@@ -39,7 +41,7 @@ from lattice_rearrange.gen import (
     gen_uniform_permutation,
     gen_x_random,
 )
-from lattice_rearrange.graphs import _cycle_spans, _walk_orbits, permutation_cycles
+from lattice_rearrange.graphs import CycleSet, _cycle_spans, _walk_orbits, permutation_cycles
 from lattice_rearrange.lattice2d import (
     _DeltaTrades,
     _form_ptr,
@@ -75,6 +77,30 @@ from conftest import _group_max_per_cycle, moves_of, reference_cycles_from_assig
 
 
 # --- the replaced loops, verbatim -------------------------------------------
+
+def reference_walk_orbits(dest) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(cycles, fixed points) of a checked permutation given as a
+    destination table, the input _cycle_spans reads: each cycle the orbit
+    of its smallest cell, listed from there, in order of that cell.  dest
+    is not checked again."""
+    seen = bytearray(len(dest))
+    cycles = []
+    fixed = []
+    for start in range(1, len(dest)):
+        if seen[start]:
+            continue
+        g = dest[start]
+        if g == start:
+            fixed.append(start)
+            continue
+        orbit = [start]
+        while g != start:
+            seen[g] = 1
+            orbit.append(g)
+            g = dest[g]
+        cycles.append(tuple(orbit))
+    return cycles, fixed
+
 
 def reference_sweep(cycles, dest) -> Plan:
     """follow_cycles(cycles, dest, switching=False)."""
@@ -330,11 +356,11 @@ def test_sparse_assignment_walks_only_its_cells():
     dest, types = _assignment_of(SPARSE)
     assert len(dest) == len(types) == 901
     assert cycles_from_table(dest, types) == reference_cycles_from_assignment(*moves_of(SPARSE))
-    assert _walk_orbits(dest)[0] == [(7, 300, 900), (40, 50)]
+    assert _walk_orbits(dest) == [(7, 300, 900), (40, 50)]
 
 
 def assert_spans_match_orbits(dest):
-    assert _cycle_spans(dest) == spans(_walk_orbits(dest)[0])
+    assert _cycle_spans(dest) == spans(_walk_orbits(dest))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -393,7 +419,7 @@ def test_typed_schedule_emits_like_reference(metric):
     for inst in typed_instances(lambda rng: LatticeDims(rng.randint(2, 8), rng.randint(2, 8))):
         cycles = merge_cycles_ptr(form_cycles_ptr(inst), inst.dims)
         nxt, _ = _assignment_of(cycles)
-        cells = _walk_orbits(nxt)[0]
+        cells = _walk_orbits(nxt)
         rest = interior_rest(inst.dims, rng)
         plan = sweep_cycles_ptr(cycles, inst.dims, rest, model)
         if not cells:
@@ -429,6 +455,52 @@ def test_cycle_spans_match_orbits_on_long_rows(make):
     for seed in range(2):
         pi = make(seed).pi
         assert _cycle_spans([0, *pi]) == spans(permutation_cycles(pi).cycles)
+
+
+# --- the orbit walk over the marking pass's entries ------------------------
+
+def assert_walks_like_reference(dest):
+    # dest[1:] permutes 1..len(dest) - 1: an unmoved cell maps to itself
+    cycles, fixed = reference_walk_orbits(dest)
+    assert _walk_orbits(dest) == cycles
+    assert permutation_cycles(dest[1:]) == CycleSet(tuple(cycles), tuple(fixed))
+
+
+def test_orbit_walk_matches_reference_on_every_small_permutation():
+    for n in range(8):
+        for pi in itertools.permutations(range(1, n + 1)):
+            assert_walks_like_reference([0, *pi])
+
+
+@pytest.mark.parametrize("make", [lambda seed: gen_uniform_permutation(100_000, seed),
+                                  lambda seed: gen_x_random(100_000, 8, seed)],
+                         ids=["uniform", "x-random"])
+def test_orbit_walk_matches_reference_on_long_rows(make):
+    for seed in range(2):
+        assert_walks_like_reference([0, *make(seed).pi])
+
+
+def test_orbit_walk_matches_reference_on_sparse_tables():
+    rng = random.Random(20)
+    for cycles in [SPARSE, [], *(shuffled_cycles(rng.randint(2, 200), rng) for _ in range(40))]:
+        assert_walks_like_reference(_assignment_of(cycles)[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_orbit_walk_matches_reference_on_typed_tables(dim):
+    # after formation and after fusion, as the typed planners walk them
+    dims_of = ((lambda rng: LatticeDims(rng.randint(2, 80), 1)) if dim == 1
+               else (lambda rng: LatticeDims(rng.randint(2, 9), rng.randint(2, 9))))
+    for inst in typed_instances(dims_of):
+        if dim == 1:
+            dest, types = _form(inst)
+            trades = _GapTrades
+        else:
+            dest, types = _form_ptr(inst, CostModel())
+            trades = functools.partial(_DeltaTrades, inst.dims, "euclidean")
+        assert_walks_like_reference(dest)
+        fuse_cycles(dest, types, trades)
+        assert_walks_like_reference(dest)
 
 
 # --- the single-pass walk ---------------------------------------------------
@@ -476,7 +548,7 @@ def test_single_pass_walk_matches_reference_on_long_xrandom_rows():
 def test_single_pass_walk_matches_reference_on_typed_rows():
     for inst in typed_instances(lambda rng: LatticeDims(rng.randint(2, 80), 1)):
         dest, _ = _assignment_of(merge_cycles_mst(merge_cycles(form_cycles(inst))))
-        cells = _walk_orbits(dest)[0]
+        cells = _walk_orbits(dest)
         plan = reference_follow_cycles(cells, dest)
         assert follow_cycles(*spans(cells), dest) == plan
         assert opt_plan_por(inst) == plan
