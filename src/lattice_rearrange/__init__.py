@@ -23,7 +23,7 @@ _HOMES = {
         report_to_json run_experiment""",
     "core": """Action CostModel DEFAULT_COST HandNotEmptyAtEnd IllegalStep Instance
         JsonFormatError LabeledInstance LatticeDims MalformedPermutation Plan PlanCost
-        PlanStep RearrangeError SimResult TypedInstance TypeMismatch distance
+        PlanStep RearrangeError SimResult SolverMismatch TypedInstance TypeMismatch distance
         instance_from_dict instance_to_dict is_solved plan_cost plan_from_dict
         plan_to_dict reverse_plan reversed_instance simulate""",
     "gen": """BadCounts ClusterOverlap GoalPattern NotPerfectSquare PatternInfeasible

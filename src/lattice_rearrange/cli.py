@@ -51,10 +51,6 @@ class PlanDoesNotSolve(Exception):
     """Plan is legal but leaves the instance unsolved."""
 
 
-class SolverMismatch(Exception):
-    """Solver requires a different instance kind than the input holds."""
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -146,11 +142,6 @@ def resolve_solver(name: str):
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(_read_text(args.input))
-    wants = SOLVERS[args.solver][1]
-    if wants != "any" and inst.kind != wants:
-        raise SolverMismatch(
-            f"solver {args.solver!r} expects a {wants} instance, "
-            f"got {inst.kind}")
     model = _cost_model(args)
     plan = resolve_solver(args.solver)(inst, model)
     cost = plan_cost(inst, plan, model)

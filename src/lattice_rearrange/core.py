@@ -55,6 +55,10 @@ class JsonFormatError(RearrangeError):
     """An instance/plan JSON document does not match the expected schema."""
 
 
+class SolverMismatch(RearrangeError, ValueError):
+    """A planner was given an instance of another kind or lattice than it handles."""
+
+
 class Action(str, Enum):
     PICK = "pick"
     SWAP = "swap"
@@ -250,19 +254,19 @@ def _require_cell(n: int, cell, name: str, outside: str) -> None:
 
 
 def _require_input(instance: Instance, kind: str, lattice: str) -> None:
-    """The planners' gate: ValueError unless instance is of the kind cli.SOLVERS
-    lists ("labeled", "typed" or "any") on the lattice ("1D": m2 = 1, or "2D")."""
+    """The one planner gate: SolverMismatch unless instance is of the kind cli.SOLVERS
+    lists ("labeled", "typed" or "any") on the lattice ("1D": m2 = 1, "2D" or "any")."""
     if lattice == "1D" and instance.dims.m2 != 1:
-        raise ValueError("this planner handles 1D instances only (m2 must be 1)")
+        raise SolverMismatch("this planner handles 1D instances only (m2 must be 1)")
     if lattice == "2D" and instance.dims.m2 == 1:
-        raise ValueError("this planner handles 2D instances only (use the 1D planners for m2 = 1)")
+        raise SolverMismatch("this planner handles 2D instances only (use the 1D planners for m2 = 1)")
     if kind != "any" and instance.kind != kind:
-        raise ValueError(f"this planner handles {kind} instances only, got a {instance.kind} one")
+        raise SolverMismatch(f"this planner handles {kind} instances only, got a {instance.kind} one")
 
 
 class LabeledInstance(_Value):
-    """Fully labeled instance: cell i initially holds item pi[i-1], pi stored
-    as a tuple; item x belongs at cell x.  Solved when every cell i holds item i."""
+    """Fully labeled instance: cell i initially holds item pi[i-1], pi stored as a
+    tuple of ints; item x belongs at cell x.  Solved when every cell i holds item i."""
 
     __slots__ = ("dims", "pi", "rest")
     dims: LatticeDims
@@ -275,7 +279,7 @@ class LabeledInstance(_Value):
             raise MalformedPermutation(
                 f"arrangement is not a permutation of 1..{n}: {pi!r}")
         _require_cell(n, rest, "rest cell", "out of range")
-        super().__init__(dims, pi if type(pi) is tuple else tuple(pi), index(rest))
+        super().__init__(dims, pi if type(pi) is tuple else tuple(map(index, pi)), index(rest))
 
     @property
     def kind(self) -> str:

@@ -2,12 +2,12 @@
 
 Every planner holds its permutation as one destination table, dest[cell]
 the cell the item at cell belongs at (dest[0] pads), checked once where it
-enters: core._is_permutation for an arrangement, por._assignment_of for
+enters: core._is_permutation in LabeledInstance, por._assignment_of for
 hand-built cycles.  One unchecked marking pass reads it: _cycle_spans
 records each cycle's entry and far end, its smallest and largest cell,
 which is all the 1D single pass (lor.follow_cycles) and the sweeps read.
-_walk_orbits follows the orbit of each entry it returns, for
-permutation_cycles and the typed planners.
+_walk_orbits follows the orbit of each entry it returns, for the 2D walks
+and permutation_cycles (checked again, for bench's cycle statistics).
 
 Everything here is deterministic, ties included: the arborescence breaks
 ties toward the smallest edge id (position in the input edge list), and the

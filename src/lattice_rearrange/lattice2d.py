@@ -67,7 +67,6 @@ from .graphs import (
     _walk_orbits,
     min_arborescence,
     min_cost_assignment,
-    permutation_cycles,
 )
 from .lor import _dest_table, _emit_nested, _sweep
 from .por import (
@@ -119,6 +118,7 @@ def cycle_edge_length(instance: LabeledInstance, model: CostModel = DEFAULT_COST
     This is exactly the within-cycle travel that any cycle-following plan
     must spend; planners differ only in travel between cycles.
     """
+    _require_input(instance, "labeled", "any")
     d = _cell_distance(instance.dims, model)
     legs = [d(cell, item) for cell, item in enumerate(instance.pi, start=1) if item != cell]
     # left to right: sum() of floats is compensated from Python 3.12 on
@@ -302,9 +302,9 @@ def switch_cycles_ltr(instance: LabeledInstance, model: CostModel = DEFAULT_COST
     the arborescence schedule is kept only when it actually wins.
     """
     _require_input(instance, "labeled", "2D")
-    cycles = permutation_cycles(instance.pi).cycles
     dims, rest = instance.dims, instance.rest
     dest = _dest_table(instance)
+    cycles = _walk_orbits(dest)
     roots, kids = _schedule(dims, cycles, rest, model, detour=True)
     switched = _emit_nested(roots, kids, dest)
     sweep = _sweep([cyc[0] for cyc in cycles], dest)
@@ -335,6 +335,7 @@ def form_cycles_ptr(instance: TypedInstance, model: CostModel = DEFAULT_COST) ->
     t so the summed distance under model.metric is minimal; the chosen
     moves close into displacement cycles.
     """
+    _require_input(instance, "typed", "any")
     return _move_cycles(*_form_ptr(instance, model))
 
 

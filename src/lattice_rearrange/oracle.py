@@ -122,7 +122,10 @@ def oracle_optimal(instance: Instance,
         # total objective's key stays a bare int, which the heap compares faster
         if lexicographic:
             return picks + mism, round((travel + back) / _Q)
-        return round((picks * cp + travel * ct + mism * cp + back * ct) / _Q)
+        try:
+            return round((total := picks * cp + travel * ct + mism * cp + back * ct) / _Q)
+        except OverflowError:  # an integer float, scaled exactly: it sorts last
+            return int(total) * 10**9
 
     start_state = sum(map(mul, start_config, digit_weight)) + rest - 1
     mism0 = sum(map(ne, start_config, goal))

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,11 +22,18 @@ from lattice_rearrange import (
     gen_typed,
     gen_uniform_permutation,
     instance_to_dict,
+    oracle_optimal,
     plan_cost,
     plan_to_dict,
 )
 from lattice_rearrange.cli import GENERATORS, SOLVERS, main, resolve_solver
-from lattice_rearrange.core import JsonFormatError, instance_from_dict, instance_to_json, simulate
+from lattice_rearrange.core import (
+    JsonFormatError,
+    SolverMismatch,
+    instance_from_dict,
+    instance_to_json,
+    simulate,
+)
 from conftest import with_rest
 
 
@@ -294,10 +302,17 @@ class TestSolveAndValidate:
         assert json.loads(err)["error"] == "PlanDoesNotSolve"
 
     def test_solver_kind_mismatch_is_domain_error(self, capsys, tmp_path):
-        inst = write_instance(tmp_path, "i.json", CYCLE_INSTANCE)
-        code, _, err = run(capsys, "solve", "--solver", "opt-por", "-i", inst)
-        assert code == 1
-        assert json.loads(err)["error"] == "SolverMismatch"
+        # a wrong kind and a wrong lattice both end in the planner's gate
+        row = write_instance(tmp_path, "i.json", CYCLE_INSTANCE)
+        grid = write_instance(tmp_path, "g.json", {"kind": "labeled", "dims": [2, 2],
+                                                   "pi": [2, 1, 4, 3]})
+        for solver, inst, detail in [
+                ("opt-por", row, "this planner handles typed instances only, got a labeled one"),
+                ("opt-lor", grid, _LATTICE_FAULTS["1D"])]:
+            code, out, err = run(capsys, "solve", "--solver", solver, "-i", inst)
+            assert code == 1 and out == ""
+            assert json.loads(err) == {"format_version": 1, "error": "SolverMismatch",
+                                       "detail": detail}
 
     def test_non_integer_values_are_format_errors(self, capsys, tmp_path):
         inst = write_instance(tmp_path, "i.json", {"kind": "labeled", "dims": [2, 1],
@@ -382,26 +397,54 @@ _LATTICE_FAULTS = {
 }
 
 
+def _refused(fn, inst, detail):
+    # the gate's error is a domain error that still reads as a ValueError
+    with pytest.raises(SolverMismatch) as err:
+        fn(inst)
+    assert isinstance(err.value, ValueError)
+    assert str(err.value) == detail
+
+
 @pytest.mark.parametrize("case", _KIND_CASES, ids="-".join)
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_planners_refuse_the_kinds_cli_solvers_do_not_list(solver, case):
-    # the library planner checks what the CLI checks: a wrong lattice keeps
-    # its message, and a wrong kind names the one SOLVERS lists
+    # the planner's gate is the only check a solve makes: a wrong lattice
+    # keeps its message, and a wrong kind names the one SOLVERS lists
     kind, lattice = case
     inst = _KIND_CASES[case]
     planner = resolve_solver(solver)
     wants = SOLVERS[solver][1]
     planner_lattice = "2D" if planner.__module__.endswith("lattice2d") else "1D"
     if lattice != planner_lattice:
-        with pytest.raises(ValueError) as err:
-            planner(inst)
-        assert str(err.value) == _LATTICE_FAULTS[planner_lattice]
+        _refused(planner, inst, _LATTICE_FAULTS[planner_lattice])
     elif wants in ("any", kind):
         assert simulate(inst, planner(inst)).config == inst.goal_config()
     else:
-        with pytest.raises(ValueError) as err:
-            planner(inst)
-        assert str(err.value) == f"this planner handles {wants} instances only, got a {kind} one"
+        _refused(planner, inst, f"this planner handles {wants} instances only, got a {kind} one")
+
+
+# public functions outside SOLVERS that read an instance -> (kind, lattice)
+_GATED = {
+    "form_cycles": ("typed", "1D"),
+    "form_cycles_ptr": ("typed", "any"),
+    "cycle_edge_length": ("labeled", "any"),
+    "cycle_distance_statistic": ("labeled", "any"),
+}
+
+
+@pytest.mark.parametrize("case", _KIND_CASES, ids="-".join)
+@pytest.mark.parametrize("name", _GATED)
+def test_phase_and_statistic_functions_pass_through_the_gate(name, case):
+    kind, lattice = case
+    wants, wants_lattice = _GATED[name]
+    fn = getattr(lattice_rearrange, name)
+    inst = _KIND_CASES[case]
+    if wants_lattice not in ("any", lattice):
+        _refused(fn, inst, _LATTICE_FAULTS[wants_lattice])
+    elif kind != wants:
+        _refused(fn, inst, f"this planner handles {wants} instances only, got a {kind} one")
+    else:
+        fn(inst)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -430,6 +473,20 @@ class TestOracle:
         solve_doc = json.loads(out)
         assert oracle_doc["picks"] == solve_doc["cost"]["picks"]
         assert oracle_doc["travel"] == pytest.approx(solve_doc["cost"]["travel"])
+
+    def test_total_objective_with_a_huge_finite_cost(self, capsys, tmp_path):
+        # a total near 1.2e301 is finite, but divided by the comparison
+        # quantum it overflows a float; the search still orders it exactly
+        inst = str(tmp_path / "six.json")
+        assert run(capsys, "gen", "uniform", "--m", "6", "--seed", "3", "-o", inst)[0] == 0
+        code, out, _ = run(capsys, "oracle", "--objective", "total", "--ct", "1e300", "-i", inst)
+        assert code == 0
+        doc = json.loads(out)
+        assert math.isfinite(doc["total"]) and doc["total"] == pytest.approx(12e300)
+        model = CostModel(c_t=1e300)
+        blind = oracle_optimal(instance_from_dict(json.loads(Path(inst).read_text())),
+                               model, "total", heuristic=False)
+        assert blind.cost.total == doc["total"]
 
     def test_total_objective(self, capsys, tmp_path):
         inst = write_instance(tmp_path, "i.json", CYCLE_INSTANCE)

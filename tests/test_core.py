@@ -304,6 +304,21 @@ def test_labeled_instance_stores_pi_as_a_tuple(make):
         assert inst.pi == (2, 1, 3) and inst == same
 
 
+@pytest.mark.parametrize("make", [list, np.array, lambda pi: np.array(pi, dtype=np.int32),
+                                  lambda pi: [np.int64(v) for v in pi]],
+                         ids=["list", "array", "int32-array", "numpy-int-list"])
+def test_labeled_instance_from_a_sequence_plans_plain_ints(make):
+    # numpy entries were kept as numpy ints, so the labeled planners emitted
+    # numpy cells and the plan document could not be written
+    inst = LabeledInstance(LatticeDims(3, 1), make([2, 1, 3]))
+    same = LabeledInstance(LatticeDims(3, 1), (2, 1, 3))
+    assert all(type(v) is int for v in inst.pi)
+    assert inst == same and hash(inst) == hash(same)
+    plan = opt_plan_lor(inst)
+    assert plan == opt_plan_lor(same) and all(type(c) is int for c in plan.cells)
+    assert json.loads(json.dumps(plan_to_dict(plan))) == plan_to_dict(plan)
+
+
 @pytest.mark.parametrize("start,goal", [((1, 2), (2, 1, 1)), ((1, 2, 1), (2, 1)),
                                         ((1, 2, 1, 1), (1, 1, 2, 1))])
 def test_typed_arrays_must_cover_every_cell(start, goal):

@@ -163,6 +163,24 @@ def test_switch_dominates_sweep_random():
         assert is_solved(simulate(inst, switched).config, inst)
 
 
+def test_switch_checks_no_arrangement_the_instance_checked(monkeypatch):
+    # LabeledInstance checks pi once; the solve walks its table unchecked
+    from lattice_rearrange import core, graphs
+    inst = gen_block_random(16, 5)
+    calls = []
+
+    def counting(check):
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+        return counted
+    for module in (core, graphs):
+        monkeypatch.setattr(module, "_is_permutation", counting(module._is_permutation))
+    plan = switch_cycles_ltr(inst)
+    assert calls == []
+    assert is_solved(simulate(inst, plan).config, inst)
+
+
 def test_switch_picks_equal_oracle_minimum_2x3():
     dims = LatticeDims(2, 3)
     for pi in itertools.permutations(range(1, 7)):
