@@ -24,6 +24,7 @@ the dominance test.
 from __future__ import annotations
 
 import heapq
+from math import inf
 from operator import mul, ne
 
 from .core import (
@@ -124,8 +125,8 @@ def oracle_optimal(instance: Instance,
             return picks + mism, round((travel + back) / _Q)
         try:
             return round((total := picks * cp + travel * ct + mism * cp + back * ct) / _Q)
-        except OverflowError:  # an integer float, scaled exactly: it sorts last
-            return int(total) * 10**9
+        except OverflowError:  # an integer float, scaled exactly, or inf: it sorts last
+            return total if total == inf else int(total) * 10**9
 
     start_state = sum(map(mul, start_config, digit_weight)) + rest - 1
     mism0 = sum(map(ne, start_config, goal))

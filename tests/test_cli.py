@@ -474,16 +474,18 @@ class TestOracle:
         assert oracle_doc["picks"] == solve_doc["cost"]["picks"]
         assert oracle_doc["travel"] == pytest.approx(solve_doc["cost"]["travel"])
 
-    def test_total_objective_with_a_huge_finite_cost(self, capsys, tmp_path):
-        # a total near 1.2e301 is finite, but divided by the comparison
-        # quantum it overflows a float; the search still orders it exactly
+    @pytest.mark.parametrize("ct", ["1e300", "1.2e307"])
+    def test_total_objective_with_a_huge_finite_cost(self, capsys, tmp_path, ct):
+        # the optimum (travel 12) is finite, but divided by the comparison
+        # quantum it overflows a float (ct = 1e300), or a longer path's total
+        # is inf (ct = 1.2e307); the search still orders both exactly
         inst = str(tmp_path / "six.json")
         assert run(capsys, "gen", "uniform", "--m", "6", "--seed", "3", "-o", inst)[0] == 0
-        code, out, _ = run(capsys, "oracle", "--objective", "total", "--ct", "1e300", "-i", inst)
+        code, out, _ = run(capsys, "oracle", "--objective", "total", "--ct", ct, "-i", inst)
         assert code == 0
         doc = json.loads(out)
-        assert math.isfinite(doc["total"]) and doc["total"] == pytest.approx(12e300)
-        model = CostModel(c_t=1e300)
+        assert math.isfinite(doc["total"]) and doc["total"] == pytest.approx(12 * float(ct))
+        model = CostModel(c_t=float(ct))
         blind = oracle_optimal(instance_from_dict(json.loads(Path(inst).read_text())),
                                model, "total", heuristic=False)
         assert blind.cost.total == doc["total"]

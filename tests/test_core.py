@@ -319,6 +319,16 @@ def test_labeled_instance_from_a_sequence_plans_plain_ints(make):
     assert json.loads(json.dumps(plan_to_dict(plan))) == plan_to_dict(plan)
 
 
+def test_plan_document_of_numpy_cells_holds_ints():
+    # a tuple is stored as given, so a tuple of numpy ints plans numpy cells
+    inst = LabeledInstance(LatticeDims(3, 1), tuple(np.array([2, 1, 3])))
+    plan = opt_plan_lor(inst)
+    doc = plan_to_dict(plan)
+    assert all(type(step["cell"]) is int for step in doc["steps"])
+    assert json.loads(json.dumps(doc)) == doc == plan_to_dict(opt_plan_lor(
+        LabeledInstance(LatticeDims(3, 1), (2, 1, 3))))
+
+
 @pytest.mark.parametrize("start,goal", [((1, 2), (2, 1, 1)), ((1, 2, 1), (2, 1)),
                                         ((1, 2, 1, 1), (1, 1, 2, 1))])
 def test_typed_arrays_must_cover_every_cell(start, goal):
