@@ -641,8 +641,6 @@ _ACTION_OF = {a.value: a for a in Action}
 
 
 def plan_to_dict(plan: Plan) -> dict:
-    """The plan document's steps.  Each cell passes through operator.index, so
-    a numpy int a planner carried over from its input is written as an int."""
     text = _ACTION_TEXT
     return {"steps": [{"cell": index(cell), "action": text[action]}
                       for cell, action in zip(plan.cells, plan.actions)]}

@@ -24,7 +24,6 @@ the dominance test.
 from __future__ import annotations
 
 import heapq
-from math import inf
 from operator import mul, ne
 
 from .core import (
@@ -126,7 +125,7 @@ def oracle_optimal(instance: Instance,
         try:
             return round((total := picks * cp + travel * ct + mism * cp + back * ct) / _Q)
         except OverflowError:  # an integer float, scaled exactly, or inf: it sorts last
-            return total if total == inf else int(total) * 10**9
+            return total if total == float("inf") else int(total) * 10**9
 
     start_state = sum(map(mul, start_config, digit_weight)) + rest - 1
     mism0 = sum(map(ne, start_config, goal))
